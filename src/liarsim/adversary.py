@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liar_protocol import EXPECTED_DOUBLE_FRACTION, PartyLists, extract_positions
+from .channels import ArrayRecord
+from .oracle import EXPECTED_DOUBLE_FRACTION
+from .qstate import readonly_array
 
 
 class AKind(enum.Enum):
@@ -97,29 +99,37 @@ class StrategyB:
         return cls(BKind.FLIP_AND_FORGE, fake_count=k)
 
 
-@dataclass(frozen=True)
-class ActionA:
-    """Everything A emits, plus audit fields naming her fabrications."""
+@dataclass(frozen=True, eq=False)
+class ActionA(ArrayRecord):
+    """Everything A emits, plus audit fields naming her fabrications.
+
+    Positions are read-only int64 arrays, ``l_AC`` a read-only int8 one.
+    """
 
     m_AB: int
-    positions_for_B: tuple[int, ...]
+    positions_for_B: np.ndarray
     m_AC: int
-    l_AC: tuple[int, ...]
-    fabricated_positions: tuple[int, ...] = ()
-    altered_positions: tuple[int, ...] = ()
+    l_AC: np.ndarray
+    fabricated_positions: np.ndarray = ()
+    altered_positions: np.ndarray = ()
     capped: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("positions_for_B", "fabricated_positions", "altered_positions"):
+            object.__setattr__(self, name, readonly_array(getattr(self, name), np.int64))
+        object.__setattr__(self, "l_AC", readonly_array(self.l_AC, np.int8))
 
-@dataclass(frozen=True)
-class ActionB:
+
+@dataclass(frozen=True, eq=False)
+class ActionB(ArrayRecord):
     m_BC: int
-    forwarded: tuple[int, ...]
-    fabricated_positions: tuple[int, ...] = ()
+    forwarded: np.ndarray
+    fabricated_positions: np.ndarray = ()
     capped: bool = False
 
-
-def _coerce_a_list(l_A: PartyLists | np.ndarray) -> np.ndarray:
-    return l_A.a_ones if isinstance(l_A, PartyLists) else np.asarray(l_A)
+    def __post_init__(self) -> None:
+        for name in ("forwarded", "fabricated_positions"):
+            object.__setattr__(self, name, readonly_array(getattr(self, name), np.int64))
 
 
 def _resolve_message(strategy: StrategyA, rng: np.random.Generator) -> int:
@@ -130,42 +140,39 @@ def _resolve_message(strategy: StrategyA, rng: np.random.Generator) -> int:
 
 def _draw_sorted(
     candidates: np.ndarray, count: int, rng: np.random.Generator
-) -> tuple[int, ...]:
-    chosen = rng.choice(candidates, size=count, replace=False)
-    return tuple(int(j) for j in np.sort(chosen))
+) -> np.ndarray:
+    return np.sort(rng.choice(candidates, size=count, replace=False))
 
 
 def strategy_A_act(
-    strategy: StrategyA, l_A: PartyLists | np.ndarray, rng: np.random.Generator
+    strategy: StrategyA, l_A, rng: np.random.Generator
 ) -> ActionA:
     """Produce A's two outgoing transmissions from her private list.
 
-    Reads nothing but A's own list and the strategy parameters. When a
-    cheating strategy asks for more fabrications than there are mixed
-    positions, the count is capped and flagged.
+    Reads nothing but A's own list (``l_A`` or its ``a_ones``) and the
+    strategy parameters. When a cheating strategy asks for more
+    fabrications than there are mixed positions, the count is capped
+    and flagged.
     """
-    arr = _coerce_a_list(l_A)
+    arr = np.asarray(getattr(l_A, "a_ones", l_A))
     m = _resolve_message(strategy, rng)
-    honest_positions = extract_positions(arr, m)
+    honest_positions = np.flatnonzero(arr == 2 * m) + 1
 
     if strategy.kind is AKind.HONEST:
-        return ActionA(m, honest_positions, m, tuple(int(x) for x in arr))
+        return ActionA(m, honest_positions, m, arr)
 
     mixed = np.flatnonzero(arr == 1) + 1
     if strategy.kind is AKind.SPLIT_MESSAGE:
         m_AC = 1 - m
         n = min(strategy.fabrication_count, mixed.size)
         fabricated = _draw_sorted(mixed, n, rng)
-        positions = tuple(sorted(honest_positions + fabricated))
-        forged = arr.copy()
-        forged[arr == 1] = 2 * m_AC
         return ActionA(
             m_AB=m,
-            positions_for_B=positions,
+            positions_for_B=np.sort(np.concatenate((honest_positions, fabricated))),
             m_AC=m_AC,
-            l_AC=tuple(int(x) for x in forged),
+            l_AC=np.where(arr == 1, 2 * m_AC, arr),
             fabricated_positions=fabricated,
-            altered_positions=tuple(int(j) for j in mixed),
+            altered_positions=mixed,
             capped=n < strategy.fabrication_count,
         )
 
@@ -174,13 +181,12 @@ def strategy_A_act(
     k = min(strategy.altered_count, mixed.size)
     altered = _draw_sorted(mixed, k, rng)
     forged = arr.copy()
-    if altered:
-        forged[np.asarray(altered) - 1] = 2 * m
+    forged[altered - 1] = 2 * m
     return ActionA(
         m_AB=m,
         positions_for_B=honest_positions,
         m_AC=m,
-        l_AC=tuple(int(x) for x in forged),
+        l_AC=forged,
         altered_positions=altered,
         capped=k < strategy.altered_count,
     )
@@ -188,16 +194,16 @@ def strategy_A_act(
 
 def strategy_B_act(
     strategy: StrategyB,
-    received: tuple[int, tuple[int, ...]],
-    l_B: PartyLists | np.ndarray,
+    received: tuple[int, np.ndarray],
+    l_B,
     rng: np.random.Generator,
 ) -> ActionB:
     """Produce B's transmission to C from what he received and his list."""
     m_AB, positions = received
-    bits = l_B.b_bits if isinstance(l_B, PartyLists) else np.asarray(l_B)
+    bits = np.asarray(getattr(l_B, "b_bits", l_B))
 
     if strategy.kind is BKind.HONEST:
-        return ActionB(m_AB, tuple(int(j) for j in positions))
+        return ActionB(m_AB, positions)
 
     m_BC = 1 - m_AB
     plausible = np.flatnonzero(bits == 1 - m_BC) + 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -29,6 +29,17 @@ from .qstate import (
 
 class ProtocolViolationError(Exception):
     """A party attempted something the protocol's rules forbid."""
+
+
+class ArrayRecord:
+    """Field-wise equality for frozen ``eq=False`` dataclasses that hold arrays."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
 
 class PartyId(enum.Enum):

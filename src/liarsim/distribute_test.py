@@ -29,7 +29,12 @@ from .channels import (
     transfer_qubits,
 )
 from .oracle import Assignment
-from .qstate import COMPUTATIONAL, MeasurementDirection, make_singlet
+from .qstate import (
+    COMPUTATIONAL, MeasurementDirection, StateVector, make_singlet, readonly_array
+)
+
+# Indexed by assignment code: 0 means A holds slots (1,2), 1 means (1,3).
+_ASSIGNMENTS = (Assignment.A_HOLDS_12, Assignment.A_HOLDS_13)
 
 
 class DirectionPolicy(enum.Enum):
@@ -128,29 +133,29 @@ class DistributeStatus(enum.Enum):
     FAILURE = "FAILURE"
 
 
-@dataclass(frozen=True)
-class PoolSystem:
-    """One verified, still-untouched four-qubit system."""
-
-    system_id: int
-    assignment: Assignment
-    system: QuantumSystem
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerifiedPool:
-    systems: tuple[PoolSystem, ...]
+    """Verified, untouched systems, each still holding the shared ``source``.
+
+    ``system_ids`` (read-only int64) names each system of the batch and
+    ``codes`` (read-only int8) its assignment: 0 where A holds slots
+    (1,2), 1 where she holds (1,3).
+    """
+
+    system_ids: np.ndarray
+    codes: np.ndarray
+    source: StateVector
+
+    def __post_init__(self) -> None:
+        ids = readonly_array(self.system_ids, np.int64)
+        codes = readonly_array(self.codes, np.int8)
+        if ids.ndim != 1 or ids.shape != codes.shape or np.any(codes & ~1):
+            raise ValueError("need equally long 1-D system ids and 0/1 assignment codes")
+        object.__setattr__(self, "system_ids", ids)
+        object.__setattr__(self, "codes", codes)
 
     def __len__(self) -> int:
-        return len(self.systems)
-
-    def assignment_codes(self) -> np.ndarray:
-        """0 where A holds slots (1,2), 1 where she holds (1,3)."""
-        return np.fromiter(
-            (0 if p.assignment is Assignment.A_HOLDS_12 else 1 for p in self.systems),
-            dtype=np.int8,
-            count=len(self.systems),
-        )
+        return self.codes.size
 
 
 @dataclass(frozen=True)
@@ -160,16 +165,6 @@ class DistributeOutcome:
     failure: FailureInfo | None
     test_records: tuple[TestRecord, ...]
     events: tuple[str, ...] = field(default=())
-
-
-def _draw_assignments(
-    plan: DistributionPlan, rng: np.random.Generator
-) -> list[Assignment]:
-    if plan.assignments is not None:
-        return list(plan.assignments)
-    codes = rng.integers(0, 2, size=plan.M)
-    members = (Assignment.A_HOLDS_12, Assignment.A_HOLDS_13)
-    return [members[int(c)] for c in codes]
 
 
 def _failure(
@@ -207,15 +202,19 @@ def run_distribute_and_test(
         hub = ChannelHub()
     registry = QubitRegistry()
     systems: dict[int, QuantumSystem] = {}
-    assignments = _draw_assignments(plan, rng)
+    if plan.assignments is None:
+        codes = rng.integers(0, 2, size=plan.M)
+    else:
+        codes = np.array([_ASSIGNMENTS.index(a) for a in plan.assignments])
+    source = fault.prepare_state()
     records: list[TestRecord] = []
     events: list[str] = []
 
     # (i)-(ii): prepare, distribute, and immediately verify receipt counts.
     for j in range(1, plan.M + 1):
-        assignment = assignments[j - 1]
+        assignment = _ASSIGNMENTS[codes[j - 1]]
         registry.create_system(j)
-        systems[j] = QuantumSystem(j, fault.prepare_state())
+        systems[j] = QuantumSystem(j, source)
         a_refs = [QubitRef(j, slot) for slot in assignment.a_slots]
         b_refs = [QubitRef(j, assignment.b_slot)]
         outcomes = transfer_qubits(
@@ -240,7 +239,7 @@ def run_distribute_and_test(
     order = rng.permutation(plan.M) + 1
     s1 = sorted(int(j) for j in order[: plan.N1])
     s2 = sorted(int(j) for j in order[plan.N1 : plan.N1 + plan.N2])
-    pool_ids = sorted(int(j) for j in order[plan.N1 + plan.N2 :])
+    pool_ids = np.sort(order[plan.N1 + plan.N2 :])
     events.append("subsets_drawn")
 
     # (iv)-(viii): sacrifice each tested system; roles swap between subsets.
@@ -282,11 +281,11 @@ def run_distribute_and_test(
                     events,
                 )
 
-    pool = VerifiedPool(
-        tuple(
-            PoolSystem(j, assignments[j - 1], systems[j]) for j in pool_ids
-        )
-    )
+    # testing must never touch the pool: each system still holds the source
+    touched = [int(j) for j in pool_ids if not systems[j].is_pristine]
+    if touched:
+        raise ProtocolViolationError(f"pool system {touched[0]} was touched during testing")
+    pool = VerifiedPool(pool_ids, codes[pool_ids - 1], source)
     events.append("success")
     return DistributeOutcome(
         status=DistributeStatus.SUCCESS,
@@ -315,15 +314,9 @@ def make_verified_pool(
         raise ValueError("assignments must list one Assignment per system")
     if assignments is None:
         codes = rng.integers(0, 2, size=L)
-        members = (Assignment.A_HOLDS_12, Assignment.A_HOLDS_13)
-        assignments = tuple(members[int(c)] for c in codes)
-    state = make_singlet(4)
-    return VerifiedPool(
-        tuple(
-            PoolSystem(j, assignments[j - 1], QuantumSystem(j, state))
-            for j in range(1, L + 1)
-        )
-    )
+    else:
+        codes = [_ASSIGNMENTS.index(a) for a in assignments]
+    return VerifiedPool(np.arange(1, L + 1), codes, make_singlet(4))
 
 
 def _violates_event_order(events: tuple[str, ...]) -> bool:

@@ -13,37 +13,35 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .channels import ChannelHub, ClassicalEnvelope, PartyId
-from .distribute_test import DirectionPolicy, VerifiedPool, choose_direction
-from .oracle import escape_probabilities
-from .qstate import COMPUTATIONAL, make_singlet, sample_outcomes
-
-# Exact expected fraction of positions carrying a given double (m, m)
-# under the 50/50 assignment mixture; anchors all length thresholds.
-EXPECTED_DOUBLE_FRACTION = escape_probabilities().expected_double_fraction
+from . import adversary
+from .channels import ArrayRecord, ChannelHub, ClassicalEnvelope, PartyId
+from .distribute_test import VerifiedPool
+from .oracle import EXPECTED_DOUBLE_FRACTION
+from .qstate import COMPUTATIONAL, readonly_array, sample_outcomes
 
 # Outcome bits of each four-qubit basis state, most significant first.
 _BITS16 = np.array(
     [[(i >> (3 - k)) & 1 for k in range(4)] for i in range(16)], dtype=np.int8
 )
-
-
-def _readonly_bits(values: Iterable[int] | np.ndarray, upper: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.int8, copy=True)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("lists must be one-dimensional and nonempty")
-    if arr.min() < 0 or arr.max() > upper:
-        raise ValueError(f"entries must lie in 0..{upper}")
-    arr.setflags(write=False)
-    return arr
+# Each party's list entry, indexed by [party, assignment code, outcome
+# index]: code 0 gives A slots (1,2) and B slot 3, code 1 gives A slots
+# (1,3) and B slot 2, and C always holds slot 4.
+_LIST_ENTRIES = np.array(
+    [
+        [_BITS16[:, 0] + _BITS16[:, 1], _BITS16[:, 0] + _BITS16[:, 2]],  # A's count of 1s
+        [_BITS16[:, 2], _BITS16[:, 1]],  # B's bit
+        [_BITS16[:, 3], _BITS16[:, 3]],  # C's bit
+    ],
+    dtype=np.int8,
+)
 
 
 @dataclass(frozen=True, eq=False)
-class PartyLists:
+class PartyLists(ArrayRecord):
     """The three private lists of one protocol run.
 
     A's unordered pairs are stored as their count of 1s (0, 1, or 2);
@@ -56,28 +54,17 @@ class PartyLists:
     c_bits: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a_ones", _readonly_bits(self.a_ones, 2))
-        object.__setattr__(self, "b_bits", _readonly_bits(self.b_bits, 1))
-        object.__setattr__(self, "c_bits", _readonly_bits(self.c_bits, 1))
+        for name, upper in (("a_ones", 2), ("b_bits", 1), ("c_bits", 1)):
+            arr = readonly_array(getattr(self, name), np.int8)
+            if arr.ndim != 1 or arr.size < 1 or arr.min() < 0 or arr.max() > upper:
+                raise ValueError(f"lists must be nonempty 1-D arrays of 0..{upper}")
+            object.__setattr__(self, name, arr)
         if not (len(self.a_ones) == len(self.b_bits) == len(self.c_bits)):
             raise ValueError("the three lists must have equal length")
-        for m in (0, 1):
-            doubles = self.a_ones == 2 * m
-            if np.any(self.b_bits[doubles] != 1 - m) or np.any(
-                self.c_bits[doubles] != 1 - m
-            ):
-                raise ValueError(
-                    f"doubles of {m} must face {1 - m} in the other lists"
-                )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PartyLists):
-            return NotImplemented
-        return (
-            np.array_equal(self.a_ones, other.a_ones)
-            and np.array_equal(self.b_bits, other.b_bits)
-            and np.array_equal(self.c_bits, other.c_bits)
-        )
+        facing = 1 - self.a_ones // 2  # what B and C must hold opposite a double
+        doubles = self.a_ones != 1
+        if np.any(doubles & ((self.b_bits != facing) | (self.c_bits != facing))):
+            raise ValueError("a double (m, m) must face 1 - m in the other lists")
 
     @property
     def length(self) -> int:
@@ -108,48 +95,18 @@ class PartyLists:
         )
 
 
-def generate_lists(
-    pool: VerifiedPool,
-    rng: np.random.Generator,
-    direction_policy: DirectionPolicy = DirectionPolicy.FIXED,
-) -> PartyLists:
-    """Measure every pool system along a common direction, one per system.
+def generate_lists(pool: VerifiedPool, rng: np.random.Generator) -> PartyLists:
+    """Measure every pool system along the computational basis, one draw each.
 
-    The outcome statistics are direction-independent, so when all pool
-    systems still hold the untouched shared source state the sampling is
-    done in one vectorized pass over the exact joint distribution
-    (leaving the per-system objects untouched); otherwise each system is
-    measured through the state-vector engine.
+    Every pool system holds the untouched shared source state, so the
+    four outcome bits of each position are one draw from the exact joint
+    distribution of that state; each party's entry is read off the slots
+    the position's assignment code gives it.
     """
     if len(pool) == 0:
         raise ValueError("cannot generate lists from an empty pool")
-    codes = pool.assignment_codes()
-    singlet_amps = make_singlet(4).amplitudes
-    batched = all(
-        p.system.is_pristine and p.system.state.amplitudes is singlet_amps
-        for p in pool.systems
-    )
-    if batched:
-        indices = sample_outcomes(make_singlet(4), COMPUTATIONAL, len(pool), rng)
-        bits = _BITS16[indices]
-        a_ones = np.where(codes == 0, bits[:, 0] + bits[:, 1], bits[:, 0] + bits[:, 2])
-        b_bits = np.where(codes == 0, bits[:, 2], bits[:, 1])
-        return PartyLists(a_ones.astype(np.int8), b_bits.astype(np.int8), bits[:, 3])
-
-    a_list, b_list, c_list = [], [], []
-    for entry in pool.systems:
-        direction = choose_direction(rng, direction_policy)
-        a_bits = entry.system.measure_slots(list(entry.assignment.a_slots), direction, rng)
-        (b_bit,) = entry.system.measure_slots([entry.assignment.b_slot], direction, rng)
-        (c_bit,) = entry.system.measure_slots([4], direction, rng)
-        a_list.append(sum(a_bits))
-        b_list.append(b_bit)
-        c_list.append(c_bit)
-    return PartyLists(
-        np.array(a_list, dtype=np.int8),
-        np.array(b_list, dtype=np.int8),
-        np.array(c_list, dtype=np.int8),
-    )
+    outcomes = sample_outcomes(pool.source, COMPUTATIONAL, len(pool), rng)
+    return PartyLists(*_LIST_ENTRIES[:, pool.codes, outcomes])
 
 
 def extract_positions(l_A: PartyLists | np.ndarray, m: int) -> tuple[int, ...]:
@@ -164,37 +121,77 @@ def extract_positions(l_A: PartyLists | np.ndarray, m: int) -> tuple[int, ...]:
 # Protocol messages
 
 
-@dataclass(frozen=True)
-class MessageWithList:
-    """A message bit plus the positions where its sender claims doubles."""
+_MAX_POSITION = np.iinfo(np.int64).max  # no list is longer
+
+
+def _integer_prefix(values) -> tuple[np.ndarray, bool]:
+    """The leading run of integer entries (bools are not integers here), and
+    whether it is all of ``values``. A non-integer array has no such run."""
+    if isinstance(values, np.ndarray):
+        if values.ndim == 1 and values.dtype.kind in "iu":
+            return values, True
+        return np.empty(0, np.int64), values.size == 0
+    try:
+        items = list(values)
+    except TypeError:
+        return np.empty(0, np.int64), False
+    for i, item in enumerate(items):
+        if isinstance(item, bool) or not isinstance(item, (int, np.integer)):
+            return np.array(items[:i], dtype=np.int64 if i == 0 else None), False
+    return np.array(items, dtype=np.int64 if not items else None), True
+
+
+def _scan_positions(claimed, length: int) -> tuple[np.ndarray, int | None]:
+    """``claimed`` as an array, and its first entry that is not a strictly
+    increasing position in 1..length, where a non-integer entry reads as 0."""
+    positions, complete = _integer_prefix(claimed)
+    previous = np.empty_like(positions)
+    previous[:1] = 0
+    previous[1:] = positions[:-1]
+    bad = np.flatnonzero((positions <= previous) | (positions > length))
+    if bad.size:
+        return positions, int(positions[bad[0]])
+    return positions, None if complete else 0
+
+
+def _pair_counts(values) -> np.ndarray | None:
+    """``values`` as int8 pair counts, or None unless each entry is 0, 1 or 2."""
+    entries, complete = _integer_prefix(values)
+    if not complete or np.any((entries < 0) | (entries > 2)):
+        return None
+    return readonly_array(entries, np.int8)
+
+
+@dataclass(frozen=True, eq=False)
+class MessageWithList(ArrayRecord):
+    """A message bit plus the positions (int64) where its sender claims doubles."""
 
     m: int
-    positions: tuple[int, ...]
+    positions: np.ndarray
 
     def __post_init__(self) -> None:
         if self.m not in (0, 1):
             raise ValueError(f"message bit must be 0 or 1, got {self.m!r}")
-        previous = 0
-        for position in self.positions:
-            if not isinstance(position, (int, np.integer)) or position <= previous:
-                raise ValueError(
-                    "positions must be strictly increasing integers >= 1"
-                )
-            previous = int(position)
+        positions, bad = _scan_positions(self.positions, _MAX_POSITION)
+        if bad is not None:
+            raise ValueError("positions must be strictly increasing integers >= 1")
+        object.__setattr__(self, "positions", readonly_array(positions, np.int64))
 
 
-@dataclass(frozen=True)
-class FullList:
-    """A message bit plus a claimed complete pair list (counts of 1s)."""
+@dataclass(frozen=True, eq=False)
+class FullList(ArrayRecord):
+    """A message bit plus a claimed complete pair list (read-only int8 counts of 1s)."""
 
     m: int
-    pairs: tuple[int, ...]
+    pairs: np.ndarray
 
     def __post_init__(self) -> None:
         if self.m not in (0, 1):
             raise ValueError(f"message bit must be 0 or 1, got {self.m!r}")
-        if any(p not in (0, 1, 2) for p in self.pairs):
+        pairs = _pair_counts(self.pairs)
+        if pairs is None:
             raise ValueError("pair entries must be 0, 1, or 2 ones")
+        object.__setattr__(self, "pairs", pairs)
 
 
 class RejectReason(enum.Enum):
@@ -202,12 +199,12 @@ class RejectReason(enum.Enum):
     TOO_SHORT = "TOO_SHORT"
 
 
-@dataclass(frozen=True)
-class Reject:
+@dataclass(frozen=True, eq=False)
+class Reject(ArrayRecord):
     """B's step-(III) refusal, carrying the offending claim as evidence."""
 
     reason: RejectReason
-    claimed: tuple[int, ...]
+    claimed: np.ndarray
 
 
 # --------------------------------------------------------------------------
@@ -250,18 +247,6 @@ class AcceptanceResult:
     required_length: float = 0.0
 
 
-def _first_malformed(claimed: Sequence[int], length: int) -> int | None:
-    """First entry that is not a strictly increasing in-range position."""
-    previous = 0
-    for position in claimed:
-        if not isinstance(position, (int, np.integer)):
-            return 0
-        if position <= previous or position > length:
-            return int(position)
-        previous = int(position)
-    return None
-
-
 def incompatible_positions(
     claimed: Sequence[int], l_B: np.ndarray, m_AB: int
 ) -> np.ndarray:
@@ -271,7 +256,7 @@ def incompatible_positions(
     claimed position showing m in l_B exposes the claim as false.
     """
     l_B = np.asarray(l_B)
-    arr = np.asarray([int(j) for j in claimed], dtype=np.int64)
+    arr = np.asarray(claimed, dtype=np.int64)
     arr = arr[(arr >= 1) & (arr <= len(l_B))]
     return arr[l_B[arr - 1] == m_AB]
 
@@ -285,12 +270,13 @@ def b_accepts(
     """B's step-(III) test of A's claimed double positions.
 
     Rejects INCOMPATIBLE on the first malformed or contradicted
-    position, then TOO_SHORT if the claim list is implausibly short;
-    hostile input is rejected, never raised.
+    position (a non-integer entry, bools included, is reported as 0),
+    then TOO_SHORT if the claim list is implausibly short; hostile input
+    is rejected, never raised.
     """
     l_B = np.asarray(l_B)
     required = thresholds.required_length(len(l_B))
-    bad = _first_malformed(claimed, len(l_B))
+    claimed, bad = _scan_positions(claimed, len(l_B))
     if bad is not None:
         return AcceptanceResult(False, RejectReason.INCOMPATIBLE, bad, required)
     contradicted = incompatible_positions(claimed, l_B, m_AB)
@@ -298,7 +284,7 @@ def b_accepts(
         return AcceptanceResult(
             False, RejectReason.INCOMPATIBLE, int(contradicted[0]), required
         )
-    if len(claimed) < required:
+    if claimed.size < required:
         return AcceptanceResult(False, RejectReason.TOO_SHORT, None, required)
     return AcceptanceResult(True, None, None, required)
 
@@ -342,7 +328,7 @@ def stage2_mismatches(
 ) -> np.ndarray:
     """Forwarded positions that are not (m_BC, m_BC) doubles in l_AC."""
     arr = np.asarray(l_AC, dtype=np.int64)
-    fwd = np.asarray([int(j) for j in forwarded], dtype=np.int64)
+    fwd = np.asarray(forwarded, dtype=np.int64)
     fwd = fwd[(fwd >= 1) & (fwd <= len(arr))]
     return fwd[arr[fwd - 1] != 2 * m_BC]
 
@@ -369,12 +355,14 @@ def c_adjudicate(
     l_C = np.asarray(l_C)
     length = len(l_C)
 
-    if len(l_AC) != length:
+    claimed_length = len(l_AC) if hasattr(l_AC, "__len__") else None
+    if claimed_length != length:
         return Verdict(
             VerdictValue.A_IS_LIAR,
-            Evidence("stage1_wrong_length", None, f"claimed length {len(l_AC)}"),
+            Evidence("stage1_wrong_length", None, f"claimed length {claimed_length}"),
         )
-    if any(entry not in (0, 1, 2) for entry in l_AC):
+    l_AC = _pair_counts(l_AC)
+    if l_AC is None:
         return Verdict(
             VerdictValue.A_IS_LIAR, Evidence("stage1_malformed", None, "invalid pair")
         )
@@ -390,18 +378,18 @@ def c_adjudicate(
         )
 
     required = thresholds.required_length(length)
-    bad = _first_malformed(forwarded, length)
+    forwarded, bad = _scan_positions(forwarded, length)
     if bad is not None:
         return Verdict(
             VerdictValue.B_IS_LIAR, Evidence("stage2_malformed", bad, "invalid position")
         )
-    if len(forwarded) < required:
+    if forwarded.size < required:
         return Verdict(
             VerdictValue.B_IS_LIAR,
             Evidence(
                 "stage2_too_short",
                 None,
-                f"forwarded {len(forwarded)} < required {required:.2f}",
+                f"forwarded {forwarded.size} < required {required:.2f}",
             ),
         )
     mismatches = stage2_mismatches(forwarded, l_AC, m_BC)
@@ -415,8 +403,7 @@ def c_adjudicate(
             ),
         )
     if thresholds.cross_check_forwarded:
-        fwd = np.asarray([int(j) for j in forwarded], dtype=np.int64)
-        contradicted = fwd[l_C[fwd - 1] != 1 - m_BC]
+        contradicted = forwarded[l_C[forwarded - 1] != 1 - m_BC]
         if contradicted.size:
             return Verdict(
                 VerdictValue.B_IS_LIAR,
@@ -466,14 +453,12 @@ def run_liar_protocol(
     to C is sent unconditionally; when honest B rejects at step (III),
     C ignores the message content and reports the rejection.
     """
-    from .adversary import strategy_A_act, strategy_B_act
-
     if rng is None:
         rng = np.random.default_rng()
     if hub is None:
         hub = ChannelHub()
 
-    a_action = strategy_A_act(strategy_A, lists.a_ones, rng)
+    a_action = adversary.strategy_A_act(strategy_A, lists.a_ones, rng)
     hub.send_classical(
         PartyId.A, PartyId.B, MessageWithList(a_action.m_AB, a_action.positions_for_B)
     )
@@ -483,19 +468,12 @@ def run_liar_protocol(
     b_action = None
     if strategy_B.is_honest:
         b_acceptance = b_accepts(received.m, received.positions, lists.b_bits, thresholds)
-        if not b_acceptance.accepted:
-            hub.send_classical(
-                PartyId.B, PartyId.C, Reject(b_acceptance.reason, received.positions)
-            )
-        else:
-            b_action = strategy_B_act(
-                strategy_B, (received.m, received.positions), lists.b_bits, rng
-            )
-            hub.send_classical(
-                PartyId.B, PartyId.C, MessageWithList(b_action.m_BC, b_action.forwarded)
-            )
+    if b_acceptance is not None and not b_acceptance.accepted:
+        hub.send_classical(
+            PartyId.B, PartyId.C, Reject(b_acceptance.reason, received.positions)
+        )
     else:
-        b_action = strategy_B_act(
+        b_action = adversary.strategy_B_act(
             strategy_B, (received.m, received.positions), lists.b_bits, rng
         )
         hub.send_classical(

@@ -167,6 +167,11 @@ def escape_probabilities(a12_weight: float = 0.5) -> EscapeProbabilities:
     )
 
 
+# Exact expected fraction of positions carrying a given double (m, m)
+# under the 50/50 assignment mixture; anchors all length thresholds.
+EXPECTED_DOUBLE_FRACTION = escape_probabilities().expected_double_fraction
+
+
 def rejection_lower_bound(n_fabricated: int) -> float:
     """Minimum rejection probability when n fabricated entries are checked.
 

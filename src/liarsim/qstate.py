@@ -28,10 +28,14 @@ class ResourceLimitError(Exception):
     """Requested register size exceeds the configured maximum."""
 
 
-def _as_readonly(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=np.complex128, copy=True)
-    out.setflags(write=False)
-    return out
+def readonly_array(values, dtype) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array, copied unless it is one already."""
+    exact = isinstance(values, np.ndarray) and values.dtype == dtype
+    if exact and not values.flags.writeable:
+        return values
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,7 @@ class StateVector:
         total = float(np.sum(np.abs(amps) ** 2))
         if abs(total - 1.0) > NORM_ATOL:
             raise ValueError(f"state is not normalized: sum |a|^2 = {total!r}")
-        if amps is not self.amplitudes or amps.flags.writeable:
-            object.__setattr__(self, "amplitudes", _as_readonly(amps))
+        object.__setattr__(self, "amplitudes", readonly_array(amps, np.complex128))
 
     def probabilities(self) -> np.ndarray:
         """Born probability of each computational basis outcome."""
@@ -82,7 +85,7 @@ class SingleQubitUnitary:
         dev = np.max(np.abs(m.conj().T @ m - np.eye(2)))
         if dev > NORM_ATOL:
             raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {dev!r}")
-        object.__setattr__(self, "matrix", _as_readonly(m))
+        object.__setattr__(self, "matrix", readonly_array(m, np.complex128))
 
     @classmethod
     def identity(cls) -> "SingleQubitUnitary":
@@ -173,7 +176,7 @@ def make_singlet(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
         for index in range(2**n):
             bits = tuple((index >> (n - k)) & 1 for k in range(1, n + 1))
             amps[index] = singlet_amplitude(bits)
-        cached = _as_readonly(amps)
+        cached = readonly_array(amps, np.complex128)
         _singlet_cache[n] = cached
     return StateVector(n, cached)
 

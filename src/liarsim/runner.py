@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import parse_strategy_A, parse_strategy_B
+from .adversary import StrategyA, StrategyB, parse_strategy_A, parse_strategy_B
 from .channels import NO_FAULTS, FaultModel
 from .distribute_test import (
     DirectionPolicy,
@@ -126,12 +126,14 @@ class TrialConfig:
                 f"direction_policy must be 'random' or 'fixed', got "
                 f"{self.direction_policy!r}"
             )
-        # constructing the collaborators validates the remaining fields
-        self.plan()
-        self.fault_model()
-        self.thresholds()
-        parse_strategy_A(self.strategy_a)
-        parse_strategy_B(self.strategy_b)
+        # constructing the collaborators validates the remaining fields;
+        # trials reuse them, and as plain attributes rather than dataclass
+        # fields they stay out of the summary record
+        object.__setattr__(self, "_plan", DistributionPlan(self.M, self.N1, self.N2, self.L))
+        object.__setattr__(self, "_fault", FaultModel(self.qubit_loss_prob, self.source_state))
+        object.__setattr__(self, "_thresholds", Thresholds(self.min_fraction))
+        strategies = (parse_strategy_A(self.strategy_a), parse_strategy_B(self.strategy_b))
+        object.__setattr__(self, "_strategies", strategies)
 
     @classmethod
     def build(
@@ -147,15 +149,16 @@ class TrialConfig:
         return cls(M=M, N1=N1, N2=N2, L=L, **kwargs)
 
     def plan(self) -> DistributionPlan:
-        return DistributionPlan(M=self.M, N1=self.N1, N2=self.N2, L=self.L)
+        return self._plan
 
     def fault_model(self) -> FaultModel:
-        return FaultModel(
-            qubit_loss_prob=self.qubit_loss_prob, source_state=self.source_state
-        )
+        return self._fault
 
     def thresholds(self) -> Thresholds:
-        return Thresholds(min_fraction=self.min_fraction)
+        return self._thresholds
+
+    def strategies(self) -> tuple[StrategyA, StrategyB]:
+        return self._strategies
 
     def policy(self) -> DirectionPolicy:
         return (
@@ -258,24 +261,21 @@ def _escape_counts(lists, a_action, b_action) -> dict[str, int]:
         0,
     )
     fabricated = a_action.fabricated_positions
-    if fabricated:
+    if fabricated.size:
         bad = incompatible_positions(fabricated, lists.b_bits, a_action.m_AB)
-        counts["fabricated_for_b"] = len(fabricated)
-        counts["fabricated_passing_b"] = len(fabricated) - len(bad)
-    altered = a_action.altered_positions
-    if altered:
-        forged_entries = tuple(a_action.l_AC[j - 1] for j in altered)
-        caught = sum(
-            int(lists.c_bits[j - 1] != 1 - entry // 2)
-            for j, entry in zip(altered, forged_entries)
-        )
-        counts["altered_for_c"] = len(altered)
-        counts["altered_passing_c"] = len(altered) - caught
-    if b_action is not None and b_action.fabricated_positions:
+        counts["fabricated_for_b"] = fabricated.size
+        counts["fabricated_passing_b"] = fabricated.size - bad.size
+    altered = a_action.altered_positions - 1
+    if altered.size:
+        # a forged double (m, m) survives exactly where C's bit reads 1 - m
+        survives = lists.c_bits[altered] == 1 - a_action.l_AC[altered] // 2
+        counts["altered_for_c"] = altered.size
+        counts["altered_passing_c"] = int(np.count_nonzero(survives))
+    if b_action is not None and b_action.fabricated_positions.size:
         forged = b_action.fabricated_positions
         bad2 = stage2_mismatches(forged, a_action.l_AC, b_action.m_BC)
-        counts["forged_for_stage2"] = len(forged)
-        counts["forged_passing_stage2"] = len(forged) - len(bad2)
+        counts["forged_for_stage2"] = forged.size
+        counts["forged_passing_stage2"] = forged.size - bad2.size
     return counts
 
 
@@ -301,12 +301,9 @@ def run_single_trial(config: TrialConfig, trial_index: int) -> TrialResult:
         pool = outcome.pool
 
     lists = generate_lists(pool, rng)
+    strategy_a, strategy_b = config.strategies()
     result = run_liar_protocol(
-        lists,
-        parse_strategy_A(config.strategy_a),
-        parse_strategy_B(config.strategy_b),
-        thresholds=config.thresholds(),
-        rng=rng,
+        lists, strategy_a, strategy_b, thresholds=config.thresholds(), rng=rng
     )
     a_action, b_action = result.a_action, result.b_action
     return TrialResult(
@@ -318,8 +315,8 @@ def run_single_trial(config: TrialConfig, trial_index: int) -> TrialResult:
         m_AC=a_action.m_AC,
         m_BC=None if b_action is None else b_action.m_BC,
         delivered=result.delivered_message,
-        claim_length=len(a_action.positions_for_B),
-        forwarded_length=None if b_action is None else len(b_action.forwarded),
+        claim_length=a_action.positions_for_B.size,
+        forwarded_length=None if b_action is None else b_action.forwarded.size,
         list_length=lists.length,
         **_escape_counts(lists, a_action, b_action),
     )

@@ -59,15 +59,15 @@ class TestHonestA:
     def test_worked_table(self):
         action = strategy_A_act(StrategyA.honest(message=0), worked_lists(), rng())
         assert action.m_AB == 0 and action.m_AC == 0
-        assert action.positions_for_B == (1, 3, 6)
-        assert action.l_AC == (0, 1, 0, 2, 2, 0, 1, 2)
-        assert action.fabricated_positions == ()
-        assert action.altered_positions == ()
+        assert action.positions_for_B.tolist() == [1, 3, 6]
+        assert action.l_AC.tolist() == [0, 1, 0, 2, 2, 0, 1, 2]
+        assert action.fabricated_positions.tolist() == []
+        assert action.altered_positions.tolist() == []
         assert not action.capped
 
     def test_opposite_message(self):
         action = strategy_A_act(StrategyA.honest(message=1), worked_lists(), rng())
-        assert action.positions_for_B == (4, 5, 8)
+        assert action.positions_for_B.tolist() == [4, 5, 8]
 
     def test_unset_message_drawn_from_stream(self):
         bits = {strategy_A_act(StrategyA.honest(), worked_lists(), rng(s)).m_AB for s in range(8)}
@@ -79,26 +79,26 @@ class TestSplitMessage:
         action = strategy_A_act(StrategyA.split_message(1, message=0), worked_lists(), rng(1))
         assert action.m_AB == 0 and action.m_AC == 1
         # every mixed entry (2 and 7) is rewritten as a double of m_AC
-        assert action.l_AC == (0, 2, 0, 2, 2, 0, 2, 2)
-        assert action.altered_positions == (2, 7)
+        assert action.l_AC.tolist() == [0, 2, 0, 2, 2, 0, 2, 2]
+        assert action.altered_positions.tolist() == [2, 7]
 
     def test_fabrications_come_from_mixed_positions(self):
         action = strategy_A_act(StrategyA.split_message(2, message=0), worked_lists(), rng(2))
-        assert set(action.fabricated_positions) <= {2, 7}
-        assert action.positions_for_B == tuple(
-            sorted((1, 3, 6) + action.fabricated_positions)
+        assert set(action.fabricated_positions.tolist()) <= {2, 7}
+        assert action.positions_for_B.tolist() == sorted(
+            [1, 3, 6] + action.fabricated_positions.tolist()
         )
         assert not action.capped
 
     def test_fabrication_count_capped_at_mixed_supply(self):
         action = strategy_A_act(StrategyA.split_message(5, message=0), worked_lists(), rng(3))
-        assert action.fabricated_positions == (2, 7)
+        assert action.fabricated_positions.tolist() == [2, 7]
         assert action.capped
 
     def test_zero_fabrications_sends_true_claim(self):
         action = strategy_A_act(StrategyA.split_message(0, message=1), worked_lists(), rng(4))
-        assert action.positions_for_B == (4, 5, 8)
-        assert action.fabricated_positions == ()
+        assert action.positions_for_B.tolist() == [4, 5, 8]
+        assert action.fabricated_positions.tolist() == []
         assert not action.capped
 
 
@@ -108,7 +108,7 @@ class TestForgedFullList:
             StrategyA.forged_full_list(1, message=0), worked_lists(), rng(5)
         )
         assert action.m_AB == action.m_AC == 0
-        assert action.positions_for_B == (1, 3, 6)
+        assert action.positions_for_B.tolist() == [1, 3, 6]
 
     def test_alterations_rewrite_chosen_mixed_entries(self):
         true_list = (0, 1, 0, 2, 2, 0, 1, 2)
@@ -120,23 +120,23 @@ class TestForgedFullList:
         assert j in (2, 7)
         expected = list(true_list)
         expected[j - 1] = 0
-        assert action.l_AC == tuple(expected)
+        assert action.l_AC.tolist() == expected
 
     def test_cap_and_flag(self):
         action = strategy_A_act(
             StrategyA.forged_full_list(9, message=1), worked_lists(), rng(7)
         )
-        assert action.altered_positions == (2, 7)
+        assert action.altered_positions.tolist() == [2, 7]
         assert action.capped
-        assert action.l_AC == (0, 2, 0, 2, 2, 0, 2, 2)
+        assert action.l_AC.tolist() == [0, 2, 0, 2, 2, 0, 2, 2]
 
 
 class TestStrategyBAct:
     def test_honest_forwards_exactly_what_arrived(self):
         action = strategy_B_act(StrategyB.honest(), (0, (1, 3, 6)), worked_lists(), rng())
         assert action.m_BC == 0
-        assert action.forwarded == (1, 3, 6)
-        assert action.fabricated_positions == ()
+        assert action.forwarded.tolist() == [1, 3, 6]
+        assert action.fabricated_positions.tolist() == []
 
     def test_flip_and_forge_flips_and_uses_plausible_positions(self):
         # m_BC = 1, so B needs positions where his own bit is 0: {2, 4, 5, 7, 8}
@@ -145,8 +145,8 @@ class TestStrategyBAct:
         )
         assert action.m_BC == 1
         assert len(action.forwarded) == 3
-        assert set(action.forwarded) <= {2, 4, 5, 7, 8}
-        assert action.forwarded == tuple(sorted(action.forwarded))
+        assert set(action.forwarded.tolist()) <= {2, 4, 5, 7, 8}
+        assert action.forwarded.tolist() == sorted(action.forwarded.tolist())
         assert not action.capped
 
     def test_default_count_targets_expected_claim_length(self):
@@ -160,7 +160,7 @@ class TestStrategyBAct:
         action = strategy_B_act(
             StrategyB.flip_and_forge(0), (0, (1, 3, 6)), worked_lists(), rng(11)
         )
-        assert action.forwarded == ()
+        assert action.forwarded.tolist() == []
         assert not action.capped
 
     def test_count_capped_at_plausible_supply(self):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from liarsim.channels import FaultModel, PartyId, QubitRef, QubitRegistry
+from liarsim import distribute_test
+from liarsim.channels import (
+    FaultModel,
+    PartyId,
+    ProtocolViolationError,
+    QuantumSystem,
+    QubitRef,
+    QubitRegistry,
+)
 from liarsim.distribute_test import (
     DirectionPolicy,
     DistributeStatus,
@@ -76,16 +84,34 @@ class TestHonestRun:
         assert len(outcome.pool) == 32
 
     def test_pool_systems_untouched(self):
+        # the run itself raises if a pool system was measured or traced
+        # out; the pool hands on the source exactly as prepared
         outcome = run_distribute_and_test(DistributionPlan.default(32), rng=rng(5))
-        assert all(p.system.is_pristine for p in outcome.pool.systems)
-        singlet_amps = make_singlet(4).amplitudes
-        assert all(p.system.state.amplitudes is singlet_amps for p in outcome.pool.systems)
+        assert outcome.pool.source.amplitudes is make_singlet(4).amplitudes
+
+    def test_touched_pool_system_is_a_protocol_violation(self, monkeypatch):
+        class TamperedSystem(QuantumSystem):
+            def __init__(self, system_id, state):
+                super().__init__(system_id, state)
+                self.touch_log.append("measured before the protocol")
+
+        monkeypatch.setattr(distribute_test, "QuantumSystem", TamperedSystem)
+        with pytest.raises(ProtocolViolationError, match="touched during testing"):
+            run_distribute_and_test(DistributionPlan.default(16), rng=rng(5))
+
+    def test_pool_codes_follow_the_drawn_assignments(self):
+        plan = DistributionPlan.default(40)
+        codes = rng(15).integers(0, 2, size=plan.M)
+        outcome = run_distribute_and_test(plan, rng=rng(15))
+        np.testing.assert_array_equal(
+            outcome.pool.codes, codes[outcome.pool.system_ids - 1]
+        )
 
     def test_tested_and_pool_ids_partition_the_batch(self):
         plan = DistributionPlan.default(40)
         outcome = run_distribute_and_test(plan, rng=rng(7))
         tested = {record.system_id for record in outcome.test_records}
-        pool = {p.system_id for p in outcome.pool.systems}
+        pool = set(outcome.pool.system_ids.tolist())
         assert len(tested) == plan.N1 + plan.N2
         assert tested.isdisjoint(pool)
         assert tested | pool == set(range(1, plan.M + 1))
@@ -117,7 +143,7 @@ class TestHonestRun:
             for _ in range(2)
         ]
         assert results[0].test_records == results[1].test_records
-        ids = [[p.system_id for p in r.pool.systems] for r in results]
+        ids = [r.pool.system_ids.tolist() for r in results]
         assert ids[0] == ids[1]
 
 
@@ -224,20 +250,22 @@ class TestMakeVerifiedPool:
     def test_matches_success_pool_shape(self):
         pool = make_verified_pool(32, rng(2))
         assert len(pool) == 32
-        assert all(p.system.is_pristine for p in pool.systems)
-        singlet_amps = make_singlet(4).amplitudes
-        assert all(p.system.state.amplitudes is singlet_amps for p in pool.systems)
+        assert pool.system_ids.tolist() == list(range(1, 33))
+        assert pool.codes.dtype == np.int8
+        assert pool.source.amplitudes is make_singlet(4).amplitudes
+        with pytest.raises(ValueError):
+            pool.codes[0] = 1
 
     def test_assignments_can_be_pinned(self):
         assignments = (Assignment.A_HOLDS_12,) * 4
         pool = make_verified_pool(4, rng(0), assignments=assignments)
-        assert all(p.assignment is Assignment.A_HOLDS_12 for p in pool.systems)
-        np.testing.assert_array_equal(pool.assignment_codes(), [0, 0, 0, 0])
+        np.testing.assert_array_equal(pool.codes, [0, 0, 0, 0])
+        pool = make_verified_pool(2, rng(0), assignments=(Assignment.A_HOLDS_13,) * 2)
+        np.testing.assert_array_equal(pool.codes, [1, 1])
 
     def test_random_assignments_roughly_balanced(self):
         pool = make_verified_pool(2000, rng(8))
-        codes = pool.assignment_codes()
-        assert 0.45 < codes.mean() < 0.55
+        assert 0.45 < pool.codes.mean() < 0.55
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import random
 
 import numpy as np
 import pytest
 
+from liarsim.cli import main as cli_main
 from liarsim.runner import (
     DISTRIBUTE_FAILURE,
     TrialConfig,
@@ -278,3 +280,47 @@ class TestRunTrials:
         text = summarize_to_text(run_trials(config))
         assert "seconds per trial" in text
         assert "CONSISTENT" in text
+
+
+class TestPinnedResultFiles:
+    """sha256 of ``liarsim run --out`` files for fixed seeds.
+
+    Any change to how a trial consumes its random stream, or to the
+    record format, changes these digests; such a change must be declared
+    and the digests re-pinned deliberately.
+    """
+
+    FAST = ["run", "--trials", "200", "--seed", "12345", "--L", "64"]
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                FAST + ["--strategy-a", "honest", "--strategy-b", "honest"],
+                "9c63d48a44ba5d90f9fbd64cd8726f9855e6ce4a39ea500e173826335e3c3ef5",
+            ),
+            (
+                FAST + ["--strategy-a", "split:n=3", "--strategy-b", "honest"],
+                "884699420bae5c122585bd7621ff340ddb728285fd4feac59c4d262142b83d43",
+            ),
+            (
+                FAST + ["--strategy-a", "forgefull:k=8", "--strategy-b", "flipforge"],
+                "84bbefcd768d9e92922f8068b65b12b77718a226d20a875f065fac02963da68e",
+            ),
+            (
+                FAST + ["--strategy-a", "honest", "--strategy-b", "flipforge"],
+                "7da1037328ef79db0764c37eb265effc72e834cbd7a787fd5ca520d6e168f18b",
+            ),
+            (
+                ["run", "--trials", "30", "--seed", "12345", "--M", "40",
+                 "--qubit-loss-prob", "1e-3"],
+                "c8947d460d304c427432a52be7b1a4e79429f6f0201102d97dfae4230e7a0862",
+            ),
+        ],
+        ids=["honest-honest", "split-honest", "forgefull-flipforge", "honest-flipforge",
+             "distribute-loss"],
+    )
+    def test_result_file_digest(self, tmp_path, capsys, args, digest):
+        out = tmp_path / "run.ndjson"
+        assert cli_main(args + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
