@@ -4,6 +4,9 @@ Provides secure pairwise classical channels (in-order, unmodified,
 addressee-only delivery), a qubit custody registry, per-system quantum
 state holders with a measurement touch-log, and a quantum transfer
 operation with an injectable fault model (loss, corrupted source).
+The custody ledger, ``QuantumSystem`` and ``transfer_qubits`` serve the
+step-by-step reference of the distribute-and-test phase, which the
+array kernel there is checked against.
 
 There is no timing model: channels are synchronous queues drained at
 protocol-step granularity.
@@ -13,7 +16,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -72,45 +75,27 @@ class ClassicalEnvelope:
     sequence: int
 
 
-@dataclass(frozen=True)
-class DeliveryReceipt:
-    sequence: int
-    sender: PartyId
-    receiver: PartyId
-
-
 class ChannelHub:
     """Secure pairwise classical channels between the three parties.
 
     Messages are queued per (sender, receiver) pair and delivered
     unmodified, in send order, only to the addressed receiver. Every
-    send is appended to ``transcript`` for auditing. Registered
-    eavesdropper hooks are invoked once per send but receive nothing
-    (no payload, no addressing) and have no way to inject traffic.
+    send is appended to ``transcript`` for auditing.
     """
 
     def __init__(self) -> None:
         self._queues: dict[tuple[PartyId, PartyId], deque[ClassicalEnvelope]] = {}
         self._next_sequence = 0
         self.transcript: list[ClassicalEnvelope] = []
-        self._eavesdroppers: list[Callable[[], None]] = []
 
-    def register_eavesdropper(self, hook: Callable[[], None]) -> None:
-        self._eavesdroppers.append(hook)
-
-    def send_classical(
-        self, sender: PartyId, receiver: PartyId, payload: object
-    ) -> DeliveryReceipt:
-        """Queue ``payload`` for ``receiver``; returns a delivery receipt."""
+    def send_classical(self, sender: PartyId, receiver: PartyId, payload: object) -> None:
+        """Queue ``payload`` for ``receiver`` and record it in the transcript."""
         if sender == receiver:
             raise ProtocolViolationError(f"{sender.value} cannot message itself")
         envelope = ClassicalEnvelope(sender, receiver, payload, self._next_sequence)
         self._next_sequence += 1
         self._queues.setdefault((sender, receiver), deque()).append(envelope)
         self.transcript.append(envelope)
-        for hook in self._eavesdroppers:
-            hook()
-        return DeliveryReceipt(envelope.sequence, sender, receiver)
 
     def receive(self, receiver: PartyId, sender: PartyId) -> object:
         """Dequeue the oldest pending payload from ``sender`` to ``receiver``."""

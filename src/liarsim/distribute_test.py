@@ -7,17 +7,23 @@ gathered at one party, everything is measured along a common direction,
 and the four outcome bits must contain exactly two 0s and two 1s. Any
 failed check aborts immediately. On success the remaining L systems are
 returned untouched as the verified pool for the messaging protocol.
+
+``run_distribute_and_test`` plays each subset's rounds in one array
+pass. ``_dense_distribute_and_test`` plays the same protocol qubit by
+qubit through the custody ledger and the dense engine; it is the
+reference the tests hold the array pass to.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .channels import (
-    ChannelHub,
+    ArrayRecord,
     FaultModel,
     NO_FAULTS,
     PartyId,
@@ -104,24 +110,6 @@ class DistributionPlan:
 
 
 @dataclass(frozen=True)
-class TestRecord:
-    """One sacrificed system's test: four outcome bits must be two-and-two."""
-
-    __test__ = False  # not a test case, despite the name (pytest opt-out)
-
-    system_id: int
-    subset: str  # "S1" or "S2"
-    direction: MeasurementDirection
-    outcome_bits: tuple[int, int, int, int]
-    passed: bool
-
-    def __post_init__(self) -> None:
-        expected = sorted(self.outcome_bits) == [0, 0, 1, 1]
-        if self.passed != expected:
-            raise ValueError("passed flag contradicts the outcome multiset")
-
-
-@dataclass(frozen=True)
 class FailureInfo:
     step: str  # protocol step that failed: "ii", "v", or "vii"
     system_id: int | None
@@ -158,29 +146,153 @@ class VerifiedPool:
         return self.codes.size
 
 
+class TestRound(NamedTuple):
+    """One sacrificed system's test, as read from a row of ``TestRounds``."""
+
+    system_id: int
+    subset: int
+    theta: float
+    phi: float
+    bits: tuple[int, ...]
+    passed: bool
+
+
+@dataclass(frozen=True, eq=False)
+class TestRounds(ArrayRecord):
+    """Every test round one run played, in play order, as read-only arrays.
+
+    Row ``i`` is one sacrificed system: its id (int64), its subset (int8,
+    1 for S1 and 2 for S2), the common direction's ``theta`` and ``phi``,
+    and the four outcome ``bits`` (int8, slots 1-4). ``passed`` is derived:
+    a round passes when its bits hold exactly two 0s and two 1s.
+    """
+
+    __test__ = False  # not a test case, despite the name (pytest opt-out)
+
+    system_ids: np.ndarray
+    subsets: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+    bits: np.ndarray
+    passed: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        for name, dtype in (
+            ("system_ids", np.int64), ("subsets", np.int8),
+            ("theta", np.float64), ("phi", np.float64), ("bits", np.int8),
+        ):
+            object.__setattr__(self, name, readonly_array(getattr(self, name), dtype))
+        n = self.system_ids.shape
+        columns = (self.subsets.shape, self.theta.shape, self.phi.shape, self.bits.shape[:1])
+        if len(n) != 1 or any(shape != n for shape in columns) or self.bits.shape[1:] != (4,):
+            raise ValueError("need one subset, direction and four bits per tested system")
+        object.__setattr__(self, "passed", readonly_array(self.bits.sum(axis=1) == 2, np.bool_))
+
+    def __len__(self) -> int:
+        return self.system_ids.size
+
+    def __getitem__(self, i: int) -> TestRound:
+        return TestRound(
+            int(self.system_ids[i]), int(self.subsets[i]), float(self.theta[i]),
+            float(self.phi[i]), tuple(self.bits[i].tolist()), bool(self.passed[i]),
+        )
+
+
 @dataclass(frozen=True)
 class DistributeOutcome:
+    """A run's verdict; ``test_records`` holds every round it measured."""
+
     status: DistributeStatus
     pool: VerifiedPool | None
     failure: FailureInfo | None
-    test_records: tuple[TestRecord, ...]
-    events: tuple[str, ...] = field(default=())
+    test_records: TestRounds
 
 
-def _failure(
-    step: str,
-    system_id: int | None,
-    detail: str,
-    records: list[TestRecord],
-    events: list[str],
-) -> DistributeOutcome:
+def _failure(step: str, system_id: int, detail: str, rounds: TestRounds) -> DistributeOutcome:
     return DistributeOutcome(
-        status=DistributeStatus.FAILURE,
-        pool=None,
-        failure=FailureInfo(step, system_id, detail),
-        test_records=tuple(records),
-        events=tuple(events),
+        DistributeStatus.FAILURE, None, FailureInfo(step, system_id, detail), rounds
     )
+
+
+def _draw_codes(
+    assignments: tuple[Assignment, ...] | None, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Assignment codes: pinned, or one uniform ``integers(0, 2)`` draw per system."""
+    if assignments is None:
+        return rng.integers(0, 2, size=size)
+    return np.array([_ASSIGNMENTS.index(a) for a in assignments], dtype=np.int64)
+
+
+def _draw_subsets(
+    plan: DistributionPlan, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S1, S2 and the pool, each as sorted system ids, from one permutation."""
+    order = rng.permutation(plan.M) + 1
+    cut = plan.N1 + plan.N2
+    return np.sort(order[: plan.N1]), np.sort(order[plan.N1 : cut]), np.sort(order[cut:])
+
+
+# Outcome bits of slots 1-3 for each index of their joint marginal.
+_BITS3 = np.array([[(i >> (2 - k)) & 1 for k in range(3)] for i in range(8)], dtype=np.int8)
+
+def _rotated_probabilities(source: StateVector, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """|(U^dag)^(x)4 psi|^2 per round, shape (rounds, 8, 2): slots 1-3, then slot 4.
+
+    ``U`` has the up/down eigenvectors of the round's axis as columns, as
+    in ``MeasurementDirection.basis_unitary``. Each pass applies U^dag to
+    the leading qubit and cycles it to the back, so four passes restore
+    the slot order.
+    """
+    ct, st = np.cos(theta / 2.0)[:, None], np.sin(theta / 2.0)[:, None]
+    st_ph = st * np.exp(1j * phi)[:, None]
+    amps = np.broadcast_to(source.amplitudes.reshape(2, 8), theta.shape + (2, 8))
+    for _ in range(4):
+        up, down = amps[:, 0], amps[:, 1]
+        amps = np.stack((ct * up + st_ph.conj() * down, ct * down - st_ph * up), axis=2)
+        amps = amps.reshape(-1, 2, 8)
+    return (np.abs(amps) ** 2).reshape(-1, 8, 2)
+
+
+def _play_rounds(
+    source: StateVector,
+    sent: int,
+    p_loss: float,
+    policy: DirectionPolicy,
+    rng: np.random.Generator,
+    rounds: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw and measure one subset's rounds: (lost, theta, phi, bits).
+
+    Each round takes, in the order the step-by-step protocol draws them,
+    ``sent`` transit uniforms, two direction uniforms under the random
+    policy, one uniform for the measurer's three outcomes and one for C's.
+    Both measurements use one common direction and commute, so the four
+    bits are a single draw from the rotated source.
+    """
+    u = rng.random((rounds, sent + (2 if policy is DirectionPolicy.RANDOM else 0) + 2))
+    lost = np.any(u[:, :sent] < p_loss, axis=1)
+    if policy is DirectionPolicy.RANDOM:
+        theta = np.arccos(-1.0 + 2.0 * u[:, sent])
+        phi = (2.0 * math.pi * u[:, sent + 1]) % (2.0 * math.pi)
+    else:
+        theta = phi = np.zeros(rounds)
+    probs = _rotated_probabilities(source, theta, phi)
+    marginal = probs.sum(axis=2)
+    cum = np.cumsum(marginal / marginal.sum(axis=1, keepdims=True), axis=1)
+    cum[:, -1] = 1.0  # rounding guard, as in qstate's sampler
+    drawn = np.count_nonzero(cum <= u[:, -2, None], axis=1)
+    given = probs[np.arange(rounds), drawn]
+    c_bit = u[:, -1] >= given[:, 0] / given.sum(axis=1)
+    bits = np.column_stack((_BITS3[drawn], c_bit.astype(np.int8)))
+    return lost, theta, phi, bits
+
+
+def _test_rounds(played: list[tuple]) -> TestRounds:
+    return TestRounds(*(np.concatenate(column) for column in zip(*played)))
+
+
+_NO_ROUNDS = (np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0), np.empty(0),
+              np.empty((0, 4), np.int8))
 
 
 def run_distribute_and_test(
@@ -188,27 +300,73 @@ def run_distribute_and_test(
     fault: FaultModel = NO_FAULTS,
     rng: np.random.Generator | None = None,
     direction_policy: DirectionPolicy = DirectionPolicy.RANDOM,
-    hub: ChannelHub | None = None,
 ) -> DistributeOutcome:
     """Run the full distribute-and-test protocol for one batch of M systems.
 
     Returns SUCCESS with the untouched verified pool, or FAILURE naming
-    the first step whose check failed. Test subsets are drawn only after
-    every qubit has been distributed (visible in the event log).
+    the first step whose check failed. Every round of a subset is drawn
+    and measured in one array pass; the stream is read in the order of
+    the step-by-step protocol (``_dense_distribute_and_test``), so a
+    successful run leaves ``rng`` exactly where that one does. An aborted
+    run may read further, up to the end of the block it aborted in.
     """
     if rng is None:
         rng = np.random.default_rng()
-    if hub is None:
-        hub = ChannelHub()
+    codes = _draw_codes(plan.assignments, plan.M, rng)
+    source = fault.prepare_state()
+    p_loss = fault.qubit_loss_prob
+
+    # (i)-(ii): per system, A's two transit draws then B's one.
+    lost = np.flatnonzero(rng.random(3 * plan.M) < p_loss)
+    if lost.size:
+        return _failure(
+            "ii", int(lost[0]) // 3 + 1, "receipt count wrong: a qubit was lost in transit",
+            _test_rounds([_NO_ROUNDS]),
+        )
+
+    # (iii): only now does C draw the test subsets.
+    s1, s2, pool_ids = _draw_subsets(plan, rng)
+
+    # (iv)-(viii): sacrifice each tested system; roles swap between subsets,
+    # so the sender forwards A's two qubits in S1 and B's one in S2.
+    played = [_NO_ROUNDS]
+    for subset, ids, sent in ((1, s1, 2), (2, s2, 1)):
+        lost, theta, phi, bits = _play_rounds(source, sent, p_loss, direction_policy, rng, ids.size)
+        played.append((ids, np.full(ids.size, subset), theta, phi, bits))
+        bad = np.flatnonzero(lost | (bits.sum(axis=1) != 2))
+        if bad.size:
+            i = int(bad[0])
+            if lost[i]:  # a round that lost a qubit is never measured
+                step, played_to = "v", i
+                detail = "the measurer did not receive all forwarded qubits"
+            else:
+                step, played_to = "vii", i + 1
+                detail = f"outcome pattern {tuple(bits[i].tolist())} is not two 0s and two 1s"
+            played[-1] = tuple(column[:played_to] for column in played[-1])
+            return _failure(step, int(ids[i]), detail, _test_rounds(played))
+    pool = VerifiedPool(pool_ids, codes[pool_ids - 1], source)
+    return DistributeOutcome(DistributeStatus.SUCCESS, pool, None, _test_rounds(played))
+
+
+def _dense_distribute_and_test(
+    plan: DistributionPlan,
+    fault: FaultModel = NO_FAULTS,
+    rng: np.random.Generator | None = None,
+    direction_policy: DirectionPolicy = DirectionPolicy.RANDOM,
+) -> DistributeOutcome:
+    """Step-by-step reference for ``run_distribute_and_test``: the exact oracle.
+
+    Plays every qubit through the custody ledger and the dense engine,
+    one transfer and one measurement at a time, and raises
+    ``ProtocolViolationError`` if testing touched a pool system. No
+    option selects it; tests compare the closed form against it.
+    """
+    if rng is None:
+        rng = np.random.default_rng()
     registry = QubitRegistry()
     systems: dict[int, QuantumSystem] = {}
-    if plan.assignments is None:
-        codes = rng.integers(0, 2, size=plan.M)
-    else:
-        codes = np.array([_ASSIGNMENTS.index(a) for a in plan.assignments])
+    codes = _draw_codes(plan.assignments, plan.M, rng)
     source = fault.prepare_state()
-    records: list[TestRecord] = []
-    events: list[str] = []
 
     # (i)-(ii): prepare, distribute, and immediately verify receipt counts.
     for j in range(1, plan.M + 1):
@@ -217,83 +375,50 @@ def run_distribute_and_test(
         systems[j] = QuantumSystem(j, source)
         a_refs = [QubitRef(j, slot) for slot in assignment.a_slots]
         b_refs = [QubitRef(j, assignment.b_slot)]
-        outcomes = transfer_qubits(
-            registry, systems, PartyId.C, PartyId.A, a_refs, fault, rng
-        )
-        outcomes += transfer_qubits(
-            registry, systems, PartyId.C, PartyId.B, b_refs, fault, rng
-        )
-        events.append(f"distribute system={j}")
+        outcomes = transfer_qubits(registry, systems, PartyId.C, PartyId.A, a_refs, fault, rng)
+        outcomes += transfer_qubits(registry, systems, PartyId.C, PartyId.B, b_refs, fault, rng)
         lost = [rec.ref for rec in outcomes if rec.status is TransferStatus.LOST]
         if lost:
             return _failure(
-                "ii",
-                j,
-                f"receipt count wrong: lost {len(lost)} qubit(s) in transit",
-                records,
-                events,
+                "ii", j, f"receipt count wrong: lost {len(lost)} qubit(s) in transit",
+                _test_rounds([_NO_ROUNDS]),
             )
-    events.append("distribution_complete")
 
     # (iii): only now does C draw the test subsets.
-    order = rng.permutation(plan.M) + 1
-    s1 = sorted(int(j) for j in order[: plan.N1])
-    s2 = sorted(int(j) for j in order[plan.N1 : plan.N1 + plan.N2])
-    pool_ids = np.sort(order[plan.N1 + plan.N2 :])
-    events.append("subsets_drawn")
+    s1, s2, pool_ids = _draw_subsets(plan, rng)
 
     # (iv)-(viii): sacrifice each tested system; roles swap between subsets.
-    for subset_name, tested_ids, sender, measurer in (
-        ("S1", s1, PartyId.A, PartyId.B),
-        ("S2", s2, PartyId.B, PartyId.A),
+    played = [_NO_ROUNDS]
+    for subset, tested_ids, sender, measurer in (
+        (1, s1, PartyId.A, PartyId.B),
+        (2, s2, PartyId.B, PartyId.A),
     ):
-        for j in tested_ids:
+        for j in tested_ids.tolist():
             refs = registry.holdings(sender, j)
-            outcomes = transfer_qubits(
-                registry, systems, sender, measurer, refs, fault, rng
-            )
+            outcomes = transfer_qubits(registry, systems, sender, measurer, refs, fault, rng)
             if any(rec.status is TransferStatus.LOST for rec in outcomes):
                 return _failure(
-                    "v",
-                    j,
-                    f"{measurer.value} did not receive all of "
-                    f"{sender.value}'s qubits",
-                    records,
-                    events,
+                    "v", j, f"{measurer.value} did not receive all of {sender.value}'s qubits",
+                    _test_rounds(played),
                 )
             direction = choose_direction(rng, direction_policy)
-            hub.send_classical(PartyId.C, measurer, ("measure", j, direction))
             slots = [ref.slot for ref in registry.holdings(measurer, j)]
             reported = systems[j].measure_slots(slots, direction, rng)
-            hub.send_classical(measurer, PartyId.C, (j, reported))
             (c_bit,) = systems[j].measure_slots([4], direction, rng)
             bits = tuple(reported) + (c_bit,)
-            passed = sorted(bits) == [0, 0, 1, 1]
-            record = TestRecord(j, subset_name, direction, bits, passed)
-            records.append(record)
-            events.append(f"test system={j} subset={subset_name}")
-            if not passed:
+            played.append(([j], [subset], [direction.theta], [direction.phi], [bits]))
+            if sorted(bits) != [0, 0, 1, 1]:
                 return _failure(
-                    "vii",
-                    j,
-                    f"outcome pattern {bits} is not two 0s and two 1s",
-                    records,
-                    events,
+                    "vii", j, f"outcome pattern {bits} is not two 0s and two 1s",
+                    _test_rounds(played),
                 )
 
     # testing must never touch the pool: each system still holds the source
-    touched = [int(j) for j in pool_ids if not systems[j].is_pristine]
+    touched = [j for j in pool_ids.tolist() if not systems[j].is_pristine]
     if touched:
         raise ProtocolViolationError(f"pool system {touched[0]} was touched during testing")
     pool = VerifiedPool(pool_ids, codes[pool_ids - 1], source)
-    events.append("success")
-    return DistributeOutcome(
-        status=DistributeStatus.SUCCESS,
-        pool=pool,
-        failure=None,
-        test_records=tuple(records),
-        events=tuple(events),
-    )
+    return DistributeOutcome(DistributeStatus.SUCCESS, pool, None, _test_rounds(played))
 
 
 def make_verified_pool(
@@ -312,17 +437,4 @@ def make_verified_pool(
         raise ValueError(f"pool size must be positive, got {L}")
     if assignments is not None and len(assignments) != L:
         raise ValueError("assignments must list one Assignment per system")
-    if assignments is None:
-        codes = rng.integers(0, 2, size=L)
-    else:
-        codes = [_ASSIGNMENTS.index(a) for a in assignments]
-    return VerifiedPool(np.arange(1, L + 1), codes, make_singlet(4))
-
-
-def _violates_event_order(events: tuple[str, ...]) -> bool:
-    """True if any distribution event follows the subset draw (audit aid)."""
-    try:
-        drawn_at = events.index("subsets_drawn")
-    except ValueError:
-        return False
-    return any(e.startswith("distribute ") for e in events[drawn_at:])
+    return VerifiedPool(np.arange(1, L + 1), _draw_codes(assignments, L, rng), make_singlet(4))

@@ -109,14 +109,6 @@ def generate_lists(pool: VerifiedPool, rng: np.random.Generator) -> PartyLists:
     return PartyLists(*_LIST_ENTRIES[:, pool.codes, outcomes])
 
 
-def extract_positions(l_A: PartyLists | np.ndarray, m: int) -> tuple[int, ...]:
-    """1-based positions where A's list shows the pair (m, m), increasing."""
-    if m not in (0, 1):
-        raise ValueError(f"message bit must be 0 or 1, got {m!r}")
-    arr = l_A.a_ones if isinstance(l_A, PartyLists) else np.asarray(l_A)
-    return tuple(int(j) for j in np.flatnonzero(arr == 2 * m) + 1)
-
-
 # --------------------------------------------------------------------------
 # Protocol messages
 
@@ -317,7 +309,7 @@ class Verdict:
 
 def stage1_violations(l_AC: Sequence[int], l_C: np.ndarray) -> np.ndarray:
     """Positions where a claimed double contradicts C's own bit."""
-    arr = np.asarray(l_AC, dtype=np.int64)
+    arr = np.asarray(l_AC)
     l_C = np.asarray(l_C)
     mask = ((arr == 0) & (l_C != 1)) | ((arr == 2) & (l_C != 0))
     return np.flatnonzero(mask) + 1
@@ -327,7 +319,7 @@ def stage2_mismatches(
     forwarded: Sequence[int], l_AC: Sequence[int], m_BC: int
 ) -> np.ndarray:
     """Forwarded positions that are not (m_BC, m_BC) doubles in l_AC."""
-    arr = np.asarray(l_AC, dtype=np.int64)
+    arr = np.asarray(l_AC)
     fwd = np.asarray(forwarded, dtype=np.int64)
     fwd = fwd[(fwd >= 1) & (fwd <= len(arr))]
     return fwd[arr[fwd - 1] != 2 * m_BC]

@@ -14,11 +14,14 @@ figures go to stdout only).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -395,15 +398,42 @@ def format_records(config: TrialConfig, results: list[TrialResult], stats: Trial
 
 
 def run_trials(config: TrialConfig, out_path: str | None = None) -> TrialStats:
-    """Run every trial, aggregate, and optionally write the result file."""
-    started = time.perf_counter()
-    results = [run_single_trial(config, i) for i in range(config.trials)]
-    elapsed = time.perf_counter() - started
-    stats = aggregate(results, mean_trial_seconds=elapsed / config.trials)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
+    """Run every trial, aggregate, and optionally write the result file.
+
+    The result file is created before the first trial, so an unwritable
+    ``out_path`` fails at once, and it appears at ``out_path`` only whole.
+    """
+    with _whole_file(out_path) as handle:
+        started = time.perf_counter()
+        results = [run_single_trial(config, i) for i in range(config.trials)]
+        elapsed = time.perf_counter() - started
+        stats = aggregate(results, mean_trial_seconds=elapsed / config.trials)
+        if handle is not None:
             handle.write(format_records(config, results, stats))
     return stats
+
+
+@contextlib.contextmanager
+def _whole_file(path: str | None) -> Iterator[TextIO | None]:
+    """A temporary file beside ``path`` that replaces it in one rename.
+
+    The rename happens only when the block completes; otherwise the
+    temporary file is deleted and ``path`` is left as it was. Yields
+    None when ``path`` is None.
+    """
+    if path is None:
+        yield None
+        return
+    directory, name = os.path.split(os.path.abspath(path))
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    handle = open(temporary, "w", encoding="utf-8")
+    try:
+        with handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def summarize_to_text(stats: TrialStats) -> str:

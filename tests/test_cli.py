@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from liarsim import runner
 from liarsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -102,6 +103,14 @@ class TestExitCodes:
     def test_io_error_on_unwritable_output(self, capsys):
         code = main(["run", "--trials", "1", "--L", "64", "--out", "/no/such/dir/x"])
         assert code == EXIT_IO
+
+    def test_unwritable_output_runs_no_trial(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(runner, "run_single_trial", lambda *args: calls.append(args))
+        out = tmp_path / "missing" / "r.ndjson"
+        assert main(["run", "--trials", "1", "--L", "64", "--out", str(out)]) == EXIT_IO
+        assert calls == []
+        assert "i/o error" in capsys.readouterr().err
 
     def test_io_error_on_missing_config(self, capsys):
         assert main(["run", "--config", "/no/such/file.conf"]) == EXIT_IO

@@ -14,11 +14,11 @@ from liarsim.distribute_test import (
     DirectionPolicy,
     DistributeStatus,
     DistributionPlan,
-    TestRecord,
+    TestRounds,
+    _dense_distribute_and_test,
     choose_direction,
     make_verified_pool,
     run_distribute_and_test,
-    _violates_event_order,
 )
 from liarsim.oracle import Assignment
 from liarsim.qstate import COMPUTATIONAL, make_singlet
@@ -97,7 +97,7 @@ class TestHonestRun:
 
         monkeypatch.setattr(distribute_test, "QuantumSystem", TamperedSystem)
         with pytest.raises(ProtocolViolationError, match="touched during testing"):
-            run_distribute_and_test(DistributionPlan.default(16), rng=rng(5))
+            _dense_distribute_and_test(DistributionPlan.default(16), rng=rng(5))
 
     def test_pool_codes_follow_the_drawn_assignments(self):
         plan = DistributionPlan.default(40)
@@ -119,15 +119,25 @@ class TestHonestRun:
     def test_both_subsets_exercised(self):
         outcome = run_distribute_and_test(DistributionPlan.default(16), rng=rng(9))
         subsets = {record.subset for record in outcome.test_records}
-        assert subsets == {"S1", "S2"}
+        assert subsets == {1, 2}
 
     def test_subsets_drawn_after_distribution(self):
-        outcome = run_distribute_and_test(DistributionPlan.default(16), rng=rng(13))
-        events = outcome.events
-        assert not _violates_event_order(events)
-        drawn = events.index("subsets_drawn")
-        distributes = [i for i, e in enumerate(events) if e.startswith("distribute ")]
-        assert max(distributes) < drawn
+        # the permutation that picks S1 and S2 comes after every transit
+        # draw of the distribution, so replaying the assignments, all 3M
+        # transit uniforms and then one permutation gives the partition
+        plan = DistributionPlan.default(16)
+        outcome = run_distribute_and_test(plan, rng=rng(13))
+        replay = rng(13)
+        replay.integers(0, 2, size=plan.M)
+        replay.random(3 * plan.M)
+        order = replay.permutation(plan.M) + 1
+        s1, s2 = order[: plan.N1], order[plan.N1 : plan.N1 + plan.N2]
+        np.testing.assert_array_equal(
+            outcome.test_records.system_ids, np.concatenate((np.sort(s1), np.sort(s2)))
+        )
+        np.testing.assert_array_equal(
+            outcome.pool.system_ids, np.sort(order[plan.N1 + plan.N2 :])
+        )
 
     def test_fixed_direction_policy_also_succeeds(self):
         outcome = run_distribute_and_test(
@@ -238,12 +248,65 @@ class TestLossyChannel:
         assert seen_steps  # at 2% per qubit, 20 runs of 48+ qubits must lose some
 
 
-class TestRecordValidation:
-    def test_flag_must_match_multiset(self):
+class TestRoundRecord:
+    def test_rounds_are_read_only_and_passed_is_derived(self):
+        rounds = TestRounds([4, 9], [1, 2], [0.0, 1.0], [0.0, 2.0], [[0, 1, 1, 0], [0, 0, 0, 1]])
+        np.testing.assert_array_equal(rounds.passed, [True, False])
+        assert rounds[1] == (9, 2, 1.0, 2.0, (0, 0, 0, 1), False)
         with pytest.raises(ValueError):
-            TestRecord(1, "S1", COMPUTATIONAL, (0, 0, 0, 1), passed=True)
-        record = TestRecord(1, "S1", COMPUTATIONAL, (0, 1, 1, 0), passed=True)
-        assert record.passed
+            rounds.bits[0, 0] = 1
+        with pytest.raises(ValueError):
+            TestRounds([4], [1], [0.0], [0.0], [[0, 1, 1]])
+
+
+FAULTS = {
+    "singlet": FaultModel(),
+    "0011": FaultModel(source_state="0011"),
+    "0000": FaultModel(source_state="0000"),
+    "loss-0.01": FaultModel(qubit_loss_prob=0.01),
+    "loss-1": FaultModel(qubit_loss_prob=1.0),
+}
+
+
+class TestClosedFormMatchesDenseOracle:
+    """The array kernel against the step-by-step run through the dense engine."""
+
+    @pytest.mark.parametrize(
+        "fault, policy",
+        [
+            ("singlet", DirectionPolicy.RANDOM),
+            ("singlet", DirectionPolicy.FIXED),
+            ("0011", DirectionPolicy.RANDOM),
+            ("0011", DirectionPolicy.FIXED),
+            ("0000", DirectionPolicy.RANDOM),
+            ("loss-0.01", DirectionPolicy.RANDOM),
+            ("loss-1", DirectionPolicy.RANDOM),
+        ],
+    )
+    def test_identical_outcomes_for_each_seed(self, fault, policy):
+        plan = DistributionPlan.default(12)
+        for seed in range(100):
+            fast_rng, dense_rng = rng(seed), rng(seed)
+            fast = run_distribute_and_test(plan, FAULTS[fault], fast_rng, policy)
+            dense = _dense_distribute_and_test(plan, FAULTS[fault], dense_rng, policy)
+            assert fast.status is dense.status
+            if fast.failure is None:
+                assert dense.failure is None
+                np.testing.assert_array_equal(fast.pool.system_ids, dense.pool.system_ids)
+                np.testing.assert_array_equal(fast.pool.codes, dense.pool.codes)
+                # the same number of draws: both streams continue in step
+                assert fast_rng.random() == dense_rng.random()
+            else:
+                assert fast.pool is dense.pool is None
+                failed = (fast.failure.step, fast.failure.system_id)
+                assert failed == (dense.failure.step, dense.failure.system_id)
+            fast_rounds, dense_rounds = fast.test_records, dense.test_records
+            np.testing.assert_array_equal(fast_rounds.system_ids, dense_rounds.system_ids)
+            np.testing.assert_array_equal(fast_rounds.subsets, dense_rounds.subsets)
+            np.testing.assert_array_equal(fast_rounds.bits, dense_rounds.bits)
+            # numpy's and libm's arccos may differ in the last place
+            np.testing.assert_allclose(fast_rounds.theta, dense_rounds.theta, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(fast_rounds.phi, dense_rounds.phi, rtol=0, atol=1e-15)
 
 
 class TestMakeVerifiedPool:

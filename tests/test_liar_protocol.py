@@ -22,7 +22,6 @@ from liarsim.liar_protocol import (
     VerdictValue,
     b_accepts,
     c_adjudicate,
-    extract_positions,
     generate_lists,
     incompatible_positions,
     run_liar_protocol,
@@ -166,25 +165,6 @@ class TestGenerateLists:
         first = generate_lists(make_verified_pool(500, rng(11)), rng(12))
         second = generate_lists(make_verified_pool(500, rng(11)), rng(12))
         assert first == second
-
-
-class TestExtractPositions:
-    def test_worked_table(self):
-        lists = worked_lists()
-        assert extract_positions(lists, 0) == (1, 3, 6)
-        assert extract_positions(lists, 1) == (4, 5, 8)
-
-    def test_no_doubles(self):
-        lists = PartyLists.from_table(("01", "01"), "00", "10")
-        assert extract_positions(lists, 0) == ()
-        assert extract_positions(lists, 1) == ()
-
-    def test_accepts_raw_array(self):
-        assert extract_positions(np.array([0, 1, 2], dtype=np.int8), 0) == (1,)
-
-    def test_message_bit_validated(self):
-        with pytest.raises(ValueError):
-            extract_positions(worked_lists(), 2)
 
 
 class TestMessages:
@@ -404,6 +384,12 @@ class TestCAdjudicate:
         np.testing.assert_array_equal(stage1_violations(l_AC, lists.c_bits), [4])
         np.testing.assert_array_equal(
             stage2_mismatches((1, 2, 4), tuple(lists.a_ones), 0), [2, 4]
+        )
+        # C's validated int8 list gives the same positions as a tuple
+        validated = np.array(l_AC, dtype=np.int8)
+        np.testing.assert_array_equal(stage1_violations(validated, lists.c_bits), [4])
+        np.testing.assert_array_equal(
+            stage2_mismatches(np.array([1, 2, 4]), lists.a_ones, 0), [2, 4]
         )
 
     def test_cross_check_changes_nothing_after_both_stages(self):

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from liarsim import runner
 from liarsim.cli import main as cli_main
 from liarsim.runner import (
     DISTRIBUTE_FAILURE,
@@ -256,6 +257,16 @@ class TestRunTrials:
         assert first.read_bytes() == second.read_bytes()
         assert stats1 == stats2  # timing is excluded from equality
 
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "r.ndjson"
+        out.write_text("previous run\n")
+        # a lone surrogate cannot be encoded, so writing the records raises
+        monkeypatch.setattr(runner, "format_records", lambda *args: "{}\n\ud800\n")
+        with pytest.raises(UnicodeEncodeError):
+            run_trials(TrialConfig.build(L=64, seed=3, trials=2), out_path=str(out))
+        assert out.read_text() == "previous run\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["r.ndjson"]
+
     def test_honest_run_statistics(self):
         config = TrialConfig.build(L=256, seed=23, trials=60)
         stats = run_trials(config)
@@ -316,9 +327,25 @@ class TestPinnedResultFiles:
                  "--qubit-loss-prob", "1e-3"],
                 "c8947d460d304c427432a52be7b1a4e79429f6f0201102d97dfae4230e7a0862",
             ),
+            (
+                ["run", "--trials", "30", "--seed", "12345", "--M", "12", "--N1", "1",
+                 "--N2", "1", "--L", "10", "--source-state", "0011"],
+                "d6cb0576f48a3be49367733d78588a3cd050158fd8271cb780bd749a835770ef",
+            ),
+            (
+                ["run", "--trials", "30", "--seed", "12345", "--M", "40",
+                 "--source-state", "0011", "--direction-policy", "fixed"],
+                "9604d9db2ef1af256b9eb1e891c2fc225b110afefdd1bc71dac380eb8f79853e",
+            ),
+            (
+                ["run", "--trials", "30", "--seed", "12345", "--M", "40",
+                 "--qubit-loss-prob", "0.003"],
+                "8d524f123b7722ecc2fb082e8b87bf84a0a96df629bbfc0351eceba210ac98ff",
+            ),
         ],
         ids=["honest-honest", "split-honest", "forgefull-flipforge", "honest-flipforge",
-             "distribute-loss"],
+             "distribute-loss", "distribute-product-source", "distribute-fixed-policy",
+             "distribute-lossy"],
     )
     def test_result_file_digest(self, tmp_path, capsys, args, digest):
         out = tmp_path / "run.ndjson"
