@@ -1,20 +1,15 @@
-"""Communication substrate for the three-party simulation.
+"""Parties, classical envelopes, the fault model and the qubit custody ledger.
 
-Provides secure pairwise classical channels (in-order, unmodified,
-addressee-only delivery), a qubit custody registry, per-system quantum
-state holders with a measurement touch-log, and a quantum transfer
-operation with an injectable fault model (loss, corrupted source).
-The custody ledger, ``QuantumSystem`` and ``transfer_qubits`` serve the
-step-by-step reference of the distribute-and-test phase, which the
-array kernel there is checked against.
-
-There is no timing model: channels are synchronous queues drained at
-protocol-step granularity.
+``ClassicalEnvelope`` records one message of the liar protocol: who sent
+it, to whom, and its place in send order. ``FaultModel`` injects transit
+loss and a corrupted source into the distribute-and-test phase. The
+custody ledger (``QubitRef``, ``QubitRegistry``), ``QuantumSystem`` and
+``transfer_qubits`` serve only the step-by-step reference of that phase,
+which its array kernel is checked against.
 """
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
@@ -73,41 +68,6 @@ class ClassicalEnvelope:
     receiver: PartyId
     payload: object
     sequence: int
-
-
-class ChannelHub:
-    """Secure pairwise classical channels between the three parties.
-
-    Messages are queued per (sender, receiver) pair and delivered
-    unmodified, in send order, only to the addressed receiver. Every
-    send is appended to ``transcript`` for auditing.
-    """
-
-    def __init__(self) -> None:
-        self._queues: dict[tuple[PartyId, PartyId], deque[ClassicalEnvelope]] = {}
-        self._next_sequence = 0
-        self.transcript: list[ClassicalEnvelope] = []
-
-    def send_classical(self, sender: PartyId, receiver: PartyId, payload: object) -> None:
-        """Queue ``payload`` for ``receiver`` and record it in the transcript."""
-        if sender == receiver:
-            raise ProtocolViolationError(f"{sender.value} cannot message itself")
-        envelope = ClassicalEnvelope(sender, receiver, payload, self._next_sequence)
-        self._next_sequence += 1
-        self._queues.setdefault((sender, receiver), deque()).append(envelope)
-        self.transcript.append(envelope)
-
-    def receive(self, receiver: PartyId, sender: PartyId) -> object:
-        """Dequeue the oldest pending payload from ``sender`` to ``receiver``."""
-        queue = self._queues.get((sender, receiver))
-        if not queue:
-            raise ProtocolViolationError(
-                f"no pending message from {sender.value} to {receiver.value}"
-            )
-        return queue.popleft().payload
-
-    def pending_count(self, receiver: PartyId, sender: PartyId) -> int:
-        return len(self._queues.get((sender, receiver), ()))
 
 
 class QuantumSystem:

@@ -39,10 +39,6 @@ from .qstate import (
     COMPUTATIONAL, MeasurementDirection, StateVector, make_singlet, readonly_array
 )
 
-# Indexed by assignment code: 0 means A holds slots (1,2), 1 means (1,3).
-_ASSIGNMENTS = (Assignment.A_HOLDS_12, Assignment.A_HOLDS_13)
-
-
 class DirectionPolicy(enum.Enum):
     """How C picks the common measurement direction for each system."""
 
@@ -98,16 +94,6 @@ class DistributionPlan:
         n = math.ceil(M / 4)
         return cls(M=M, N1=n, N2=n, L=M - 2 * n)
 
-    @classmethod
-    def for_pool(cls, L: int) -> "DistributionPlan":
-        """Smallest default-split plan whose surviving pool has size L."""
-        if L < 1:
-            raise ValueError(f"pool size must be positive, got {L}")
-        M = 2 * L if L % 2 == 0 else 2 * L + 1
-        plan = cls.default(M)
-        assert plan.L == L
-        return plan
-
 
 @dataclass(frozen=True)
 class FailureInfo:
@@ -126,8 +112,8 @@ class VerifiedPool:
     """Verified, untouched systems, each still holding the shared ``source``.
 
     ``system_ids`` (read-only int64) names each system of the batch and
-    ``codes`` (read-only int8) its assignment: 0 where A holds slots
-    (1,2), 1 where she holds (1,3).
+    ``codes`` (read-only int8) its assignment code, an index into
+    ``tuple(Assignment)``.
     """
 
     system_ids: np.ndarray
@@ -220,7 +206,7 @@ def _draw_codes(
     """Assignment codes: pinned, or one uniform ``integers(0, 2)`` draw per system."""
     if assignments is None:
         return rng.integers(0, 2, size=size)
-    return np.array([_ASSIGNMENTS.index(a) for a in assignments], dtype=np.int64)
+    return np.array([tuple(Assignment).index(a) for a in assignments], dtype=np.int64)
 
 
 def _draw_subsets(
@@ -370,7 +356,7 @@ def _dense_distribute_and_test(
 
     # (i)-(ii): prepare, distribute, and immediately verify receipt counts.
     for j in range(1, plan.M + 1):
-        assignment = _ASSIGNMENTS[codes[j - 1]]
+        assignment = tuple(Assignment)[codes[j - 1]]
         registry.create_system(j)
         systems[j] = QuantumSystem(j, source)
         a_refs = [QubitRef(j, slot) for slot in assignment.a_slots]

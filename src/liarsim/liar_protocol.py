@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from . import adversary
-from .channels import ArrayRecord, ChannelHub, ClassicalEnvelope, PartyId
+from .channels import ArrayRecord, ClassicalEnvelope, PartyId
 from .distribute_test import VerifiedPool
-from .oracle import EXPECTED_DOUBLE_FRACTION
+from .oracle import EXPECTED_DOUBLE_FRACTION, Assignment
 from .qstate import COMPUTATIONAL, readonly_array, sample_outcomes
 
 # Outcome bits of each four-qubit basis state, most significant first.
@@ -28,13 +28,12 @@ _BITS16 = np.array(
     [[(i >> (3 - k)) & 1 for k in range(4)] for i in range(16)], dtype=np.int8
 )
 # Each party's list entry, indexed by [party, assignment code, outcome
-# index]: code 0 gives A slots (1,2) and B slot 3, code 1 gives A slots
-# (1,3) and B slot 2, and C always holds slot 4.
+# index], read off the slots each ``Assignment`` gives the party.
 _LIST_ENTRIES = np.array(
     [
-        [_BITS16[:, 0] + _BITS16[:, 1], _BITS16[:, 0] + _BITS16[:, 2]],  # A's count of 1s
-        [_BITS16[:, 2], _BITS16[:, 1]],  # B's bit
-        [_BITS16[:, 3], _BITS16[:, 3]],  # C's bit
+        [_BITS16[:, np.subtract(a.a_slots, 1)].sum(axis=1) for a in Assignment],  # A's 1s
+        [_BITS16[:, a.b_slot - 1] for a in Assignment],  # B's bit
+        [_BITS16[:, a.c_slot - 1] for a in Assignment],  # C's bit
     ],
     dtype=np.int8,
 )
@@ -146,6 +145,12 @@ def _scan_positions(claimed, length: int) -> tuple[np.ndarray, int | None]:
     return positions, None if complete else 0
 
 
+def _is_bit(value) -> bool:
+    """Whether ``value`` is an integer 0 or 1 (bools are not integers here)."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return integer and value in (0, 1)
+
+
 def _pair_counts(values) -> np.ndarray | None:
     """``values`` as int8 pair counts, or None unless each entry is 0, 1 or 2."""
     entries, complete = _integer_prefix(values)
@@ -209,23 +214,17 @@ class Thresholds:
 
     A claimed-positions list is rejected as TOO_SHORT when it is shorter
     than ``min_fraction`` times the expected honest double count
-    (``expected_double_fraction * L``). ``cross_check_forwarded``
-    optionally also validates the forwarded positions directly against
-    C's own list, a check the base protocol does not perform.
+    (``EXPECTED_DOUBLE_FRACTION * L``).
     """
 
     min_fraction: float = 0.5
-    expected_double_fraction: float = EXPECTED_DOUBLE_FRACTION
-    cross_check_forwarded: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.min_fraction <= 1.0:
             raise ValueError(f"min_fraction must lie in [0, 1], got {self.min_fraction!r}")
-        if not 0.0 < self.expected_double_fraction < 1.0:
-            raise ValueError("expected_double_fraction must lie in (0, 1)")
 
     def required_length(self, length: int) -> float:
-        return self.min_fraction * self.expected_double_fraction * length
+        return self.min_fraction * EXPECTED_DOUBLE_FRACTION * length
 
 
 DEFAULT_THRESHOLDS = Thresholds()
@@ -261,13 +260,16 @@ def b_accepts(
 ) -> AcceptanceResult:
     """B's step-(III) test of A's claimed double positions.
 
-    Rejects INCOMPATIBLE on the first malformed or contradicted
+    Rejects INCOMPATIBLE on a message bit that is not an integer 0 or 1
+    (with no position), then on the first malformed or contradicted
     position (a non-integer entry, bools included, is reported as 0),
     then TOO_SHORT if the claim list is implausibly short; hostile input
     is rejected, never raised.
     """
     l_B = np.asarray(l_B)
     required = thresholds.required_length(len(l_B))
+    if not _is_bit(m_AB):
+        return AcceptanceResult(False, RejectReason.INCOMPATIBLE, None, required)
     claimed, bad = _scan_positions(claimed, len(l_B))
     if bad is not None:
         return AcceptanceResult(False, RejectReason.INCOMPATIBLE, bad, required)
@@ -335,13 +337,23 @@ def c_adjudicate(
 ) -> Verdict:
     """C's step-(VI) decision between conflicting messages.
 
-    Stage 1 tests A's claimed full list against C's own bits: any wrong
-    length, malformed entry, or contradicted double convicts A. Stage 2
-    then tests B's forwarded positions against A's full list: a too
-    short or inconsistent forwarding convicts B. If both stages pass
-    despite the conflicting messages, A verifiably supplied full-length
-    support for both message values, so the verdict falls on her.
+    A message bit that is not an integer 0 or 1 convicts its sender
+    before the messages are compared. Stage 1 tests A's claimed full
+    list against C's own bits: any wrong length, malformed entry, or
+    contradicted double convicts A. Stage 2 then tests B's forwarded
+    positions against A's full list: a too short or inconsistent
+    forwarding convicts B. If both stages pass despite the conflicting
+    messages, A verifiably supplied full-length support for both
+    message values, so the verdict falls on her.
     """
+    if not _is_bit(m_AC):
+        return Verdict(
+            VerdictValue.A_IS_LIAR, Evidence("stage1_malformed", None, "invalid message bit")
+        )
+    if not _is_bit(m_BC):
+        return Verdict(
+            VerdictValue.B_IS_LIAR, Evidence("stage2_malformed", None, "invalid message bit")
+        )
     if m_AC == m_BC:
         return Verdict(VerdictValue.CONSISTENT)
     l_C = np.asarray(l_C)
@@ -394,17 +406,6 @@ def c_adjudicate(
                 "forwarded position is not a matching double in the full list",
             ),
         )
-    if thresholds.cross_check_forwarded:
-        contradicted = forwarded[l_C[forwarded - 1] != 1 - m_BC]
-        if contradicted.size:
-            return Verdict(
-                VerdictValue.B_IS_LIAR,
-                Evidence(
-                    "stage2_cross_check",
-                    int(contradicted[0]),
-                    "forwarded double contradicts C's bit",
-                ),
-            )
     return Verdict(
         VerdictValue.A_IS_LIAR,
         Evidence(
@@ -436,48 +437,33 @@ def run_liar_protocol(
     strategy_B,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
     rng: np.random.Generator | None = None,
-    hub: ChannelHub | None = None,
 ) -> ProtocolResult:
-    """Run steps (II)-(VI) over the secure channels and return the verdict.
+    """Run steps (II)-(VI) and return the verdict with the message transcript.
 
-    The exchange is fully audited: every payload crosses the hub, and
-    the returned transcript is the complete message record. A's message
-    to C is sent unconditionally; when honest B rejects at step (III),
-    C ignores the message content and reports the rejection.
+    Each party acts only on its own list and the messages addressed to
+    it. The transcript holds the three messages in send order: A to B,
+    B to C, then A to C. A's message to C is sent unconditionally; when
+    honest B rejects at step (III), he sends C his rejection with A's
+    claim as evidence, and C reports the rejection.
     """
     if rng is None:
         rng = np.random.default_rng()
-    if hub is None:
-        hub = ChannelHub()
 
     a_action = adversary.strategy_A_act(strategy_A, lists.a_ones, rng)
-    hub.send_classical(
-        PartyId.A, PartyId.B, MessageWithList(a_action.m_AB, a_action.positions_for_B)
-    )
-
-    received = hub.receive(PartyId.B, PartyId.A)
+    to_b = MessageWithList(a_action.m_AB, a_action.positions_for_B)
     b_acceptance = None
     b_action = None
     if strategy_B.is_honest:
-        b_acceptance = b_accepts(received.m, received.positions, lists.b_bits, thresholds)
+        b_acceptance = b_accepts(to_b.m, to_b.positions, lists.b_bits, thresholds)
     if b_acceptance is not None and not b_acceptance.accepted:
-        hub.send_classical(
-            PartyId.B, PartyId.C, Reject(b_acceptance.reason, received.positions)
-        )
+        from_b = Reject(b_acceptance.reason, to_b.positions)
     else:
         b_action = adversary.strategy_B_act(
-            strategy_B, (received.m, received.positions), lists.b_bits, rng
+            strategy_B, (to_b.m, to_b.positions), lists.b_bits, rng
         )
-        hub.send_classical(
-            PartyId.B, PartyId.C, MessageWithList(b_action.m_BC, b_action.forwarded)
-        )
+        from_b = MessageWithList(b_action.m_BC, b_action.forwarded)
+    from_a = FullList(a_action.m_AC, a_action.l_AC)
 
-    hub.send_classical(
-        PartyId.A, PartyId.C, FullList(a_action.m_AC, a_action.l_AC)
-    )
-
-    from_b = hub.receive(PartyId.C, PartyId.B)
-    from_a = hub.receive(PartyId.C, PartyId.A)
     if isinstance(from_b, Reject):
         verdict = Verdict(
             VerdictValue.B_REJECTED_AT_STEP_III,
@@ -488,9 +474,14 @@ def run_liar_protocol(
             from_a.m, from_a.pairs, from_b.m, from_b.positions, lists.c_bits, thresholds
         )
     delivered = from_b.m if verdict.value is VerdictValue.CONSISTENT else None
+    sent = (
+        (PartyId.A, PartyId.B, to_b),
+        (PartyId.B, PartyId.C, from_b),
+        (PartyId.A, PartyId.C, from_a),
+    )
     return ProtocolResult(
         verdict=verdict,
-        transcript=tuple(hub.transcript),
+        transcript=tuple(ClassicalEnvelope(*message, i) for i, message in enumerate(sent)),
         a_action=a_action,
         b_action=b_action,
         b_acceptance=b_acceptance,

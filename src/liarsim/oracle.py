@@ -26,7 +26,8 @@ class Assignment(enum.Enum):
     """Which two slots of a four-qubit system A holds.
 
     B holds the complementary slot of {2, 3}; C always holds slot 4.
-    Only C knows which case applies.
+    Only C knows which case applies. A system's assignment code is the
+    index of its assignment in ``tuple(Assignment)``.
     """
 
     A_HOLDS_12 = ((1, 2), 3)
@@ -181,13 +182,6 @@ def rejection_lower_bound(n_fabricated: int) -> float:
     if n_fabricated < 0:
         raise ValueError(f"n_fabricated must be nonnegative, got {n_fabricated}")
     return 1.0 - 0.5**n_fabricated
-
-
-def expected_double_count(length: int, a12_weight: float = 0.5) -> float:
-    """Expected number of (m, m) positions in a length-``length`` list."""
-    if length < 1:
-        raise ValueError(f"length must be positive, got {length}")
-    return length * escape_probabilities(a12_weight).expected_double_fraction
 
 
 def as_fraction(value: float, max_denominator: int = 1000) -> str:

@@ -215,16 +215,6 @@ def _rotate_common_raw(
     return amps
 
 
-def apply_single_qubit(
-    state: StateVector, qubit_index: int, u: SingleQubitUnitary
-) -> StateVector:
-    """Apply ``u`` to one tensor factor (1-based index)."""
-    _check_target(state, qubit_index)
-    n = state.num_qubits
-    amps = _apply_matrix_raw(state.amplitudes, n, u.matrix, qubit_index - 1)
-    return StateVector(n, amps)
-
-
 def apply_bilateral(state: StateVector, u: SingleQubitUnitary) -> StateVector:
     """Apply the same unitary to every qubit."""
     n = state.num_qubits
@@ -343,13 +333,3 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     if a.num_qubits != b.num_qubits:
         raise ValueError("states have different sizes")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
-
-
-def format_amplitudes(state: StateVector) -> str:
-    """Debug table with one ``index bitstring re im`` row per amplitude."""
-    rows = []
-    for i, amp in enumerate(state.amplitudes):
-        rows.append(
-            f"{i:4d} {state.bitstring(i)} {amp.real:+.12f} {amp.imag:+.12f}"
-        )
-    return "\n".join(rows)

@@ -25,7 +25,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .adversary import StrategyA, StrategyB, parse_strategy_A, parse_strategy_B
+from .adversary import parse_strategy_A, parse_strategy_B
 from .channels import NO_FAULTS, FaultModel
 from .distribute_test import (
     DirectionPolicy,
@@ -40,7 +40,6 @@ from .liar_protocol import (
     generate_lists,
     incompatible_positions,
     run_liar_protocol,
-    stage1_violations,
     stage2_mismatches,
 )
 
@@ -104,7 +103,12 @@ def resolve_sizes(
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Complete, validated description of one Monte-Carlo experiment."""
+    """Complete, validated description of one Monte-Carlo experiment.
+
+    Construction also sets the validated collaborators every trial
+    reuses: ``plan``, ``fault``, ``thresholds``, ``strategies`` (A's,
+    B's) and the direction ``policy``.
+    """
 
     seed: int = 0
     trials: int = 100
@@ -132,11 +136,14 @@ class TrialConfig:
         # constructing the collaborators validates the remaining fields;
         # trials reuse them, and as plain attributes rather than dataclass
         # fields they stay out of the summary record
-        object.__setattr__(self, "_plan", DistributionPlan(self.M, self.N1, self.N2, self.L))
-        object.__setattr__(self, "_fault", FaultModel(self.qubit_loss_prob, self.source_state))
-        object.__setattr__(self, "_thresholds", Thresholds(self.min_fraction))
-        strategies = (parse_strategy_A(self.strategy_a), parse_strategy_B(self.strategy_b))
-        object.__setattr__(self, "_strategies", strategies)
+        for name, value in (
+            ("plan", DistributionPlan(self.M, self.N1, self.N2, self.L)),
+            ("fault", FaultModel(self.qubit_loss_prob, self.source_state)),
+            ("thresholds", Thresholds(self.min_fraction)),
+            ("strategies", (parse_strategy_A(self.strategy_a), parse_strategy_B(self.strategy_b))),
+            ("policy", DirectionPolicy(self.direction_policy)),
+        ):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def build(
@@ -150,25 +157,6 @@ class TrialConfig:
         """Construct a config, deriving whichever sizes were omitted."""
         M, N1, N2, L = resolve_sizes(M, N1, N2, L)
         return cls(M=M, N1=N1, N2=N2, L=L, **kwargs)
-
-    def plan(self) -> DistributionPlan:
-        return self._plan
-
-    def fault_model(self) -> FaultModel:
-        return self._fault
-
-    def thresholds(self) -> Thresholds:
-        return self._thresholds
-
-    def strategies(self) -> tuple[StrategyA, StrategyB]:
-        return self._strategies
-
-    def policy(self) -> DirectionPolicy:
-        return (
-            DirectionPolicy.RANDOM
-            if self.direction_policy == "random"
-            else DirectionPolicy.FIXED
-        )
 
 
 @dataclass(frozen=True)
@@ -285,7 +273,7 @@ def _escape_counts(lists, a_action, b_action) -> dict[str, int]:
 def run_single_trial(config: TrialConfig, trial_index: int) -> TrialResult:
     """Play one full trial on the stream derived from (seed, trial_index)."""
     rng = trial_rng(config.seed, trial_index)
-    fault = config.fault_model()
+    fault = config.fault
 
     if fault == NO_FAULTS:
         # a fault-free distribute run always succeeds with the pool
@@ -293,7 +281,7 @@ def run_single_trial(config: TrialConfig, trial_index: int) -> TrialResult:
         pool = make_verified_pool(config.L, rng)
     else:
         outcome = run_distribute_and_test(
-            config.plan(), fault, rng, direction_policy=config.policy()
+            config.plan, fault, rng, direction_policy=config.policy
         )
         if outcome.status is DistributeStatus.FAILURE:
             return TrialResult(
@@ -304,9 +292,9 @@ def run_single_trial(config: TrialConfig, trial_index: int) -> TrialResult:
         pool = outcome.pool
 
     lists = generate_lists(pool, rng)
-    strategy_a, strategy_b = config.strategies()
+    strategy_a, strategy_b = config.strategies
     result = run_liar_protocol(
-        lists, strategy_a, strategy_b, thresholds=config.thresholds(), rng=rng
+        lists, strategy_a, strategy_b, thresholds=config.thresholds, rng=rng
     )
     a_action, b_action = result.a_action, result.b_action
     return TrialResult(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from liarsim.channels import (
-    ChannelHub,
     FaultModel,
     PartyId,
     ProtocolViolationError,
@@ -26,52 +25,6 @@ def fresh_network(num_systems=1):
         registry.create_system(system_id)
         systems[system_id] = QuantumSystem(system_id, make_singlet(4))
     return registry, systems
-
-
-class TestChannelHub:
-    def test_message_delivered_unmodified(self):
-        hub = ChannelHub()
-        hub.send_classical(PartyId.A, PartyId.B, 0)
-        assert hub.receive(PartyId.B, PartyId.A) == 0
-
-    def test_in_order_delivery(self):
-        hub = ChannelHub()
-        hub.send_classical(PartyId.A, PartyId.C, "first")
-        hub.send_classical(PartyId.A, PartyId.C, "second")
-        assert hub.receive(PartyId.C, PartyId.A) == "first"
-        assert hub.receive(PartyId.C, PartyId.A) == "second"
-
-    def test_self_addressed_rejected(self):
-        hub = ChannelHub()
-        with pytest.raises(ProtocolViolationError):
-            hub.send_classical(PartyId.A, PartyId.A, 1)
-
-    def test_only_addressee_can_receive(self):
-        hub = ChannelHub()
-        hub.send_classical(PartyId.A, PartyId.B, "secret")
-        with pytest.raises(ProtocolViolationError):
-            hub.receive(PartyId.C, PartyId.A)
-
-    def test_receive_on_empty_queue_rejected(self):
-        hub = ChannelHub()
-        with pytest.raises(ProtocolViolationError):
-            hub.receive(PartyId.B, PartyId.A)
-
-    def test_receipt_and_transcript(self):
-        # the transcript entry is the only receipt of a send
-        hub = ChannelHub()
-        assert hub.send_classical(PartyId.B, PartyId.C, 1) is None
-        assert len(hub.transcript) == 1
-        receipt = hub.transcript[0]
-        assert receipt.sequence == 0
-        assert (receipt.sender, receipt.receiver) == (PartyId.B, PartyId.C)
-        assert receipt.payload == 1
-
-    def test_pending_count(self):
-        hub = ChannelHub()
-        assert hub.pending_count(PartyId.B, PartyId.A) == 0
-        hub.send_classical(PartyId.A, PartyId.B, 1)
-        assert hub.pending_count(PartyId.B, PartyId.A) == 1
 
 
 class TestQubitRegistry:

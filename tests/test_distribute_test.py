@@ -4,11 +4,8 @@ import pytest
 from liarsim import distribute_test
 from liarsim.channels import (
     FaultModel,
-    PartyId,
     ProtocolViolationError,
     QuantumSystem,
-    QubitRef,
-    QubitRegistry,
 )
 from liarsim.distribute_test import (
     DirectionPolicy,
@@ -22,6 +19,7 @@ from liarsim.distribute_test import (
 )
 from liarsim.oracle import Assignment
 from liarsim.qstate import COMPUTATIONAL, make_singlet
+from liarsim.runner import resolve_sizes
 
 
 def rng(seed=0):
@@ -47,9 +45,10 @@ class TestDistributionPlan:
 
     @pytest.mark.parametrize("L", [1, 2, 3, 7, 32, 255, 256])
     def test_for_pool_hits_requested_size(self, L):
-        plan = DistributionPlan.for_pool(L)
-        assert plan.L == L
-        assert plan.N1 == plan.N2
+        # sizes derived from the pool size alone are a default-split plan
+        M, N1, N2, pool = resolve_sizes(L=L)
+        plan = DistributionPlan.default(M)
+        assert (plan.N1, plan.N2, plan.L) == (N1, N2, pool) == (N1, N1, L)
 
     def test_pinned_assignments_length_checked(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liarsim.adversary import StrategyA, StrategyB
+from liarsim.channels import PartyId
 from liarsim.distribute_test import (
     DirectionPolicy,
     VerifiedPool,
@@ -55,7 +56,7 @@ def dense_engine_lists(pool, stream, policy=DirectionPolicy.FIXED):
     """
     a_ones, b_bits, c_bits = [], [], []
     for code in pool.codes:
-        assignment = (Assignment.A_HOLDS_12, Assignment.A_HOLDS_13)[code]
+        assignment = tuple(Assignment)[code]
         direction = choose_direction(stream, policy)
         state = pool.source
         a_bits, state = measure_qubits(state, assignment.a_slots, direction, stream)
@@ -252,6 +253,11 @@ class TestBAccepts:
         assert b_accepts(0, (1, 3, 2.0), b_bits).position == 0
         assert b_accepts(0, (1, 2**70), b_bits).position == 2**70
         assert b_accepts(0, None, b_bits).position == 0
+        # a malformed message bit is rejected before any position is read
+        for m in (2, -1, None, "0", True, 0.0):
+            result = b_accepts(m, (3, 1), b_bits)
+            assert (result.reason, result.position) == (RejectReason.INCOMPATIBLE, None)
+        assert b_accepts(np.int64(1), (4, 5, 8), b_bits).accepted
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -362,6 +368,18 @@ class TestCAdjudicate:
         for forwarded in (None, 7, [[1], [3]], ("1",), (1, None)):
             verdict = c_adjudicate(1, lists.a_ones, 0, forwarded, lists.c_bits)
             assert verdict.evidence.check == "stage2_malformed"
+        # a malformed message bit convicts its sender, even when the bits agree
+        # or the other side's payload is malformed too
+        for bad in (2, -1, None, "0", True, 0.0):
+            verdict = c_adjudicate(bad, lists.a_ones, 0, (), lists.c_bits)
+            assert (verdict.value, verdict.evidence.check) == (
+                VerdictValue.A_IS_LIAR, "stage1_malformed"
+            )
+            for m_AC in (0, 1):
+                verdict = c_adjudicate(m_AC, None, bad, None, lists.c_bits)
+                assert (verdict.value, verdict.evidence.check) == (
+                    VerdictValue.B_IS_LIAR, "stage2_malformed"
+                )
 
     def test_both_stages_passing_convicts_a(self):
         # a full-length forwarded claim consistent with A's own full list
@@ -392,29 +410,25 @@ class TestCAdjudicate:
             stage2_mismatches(np.array([1, 2, 4]), lists.a_ones, 0), [2, 4]
         )
 
-    def test_cross_check_changes_nothing_after_both_stages(self):
-        lists = worked_lists()
-        strict = Thresholds(cross_check_forwarded=True)
-        verdict = c_adjudicate(1, tuple(lists.a_ones), 0, (1, 3, 6), lists.c_bits, strict)
-        assert verdict.value is VerdictValue.A_IS_LIAR
-
 
 class TestThresholds:
     def test_defaults(self):
         thresholds = Thresholds()
         assert thresholds.min_fraction == 0.5
-        assert thresholds.expected_double_fraction == pytest.approx(5 / 24)
-        assert not thresholds.cross_check_forwarded
         assert EXPECTED_DOUBLE_FRACTION == pytest.approx(5 / 24)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Thresholds(min_fraction=1.5)
         with pytest.raises(ValueError):
-            Thresholds(expected_double_fraction=0.0)
+            Thresholds(min_fraction=-0.1)
 
     def test_required_length(self):
         assert Thresholds().required_length(256) == pytest.approx(256 * 5 / 48)
+
+
+# (sender, receiver, sequence) of the three messages, in send order
+SEND_ORDER = [(PartyId.A, PartyId.B, 0), (PartyId.B, PartyId.C, 1), (PartyId.A, PartyId.C, 2)]
 
 
 class TestRunLiarProtocol:
@@ -469,6 +483,7 @@ class TestRunLiarProtocol:
         result = run_liar_protocol(lists, StrategyA.honest(), StrategyB.honest(), rng=stream)
         payloads = [env.payload for env in result.transcript]
         assert len(payloads) == 3
+        assert [(e.sender, e.receiver, e.sequence) for e in result.transcript] == SEND_ORDER
         assert isinstance(payloads[0], MessageWithList)  # A -> B
         assert isinstance(payloads[1], MessageWithList)  # B -> C
         assert isinstance(payloads[2], FullList)  # A -> C
@@ -484,6 +499,9 @@ class TestRunLiarProtocol:
         assert result.verdict.value is VerdictValue.B_REJECTED_AT_STEP_III
         rejects = [e.payload for e in result.transcript if isinstance(e.payload, Reject)]
         assert len(rejects) == 1
+        assert [(e.sender, e.receiver, e.sequence) for e in result.transcript] == SEND_ORDER
+        assert result.transcript[1].payload is rejects[0]  # B -> C
+        np.testing.assert_array_equal(rejects[0].claimed, result.transcript[0].payload.positions)
         assert result.b_acceptance is not None
         assert not result.b_acceptance.accepted
 

@@ -6,7 +6,6 @@ from liarsim.oracle import (
     EscapeProbabilities,
     as_fraction,
     escape_probabilities,
-    expected_double_count,
     rejection_lower_bound,
     round_distribution,
 )
@@ -128,11 +127,6 @@ class TestEscapeProbabilities:
         assert rejection_lower_bound(8) == pytest.approx(255 / 256)
         with pytest.raises(ValueError):
             rejection_lower_bound(-1)
-
-    def test_expected_double_count(self):
-        assert expected_double_count(256) == pytest.approx(256 * 5 / 24)
-        with pytest.raises(ValueError):
-            expected_double_count(0)
 
 
 class TestMonteCarloAgreement:

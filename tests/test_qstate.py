@@ -12,10 +12,8 @@ from liarsim.qstate import (
     SingleQubitUnitary,
     StateVector,
     apply_bilateral,
-    apply_single_qubit,
     basis_state,
     fidelity,
-    format_amplitudes,
     joint_distribution,
     make_singlet,
     measure_qubits,
@@ -100,43 +98,33 @@ class TestStateVector:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
 
-    def test_format_amplitudes_rows(self):
-        text = format_amplitudes(basis_state("01"))
-        lines = text.splitlines()
-        assert len(lines) == 4
-        assert lines[1].split() == ["1", "01", "+1.000000000000", "+0.000000000000"]
-
 
 class TestUnitaries:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             SingleQubitUnitary(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
+    # a product state, which a common rotation does change (a singlet would not)
     def test_identity_leaves_state_alone(self):
-        state = make_singlet(4)
-        out = apply_single_qubit(state, 3, SingleQubitUnitary.identity())
+        state = basis_state("0110")
+        out = apply_bilateral(state, SingleQubitUnitary.identity())
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_bit_flip_permutes_basis(self):
-        out = apply_single_qubit(basis_state("00"), 2, SingleQubitUnitary.bit_flip())
-        np.testing.assert_allclose(out.amplitudes, basis_state("01").amplitudes, atol=1e-12)
+        out = apply_bilateral(basis_state("0110"), SingleQubitUnitary.bit_flip())
+        np.testing.assert_allclose(out.amplitudes, basis_state("1001").amplitudes, atol=1e-12)
 
     def test_unitary_then_inverse_restores_state(self):
-        state = make_singlet(4)
+        state = basis_state("0110")
         u = random_unitary(rng(7))
-        out = apply_single_qubit(apply_single_qubit(state, 2, u), 2, u.dagger())
+        assert fidelity(apply_bilateral(state, u), state) < 1 - 1e-6
+        out = apply_bilateral(apply_bilateral(state, u), u.dagger())
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            apply_single_qubit(make_singlet(2), 3, SingleQubitUnitary.identity())
-        with pytest.raises(ValueError):
-            apply_single_qubit(make_singlet(2), 0, SingleQubitUnitary.identity())
-
     def test_norm_preserved(self):
-        state = make_singlet(4)
+        state = basis_state("0110")
         u = random_unitary(rng(11))
-        out = apply_single_qubit(state, 1, u)
+        out = apply_bilateral(state, u)
         assert np.sum(np.abs(out.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -234,6 +222,8 @@ class TestMeasurement:
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError):
             measure_qubits(make_singlet(2), [3], COMPUTATIONAL, rng(0))
+        with pytest.raises(ValueError):
+            measure_qubits(make_singlet(2), [0], COMPUTATIONAL, rng(0))
 
     def test_seeded_reproducibility(self):
         state = make_singlet(4)
