@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import ArrayRecord
 from .oracle import EXPECTED_DOUBLE_FRACTION
-from .qstate import readonly_array
+from .qstate import mark_readonly, readonly_array
 
 
 class AKind(enum.Enum):
@@ -156,7 +156,7 @@ def strategy_A_act(
     """
     arr = np.asarray(getattr(l_A, "a_ones", l_A))
     m = _resolve_message(strategy, rng)
-    honest_positions = np.flatnonzero(arr == 2 * m) + 1
+    honest_positions = mark_readonly(np.flatnonzero(arr == 2 * m) + 1)
 
     if strategy.kind is AKind.HONEST:
         return ActionA(m, honest_positions, m, arr)

@@ -36,7 +36,8 @@ from .channels import (
 )
 from .oracle import Assignment
 from .qstate import (
-    COMPUTATIONAL, MeasurementDirection, StateVector, make_singlet, readonly_array
+    COMPUTATIONAL, MeasurementDirection, StateVector, make_singlet, mark_readonly,
+    readonly_array,
 )
 
 class DirectionPolicy(enum.Enum):
@@ -215,7 +216,8 @@ def _draw_subsets(
     """S1, S2 and the pool, each as sorted system ids, from one permutation."""
     order = rng.permutation(plan.M) + 1
     cut = plan.N1 + plan.N2
-    return np.sort(order[: plan.N1]), np.sort(order[plan.N1 : cut]), np.sort(order[cut:])
+    pool_ids = mark_readonly(np.sort(order[cut:]))  # the pool keeps it without a copy
+    return np.sort(order[: plan.N1]), np.sort(order[plan.N1 : cut]), pool_ids
 
 
 # Outcome bits of slots 1-3 for each index of their joint marginal.
@@ -239,8 +241,39 @@ def _rotated_probabilities(source: StateVector, theta: np.ndarray, phi: np.ndarr
     return (np.abs(amps) ** 2).reshape(-1, 8, 2)
 
 
+class _OutcomeTable(NamedTuple):
+    """One round's outcome law: ``probs`` is |psi|^2 as (slots 1-3, slot 4),
+    ``cum`` the cumulative marginal of slots 1-3 and ``c_zero`` the chance
+    that C reads 0 given slots 1-3."""
+
+    probs: np.ndarray
+    cum: np.ndarray
+    c_zero: np.ndarray
+
+
+def _direction_free_table(source: StateVector) -> _OutcomeTable:
+    """The exact table of a source whose law is the same along every common
+    direction, as the singlet's is.
+
+    ``cum`` is exactly 1.0 from its last nonzero entry on, so no uniform in
+    [0, 1) reaches a zero-probability row; such rows get ``c_zero`` 0.
+    """
+    probs = source.probabilities().reshape(8, 2)
+    marginal = probs.sum(axis=1)
+    cum = np.cumsum(marginal / marginal.sum())
+    cum[np.flatnonzero(marginal)[-1]:] = 1.0
+    c_zero = np.divide(probs[:, 0], marginal, out=np.zeros(8), where=marginal > 0)
+    return _OutcomeTable(*(readonly_array(a, np.float64) for a in (probs, cum, c_zero)))
+
+
+# Every singlet round draws from this one table: the singlet's outcome law
+# along any common direction is its law in the computational basis.
+_SINGLET_TABLE = _direction_free_table(make_singlet(4))
+
+
 def _play_rounds(
     source: StateVector,
+    table: _OutcomeTable | None,
     sent: int,
     p_loss: float,
     policy: DirectionPolicy,
@@ -253,7 +286,8 @@ def _play_rounds(
     ``sent`` transit uniforms, two direction uniforms under the random
     policy, one uniform for the measurer's three outcomes and one for C's.
     Both measurements use one common direction and commute, so the four
-    bits are a single draw from the rotated source.
+    bits are a single draw: from ``table`` when the source has one, else
+    from the source rotated into each round's direction.
     """
     u = rng.random((rounds, sent + (2 if policy is DirectionPolicy.RANDOM else 0) + 2))
     lost = np.any(u[:, :sent] < p_loss, axis=1)
@@ -262,19 +296,24 @@ def _play_rounds(
         phi = (2.0 * math.pi * u[:, sent + 1]) % (2.0 * math.pi)
     else:
         theta = phi = np.zeros(rounds)
-    probs = _rotated_probabilities(source, theta, phi)
-    marginal = probs.sum(axis=2)
-    cum = np.cumsum(marginal / marginal.sum(axis=1, keepdims=True), axis=1)
-    cum[:, -1] = 1.0  # rounding guard, as in qstate's sampler
-    drawn = np.count_nonzero(cum <= u[:, -2, None], axis=1)
-    given = probs[np.arange(rounds), drawn]
-    c_bit = u[:, -1] >= given[:, 0] / given.sum(axis=1)
+    if table is not None:
+        drawn = np.searchsorted(table.cum, u[:, -2], side="right")
+        c_zero = table.c_zero[drawn]
+    else:
+        probs = _rotated_probabilities(source, theta, phi)
+        marginal = probs.sum(axis=2)
+        cum = np.cumsum(marginal / marginal.sum(axis=1, keepdims=True), axis=1)
+        cum[:, -1] = 1.0  # rounding guard, as in qstate's sampler
+        drawn = np.count_nonzero(cum <= u[:, -2, None], axis=1)
+        given = probs[np.arange(rounds), drawn]
+        c_zero = given[:, 0] / given.sum(axis=1)
+    c_bit = u[:, -1] >= c_zero
     bits = np.column_stack((_BITS3[drawn], c_bit.astype(np.int8)))
     return lost, theta, phi, bits
 
 
 def _test_rounds(played: list[tuple]) -> TestRounds:
-    return TestRounds(*(np.concatenate(column) for column in zip(*played)))
+    return TestRounds(*(mark_readonly(np.concatenate(column)) for column in zip(*played)))
 
 
 _NO_ROUNDS = (np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0), np.empty(0),
@@ -300,6 +339,7 @@ def run_distribute_and_test(
         rng = np.random.default_rng()
     codes = _draw_codes(plan.assignments, plan.M, rng)
     source = fault.prepare_state()
+    table = _SINGLET_TABLE if fault.source_state == "singlet" else None
     p_loss = fault.qubit_loss_prob
 
     # (i)-(ii): per system, A's two transit draws then B's one.
@@ -317,7 +357,9 @@ def run_distribute_and_test(
     # so the sender forwards A's two qubits in S1 and B's one in S2.
     played = [_NO_ROUNDS]
     for subset, ids, sent in ((1, s1, 2), (2, s2, 1)):
-        lost, theta, phi, bits = _play_rounds(source, sent, p_loss, direction_policy, rng, ids.size)
+        lost, theta, phi, bits = _play_rounds(
+            source, table, sent, p_loss, direction_policy, rng, ids.size
+        )
         played.append((ids, np.full(ids.size, subset), theta, phi, bits))
         bad = np.flatnonzero(lost | (bits.sum(axis=1) != 2))
         if bad.size:
@@ -423,4 +465,5 @@ def make_verified_pool(
         raise ValueError(f"pool size must be positive, got {L}")
     if assignments is not None and len(assignments) != L:
         raise ValueError("assignments must list one Assignment per system")
-    return VerifiedPool(np.arange(1, L + 1), _draw_codes(assignments, L, rng), make_singlet(4))
+    ids = mark_readonly(np.arange(1, L + 1))
+    return VerifiedPool(ids, _draw_codes(assignments, L, rng), make_singlet(4))

@@ -21,7 +21,7 @@ from . import adversary
 from .channels import ArrayRecord, ClassicalEnvelope, PartyId
 from .distribute_test import VerifiedPool
 from .oracle import EXPECTED_DOUBLE_FRACTION, Assignment
-from .qstate import COMPUTATIONAL, readonly_array, sample_outcomes
+from .qstate import COMPUTATIONAL, mark_readonly, readonly_array, sample_outcomes
 
 # Outcome bits of each four-qubit basis state, most significant first.
 _BITS16 = np.array(
@@ -105,7 +105,7 @@ def generate_lists(pool: VerifiedPool, rng: np.random.Generator) -> PartyLists:
     if len(pool) == 0:
         raise ValueError("cannot generate lists from an empty pool")
     outcomes = sample_outcomes(pool.source, COMPUTATIONAL, len(pool), rng)
-    return PartyLists(*_LIST_ENTRIES[:, pool.codes, outcomes])
+    return PartyLists(*mark_readonly(_LIST_ENTRIES[:, pool.codes, outcomes]))
 
 
 # --------------------------------------------------------------------------
@@ -167,7 +167,7 @@ class MessageWithList(ArrayRecord):
     positions: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.m not in (0, 1):
+        if not _is_bit(self.m):
             raise ValueError(f"message bit must be 0 or 1, got {self.m!r}")
         positions, bad = _scan_positions(self.positions, _MAX_POSITION)
         if bad is not None:
@@ -183,7 +183,7 @@ class FullList(ArrayRecord):
     pairs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.m not in (0, 1):
+        if not _is_bit(self.m):
             raise ValueError(f"message bit must be 0 or 1, got {self.m!r}")
         pairs = _pair_counts(self.pairs)
         if pairs is None:

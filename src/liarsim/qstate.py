@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,12 @@ def readonly_array(values, dtype) -> np.ndarray:
     if exact and not values.flags.writeable:
         return values
     arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def mark_readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, marked read-only in place: for fresh arrays nothing else holds."""
     arr.setflags(write=False)
     return arr
 
@@ -67,6 +74,14 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         """Born probability of each computational basis outcome."""
         return np.abs(self.amplitudes) ** 2
+
+    @cached_property
+    def computational_cdf(self) -> np.ndarray:
+        """Read-only cumulative outcome law in the computational basis.
+
+        Built on first use and kept with the state, which never changes.
+        """
+        return _cdf(joint_distribution(self, COMPUTATIONAL))
 
     def bitstring(self, index: int) -> str:
         return format(index, f"0{self.num_qubits}b")
@@ -132,7 +147,7 @@ class MeasurementDirection:
 
 COMPUTATIONAL = MeasurementDirection(0.0, 0.0)
 
-_singlet_cache: dict[int, np.ndarray] = {}
+_singlet_cache: dict[int, StateVector] = {}
 
 
 def singlet_amplitude(bits: tuple[int, ...] | str) -> float:
@@ -161,7 +176,7 @@ def singlet_amplitude(bits: tuple[int, ...] | str) -> float:
 
 
 def make_singlet(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """Build the n-qubit singlet state (n even).
+    """The n-qubit singlet state (n even), one shared instance per n.
 
     The state is supported only on balanced bit strings and is invariant
     under applying the same unitary to every qubit.
@@ -176,9 +191,8 @@ def make_singlet(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
         for index in range(2**n):
             bits = tuple((index >> (n - k)) & 1 for k in range(1, n + 1))
             amps[index] = singlet_amplitude(bits)
-        cached = readonly_array(amps, np.complex128)
-        _singlet_cache[n] = cached
-    return StateVector(n, cached)
+        cached = _singlet_cache[n] = StateVector(n, amps)
+    return cached
 
 
 def basis_state(bits: str) -> StateVector:
@@ -224,11 +238,16 @@ def apply_bilateral(state: StateVector, u: SingleQubitUnitary) -> StateVector:
     return StateVector(n, amps)
 
 
-def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Read-only cumulative sum of ``probs`` whose last edge is exactly 1.0."""
     cum = np.cumsum(probs)
     # guard against rounding: force the last edge to cover u = 1 - eps
     cum[-1] = 1.0
-    return int(np.searchsorted(cum, rng.random(), side="right"))
+    return mark_readonly(cum)
+
+
+def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    return int(np.searchsorted(_cdf(probs), rng.random(), side="right"))
 
 
 def measure_qubits(
@@ -314,9 +333,10 @@ def sample_outcomes(
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    probs = joint_distribution(state, direction)
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
+    if direction.is_computational:
+        cum = state.computational_cdf
+    else:
+        cum = _cdf(joint_distribution(state, direction))
     return np.searchsorted(cum, rng.random(shots), side="right").astype(np.int64)
 
 

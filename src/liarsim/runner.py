@@ -379,7 +379,7 @@ def format_records(config: TrialConfig, results: list[TrialResult], stats: Trial
     """
     lines = []
     for r in sorted(results, key=lambda r: r.trial):
-        record = {"record": "trial", **dataclasses.asdict(r)}
+        record = {"record": "trial", **vars(r)}  # flat fields: no deep copy needed
         lines.append(json.dumps(record, sort_keys=True, allow_nan=False))
     lines.append(json.dumps(_summary_record(config, stats), sort_keys=True, allow_nan=False))
     return "\n".join(lines) + "\n"

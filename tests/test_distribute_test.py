@@ -12,7 +12,10 @@ from liarsim.distribute_test import (
     DistributeStatus,
     DistributionPlan,
     TestRounds,
+    _SINGLET_TABLE,
     _dense_distribute_and_test,
+    _play_rounds,
+    _rotated_probabilities,
     choose_direction,
     make_verified_pool,
     run_distribute_and_test,
@@ -308,9 +311,64 @@ class TestClosedFormMatchesDenseOracle:
             np.testing.assert_allclose(fast_rounds.phi, dense_rounds.phi, rtol=0, atol=1e-15)
 
 
+class _ConstantUniforms:
+    """Stands in for a generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+class TestSingletTable:
+    """Singlet rounds draw from one exact table; product sources still rotate."""
+
+    def test_table_matches_rotated_source_along_random_directions(self):
+        stream = rng(31)
+        worst = 0.0
+        for _ in range(10):  # 10^5 directions, 10^4 at a time
+            u = stream.random((10_000, 2))
+            theta, phi = np.arccos(-1.0 + 2.0 * u[:, 0]), 2.0 * np.pi * u[:, 1]
+            rotated = _rotated_probabilities(make_singlet(4), theta, phi)
+            worst = max(worst, np.abs(rotated - _SINGLET_TABLE.probs).max())
+        assert worst < 1e-14
+
+    def test_zero_probability_rows_are_unreachable(self):
+        # rows 000 and 111: no uniform in [0, 1) lands between equal edges
+        assert _SINGLET_TABLE.cum[0] == 0.0
+        assert _SINGLET_TABLE.cum[6] == _SINGLET_TABLE.cum[7] == 1.0
+
+    @pytest.mark.parametrize("policy", list(DirectionPolicy))
+    @pytest.mark.parametrize(
+        "u, expected", [(0.0, [0, 0, 1, 1]), (np.nextafter(1.0, 0.0), [1, 1, 0, 0])]
+    )
+    def test_extreme_uniforms_give_balanced_bits(self, policy, u, expected):
+        for sent in (1, 2):
+            lost, _, _, bits = _play_rounds(
+                make_singlet(4), _SINGLET_TABLE, sent, 0.0, policy, _ConstantUniforms(u), 5
+            )
+            assert not lost.any()
+            np.testing.assert_array_equal(bits, [expected] * 5)
+
+    def test_only_product_sources_rotate(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _rotated_probabilities(*args)
+
+        monkeypatch.setattr(distribute_test, "_rotated_probabilities", counted)
+        run_distribute_and_test(DistributionPlan.default(40), rng=rng(3))
+        assert not calls
+        run_distribute_and_test(DistributionPlan.default(40), FAULTS["0011"], rng(3))
+        assert calls
+
+
 class TestMakeVerifiedPool:
     def test_matches_success_pool_shape(self):
         pool = make_verified_pool(32, rng(2))
+        assert pool.source is make_singlet(4)
         assert len(pool) == 32
         assert pool.system_ids.tolist() == list(range(1, 33))
         assert pool.codes.dtype == np.int8

@@ -202,6 +202,12 @@ class TestMessages:
             MessageWithList(2, ())
         with pytest.raises(ValueError):
             FullList(-1, (0, 1))
+        # the receivers' rule: an integer 0 or 1, and a bool or float is neither
+        with pytest.raises(ValueError):
+            MessageWithList(True, (1, 2))
+        with pytest.raises(ValueError):
+            FullList(1.0, (0, 1, 2))
+        assert FullList(np.int64(1), (0, 1, 2)).m == 1
 
     def test_full_list_entries_validated(self):
         with pytest.raises(ValueError):

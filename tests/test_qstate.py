@@ -73,6 +73,11 @@ class TestMakeSinglet:
         for index in nonzero:
             assert state.bitstring(index).count("0") == n // 2
 
+    def test_one_shared_instance_per_size(self):
+        state = make_singlet(4)
+        assert make_singlet(4) is state
+        assert make_singlet(2) is not state
+
     @pytest.mark.parametrize("bad", [0, -2, 3, 7])
     def test_rejects_odd_or_nonpositive(self, bad):
         with pytest.raises(ValueError):
@@ -259,6 +264,15 @@ class TestSampling:
             counts[bits[0] * 2 + bits[1]] += 1
         tv = 0.5 * np.abs(counts / shots - joint_distribution(state, COMPUTATIONAL)).sum()
         assert tv < 0.01
+
+    def test_computational_cdf_built_once_and_read_only(self):
+        state = make_singlet(4)
+        cdf = state.computational_cdf
+        assert make_singlet(4).computational_cdf is cdf
+        assert not cdf.flags.writeable
+        expected = np.cumsum(joint_distribution(state, COMPUTATIONAL))
+        expected[-1] = 1.0  # the sampler's rounding guard
+        np.testing.assert_array_equal(cdf, expected)
 
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError):

@@ -342,10 +342,15 @@ class TestPinnedResultFiles:
                  "--qubit-loss-prob", "0.003"],
                 "8d524f123b7722ecc2fb082e8b87bf84a0a96df629bbfc0351eceba210ac98ff",
             ),
+            (
+                ["run", "--trials", "20", "--seed", "12345", "--M", "512", "--N1", "128",
+                 "--N2", "128", "--L", "256", "--qubit-loss-prob", "1e-4"],
+                "a91443fb50860288796a986eba3db0e5097eb30e0c6679de847fabe9e5e93a91",
+            ),
         ],
         ids=["honest-honest", "split-honest", "forgefull-flipforge", "honest-flipforge",
              "distribute-loss", "distribute-product-source", "distribute-fixed-policy",
-             "distribute-lossy"],
+             "distribute-lossy", "distribute-M512"],
     )
     def test_result_file_digest(self, tmp_path, capsys, args, digest):
         out = tmp_path / "run.ndjson"
