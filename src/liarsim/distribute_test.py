@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -150,8 +151,7 @@ class TestRounds(ArrayRecord):
 
     Row ``i`` is one sacrificed system: its id (int64), its subset (int8,
     1 for S1 and 2 for S2), the common direction's ``theta`` and ``phi``,
-    and the four outcome ``bits`` (int8, slots 1-4). ``passed`` is derived:
-    a round passes when its bits hold exactly two 0s and two 1s.
+    and the four outcome ``bits`` (int8, slots 1-4).
     """
 
     __test__ = False  # not a test case, despite the name (pytest opt-out)
@@ -161,7 +161,6 @@ class TestRounds(ArrayRecord):
     theta: np.ndarray
     phi: np.ndarray
     bits: np.ndarray
-    passed: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         for name, dtype in (
@@ -173,7 +172,14 @@ class TestRounds(ArrayRecord):
         columns = (self.subsets.shape, self.theta.shape, self.phi.shape, self.bits.shape[:1])
         if len(n) != 1 or any(shape != n for shape in columns) or self.bits.shape[1:] != (4,):
             raise ValueError("need one subset, direction and four bits per tested system")
-        object.__setattr__(self, "passed", readonly_array(self.bits.sum(axis=1) == 2, np.bool_))
+
+    @cached_property
+    def passed(self) -> np.ndarray:
+        """Read-only: whether each round's bits hold exactly two 0s and two 1s.
+
+        Derived on first use; a run's own abort check sums the bits already.
+        """
+        return mark_readonly(self.bits.sum(axis=1) == 2)
 
     def __len__(self) -> int:
         return self.system_ids.size
@@ -360,7 +366,7 @@ def run_distribute_and_test(
         lost, theta, phi, bits = _play_rounds(
             source, table, sent, p_loss, direction_policy, rng, ids.size
         )
-        played.append((ids, np.full(ids.size, subset), theta, phi, bits))
+        played.append((ids, np.full(ids.size, subset, np.int8), theta, phi, bits))
         bad = np.flatnonzero(lost | (bits.sum(axis=1) != 2))
         if bad.size:
             i = int(bad[0])

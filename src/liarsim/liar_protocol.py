@@ -27,8 +27,8 @@ from .qstate import COMPUTATIONAL, mark_readonly, readonly_array, sample_outcome
 _BITS16 = np.array(
     [[(i >> (3 - k)) & 1 for k in range(4)] for i in range(16)], dtype=np.int8
 )
-# Each party's list entry, indexed by [party, assignment code, outcome
-# index], read off the slots each ``Assignment`` gives the party.
+# Each party's list entry, indexed by [party, 16 * assignment code +
+# outcome index], read off the slots each ``Assignment`` gives the party.
 _LIST_ENTRIES = np.array(
     [
         [_BITS16[:, np.subtract(a.a_slots, 1)].sum(axis=1) for a in Assignment],  # A's 1s
@@ -36,7 +36,7 @@ _LIST_ENTRIES = np.array(
         [_BITS16[:, a.c_slot - 1] for a in Assignment],  # C's bit
     ],
     dtype=np.int8,
-)
+).reshape(3, 32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +55,8 @@ class PartyLists(ArrayRecord):
     def __post_init__(self) -> None:
         for name, upper in (("a_ones", 2), ("b_bits", 1), ("c_bits", 1)):
             arr = readonly_array(getattr(self, name), np.int8)
-            if arr.ndim != 1 or arr.size < 1 or arr.min() < 0 or arr.max() > upper:
+            # viewed as uint8, a negative entry reads as 128 or more
+            if arr.ndim != 1 or arr.size < 1 or arr.view(np.uint8).max() > upper:
                 raise ValueError(f"lists must be nonempty 1-D arrays of 0..{upper}")
             object.__setattr__(self, name, arr)
         if not (len(self.a_ones) == len(self.b_bits) == len(self.c_bits)):
@@ -105,7 +106,7 @@ def generate_lists(pool: VerifiedPool, rng: np.random.Generator) -> PartyLists:
     if len(pool) == 0:
         raise ValueError("cannot generate lists from an empty pool")
     outcomes = sample_outcomes(pool.source, COMPUTATIONAL, len(pool), rng)
-    return PartyLists(*mark_readonly(_LIST_ENTRIES[:, pool.codes, outcomes]))
+    return PartyLists(*mark_readonly(_LIST_ENTRIES.take(16 * pool.codes + outcomes, axis=1)))
 
 
 # --------------------------------------------------------------------------
@@ -136,6 +137,16 @@ def _scan_positions(claimed, length: int) -> tuple[np.ndarray, int | None]:
     """``claimed`` as an array, and its first entry that is not a strictly
     increasing position in 1..length, where a non-integer entry reads as 0."""
     positions, complete = _integer_prefix(claimed)
+    # a valid claim has no entry to name: skip the per-entry scan
+    if complete and (
+        positions.size == 0
+        or (
+            positions[0] >= 1
+            and positions[-1] <= length
+            and (positions[1:] > positions[:-1]).all()
+        )
+    ):
+        return positions, None
     previous = np.empty_like(positions)
     previous[:1] = 0
     previous[1:] = positions[:-1]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,6 +83,11 @@ class StateVector:
         Built on first use and kept with the state, which never changes.
         """
         return _cdf(joint_distribution(self, COMPUTATIONAL))
+
+    @cached_property
+    def computational_table(self) -> "_GuideTable":
+        """The sampler's guide table for ``computational_cdf``, kept likewise."""
+        return _guide_table(self.computational_cdf)
 
     def bitstring(self, index: int) -> str:
         return format(index, f"0{self.num_qubits}b")
@@ -239,11 +245,56 @@ def apply_bilateral(state: StateVector, u: SingleQubitUnitary) -> StateVector:
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
-    """Read-only cumulative sum of ``probs`` whose last edge is exactly 1.0."""
-    cum = np.cumsum(probs)
-    # guard against rounding: force the last edge to cover u = 1 - eps
+    """Read-only, sorted cumulative sum of ``probs`` whose last edge is exactly 1.0."""
+    # guard against rounding: no edge above 1.0, and the last edge covers
+    # u = 1 - eps; a cumulative sum of nonnegative terms never decreases
+    cum = np.minimum(np.cumsum(probs), 1.0)
     cum[-1] = 1.0
     return mark_readonly(cum)
+
+
+class _GuideTable(NamedTuple):
+    """Indexed search (Chen & Asau, 1974) over one sorted CDF ``cum``.
+
+    ``edges`` are the distinct entries D of ``cum``. Of K buckets, K a
+    power of two, bucket b covers [b/K, (b+1)/K) and ``starts[b]`` counts
+    the edges at or below b/K. ``passes`` is the most edges lying
+    strictly inside one bucket, and ``counts[c]`` the number of ``cum``
+    entries at or below the c-th smallest edge (``counts[0]`` is 0).
+    """
+
+    edges: np.ndarray
+    starts: np.ndarray
+    passes: int
+    counts: np.ndarray
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """``searchsorted(cum, u, side="right")``, exactly, for u in [0, 1).
+
+        ``u * K`` is exact for a power of two K, so u lies in bucket
+        floor(u * K) and ``c`` starts at the edges at or below it. Each
+        pass counts one more edge at or below u; the last edge is 1.0,
+        above every u, so ``c`` never runs past it.
+        """
+        c = self.starts.take((u * self.starts.size).astype(np.intp))
+        for _ in range(self.passes):
+            c += self.edges.take(c) <= u
+        return self.counts.take(c)
+
+
+def _guide_table(cum: np.ndarray) -> _GuideTable:
+    """The guide table of a CDF from ``_cdf``, with 4 buckets per outcome."""
+    edges = cum[np.diff(cum, prepend=-1.0) > 0]  # sorted: distinct where above the previous
+    buckets = 4 * cum.size  # cum has 2**n entries, so a power of two
+    bounds = np.arange(buckets + 1) / buckets
+    at_or_below = np.searchsorted(edges, bounds, side="right")
+    inside = np.searchsorted(edges, bounds[1:], side="left") - at_or_below[:-1]
+    counts = np.concatenate(([0], np.searchsorted(cum, edges, side="right")), dtype=np.int64)
+    return _GuideTable(
+        *(mark_readonly(a) for a in (edges, at_or_below[:-1])),
+        int(inside.max()),
+        mark_readonly(counts),
+    )
 
 
 def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -329,15 +380,16 @@ def sample_outcomes(
     """Sample ``shots`` independent all-qubit measurements of ``state``.
 
     Each shot measures a fresh copy along the common axis; returns the
-    outcome indices (same encoding as ``joint_distribution``).
+    outcome indices (same encoding as ``joint_distribution``), one
+    uniform per shot, through the guide table of the exact CDF.
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     if direction.is_computational:
-        cum = state.computational_cdf
+        table = state.computational_table
     else:
-        cum = _cdf(joint_distribution(state, direction))
-    return np.searchsorted(cum, rng.random(shots), side="right").astype(np.int64)
+        table = _guide_table(_cdf(joint_distribution(state, direction)))
+    return table.draw(rng.random(shots))
 
 
 def random_unitary(rng: np.random.Generator) -> SingleQubitUnitary:

@@ -45,6 +45,9 @@ from .liar_protocol import (
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
+# json.dumps builds a new encoder per call for non-default options; one serves all
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
 _DETECTION_VERDICTS = frozenset(
     {
         VerdictValue.A_IS_LIAR.value,
@@ -380,8 +383,8 @@ def format_records(config: TrialConfig, results: list[TrialResult], stats: Trial
     lines = []
     for r in sorted(results, key=lambda r: r.trial):
         record = {"record": "trial", **vars(r)}  # flat fields: no deep copy needed
-        lines.append(json.dumps(record, sort_keys=True, allow_nan=False))
-    lines.append(json.dumps(_summary_record(config, stats), sort_keys=True, allow_nan=False))
+        lines.append(_ENCODER.encode(record))
+    lines.append(_ENCODER.encode(_summary_record(config, stats)))
     return "\n".join(lines) + "\n"
 
 

@@ -258,6 +258,8 @@ class TestRoundRecord:
         with pytest.raises(ValueError):
             rounds.bits[0, 0] = 1
         with pytest.raises(ValueError):
+            rounds.passed[0] = False
+        with pytest.raises(ValueError):
             TestRounds([4], [1], [0.0], [0.0], [[0, 1, 1]])
 
 

@@ -21,6 +21,7 @@ from liarsim.liar_protocol import (
     RejectReason,
     Thresholds,
     VerdictValue,
+    _scan_positions,
     b_accepts,
     c_adjudicate,
     generate_lists,
@@ -532,3 +533,65 @@ class TestRunLiarProtocol:
         first, second = one(38), one(38)
         assert first.verdict == second.verdict
         assert first.a_action == second.a_action
+
+
+# Each one-pass check must reject exactly the inputs of the per-rule form it
+# replaced, and name the same first offending entry.
+_DTYPES = st.sampled_from([np.int8, np.uint8, np.int64])
+_ROW = st.lists(st.integers(-3, 4), max_size=6)
+
+
+class TestOnePassChecksMatchReference:
+    @staticmethod
+    def assert_party_lists_match_reference(rows):
+        def reference():
+            ints = [np.array(r, dtype=np.int8) for r in rows]
+            for arr, upper in zip(ints, (2, 1, 1)):
+                if arr.size < 1 or arr.min() < 0 or arr.max() > upper:
+                    return "nonempty 1-D arrays"
+            if not len(ints[0]) == len(ints[1]) == len(ints[2]):
+                return "equal length"
+            facing = 1 - ints[0] // 2
+            doubles = ints[0] != 1
+            if np.any(doubles & ((ints[1] != facing) | (ints[2] != facing))):
+                return "must face"
+            return None
+
+        expected = reference()
+        if expected is None:
+            PartyLists(*rows)
+        else:
+            with pytest.raises(ValueError, match=expected):
+                PartyLists(*rows)
+
+    def test_party_lists_every_entry(self):
+        # each (a, b, c) in and just around the valid range, alone and after a valid row
+        for a in range(-1, 4):
+            for b in range(-1, 3):
+                for c in range(-1, 3):
+                    self.assert_party_lists_match_reference(([a], [b], [c]))
+                    self.assert_party_lists_match_reference(([1, 0, a], [0, 1, b], [1, 1, c]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_ROW, b=_ROW, c=_ROW, dtype=_DTYPES, stride=st.sampled_from([1, 2]))
+    def test_party_lists(self, a, b, c, dtype, stride):
+        rows = [np.array(r * stride, dtype=np.int64).astype(dtype)[::stride] for r in (a, b, c)]
+        self.assert_party_lists_match_reference(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.integers(-2, 10), max_size=8), dtype=_DTYPES)
+    def test_position_scan_of_arrays(self, values, dtype):
+        positions = np.array(values, dtype=np.int64).astype(dtype)
+
+        def reference(length):
+            previous = 0
+            for position in positions.tolist():
+                if position <= previous or position > length:
+                    return position
+                previous = position
+            return None
+
+        for length in (0, 5, 8):
+            scanned, bad = _scan_positions(positions, length)
+            assert bad == reference(length)
+            assert scanned is positions

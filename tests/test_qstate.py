@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liarsim import qstate
 from liarsim.qstate import (
     COMPUTATIONAL,
     MeasurementDirection,
@@ -270,13 +271,90 @@ class TestSampling:
         cdf = state.computational_cdf
         assert make_singlet(4).computational_cdf is cdf
         assert not cdf.flags.writeable
-        expected = np.cumsum(joint_distribution(state, COMPUTATIONAL))
-        expected[-1] = 1.0  # the sampler's rounding guard
+        # the sampler's rounding guard: no edge above 1.0, the last one exactly 1.0
+        expected = np.minimum(np.cumsum(joint_distribution(state, COMPUTATIONAL)), 1.0)
+        expected[-1] = 1.0
         np.testing.assert_array_equal(cdf, expected)
 
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError):
             sample_outcomes(make_singlet(2), COMPUTATIONAL, 0, rng(0))
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose next ``random(shots)`` is ``u``."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, shots):
+        assert shots == self.u.size
+        return self.u
+
+
+def _sampler_states():
+    """(label, state, direction): the sources the guide table must get exactly right."""
+    stream = rng(2024)
+    cases = [(f"singlet{n}", make_singlet(n), COMPUTATIONAL) for n in (2, 4, 6)]
+    cases += [(bits, basis_state(bits), COMPUTATIONAL) for bits in ("0011", "0110")]
+    for i in range(20):  # generic product states: 16 distinct, unevenly spaced edges
+        rotated = apply_bilateral(basis_state(("0011", "0110")[i % 2]), random_unitary(stream))
+        cases.append((f"rotated{i}", rotated, COMPUTATIONAL))
+    cases.append(("singlet4-direction", make_singlet(4), random_direction(stream)))
+    amps = stream.normal(size=1024) + 1j * stream.normal(size=1024)
+    cases.append(("random10", StateVector(10, amps / np.linalg.norm(amps)), COMPUTATIONAL))
+    return cases
+
+
+SAMPLER_STATES = _sampler_states()
+
+
+def _exact_cdf(state, direction):
+    if direction.is_computational:
+        return state.computational_cdf
+    return qstate._cdf(joint_distribution(state, direction))
+
+
+class TestGuideTableSampler:
+    @pytest.mark.parametrize("label, state, direction", SAMPLER_STATES,
+                             ids=[case[0] for case in SAMPLER_STATES])
+    def test_cdf_is_sorted_and_ends_at_one(self, label, state, direction):
+        cdf = _exact_cdf(state, direction)
+        assert np.all(np.diff(cdf) >= 0)
+        assert cdf.max() == cdf[-1] == 1.0
+
+    @pytest.mark.parametrize("label, state, direction", SAMPLER_STATES,
+                             ids=[case[0] for case in SAMPLER_STATES])
+    def test_draw_equals_searchsorted(self, label, state, direction):
+        cum = _exact_cdf(state, direction)
+        edges = np.concatenate((cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)))
+        u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], edges[(edges >= 0) & (edges < 1)]))
+        u = np.concatenate((u, rng(7).random(100_000)))
+        drawn = sample_outcomes(state, direction, u.size, _FixedUniforms(u))
+        assert drawn.dtype == np.int64
+        np.testing.assert_array_equal(drawn, np.searchsorted(cum, u, side="right"))
+
+    def test_random_state_needs_several_passes(self):
+        (state,) = [s for label, s, _ in SAMPLER_STATES if label == "random10"]
+        assert state.computational_table.passes > 1
+
+    def test_stream_read_unchanged(self):
+        state = make_singlet(4)
+        drawn = sample_outcomes(state, COMPUTATIONAL, 1000, rng(5))
+        reference = np.searchsorted(state.computational_cdf, rng(5).random(1000), side="right")
+        np.testing.assert_array_equal(drawn, reference)
+
+    def test_computational_table_built_once_per_state(self, monkeypatch):
+        built = []
+        original = qstate._guide_table
+        monkeypatch.setattr(qstate, "_guide_table", lambda cum: built.append(cum) or original(cum))
+        state = apply_bilateral(basis_state("0110"), random_unitary(rng(3)))
+        for seed in range(3):
+            sample_outcomes(state, COMPUTATIONAL, 10, rng(seed))
+        assert len(built) == 1 and built[0] is state.computational_cdf
+        assert state.computational_table is state.computational_table
+        sample_outcomes(state, MeasurementDirection(0.3, 0.2), 10, rng(0))
+        assert len(built) == 2  # other directions build theirs per call
 
 
 class TestMeasurementDirection:

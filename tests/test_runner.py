@@ -302,6 +302,7 @@ class TestPinnedResultFiles:
     """
 
     FAST = ["run", "--trials", "200", "--seed", "12345", "--L", "64"]
+    LONG = ["run", "--trials", "12", "--seed", "12345", "--L", "4096"]
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -347,10 +348,27 @@ class TestPinnedResultFiles:
                  "--N2", "128", "--L", "256", "--qubit-loss-prob", "1e-4"],
                 "a91443fb50860288796a986eba3db0e5097eb30e0c6679de847fabe9e5e93a91",
             ),
+            (
+                LONG + ["--strategy-a", "honest", "--strategy-b", "honest"],
+                "b90a54315e62e7269981f2d221f3ceb4f8cecc2f3c3631568ef3eb5d9a4dceb0",
+            ),
+            (
+                LONG + ["--strategy-a", "split:n=3", "--strategy-b", "honest"],
+                "7156ccb1c015a844393b22ceaa4111fa36cb35b943f95608473519477c7d4e74",
+            ),
+            (
+                LONG + ["--strategy-a", "forgefull:k=8", "--strategy-b", "flipforge"],
+                "091abb2741b903cd6f95f872663314d5edb8f0a22f267aa7217a4e4b787e8bfa",
+            ),
+            (
+                LONG + ["--strategy-a", "honest", "--strategy-b", "flipforge"],
+                "e17ef03545f8a4d16432837f16da1df6cd9a13b8f8f964c137191c0d8c49dce6",
+            ),
         ],
         ids=["honest-honest", "split-honest", "forgefull-flipforge", "honest-flipforge",
              "distribute-loss", "distribute-product-source", "distribute-fixed-policy",
-             "distribute-lossy", "distribute-M512"],
+             "distribute-lossy", "distribute-M512", "honest-honest-L4096",
+             "split-honest-L4096", "forgefull-flipforge-L4096", "honest-flipforge-L4096"],
     )
     def test_result_file_digest(self, tmp_path, capsys, args, digest):
         out = tmp_path / "run.ndjson"
