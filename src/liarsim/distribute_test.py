@@ -19,7 +19,6 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +36,8 @@ from .channels import (
 )
 from .oracle import Assignment
 from .qstate import (
-    COMPUTATIONAL, MeasurementDirection, StateVector, make_singlet, mark_readonly,
-    readonly_array,
+    COMPUTATIONAL, MeasurementDirection, StateVector, _cdf, _draw_rows, _guide_table,
+    make_singlet, mark_readonly, outcome_bits, readonly_array,
 )
 
 class DirectionPolicy(enum.Enum):
@@ -134,17 +133,6 @@ class VerifiedPool:
         return self.codes.size
 
 
-class TestRound(NamedTuple):
-    """One sacrificed system's test, as read from a row of ``TestRounds``."""
-
-    system_id: int
-    subset: int
-    theta: float
-    phi: float
-    bits: tuple[int, ...]
-    passed: bool
-
-
 @dataclass(frozen=True, eq=False)
 class TestRounds(ArrayRecord):
     """Every test round one run played, in play order, as read-only arrays.
@@ -184,12 +172,6 @@ class TestRounds(ArrayRecord):
     def __len__(self) -> int:
         return self.system_ids.size
 
-    def __getitem__(self, i: int) -> TestRound:
-        return TestRound(
-            int(self.system_ids[i]), int(self.subsets[i]), float(self.theta[i]),
-            float(self.phi[i]), tuple(self.bits[i].tolist()), bool(self.passed[i]),
-        )
-
 
 @dataclass(frozen=True)
 class DistributeOutcome:
@@ -226,9 +208,6 @@ def _draw_subsets(
     return np.sort(order[: plan.N1]), np.sort(order[plan.N1 : cut]), pool_ids
 
 
-# Outcome bits of slots 1-3 for each index of their joint marginal.
-_BITS3 = np.array([[(i >> (2 - k)) & 1 for k in range(3)] for i in range(8)], dtype=np.int8)
-
 def _rotated_probabilities(source: StateVector, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """|(U^dag)^(x)4 psi|^2 per round, shape (rounds, 8, 2): slots 1-3, then slot 4.
 
@@ -247,39 +226,26 @@ def _rotated_probabilities(source: StateVector, theta: np.ndarray, phi: np.ndarr
     return (np.abs(amps) ** 2).reshape(-1, 8, 2)
 
 
-class _OutcomeTable(NamedTuple):
-    """One round's outcome law: ``probs`` is |psi|^2 as (slots 1-3, slot 4),
-    ``cum`` the cumulative marginal of slots 1-3 and ``c_zero`` the chance
-    that C reads 0 given slots 1-3."""
+def _round_law(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A round's outcome law from |psi|^2 as (..., slots 1-3, slot 4): the CDF
+    of slots 1-3, and the chance ``c_zero`` that C reads 0 given slots 1-3.
 
-    probs: np.ndarray
-    cum: np.ndarray
-    c_zero: np.ndarray
-
-
-def _direction_free_table(source: StateVector) -> _OutcomeTable:
-    """The exact table of a source whose law is the same along every common
-    direction, as the singlet's is.
-
-    ``cum`` is exactly 1.0 from its last nonzero entry on, so no uniform in
-    [0, 1) reaches a zero-probability row; such rows get ``c_zero`` 0.
+    ``_cdf`` never draws a zero-probability row; such rows get ``c_zero`` 0.
     """
-    probs = source.probabilities().reshape(8, 2)
-    marginal = probs.sum(axis=1)
-    cum = np.cumsum(marginal / marginal.sum())
-    cum[np.flatnonzero(marginal)[-1]:] = 1.0
-    c_zero = np.divide(probs[:, 0], marginal, out=np.zeros(8), where=marginal > 0)
-    return _OutcomeTable(*(readonly_array(a, np.float64) for a in (probs, cum, c_zero)))
+    marginal = probs.sum(axis=-1)
+    c_zero = np.divide(probs[..., 0], marginal, out=np.zeros(marginal.shape), where=marginal > 0)
+    return _cdf(marginal / marginal.sum(axis=-1, keepdims=True)), mark_readonly(c_zero)
 
 
-# Every singlet round draws from this one table: the singlet's outcome law
-# along any common direction is its law in the computational basis.
-_SINGLET_TABLE = _direction_free_table(make_singlet(4))
+# Every singlet round draws from this one law, through its guide table: the
+# singlet's outcome law along any common direction is its computational one.
+_SINGLET_CUM, _SINGLET_C_ZERO = _round_law(make_singlet(4).probabilities().reshape(8, 2))
+_SINGLET_TABLE = _guide_table(_SINGLET_CUM)
 
 
 def _play_rounds(
     source: StateVector,
-    table: _OutcomeTable | None,
+    singlet: bool,
     sent: int,
     p_loss: float,
     policy: DirectionPolicy,
@@ -292,8 +258,8 @@ def _play_rounds(
     ``sent`` transit uniforms, two direction uniforms under the random
     policy, one uniform for the measurer's three outcomes and one for C's.
     Both measurements use one common direction and commute, so the four
-    bits are a single draw: from ``table`` when the source has one, else
-    from the source rotated into each round's direction.
+    bits are a single draw: from the one singlet law for a singlet source,
+    else from the source rotated into each round's direction.
     """
     u = rng.random((rounds, sent + (2 if policy is DirectionPolicy.RANDOM else 0) + 2))
     lost = np.any(u[:, :sent] < p_loss, axis=1)
@@ -302,19 +268,15 @@ def _play_rounds(
         phi = (2.0 * math.pi * u[:, sent + 1]) % (2.0 * math.pi)
     else:
         theta = phi = np.zeros(rounds)
-    if table is not None:
-        drawn = np.searchsorted(table.cum, u[:, -2], side="right")
-        c_zero = table.c_zero[drawn]
+    if singlet:
+        drawn = _SINGLET_TABLE.draw(u[:, -2])
+        c_zero = _SINGLET_C_ZERO.take(drawn)
     else:
-        probs = _rotated_probabilities(source, theta, phi)
-        marginal = probs.sum(axis=2)
-        cum = np.cumsum(marginal / marginal.sum(axis=1, keepdims=True), axis=1)
-        cum[:, -1] = 1.0  # rounding guard, as in qstate's sampler
-        drawn = np.count_nonzero(cum <= u[:, -2, None], axis=1)
-        given = probs[np.arange(rounds), drawn]
-        c_zero = given[:, 0] / given.sum(axis=1)
+        cum, c_zero = _round_law(_rotated_probabilities(source, theta, phi))
+        drawn = _draw_rows(cum, u[:, -2])
+        c_zero = c_zero[np.arange(rounds), drawn]
     c_bit = u[:, -1] >= c_zero
-    bits = np.column_stack((_BITS3[drawn], c_bit.astype(np.int8)))
+    bits = np.column_stack((outcome_bits(3)[drawn], c_bit.astype(np.int8)))
     return lost, theta, phi, bits
 
 
@@ -345,7 +307,7 @@ def run_distribute_and_test(
         rng = np.random.default_rng()
     codes = _draw_codes(plan.assignments, plan.M, rng)
     source = fault.prepare_state()
-    table = _SINGLET_TABLE if fault.source_state == "singlet" else None
+    singlet = fault.source_state == "singlet"
     p_loss = fault.qubit_loss_prob
 
     # (i)-(ii): per system, A's two transit draws then B's one.
@@ -364,7 +326,7 @@ def run_distribute_and_test(
     played = [_NO_ROUNDS]
     for subset, ids, sent in ((1, s1, 2), (2, s2, 1)):
         lost, theta, phi, bits = _play_rounds(
-            source, table, sent, p_loss, direction_policy, rng, ids.size
+            source, singlet, sent, p_loss, direction_policy, rng, ids.size
         )
         played.append((ids, np.full(ids.size, subset, np.int8), theta, phi, bits))
         bad = np.flatnonzero(lost | (bits.sum(axis=1) != 2))

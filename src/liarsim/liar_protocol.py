@@ -21,19 +21,18 @@ from . import adversary
 from .channels import ArrayRecord, ClassicalEnvelope, PartyId
 from .distribute_test import VerifiedPool
 from .oracle import EXPECTED_DOUBLE_FRACTION, Assignment
-from .qstate import COMPUTATIONAL, mark_readonly, readonly_array, sample_outcomes
-
-# Outcome bits of each four-qubit basis state, most significant first.
-_BITS16 = np.array(
-    [[(i >> (3 - k)) & 1 for k in range(4)] for i in range(16)], dtype=np.int8
+from .qstate import (
+    COMPUTATIONAL, mark_readonly, outcome_bits, readonly_array, sample_outcomes,
 )
+
 # Each party's list entry, indexed by [party, 16 * assignment code +
 # outcome index], read off the slots each ``Assignment`` gives the party.
+_BITS = outcome_bits(4)
 _LIST_ENTRIES = np.array(
     [
-        [_BITS16[:, np.subtract(a.a_slots, 1)].sum(axis=1) for a in Assignment],  # A's 1s
-        [_BITS16[:, a.b_slot - 1] for a in Assignment],  # B's bit
-        [_BITS16[:, a.c_slot - 1] for a in Assignment],  # C's bit
+        [_BITS[:, np.subtract(a.a_slots, 1)].sum(axis=1) for a in Assignment],  # A's 1s
+        [_BITS[:, a.b_slot - 1] for a in Assignment],  # B's bit
+        [_BITS[:, a.c_slot - 1] for a in Assignment],  # C's bit
     ],
     dtype=np.int8,
 ).reshape(3, 32)
@@ -69,10 +68,6 @@ class PartyLists(ArrayRecord):
     @property
     def length(self) -> int:
         return len(self.a_ones)
-
-    def pair_at(self, position: int) -> str:
-        ones = int(self.a_ones[position - 1])
-        return {0: "00", 1: "01", 2: "11"}[ones]
 
     @classmethod
     def from_table(

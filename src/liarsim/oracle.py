@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qstate import COMPUTATIONAL, joint_distribution, make_singlet
+from .qstate import COMPUTATIONAL, joint_distribution, make_singlet, outcome_bits
 
 # Treat enumerated probabilities below this as structural zeros.
 PROB_ATOL = 1e-12
@@ -88,10 +88,9 @@ class RoundDistribution:
 def _enumerate(assignment: Assignment) -> dict[RoundOutcome, float]:
     probs = joint_distribution(make_singlet(4), COMPUTATIONAL)
     table: dict[RoundOutcome, float] = {}
-    for index, p in enumerate(probs):
+    for bits, p in zip(outcome_bits(4).tolist(), probs):
         if p <= PROB_ATOL:
             continue
-        bits = tuple((index >> (3 - k)) & 1 for k in range(4))
         pair = tuple(sorted(bits[s - 1] for s in assignment.a_slots))
         key = (pair, bits[assignment.b_slot - 1], bits[assignment.c_slot - 1])
         table[key] = table.get(key, 0.0) + float(p)

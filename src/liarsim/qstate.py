@@ -6,16 +6,25 @@ performs Born-rule projective measurements with collapse.
 Conventions fixed here and relied on everywhere else:
 
 * qubit 1 is the most significant bit of the amplitude index, so on four
-  qubits ``|0011>`` sits at index 3;
+  qubits ``|0011>`` sits at index 3; ``outcome_bits(n)`` is the one
+  table from index to bits;
 * measurement outcomes are labelled ``0`` (spin up along the measured
   axis) and ``1`` (spin down);
 * states are immutable; every operation returns a new ``StateVector``.
+
+This module alone turns a probability law into a CDF and draws from it.
+``_cdf`` is the one rule: along the last axis, no edge above 1.0 and
+every edge from the last nonzero probability on exactly 1.0, so no
+uniform in [0, 1) draws an outcome of probability zero. A law drawn many
+times goes through its guide table (``_GuideTable.draw``); laws drawn
+once per uniform go through ``_draw_rows``. Both equal
+``searchsorted(cum, u, side="right")`` exactly.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +77,7 @@ class StateVector:
                 f"{self.num_qubits} qubits, got shape {amps.shape}"
             )
         total = float(np.sum(np.abs(amps) ** 2))
-        if abs(total - 1.0) > NORM_ATOL:
+        if not abs(total - 1.0) <= NORM_ATOL:  # NaN fails too
             raise ValueError(f"state is not normalized: sum |a|^2 = {total!r}")
         object.__setattr__(self, "amplitudes", readonly_array(amps, np.complex128))
 
@@ -104,7 +113,7 @@ class SingleQubitUnitary:
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
         dev = np.max(np.abs(m.conj().T @ m - np.eye(2)))
-        if dev > NORM_ATOL:
+        if not dev <= NORM_ATOL:  # NaN fails too
             raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {dev!r}")
         object.__setattr__(self, "matrix", readonly_array(m, np.complex128))
 
@@ -156,6 +165,13 @@ COMPUTATIONAL = MeasurementDirection(0.0, 0.0)
 _singlet_cache: dict[int, StateVector] = {}
 
 
+@cache
+def outcome_bits(n: int) -> np.ndarray:
+    """Read-only (2**n, n) int8 table: row i holds the bits of outcome i, qubit 1 first."""
+    shifts = np.arange(n - 1, -1, -1)
+    return mark_readonly(((np.arange(2**n)[:, None] >> shifts) & 1).astype(np.int8))
+
+
 def singlet_amplitude(bits: tuple[int, ...] | str) -> float:
     """Amplitude the singlet family assigns to one basis string.
 
@@ -193,10 +209,7 @@ def make_singlet(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
         raise ResourceLimitError(f"singlet size {n} exceeds the maximum of {max_qubits}")
     cached = _singlet_cache.get(n)
     if cached is None:
-        amps = np.zeros(2**n, dtype=np.complex128)
-        for index in range(2**n):
-            bits = tuple((index >> (n - k)) & 1 for k in range(1, n + 1))
-            amps[index] = singlet_amplitude(bits)
+        amps = [singlet_amplitude(tuple(bits)) for bits in outcome_bits(n).tolist()]
         cached = _singlet_cache[n] = StateVector(n, amps)
     return cached
 
@@ -245,12 +258,20 @@ def apply_bilateral(state: StateVector, u: SingleQubitUnitary) -> StateVector:
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
-    """Read-only, sorted cumulative sum of ``probs`` whose last edge is exactly 1.0."""
-    # guard against rounding: no edge above 1.0, and the last edge covers
-    # u = 1 - eps; a cumulative sum of nonnegative terms never decreases
-    cum = np.minimum(np.cumsum(probs), 1.0)
-    cum[-1] = 1.0
+    """Read-only cumulative sum of ``probs`` along its last axis: sorted, no
+    edge above 1.0, and every edge from the last nonzero probability on
+    exactly 1.0, so no uniform in [0, 1) reaches an outcome of probability 0."""
+    cum = np.minimum(np.cumsum(probs, axis=-1), 1.0)
+    last = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
+    cum[np.arange(probs.shape[-1]) >= last[..., None]] = 1.0
     return mark_readonly(cum)
+
+
+def _draw_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cum[i], u[i], side="right")`` for each row i, exactly:
+    the draw for laws that change with every uniform. ``cum`` is from ``_cdf``,
+    so sorted, and the count of its edges at or below u is the outcome."""
+    return np.count_nonzero(cum <= u[..., None], axis=-1)
 
 
 class _GuideTable(NamedTuple):
@@ -283,9 +304,9 @@ class _GuideTable(NamedTuple):
 
 
 def _guide_table(cum: np.ndarray) -> _GuideTable:
-    """The guide table of a CDF from ``_cdf``, with 4 buckets per outcome."""
+    """The guide table of a 1-D CDF from ``_cdf``, with 4 buckets per outcome."""
     edges = cum[np.diff(cum, prepend=-1.0) > 0]  # sorted: distinct where above the previous
-    buckets = 4 * cum.size  # cum has 2**n entries, so a power of two
+    buckets = 4 * cum.size  # cum has 2**k entries, so a power of two
     bounds = np.arange(buckets + 1) / buckets
     at_or_below = np.searchsorted(edges, bounds, side="right")
     inside = np.searchsorted(edges, bounds[1:], side="left") - at_or_below[:-1]
@@ -295,10 +316,6 @@ def _guide_table(cum: np.ndarray) -> _GuideTable:
         int(inside.max()),
         mark_readonly(counts),
     )
-
-
-def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    return int(np.searchsorted(_cdf(probs), rng.random(), side="right"))
 
 
 def measure_qubits(
@@ -333,12 +350,8 @@ def measure_qubits(
     if other_axes:
         marginal = marginal.sum(axis=other_axes)
     flat = marginal.reshape(-1)
-    flat = flat / flat.sum()
-    drawn = _sample_index(flat, rng)
-    outcome_by_axis = {
-        a: (drawn >> (len(sorted_axes) - 1 - i)) & 1
-        for i, a in enumerate(sorted_axes)
-    }
+    drawn = int(_draw_rows(_cdf(flat / flat.sum()), np.asarray(rng.random())))
+    outcome_by_axis = dict(zip(sorted_axes, outcome_bits(len(sorted_axes))[drawn].tolist()))
 
     # project onto the drawn outcome and renormalize
     slicer: list[object] = [slice(None)] * n

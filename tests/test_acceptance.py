@@ -341,7 +341,7 @@ def test_criterion_10_distribute_and_test(acceptance_report):
             direction_policy=DirectionPolicy.RANDOM,
         )
         half_up_failures += outcome.status is DistributeStatus.FAILURE
-        first_round_passes += outcome.test_records[0].passed
+        first_round_passes += outcome.test_records.passed[0]
 
     # sphere average of the per-round pass probability for |0011>:
     # p(u) = c^8 + 4 c^4 s^4 + s^8 with c^2 = (1+u)/2, s^2 = (1-u)/2

@@ -12,16 +12,18 @@ from liarsim.distribute_test import (
     DistributeStatus,
     DistributionPlan,
     TestRounds,
+    _SINGLET_CUM,
     _SINGLET_TABLE,
     _dense_distribute_and_test,
     _play_rounds,
     _rotated_probabilities,
+    _round_law,
     choose_direction,
     make_verified_pool,
     run_distribute_and_test,
 )
 from liarsim.oracle import Assignment
-from liarsim.qstate import COMPUTATIONAL, make_singlet
+from liarsim.qstate import COMPUTATIONAL, _draw_rows, make_singlet
 from liarsim.runner import resolve_sizes
 
 
@@ -82,7 +84,7 @@ class TestHonestRun:
         assert outcome.status is DistributeStatus.SUCCESS
         assert outcome.failure is None
         assert len(outcome.test_records) == 32
-        assert all(record.passed for record in outcome.test_records)
+        assert outcome.test_records.passed.all()
         assert len(outcome.pool) == 32
 
     def test_pool_systems_untouched(self):
@@ -112,7 +114,7 @@ class TestHonestRun:
     def test_tested_and_pool_ids_partition_the_batch(self):
         plan = DistributionPlan.default(40)
         outcome = run_distribute_and_test(plan, rng=rng(7))
-        tested = {record.system_id for record in outcome.test_records}
+        tested = set(outcome.test_records.system_ids.tolist())
         pool = set(outcome.pool.system_ids.tolist())
         assert len(tested) == plan.N1 + plan.N2
         assert tested.isdisjoint(pool)
@@ -120,7 +122,7 @@ class TestHonestRun:
 
     def test_both_subsets_exercised(self):
         outcome = run_distribute_and_test(DistributionPlan.default(16), rng=rng(9))
-        subsets = {record.subset for record in outcome.test_records}
+        subsets = set(outcome.test_records.subsets.tolist())
         assert subsets == {1, 2}
 
     def test_subsets_drawn_after_distribution(self):
@@ -171,7 +173,7 @@ class TestCorruptedSource:
         assert outcome.failure.step == "vii"
         # the very first tested system already shows four equal bits
         assert len(outcome.test_records) == 1
-        assert not outcome.test_records[0].passed
+        assert not outcome.test_records.passed[0]
 
     def test_all_zero_source_fails_with_random_directions(self):
         for seed in range(10):
@@ -254,7 +256,9 @@ class TestRoundRecord:
     def test_rounds_are_read_only_and_passed_is_derived(self):
         rounds = TestRounds([4, 9], [1, 2], [0.0, 1.0], [0.0, 2.0], [[0, 1, 1, 0], [0, 0, 0, 1]])
         np.testing.assert_array_equal(rounds.passed, [True, False])
-        assert rounds[1] == (9, 2, 1.0, 2.0, (0, 0, 0, 1), False)
+        row = (rounds.system_ids[1], rounds.subsets[1], rounds.theta[1], rounds.phi[1])
+        assert row == (9, 2, 1.0, 2.0)
+        assert rounds.bits[1].tolist() == [0, 0, 0, 1] and not rounds.passed[1]
         with pytest.raises(ValueError):
             rounds.bits[0, 0] = 1
         with pytest.raises(ValueError):
@@ -333,13 +337,16 @@ class TestSingletTable:
             u = stream.random((10_000, 2))
             theta, phi = np.arccos(-1.0 + 2.0 * u[:, 0]), 2.0 * np.pi * u[:, 1]
             rotated = _rotated_probabilities(make_singlet(4), theta, phi)
-            worst = max(worst, np.abs(rotated - _SINGLET_TABLE.probs).max())
+            exact = make_singlet(4).probabilities().reshape(8, 2)
+            worst = max(worst, np.abs(rotated - exact).max())
         assert worst < 1e-14
 
     def test_zero_probability_rows_are_unreachable(self):
         # rows 000 and 111: no uniform in [0, 1) lands between equal edges
-        assert _SINGLET_TABLE.cum[0] == 0.0
-        assert _SINGLET_TABLE.cum[6] == _SINGLET_TABLE.cum[7] == 1.0
+        assert _SINGLET_CUM[0] == 0.0
+        assert _SINGLET_CUM[6] == _SINGLET_CUM[7] == 1.0
+        extremes = np.array([0.0, np.nextafter(1.0, 0.0)])
+        np.testing.assert_array_equal(_SINGLET_TABLE.draw(extremes), [1, 6])  # 001 and 110
 
     @pytest.mark.parametrize("policy", list(DirectionPolicy))
     @pytest.mark.parametrize(
@@ -348,10 +355,30 @@ class TestSingletTable:
     def test_extreme_uniforms_give_balanced_bits(self, policy, u, expected):
         for sent in (1, 2):
             lost, _, _, bits = _play_rounds(
-                make_singlet(4), _SINGLET_TABLE, sent, 0.0, policy, _ConstantUniforms(u), 5
+                make_singlet(4), True, sent, 0.0, policy, _ConstantUniforms(u), 5
             )
             assert not lost.any()
             np.testing.assert_array_equal(bits, [expected] * 5)
+
+    @pytest.mark.parametrize("state", ["0011", "0110"])
+    def test_product_round_draw_is_exact(self, state):
+        # each round's own law, drawn at u = 0, just below 1, every edge and
+        # its float neighbours, equals searchsorted on that round's CDF
+        u = rng(41).random((50, 2))
+        theta, phi = np.arccos(-1.0 + 2.0 * u[:, 0]), 2.0 * np.pi * u[:, 1]
+        probs = _rotated_probabilities(FaultModel(source_state=state).prepare_state(), theta, phi)
+        cum, c_zero = _round_law(probs)
+        assert np.all(np.diff(cum, axis=1) >= 0) and np.all(cum[:, -1] == 1.0)
+        np.testing.assert_array_equal(c_zero, probs[..., 0] / probs.sum(axis=2))
+        rows, x = [], []
+        for i, row in enumerate(cum):
+            edges = np.concatenate((row, np.nextafter(row, 0.0), np.nextafter(row, 2.0)))
+            edges = edges[(edges >= 0) & (edges < 1)]
+            x.append(np.concatenate(([0.0, np.nextafter(1.0, 0.0)], edges)))
+            rows.append(np.full(x[-1].size, i))
+        rows, x = np.concatenate(rows), np.concatenate(x)
+        expected = [np.searchsorted(cum[i], v, side="right") for i, v in zip(rows, x)]
+        np.testing.assert_array_equal(_draw_rows(cum[rows], x), expected)
 
     def test_only_product_sources_rotate(self, monkeypatch):
         calls = []

@@ -99,6 +99,10 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(2, np.array([1.0, 0.0]))
 
+    def test_rejects_nan_amplitudes(self):
+        with pytest.raises(ValueError):
+            StateVector(1, [np.nan, 0.0])
+
     def test_amplitudes_are_read_only(self):
         state = make_singlet(2)
         with pytest.raises(ValueError):
@@ -109,6 +113,10 @@ class TestUnitaries:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             SingleQubitUnitary(np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(ValueError):
+            SingleQubitUnitary(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     # a product state, which a common rotation does change (a singlet would not)
     def test_identity_leaves_state_alone(self):
@@ -271,9 +279,11 @@ class TestSampling:
         cdf = state.computational_cdf
         assert make_singlet(4).computational_cdf is cdf
         assert not cdf.flags.writeable
-        # the sampler's rounding guard: no edge above 1.0, the last one exactly 1.0
-        expected = np.minimum(np.cumsum(joint_distribution(state, COMPUTATIONAL)), 1.0)
-        expected[-1] = 1.0
+        # the sampler's rounding guard: no edge above 1.0, and every edge from
+        # the last nonzero probability on exactly 1.0
+        probs = joint_distribution(state, COMPUTATIONAL)
+        expected = np.minimum(np.cumsum(probs), 1.0)
+        expected[np.flatnonzero(probs)[-1]:] = 1.0
         np.testing.assert_array_equal(cdf, expected)
 
     def test_rejects_nonpositive_shots(self):
@@ -282,12 +292,16 @@ class TestSampling:
 
 
 class _FixedUniforms:
-    """Stands in for a generator whose next ``random(shots)`` is ``u``."""
+    """Stands in for a generator whose next ``random(shots)`` is ``u``; a
+    one-entry ``u`` also serves one scalar ``random()``."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.float64)
 
-    def random(self, shots):
+    def random(self, shots=None):
+        if shots is None:
+            (u,) = self.u
+            return float(u)
         assert shots == self.u.size
         return self.u
 
@@ -315,6 +329,13 @@ def _exact_cdf(state, direction):
     return qstate._cdf(joint_distribution(state, direction))
 
 
+def _edge_uniforms(cum):
+    """u = 0, the largest u below 1, and every edge of ``cum`` and its float
+    neighbours that lies in [0, 1)."""
+    edges = np.concatenate((cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)))
+    return np.concatenate(([0.0, np.nextafter(1.0, 0.0)], edges[(edges >= 0) & (edges < 1)]))
+
+
 class TestGuideTableSampler:
     @pytest.mark.parametrize("label, state, direction", SAMPLER_STATES,
                              ids=[case[0] for case in SAMPLER_STATES])
@@ -327,9 +348,7 @@ class TestGuideTableSampler:
                              ids=[case[0] for case in SAMPLER_STATES])
     def test_draw_equals_searchsorted(self, label, state, direction):
         cum = _exact_cdf(state, direction)
-        edges = np.concatenate((cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)))
-        u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], edges[(edges >= 0) & (edges < 1)]))
-        u = np.concatenate((u, rng(7).random(100_000)))
+        u = np.concatenate((_edge_uniforms(cum), rng(7).random(100_000)))
         drawn = sample_outcomes(state, direction, u.size, _FixedUniforms(u))
         assert drawn.dtype == np.int64
         np.testing.assert_array_equal(drawn, np.searchsorted(cum, u, side="right"))
@@ -355,6 +374,64 @@ class TestGuideTableSampler:
         assert state.computational_table is state.computational_table
         sample_outcomes(state, MeasurementDirection(0.3, 0.2), 10, rng(0))
         assert len(built) == 2  # other directions build theirs per call
+
+
+PRODUCT_STATES = [case for case in SAMPLER_STATES if not case[0].startswith(("singlet", "random"))]
+
+
+class TestRowDraw:
+    """The draw for laws that change per uniform, on product-source laws."""
+
+    @pytest.mark.parametrize("label, state, direction", PRODUCT_STATES,
+                             ids=[case[0] for case in PRODUCT_STATES])
+    def test_draw_equals_searchsorted(self, label, state, direction):
+        cum = _exact_cdf(state, direction)
+        u = _edge_uniforms(cum)
+        drawn = qstate._draw_rows(np.broadcast_to(cum, (u.size, cum.size)), u)
+        np.testing.assert_array_equal(drawn, np.searchsorted(cum, u, side="right"))
+
+    def test_cdf_of_stacked_laws_is_each_law_cdf(self):
+        probs = np.array([joint_distribution(state, d) for _, state, d in PRODUCT_STATES])
+        for row, one in zip(qstate._cdf(probs), probs):
+            np.testing.assert_array_equal(row, qstate._cdf(one))
+
+    def test_zero_probability_tail_is_unreachable(self):
+        # the last nonzero edge is 1.0 however the sum rounds: zeros follow
+        # it in both rows, and the first row sums to just under 1
+        cum = qstate._cdf(np.array([[0.3, 0.7 - 2**-40, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
+        np.testing.assert_array_equal(cum, [[0.3, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]])
+        top = np.full(2, np.nextafter(1.0, 0.0))
+        np.testing.assert_array_equal(qstate._draw_rows(cum, top), [1, 1])
+
+
+class TestSingletTailRegression:
+    """At u just below 1 a singlet still gives two 0s and two 1s: the last
+    nonzero edge of its CDF is exactly 1.0, whatever the sum rounds to."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_sample_outcomes_stays_balanced(self, n):
+        top = _FixedUniforms([np.nextafter(1.0, 0.0)])
+        (index,) = sample_outcomes(make_singlet(n), COMPUTATIONAL, 1, top)
+        assert make_singlet(n).bitstring(index).count("1") == n // 2
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_measure_qubits_stays_balanced_and_finite(self, n):
+        top = _FixedUniforms([np.nextafter(1.0, 0.0)])
+        targets = list(range(1, n + 1))
+        bits, collapsed = measure_qubits(make_singlet(n), targets, COMPUTATIONAL, top)
+        assert sum(bits) == n // 2
+        assert np.isfinite(collapsed.amplitudes).all()
+
+
+class TestOutcomeBits:
+    @pytest.mark.parametrize("n", [1, 3, 4, 10])
+    def test_rows_spell_the_index_qubit_1_first(self, n):
+        table = qstate.outcome_bits(n)
+        assert table.shape == (2**n, n) and table.dtype == np.int8
+        assert not table.flags.writeable
+        for index in (0, 1, 2**n - 2, 2**n - 1, 2 ** (n - 1)):
+            assert "".join(map(str, table[index])) == format(index, f"0{n}b")
+        assert qstate.outcome_bits(n) is table
 
 
 class TestMeasurementDirection:

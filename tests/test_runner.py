@@ -1,9 +1,12 @@
 import hashlib
 import json
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from liarsim import runner
 from liarsim.cli import main as cli_main
@@ -150,6 +153,32 @@ class TestRunSingleTrial:
         record = run_single_trial(config, 0)
         assert record.distribute_status == "FAILURE"
         assert record.failure_step == "ii"
+
+
+def too_short_tail(L: int, min_fraction: float = 0.5) -> float:
+    """Exact P(Bin(L, 5/24) < ceil(min_fraction * 5L/24)).
+
+    An honest claim lists every double (m, m), K ~ Bin(L, 5/24) positions,
+    and B rejects it TOO_SHORT exactly when K < min_fraction * 5L/24.
+    """
+    p = Fraction(5, 24)
+    required = math.ceil(min_fraction * 5 * L / 24)
+    return float(sum(math.comb(L, k) * p**k * (1 - p) ** (L - k) for k in range(required)))
+
+
+class TestExactFiniteTail:
+    # 0.001 for the whole family of two checks, split between them
+    ALPHA = 0.001 / 2
+
+    @pytest.mark.parametrize("L", [16, 64])
+    def test_honest_false_rejection_matches_exact_tail(self, L):
+        config = TrialConfig.build(L=L, seed=7, trials=4000)
+        rejected = sum(
+            run_single_trial(config, i).evidence_check == "step_iii_too_short"
+            for i in range(config.trials)
+        )
+        exact = too_short_tail(L)
+        assert scipy_stats.binomtest(rejected, config.trials, exact).pvalue >= self.ALPHA
 
 
 class TestAggregate:
