@@ -9,8 +9,6 @@ model, qubit custody), ``distribute_test`` (distribute-and-test phase),
 """
 
 from .adversary import (
-    ActionA,
-    ActionB,
     StrategyA,
     StrategyB,
     parse_strategy_A,
@@ -20,14 +18,12 @@ from .adversary import (
 )
 from .channels import (
     NO_FAULTS,
-    ClassicalEnvelope,
     FaultModel,
     PartyId,
     ProtocolViolationError,
 )
 from .distribute_test import (
     DirectionPolicy,
-    DistributeOutcome,
     DistributeStatus,
     DistributionPlan,
     VerifiedPool,
@@ -36,15 +32,12 @@ from .distribute_test import (
 )
 from .liar_protocol import (
     EXPECTED_DOUBLE_FRACTION,
-    AcceptanceResult,
     FullList,
     MessageWithList,
     PartyLists,
-    ProtocolResult,
     Reject,
     RejectReason,
     Thresholds,
-    Verdict,
     VerdictValue,
     b_accepts,
     c_adjudicate,
@@ -54,7 +47,6 @@ from .liar_protocol import (
 from .oracle import (
     Assignment,
     EscapeProbabilities,
-    RoundDistribution,
     escape_probabilities,
     rejection_lower_bound,
     round_distribution,
@@ -86,8 +78,6 @@ from .runner import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionA",
-    "ActionB",
     "StrategyA",
     "StrategyB",
     "parse_strategy_A",
@@ -95,27 +85,22 @@ __all__ = [
     "strategy_A_act",
     "strategy_B_act",
     "NO_FAULTS",
-    "ClassicalEnvelope",
     "FaultModel",
     "PartyId",
     "ProtocolViolationError",
     "DirectionPolicy",
-    "DistributeOutcome",
     "DistributeStatus",
     "DistributionPlan",
     "VerifiedPool",
     "make_verified_pool",
     "run_distribute_and_test",
     "EXPECTED_DOUBLE_FRACTION",
-    "AcceptanceResult",
     "FullList",
     "MessageWithList",
     "PartyLists",
-    "ProtocolResult",
     "Reject",
     "RejectReason",
     "Thresholds",
-    "Verdict",
     "VerdictValue",
     "b_accepts",
     "c_adjudicate",
@@ -123,7 +108,6 @@ __all__ = [
     "run_liar_protocol",
     "Assignment",
     "EscapeProbabilities",
-    "RoundDistribution",
     "escape_probabilities",
     "rejection_lower_bound",
     "round_distribution",

@@ -34,7 +34,7 @@ class BKind(enum.Enum):
 class StrategyA:
     """A's behavior: honest, split messages, or forge the full list.
 
-    ``message`` fixes the bit A wants to deliver; None draws it per run.
+    A draws the bit she wants to deliver first in every run.
     SPLIT_MESSAGE sends B the opposite of what it sends C, padding B's
     position list with ``fabrication_count`` fabricated entries.
     FORGED_FULL_LIST keeps the messages honest but rewrites
@@ -45,29 +45,26 @@ class StrategyA:
     kind: AKind = AKind.HONEST
     fabrication_count: int = 0
     altered_count: int = 0
-    message: int | None = None
 
     def __post_init__(self) -> None:
         if self.fabrication_count < 0 or self.altered_count < 0:
             raise ValueError("counts must be nonnegative")
-        if self.message not in (None, 0, 1):
-            raise ValueError(f"message must be 0, 1 or None, got {self.message!r}")
 
     @property
     def is_honest(self) -> bool:
         return self.kind is AKind.HONEST
 
     @classmethod
-    def honest(cls, message: int | None = None) -> "StrategyA":
-        return cls(AKind.HONEST, message=message)
+    def honest(cls) -> "StrategyA":
+        return cls(AKind.HONEST)
 
     @classmethod
-    def split_message(cls, n: int, message: int | None = None) -> "StrategyA":
-        return cls(AKind.SPLIT_MESSAGE, fabrication_count=n, message=message)
+    def split_message(cls, n: int) -> "StrategyA":
+        return cls(AKind.SPLIT_MESSAGE, fabrication_count=n)
 
     @classmethod
-    def forged_full_list(cls, k: int, message: int | None = None) -> "StrategyA":
-        return cls(AKind.FORGED_FULL_LIST, altered_count=k, message=message)
+    def forged_full_list(cls, k: int) -> "StrategyA":
+        return cls(AKind.FORGED_FULL_LIST, altered_count=k)
 
 
 @dataclass(frozen=True)
@@ -132,12 +129,6 @@ class ActionB(ArrayRecord):
             object.__setattr__(self, name, readonly_array(getattr(self, name), np.int64))
 
 
-def _resolve_message(strategy: StrategyA, rng: np.random.Generator) -> int:
-    if strategy.message is not None:
-        return strategy.message
-    return int(rng.integers(0, 2))
-
-
 def _draw_sorted(
     candidates: np.ndarray, count: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -145,17 +136,17 @@ def _draw_sorted(
 
 
 def strategy_A_act(
-    strategy: StrategyA, l_A, rng: np.random.Generator
+    strategy: StrategyA, l_A: np.ndarray, rng: np.random.Generator
 ) -> ActionA:
     """Produce A's two outgoing transmissions from her private list.
 
-    Reads nothing but A's own list (``l_A`` or its ``a_ones``) and the
-    strategy parameters. When a cheating strategy asks for more
-    fabrications than there are mixed positions, the count is capped
-    and flagged.
+    Reads nothing but A's own list ``l_A`` (her pairs' counts of 1s) and
+    the strategy parameters. Her first draw is the message bit m. When a
+    cheating strategy asks for more fabrications than there are mixed
+    positions, the count is capped and flagged.
     """
-    arr = np.asarray(getattr(l_A, "a_ones", l_A))
-    m = _resolve_message(strategy, rng)
+    arr = np.asarray(l_A)
+    m = int(rng.integers(0, 2))
     honest_positions = mark_readonly(np.flatnonzero(arr == 2 * m) + 1)
 
     if strategy.kind is AKind.HONEST:
@@ -195,12 +186,12 @@ def strategy_A_act(
 def strategy_B_act(
     strategy: StrategyB,
     received: tuple[int, np.ndarray],
-    l_B,
+    l_B: np.ndarray,
     rng: np.random.Generator,
 ) -> ActionB:
     """Produce B's transmission to C from what he received and his list."""
     m_AB, positions = received
-    bits = np.asarray(getattr(l_B, "b_bits", l_B))
+    bits = np.asarray(l_B)
 
     if strategy.kind is BKind.HONEST:
         return ActionB(m_AB, positions)

@@ -137,11 +137,9 @@ def _amplitude_table() -> list[str]:
 
 
 def _holds_description(assignment: Assignment | None) -> str:
-    if assignment is Assignment.A_HOLDS_12:
-        return "j1,j2"
-    if assignment is Assignment.A_HOLDS_13:
-        return "j1,j3"
-    return "either pair (equal mixture)"
+    if assignment is None:
+        return "either pair (equal mixture)"
+    return ",".join(f"j{slot}" for slot in assignment.a_slots)
 
 
 def _distribution_lines(assignment: Assignment | None) -> list[str]:

@@ -25,7 +25,6 @@ import numpy as np
 from .channels import (
     ArrayRecord,
     FaultModel,
-    NO_FAULTS,
     PartyId,
     ProtocolViolationError,
     QuantumSystem,
@@ -67,16 +66,14 @@ def choose_direction(
 class DistributionPlan:
     """Sizes for one distribute-and-test run: M = N1 + N2 + L.
 
-    ``assignments`` optionally pins which two slots A receives for each
-    system (1-based system order); when None, each system's assignment
-    is drawn uniformly at run time.
+    Which two slots A receives for each system is drawn uniformly at run
+    time, one ``integers(0, 2)`` code per system.
     """
 
     M: int
     N1: int
     N2: int
     L: int
-    assignments: tuple[Assignment, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.L < 1 or self.N1 < 1 or self.N2 < 1:
@@ -86,8 +83,6 @@ class DistributionPlan:
                 f"plan arithmetic violated: M={self.M} != "
                 f"N1+N2+L={self.N1 + self.N2 + self.L}"
             )
-        if self.assignments is not None and len(self.assignments) != self.M:
-            raise ValueError("assignments must list one Assignment per system")
 
     @classmethod
     def default(cls, M: int) -> "DistributionPlan":
@@ -189,15 +184,6 @@ def _failure(step: str, system_id: int, detail: str, rounds: TestRounds) -> Dist
     )
 
 
-def _draw_codes(
-    assignments: tuple[Assignment, ...] | None, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Assignment codes: pinned, or one uniform ``integers(0, 2)`` draw per system."""
-    if assignments is None:
-        return rng.integers(0, 2, size=size)
-    return np.array([tuple(Assignment).index(a) for a in assignments], dtype=np.int64)
-
-
 def _draw_subsets(
     plan: DistributionPlan, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -290,8 +276,8 @@ _NO_ROUNDS = (np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0), np.empty
 
 def run_distribute_and_test(
     plan: DistributionPlan,
-    fault: FaultModel = NO_FAULTS,
-    rng: np.random.Generator | None = None,
+    fault: FaultModel,
+    rng: np.random.Generator,
     direction_policy: DirectionPolicy = DirectionPolicy.RANDOM,
 ) -> DistributeOutcome:
     """Run the full distribute-and-test protocol for one batch of M systems.
@@ -303,9 +289,7 @@ def run_distribute_and_test(
     successful run leaves ``rng`` exactly where that one does. An aborted
     run may read further, up to the end of the block it aborted in.
     """
-    if rng is None:
-        rng = np.random.default_rng()
-    codes = _draw_codes(plan.assignments, plan.M, rng)
+    codes = rng.integers(0, 2, size=plan.M)
     source = fault.prepare_state()
     singlet = fault.source_state == "singlet"
     p_loss = fault.qubit_loss_prob
@@ -346,8 +330,8 @@ def run_distribute_and_test(
 
 def _dense_distribute_and_test(
     plan: DistributionPlan,
-    fault: FaultModel = NO_FAULTS,
-    rng: np.random.Generator | None = None,
+    fault: FaultModel,
+    rng: np.random.Generator,
     direction_policy: DirectionPolicy = DirectionPolicy.RANDOM,
 ) -> DistributeOutcome:
     """Step-by-step reference for ``run_distribute_and_test``: the exact oracle.
@@ -357,11 +341,9 @@ def _dense_distribute_and_test(
     ``ProtocolViolationError`` if testing touched a pool system. No
     option selects it; tests compare the closed form against it.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     registry = QubitRegistry()
     systems: dict[int, QuantumSystem] = {}
-    codes = _draw_codes(plan.assignments, plan.M, rng)
+    codes = rng.integers(0, 2, size=plan.M)
     source = fault.prepare_state()
 
     # (i)-(ii): prepare, distribute, and immediately verify receipt counts.
@@ -417,21 +399,16 @@ def _dense_distribute_and_test(
     return DistributeOutcome(DistributeStatus.SUCCESS, pool, None, _test_rounds(played))
 
 
-def make_verified_pool(
-    L: int,
-    rng: np.random.Generator,
-    assignments: tuple[Assignment, ...] | None = None,
-) -> VerifiedPool:
+def make_verified_pool(L: int, rng: np.random.Generator) -> VerifiedPool:
     """Build a verified pool directly, skipping the testing phase.
 
     Equivalent to the pool returned by a SUCCESS run with an honest
     source and no faults: pool systems are never touched during testing,
-    so their state is exactly the freshly prepared one. Intended for
-    experiments that study only the messaging protocol.
+    so their state is exactly the freshly prepared one. Each system's
+    assignment code is one ``integers(0, 2)`` draw, as in a full run.
+    Intended for experiments that study only the messaging protocol.
     """
     if L < 1:
         raise ValueError(f"pool size must be positive, got {L}")
-    if assignments is not None and len(assignments) != L:
-        raise ValueError("assignments must list one Assignment per system")
     ids = mark_readonly(np.arange(1, L + 1))
-    return VerifiedPool(ids, _draw_codes(assignments, L, rng), make_singlet(4))
+    return VerifiedPool(ids, rng.integers(0, 2, size=L), make_singlet(4))

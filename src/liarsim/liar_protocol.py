@@ -69,26 +69,6 @@ class PartyLists(ArrayRecord):
     def length(self) -> int:
         return len(self.a_ones)
 
-    @classmethod
-    def from_table(
-        cls,
-        a_pairs: Sequence[str],
-        b_bits: Sequence[int] | str,
-        c_bits: Sequence[int] | str,
-    ) -> "PartyLists":
-        """Build lists from human-readable rows like ("00", "01", ...)."""
-        ones = []
-        for pair in a_pairs:
-            if sorted(pair) not in (["0", "0"], ["0", "1"], ["1", "1"]):
-                raise ValueError(f"invalid pair {pair!r}")
-            ones.append(pair.count("1"))
-        to_bits = lambda seq: [int(b) for b in seq]
-        return cls(
-            np.array(ones, dtype=np.int8),
-            np.array(to_bits(b_bits), dtype=np.int8),
-            np.array(to_bits(c_bits), dtype=np.int8),
-        )
-
 
 def generate_lists(pool: VerifiedPool, rng: np.random.Generator) -> PartyLists:
     """Measure every pool system along the computational basis, one draw each.
@@ -113,11 +93,12 @@ _MAX_POSITION = np.iinfo(np.int64).max  # no list is longer
 
 def _integer_prefix(values) -> tuple[np.ndarray, bool]:
     """The leading run of integer entries (bools are not integers here), and
-    whether it is all of ``values``. A non-integer array has no such run."""
+    whether it is all of ``values``. A non-integer array has no such run,
+    and an array that is not 1-D is never all of it, even when empty."""
     if isinstance(values, np.ndarray):
         if values.ndim == 1 and values.dtype.kind in "iu":
             return values, True
-        return np.empty(0, np.int64), values.size == 0
+        return np.empty(0, np.int64), values.ndim == 1 and values.size == 0
     try:
         items = list(values)
     except TypeError:
@@ -365,7 +346,10 @@ def c_adjudicate(
     l_C = np.asarray(l_C)
     length = len(l_C)
 
-    claimed_length = len(l_AC) if hasattr(l_AC, "__len__") else None
+    try:
+        claimed_length = len(l_AC)
+    except TypeError:  # no length: an int, None, or a 0-d array
+        claimed_length = None
     if claimed_length != length:
         return Verdict(
             VerdictValue.A_IS_LIAR,
@@ -442,7 +426,8 @@ def run_liar_protocol(
     strategy_A,
     strategy_B,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> ProtocolResult:
     """Run steps (II)-(VI) and return the verdict with the message transcript.
 
@@ -452,9 +437,6 @@ def run_liar_protocol(
     honest B rejects at step (III), he sends C his rejection with A's
     claim as evidence, and C reports the rejection.
     """
-    if rng is None:
-        rng = np.random.default_rng()
-
     a_action = adversary.strategy_A_act(strategy_A, lists.a_ones, rng)
     to_b = MessageWithList(a_action.m_AB, a_action.positions_for_B)
     b_acceptance = None

@@ -43,7 +43,7 @@ class Assignment(enum.Enum):
 
     @property
     def label(self) -> str:
-        return {"A_HOLDS_12": "A_holds_12", "A_HOLDS_13": "A_holds_13"}[self.name]
+        return "A_holds_" + "".join(map(str, self.a_slots))
 
 
 @dataclass(frozen=True)
@@ -66,23 +66,11 @@ class RoundDistribution:
             if p > PROB_ATOL and pair[0] + pair[1] + b + c != 2:
                 raise ValueError(f"unbalanced support element {(pair, b, c)}")
 
-    def probability(self, pair: PairOutcome, b_bit: int, c_bit: int) -> float:
-        key = (tuple(sorted(pair)), b_bit, c_bit)
-        return self.table.get(key, 0.0)
-
     def pair_marginal(self) -> dict[PairOutcome, float]:
         out: dict[PairOutcome, float] = {}
         for (pair, _, _), p in self.table.items():
             out[pair] = out.get(pair, 0.0) + p
         return out
-
-    def p_double(self, m: int) -> float:
-        """Probability that A's pair reads (m, m)."""
-        return self.pair_marginal().get((m, m), 0.0)
-
-    def p_mixed(self) -> float:
-        """Probability that A's pair reads one 0 and one 1."""
-        return self.pair_marginal().get((0, 1), 0.0)
 
 
 def _enumerate(assignment: Assignment) -> dict[RoundOutcome, float]:
@@ -97,27 +85,20 @@ def _enumerate(assignment: Assignment) -> dict[RoundOutcome, float]:
     return table
 
 
-def round_distribution(
-    assignment: Assignment | None = None, a12_weight: float = 0.5
-) -> RoundDistribution:
+def round_distribution(assignment: Assignment | None = None) -> RoundDistribution:
     """Exact outcome distribution for one list-generation round.
 
-    With ``assignment=None`` the two assignments are mixed with weight
-    ``a12_weight`` on A_HOLDS_12 (A never learns which case occurred,
-    so the mixture is what her statistics look like).
+    With ``assignment=None`` the two assignments are mixed half and half,
+    as C assigns them (A never learns which case occurred, so the
+    mixture is what her statistics look like).
     """
     if assignment is not None:
         return RoundDistribution(assignment.label, _enumerate(assignment))
-    if not 0.0 <= a12_weight <= 1.0:
-        raise ValueError(f"a12_weight must lie in [0, 1], got {a12_weight!r}")
     table: dict[RoundOutcome, float] = {}
-    for member, weight in (
-        (Assignment.A_HOLDS_12, a12_weight),
-        (Assignment.A_HOLDS_13, 1.0 - a12_weight),
-    ):
+    for member in Assignment:
         for key, p in _enumerate(member).items():
-            table[key] = table.get(key, 0.0) + weight * p
-    return RoundDistribution(f"mixture(a12_weight={a12_weight})", table)
+            table[key] = table.get(key, 0.0) + 0.5 * p
+    return RoundDistribution("mixture(a12_weight=0.5)", table)
 
 
 @dataclass(frozen=True)
@@ -142,27 +123,27 @@ class EscapeProbabilities:
     expected_double_fraction: float
 
 
-def escape_probabilities(a12_weight: float = 0.5) -> EscapeProbabilities:
+def escape_probabilities() -> EscapeProbabilities:
     """Compute all per-entry escape rates by exact enumeration.
 
     Values are symmetric in the message bit m (the tables are invariant
     under flipping every outcome), so each rate is quoted once.
     """
-    mixture = round_distribution(None, a12_weight).table
+    mixture = round_distribution().table
 
     def total(predicate) -> float:
         return sum(p for key, p in mixture.items() if predicate(*key))
 
     m = 0
-    p_mixed_and_b_ok = total(lambda pair, b, c: pair == (0, 1) and b == 1 - m)
-    p_mixed = total(lambda pair, b, c: pair == (0, 1))
-    p_double_and_b_ok = total(lambda pair, b, c: pair == (m, m) and b == 1 - m)
-    p_b_ok = total(lambda pair, b, c: b == 1 - m)
-    p_mixed_and_c_ok = total(lambda pair, b, c: pair == (0, 1) and c == 1 - m)
+    mixed_and_b_ok = total(lambda pair, b, c: pair == (0, 1) and b == 1 - m)
+    mixed = total(lambda pair, b, c: pair == (0, 1))
+    double_and_b_ok = total(lambda pair, b, c: pair == (m, m) and b == 1 - m)
+    b_ok = total(lambda pair, b, c: b == 1 - m)
+    mixed_and_c_ok = total(lambda pair, b, c: pair == (0, 1) and c == 1 - m)
     return EscapeProbabilities(
-        p_fake_entry_passes_B=p_mixed_and_b_ok / p_mixed,
-        p_fake_entry_passes_C_vs_lA=p_double_and_b_ok / p_b_ok,
-        p_fake_double_passes_C=p_mixed_and_c_ok / p_mixed,
+        p_fake_entry_passes_B=mixed_and_b_ok / mixed,
+        p_fake_entry_passes_C_vs_lA=double_and_b_ok / b_ok,
+        p_fake_double_passes_C=mixed_and_c_ok / mixed,
         expected_double_fraction=total(lambda pair, b, c: pair == (m, m)),
     )
 

@@ -117,14 +117,6 @@ class SingleQubitUnitary:
             raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {dev!r}")
         object.__setattr__(self, "matrix", readonly_array(m, np.complex128))
 
-    @classmethod
-    def identity(cls) -> "SingleQubitUnitary":
-        return cls(np.eye(2))
-
-    @classmethod
-    def bit_flip(cls) -> "SingleQubitUnitary":
-        return cls(np.array([[0.0, 1.0], [1.0, 0.0]]))
-
     def dagger(self) -> "SingleQubitUnitary":
         return SingleQubitUnitary(self.matrix.conj().T)
 

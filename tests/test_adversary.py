@@ -18,13 +18,22 @@ from liarsim.liar_protocol import (
     generate_lists,
 )
 
-WORKED_A = ("00", "01", "00", "11", "11", "00", "01", "11")
-WORKED_B = "10100100"
-WORKED_C = "11100110"
+# A's pairs 00 01 00 11 11 00 01 11, as counts of 1s
+WORKED_A = np.array([0, 1, 0, 2, 2, 0, 1, 2])
+WORKED_B = np.array([1, 0, 1, 0, 0, 1, 0, 0])
+WORKED_C = np.array([1, 1, 1, 0, 0, 1, 1, 0])
 
 
 def worked_lists():
-    return PartyLists.from_table(WORKED_A, WORKED_B, WORKED_C)
+    return PartyLists(WORKED_A, WORKED_B, WORKED_C)
+
+
+def worked_a():
+    return worked_lists().a_ones
+
+
+def worked_b():
+    return worked_lists().b_bits
 
 
 def rng(seed=0):
@@ -50,14 +59,12 @@ class TestStrategyConstruction:
         with pytest.raises(ValueError):
             StrategyA.split_message(-1)
         with pytest.raises(ValueError):
-            StrategyA.honest(message=2)
-        with pytest.raises(ValueError):
             StrategyB.flip_and_forge(-4)
 
 
 class TestHonestA:
     def test_worked_table(self):
-        action = strategy_A_act(StrategyA.honest(message=0), worked_lists(), rng())
+        action = strategy_A_act(StrategyA.honest(), worked_a(), rng(1))
         assert action.m_AB == 0 and action.m_AC == 0
         assert action.positions_for_B.tolist() == [1, 3, 6]
         assert action.l_AC.tolist() == [0, 1, 0, 2, 2, 0, 1, 2]
@@ -66,24 +73,30 @@ class TestHonestA:
         assert not action.capped
 
     def test_opposite_message(self):
-        action = strategy_A_act(StrategyA.honest(message=1), worked_lists(), rng())
+        action = strategy_A_act(StrategyA.honest(), worked_a(), rng(0))
+        assert action.m_AB == 1
         assert action.positions_for_B.tolist() == [4, 5, 8]
 
     def test_unset_message_drawn_from_stream(self):
-        bits = {strategy_A_act(StrategyA.honest(), worked_lists(), rng(s)).m_AB for s in range(8)}
+        bits = set()
+        for s in range(8):
+            action = strategy_A_act(StrategyA.honest(), worked_a(), rng(s))
+            assert action.m_AB == int(rng(s).integers(0, 2))
+            bits.add(action.m_AB)
         assert bits == {0, 1}
 
 
 class TestSplitMessage:
     def test_messages_differ_and_list_is_forged(self):
-        action = strategy_A_act(StrategyA.split_message(1, message=0), worked_lists(), rng(1))
+        action = strategy_A_act(StrategyA.split_message(1), worked_a(), rng(1))
         assert action.m_AB == 0 and action.m_AC == 1
         # every mixed entry (2 and 7) is rewritten as a double of m_AC
         assert action.l_AC.tolist() == [0, 2, 0, 2, 2, 0, 2, 2]
         assert action.altered_positions.tolist() == [2, 7]
 
     def test_fabrications_come_from_mixed_positions(self):
-        action = strategy_A_act(StrategyA.split_message(2, message=0), worked_lists(), rng(2))
+        action = strategy_A_act(StrategyA.split_message(2), worked_a(), rng(6))
+        assert action.m_AB == 0
         assert set(action.fabricated_positions.tolist()) <= {2, 7}
         assert action.positions_for_B.tolist() == sorted(
             [1, 3, 6] + action.fabricated_positions.tolist()
@@ -91,12 +104,14 @@ class TestSplitMessage:
         assert not action.capped
 
     def test_fabrication_count_capped_at_mixed_supply(self):
-        action = strategy_A_act(StrategyA.split_message(5, message=0), worked_lists(), rng(3))
+        action = strategy_A_act(StrategyA.split_message(5), worked_a(), rng(9))
+        assert action.m_AB == 0
         assert action.fabricated_positions.tolist() == [2, 7]
         assert action.capped
 
     def test_zero_fabrications_sends_true_claim(self):
-        action = strategy_A_act(StrategyA.split_message(0, message=1), worked_lists(), rng(4))
+        action = strategy_A_act(StrategyA.split_message(0), worked_a(), rng(4))
+        assert action.m_AB == 1
         assert action.positions_for_B.tolist() == [4, 5, 8]
         assert action.fabricated_positions.tolist() == []
         assert not action.capped
@@ -104,17 +119,14 @@ class TestSplitMessage:
 
 class TestForgedFullList:
     def test_messages_stay_consistent(self):
-        action = strategy_A_act(
-            StrategyA.forged_full_list(1, message=0), worked_lists(), rng(5)
-        )
+        action = strategy_A_act(StrategyA.forged_full_list(1), worked_a(), rng(11))
         assert action.m_AB == action.m_AC == 0
         assert action.positions_for_B.tolist() == [1, 3, 6]
 
     def test_alterations_rewrite_chosen_mixed_entries(self):
         true_list = (0, 1, 0, 2, 2, 0, 1, 2)
-        action = strategy_A_act(
-            StrategyA.forged_full_list(1, message=0), worked_lists(), rng(6)
-        )
+        action = strategy_A_act(StrategyA.forged_full_list(1), worked_a(), rng(6))
+        assert action.m_AB == 0
         assert len(action.altered_positions) == 1
         j = action.altered_positions[0]
         assert j in (2, 7)
@@ -123,9 +135,8 @@ class TestForgedFullList:
         assert action.l_AC.tolist() == expected
 
     def test_cap_and_flag(self):
-        action = strategy_A_act(
-            StrategyA.forged_full_list(9, message=1), worked_lists(), rng(7)
-        )
+        action = strategy_A_act(StrategyA.forged_full_list(9), worked_a(), rng(7))
+        assert action.m_AB == 1
         assert action.altered_positions.tolist() == [2, 7]
         assert action.capped
         assert action.l_AC.tolist() == [0, 2, 0, 2, 2, 0, 2, 2]
@@ -133,7 +144,7 @@ class TestForgedFullList:
 
 class TestStrategyBAct:
     def test_honest_forwards_exactly_what_arrived(self):
-        action = strategy_B_act(StrategyB.honest(), (0, (1, 3, 6)), worked_lists(), rng())
+        action = strategy_B_act(StrategyB.honest(), (0, (1, 3, 6)), worked_b(), rng())
         assert action.m_BC == 0
         assert action.forwarded.tolist() == [1, 3, 6]
         assert action.fabricated_positions.tolist() == []
@@ -141,7 +152,7 @@ class TestStrategyBAct:
     def test_flip_and_forge_flips_and_uses_plausible_positions(self):
         # m_BC = 1, so B needs positions where his own bit is 0: {2, 4, 5, 7, 8}
         action = strategy_B_act(
-            StrategyB.flip_and_forge(3), (0, (1, 3, 6)), worked_lists(), rng(8)
+            StrategyB.flip_and_forge(3), (0, (1, 3, 6)), worked_b(), rng(8)
         )
         assert action.m_BC == 1
         assert len(action.forwarded) == 3
@@ -152,20 +163,20 @@ class TestStrategyBAct:
     def test_default_count_targets_expected_claim_length(self):
         lists = big_lists(9, length=4096)
         action = strategy_B_act(
-            StrategyB.flip_and_forge(), (1, (2, 3)), lists, rng(10)
+            StrategyB.flip_and_forge(), (1, (2, 3)), lists.b_bits, rng(10)
         )
         assert len(action.forwarded) == round(EXPECTED_DOUBLE_FRACTION * 4096)
 
     def test_zero_count_gives_empty_forward(self):
         action = strategy_B_act(
-            StrategyB.flip_and_forge(0), (0, (1, 3, 6)), worked_lists(), rng(11)
+            StrategyB.flip_and_forge(0), (0, (1, 3, 6)), worked_b(), rng(11)
         )
         assert action.forwarded.tolist() == []
         assert not action.capped
 
     def test_count_capped_at_plausible_supply(self):
         action = strategy_B_act(
-            StrategyB.flip_and_forge(40), (0, (1, 3, 6)), worked_lists(), rng(12)
+            StrategyB.flip_and_forge(40), (0, (1, 3, 6)), worked_b(), rng(12)
         )
         assert len(action.forwarded) == 5
         assert action.capped

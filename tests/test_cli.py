@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liarsim
 from liarsim import runner
 from liarsim.cli import (
     EXIT_IO,
@@ -38,6 +44,34 @@ class TestOracleDump:
         assert main(["oracle"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "P(fake entry passes B) = 1/2" in out
+
+    def test_dump_bytes_pinned(self):
+        digest = hashlib.sha256(oracle_dump().encode()).hexdigest()
+        assert digest == "c89b4d4763476495970f2e3d44672005f927be270b9a2c9f7aa1384bdf68b93f"
+
+
+class TestWithoutScipy:
+    """The package itself never needs scipy; only some tests do."""
+
+    @pytest.mark.parametrize(
+        "argv", [["oracle"], ["run", "--trials", "3", "--qubit-loss-prob", "0.001"]]
+    )
+    def test_cli_runs_with_scipy_blocked(self, argv):
+        src = str(Path(liarsim.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from liarsim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
 
 
 class TestConfigFile:

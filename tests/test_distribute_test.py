@@ -3,6 +3,7 @@ import pytest
 
 from liarsim import distribute_test
 from liarsim.channels import (
+    NO_FAULTS,
     FaultModel,
     ProtocolViolationError,
     QuantumSystem,
@@ -12,6 +13,7 @@ from liarsim.distribute_test import (
     DistributeStatus,
     DistributionPlan,
     TestRounds,
+    VerifiedPool,
     _SINGLET_CUM,
     _SINGLET_TABLE,
     _dense_distribute_and_test,
@@ -22,7 +24,6 @@ from liarsim.distribute_test import (
     make_verified_pool,
     run_distribute_and_test,
 )
-from liarsim.oracle import Assignment
 from liarsim.qstate import COMPUTATIONAL, _draw_rows, make_singlet
 from liarsim.runner import resolve_sizes
 
@@ -56,8 +57,10 @@ class TestDistributionPlan:
         assert (plan.N1, plan.N2, plan.L) == (N1, N2, pool) == (N1, N1, L)
 
     def test_pinned_assignments_length_checked(self):
+        # a plan always draws its assignments; pinned ones live only in a
+        # pool built directly, which needs one code per system id
         with pytest.raises(ValueError):
-            DistributionPlan(M=4, N1=1, N2=1, L=2, assignments=(Assignment.A_HOLDS_12,))
+            VerifiedPool(np.arange(1, 5), np.zeros(1, np.int8), make_singlet(4))
 
 
 class TestChooseDirection:
@@ -80,7 +83,7 @@ class TestChooseDirection:
 
 class TestHonestRun:
     def test_success_with_all_records_passing(self):
-        outcome = run_distribute_and_test(DistributionPlan.default(64), rng=rng(11))
+        outcome = run_distribute_and_test(DistributionPlan.default(64), NO_FAULTS, rng(11))
         assert outcome.status is DistributeStatus.SUCCESS
         assert outcome.failure is None
         assert len(outcome.test_records) == 32
@@ -90,7 +93,7 @@ class TestHonestRun:
     def test_pool_systems_untouched(self):
         # the run itself raises if a pool system was measured or traced
         # out; the pool hands on the source exactly as prepared
-        outcome = run_distribute_and_test(DistributionPlan.default(32), rng=rng(5))
+        outcome = run_distribute_and_test(DistributionPlan.default(32), NO_FAULTS, rng(5))
         assert outcome.pool.source.amplitudes is make_singlet(4).amplitudes
 
     def test_touched_pool_system_is_a_protocol_violation(self, monkeypatch):
@@ -101,19 +104,19 @@ class TestHonestRun:
 
         monkeypatch.setattr(distribute_test, "QuantumSystem", TamperedSystem)
         with pytest.raises(ProtocolViolationError, match="touched during testing"):
-            _dense_distribute_and_test(DistributionPlan.default(16), rng=rng(5))
+            _dense_distribute_and_test(DistributionPlan.default(16), NO_FAULTS, rng(5))
 
     def test_pool_codes_follow_the_drawn_assignments(self):
         plan = DistributionPlan.default(40)
         codes = rng(15).integers(0, 2, size=plan.M)
-        outcome = run_distribute_and_test(plan, rng=rng(15))
+        outcome = run_distribute_and_test(plan, NO_FAULTS, rng(15))
         np.testing.assert_array_equal(
             outcome.pool.codes, codes[outcome.pool.system_ids - 1]
         )
 
     def test_tested_and_pool_ids_partition_the_batch(self):
         plan = DistributionPlan.default(40)
-        outcome = run_distribute_and_test(plan, rng=rng(7))
+        outcome = run_distribute_and_test(plan, NO_FAULTS, rng(7))
         tested = set(outcome.test_records.system_ids.tolist())
         pool = set(outcome.pool.system_ids.tolist())
         assert len(tested) == plan.N1 + plan.N2
@@ -121,7 +124,7 @@ class TestHonestRun:
         assert tested | pool == set(range(1, plan.M + 1))
 
     def test_both_subsets_exercised(self):
-        outcome = run_distribute_and_test(DistributionPlan.default(16), rng=rng(9))
+        outcome = run_distribute_and_test(DistributionPlan.default(16), NO_FAULTS, rng(9))
         subsets = set(outcome.test_records.subsets.tolist())
         assert subsets == {1, 2}
 
@@ -130,7 +133,7 @@ class TestHonestRun:
         # draw of the distribution, so replaying the assignments, all 3M
         # transit uniforms and then one permutation gives the partition
         plan = DistributionPlan.default(16)
-        outcome = run_distribute_and_test(plan, rng=rng(13))
+        outcome = run_distribute_and_test(plan, NO_FAULTS, rng(13))
         replay = rng(13)
         replay.integers(0, 2, size=plan.M)
         replay.random(3 * plan.M)
@@ -146,14 +149,15 @@ class TestHonestRun:
     def test_fixed_direction_policy_also_succeeds(self):
         outcome = run_distribute_and_test(
             DistributionPlan.default(32),
-            rng=rng(17),
+            NO_FAULTS,
+            rng(17),
             direction_policy=DirectionPolicy.FIXED,
         )
         assert outcome.status is DistributeStatus.SUCCESS
 
     def test_reproducible_for_fixed_seed(self):
         results = [
-            run_distribute_and_test(DistributionPlan.default(24), rng=rng(21))
+            run_distribute_and_test(DistributionPlan.default(24), NO_FAULTS, rng(21))
             for _ in range(2)
         ]
         assert results[0].test_records == results[1].test_records
@@ -388,7 +392,7 @@ class TestSingletTable:
             return _rotated_probabilities(*args)
 
         monkeypatch.setattr(distribute_test, "_rotated_probabilities", counted)
-        run_distribute_and_test(DistributionPlan.default(40), rng=rng(3))
+        run_distribute_and_test(DistributionPlan.default(40), NO_FAULTS, rng(3))
         assert not calls
         run_distribute_and_test(DistributionPlan.default(40), FAULTS["0011"], rng(3))
         assert calls
@@ -406,11 +410,14 @@ class TestMakeVerifiedPool:
             pool.codes[0] = 1
 
     def test_assignments_can_be_pinned(self):
-        assignments = (Assignment.A_HOLDS_12,) * 4
-        pool = make_verified_pool(4, rng(0), assignments=assignments)
+        # a pinned pool is built directly; the pool's own codes are one draw
+        ids = np.arange(1, 5)
+        pool = VerifiedPool(ids, np.zeros(4, np.int8), make_singlet(4))
         np.testing.assert_array_equal(pool.codes, [0, 0, 0, 0])
-        pool = make_verified_pool(2, rng(0), assignments=(Assignment.A_HOLDS_13,) * 2)
+        pool = VerifiedPool(ids[:2], np.ones(2, np.int8), make_singlet(4))
         np.testing.assert_array_equal(pool.codes, [1, 1])
+        drawn = make_verified_pool(4, rng(0))
+        np.testing.assert_array_equal(drawn.codes, rng(0).integers(0, 2, size=4))
 
     def test_random_assignments_roughly_balanced(self):
         pool = make_verified_pool(2000, rng(8))

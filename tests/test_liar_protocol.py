@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from liarsim.adversary import StrategyA, StrategyB
 from liarsim.channels import PartyId
@@ -13,6 +14,7 @@ from liarsim.distribute_test import (
 )
 from liarsim.liar_protocol import (
     EXPECTED_DOUBLE_FRACTION,
+    AcceptanceResult,
     Evidence,
     FullList,
     MessageWithList,
@@ -34,14 +36,15 @@ from liarsim.oracle import Assignment
 from liarsim.qstate import basis_state, make_singlet, measure_qubits
 
 # Worked eight-row example used throughout: a valid joint outcome whose
-# doubles sit at 1,3,6 (for 0) and 4,5,8 (for 1).
-WORKED_A = ("00", "01", "00", "11", "11", "00", "01", "11")
-WORKED_B = "10100100"
-WORKED_C = "11100110"
+# doubles sit at 1,3,6 (for 0) and 4,5,8 (for 1). A's pairs
+# 00 01 00 11 11 00 01 11 are stored as their counts of 1s.
+WORKED_A = np.array([0, 1, 0, 2, 2, 0, 1, 2])
+WORKED_B = np.array([1, 0, 1, 0, 0, 1, 0, 0])
+WORKED_C = np.array([1, 1, 1, 0, 0, 1, 1, 0])
 
 
 def worked_lists():
-    return PartyLists.from_table(WORKED_A, WORKED_B, WORKED_C)
+    return PartyLists(WORKED_A, WORKED_B, WORKED_C)
 
 
 def rng(seed=0):
@@ -76,38 +79,38 @@ def joint_counts(lists):
 
 
 class TestPartyLists:
-    def test_from_table_round_trip(self):
+    def test_worked_table_round_trip(self):
         lists = worked_lists()
         assert lists.length == 8
+        assert lists.a_ones.dtype == lists.b_bits.dtype == lists.c_bits.dtype == np.int8
         np.testing.assert_array_equal(lists.a_ones, [0, 1, 0, 2, 2, 0, 1, 2])  # WORKED_A
         np.testing.assert_array_equal(lists.b_bits, [1, 0, 1, 0, 0, 1, 0, 0])
         np.testing.assert_array_equal(lists.c_bits, [1, 1, 1, 0, 0, 1, 1, 0])
 
     def test_correlation_enforced(self):
+        # a (0,0) pair forces 1 at B and C; a (1,1) pair forces 0
         with pytest.raises(ValueError):
-            PartyLists.from_table(("00",), "0", "1")
+            PartyLists([0], [0], [1])
         with pytest.raises(ValueError):
-            PartyLists.from_table(("11",), "0", "1")
+            PartyLists([2], [0], [1])
 
     def test_lengths_must_match(self):
         with pytest.raises(ValueError):
-            PartyLists.from_table(("00", "01"), "1", "1")
+            PartyLists([0, 1], [1], [1])
 
     def test_invalid_pair_rejected(self):
+        # a pair holds at most two 1s
         with pytest.raises(ValueError):
-            PartyLists.from_table(("02",), "1", "1")
+            PartyLists([3], [1], [1])
 
     def test_lists_are_read_only(self):
         lists = worked_lists()
         with pytest.raises(ValueError):
             lists.a_ones[0] = 1
 
-    def test_unordered_pair_spelling(self):
-        assert PartyLists.from_table(("10",), "0", "1").a_ones.tolist() == [1]
-
     def test_equality(self):
         assert worked_lists() == worked_lists()
-        other = PartyLists.from_table(("01",) * 8, WORKED_B, WORKED_C)
+        other = PartyLists(np.ones(8, np.int8), WORKED_B, WORKED_C)
         assert worked_lists() != other
 
 
@@ -146,8 +149,8 @@ class TestGenerateLists:
 
     def test_engine_and_fast_paths_agree_in_distribution(self):
         count = 3000
-        assignments = (Assignment.A_HOLDS_12,) * count
-        pool = make_verified_pool(count, rng(6), assignments)
+        # every system pinned to A_HOLDS_12
+        pool = VerifiedPool(np.arange(1, count + 1), np.zeros(count, np.int8), make_singlet(4))
         fast = generate_lists(pool, rng(7))
         engine = dense_engine_lists(pool, rng(8))
         tv = 0.5 * np.abs(joint_counts(fast) - joint_counts(engine)).sum()
@@ -307,6 +310,25 @@ class TestBAccepts:
         np.testing.assert_array_equal(bad, [2])
 
 
+# Hostile payloads for the receivers: arrays of any dtype with 0-2
+# dimensions, lists of mixed entries, strings, None and ints. Message bits
+# are mostly valid, so that C goes on to read the lists.
+# Text keeps to a small alphabet: a full one costs seconds of setup.
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=9)
+_TEXT = st.text("01x ", max_size=2)
+_PAYLOADS = st.one_of(
+    hnp.arrays(st.one_of(hnp.scalar_dtypes(), hnp.byte_string_dtypes()), _SHAPES),
+    hnp.arrays(hnp.unicode_string_dtypes(min_len=2, max_len=4), _SHAPES, elements=_TEXT),
+    st.lists(
+        st.one_of(st.integers(), st.floats(), st.booleans(), _TEXT, st.none()), max_size=9
+    ),
+    st.text("01x ", max_size=9),
+    st.none(),
+    st.integers(),
+)
+_BITS_OR_PAYLOADS = st.one_of(st.sampled_from([0, 1]), _PAYLOADS)
+
+
 class TestCAdjudicate:
     def test_matching_messages_are_consistent_without_checks(self):
         verdict = c_adjudicate(1, (9, 9), 1, (999,), worked_lists().c_bits)
@@ -369,9 +391,15 @@ class TestCAdjudicate:
 
     def test_hostile_payloads_never_raise(self):
         lists = worked_lists()
-        for l_AC in (None, 7, "01020012", [(0, 1)] * 8, np.zeros((8, 2))):
+        for l_AC in (None, 7, "01020012", [(0, 1)] * 8, np.zeros((8, 2)), np.zeros((8, 0))):
             verdict = c_adjudicate(1, l_AC, 0, (1, 3, 6), lists.c_bits)
             assert verdict.value is VerdictValue.A_IS_LIAR
+        # a payload without a length, 0-d arrays included, has the wrong length
+        for l_AC in (None, 7, np.array(5), np.array(1.0)):
+            verdict = c_adjudicate(1, l_AC, 0, (1, 3, 6), lists.c_bits)
+            assert (verdict.value, verdict.evidence.check) == (
+                VerdictValue.A_IS_LIAR, "stage1_wrong_length"
+            )
         for forwarded in (None, 7, [[1], [3]], ("1",), (1, None)):
             verdict = c_adjudicate(1, lists.a_ones, 0, forwarded, lists.c_bits)
             assert verdict.evidence.check == "stage2_malformed"
@@ -387,6 +415,21 @@ class TestCAdjudicate:
                 assert (verdict.value, verdict.evidence.check) == (
                     VerdictValue.B_IS_LIAR, "stage2_malformed"
                 )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m_AC=_BITS_OR_PAYLOADS, l_AC=_PAYLOADS, m_BC=_BITS_OR_PAYLOADS, forwarded=_PAYLOADS
+    )
+    @example(m_AC=1, l_AC=np.array(5), m_BC=0, forwarded=(1,))
+    @example(m_AC=1, l_AC=np.zeros((8, 0)), m_BC=0, forwarded=(1,))
+    def test_fuzzed_payloads_never_raise(self, m_AC, l_AC, m_BC, forwarded):
+        lists = worked_lists()
+        verdict = c_adjudicate(m_AC, l_AC, m_BC, forwarded, lists.c_bits)
+        assert isinstance(verdict.value, VerdictValue)
+        result = b_accepts(m_AC, l_AC, lists.b_bits)
+        assert isinstance(result, AcceptanceResult)
+        result = b_accepts(m_BC, forwarded, lists.b_bits)
+        assert isinstance(result, AcceptanceResult)
 
     def test_both_stages_passing_convicts_a(self):
         # a full-length forwarded claim consistent with A's own full list

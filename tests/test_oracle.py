@@ -61,21 +61,21 @@ class TestRoundDistribution:
         assert_tables_match(round_distribution().table, MIXTURE_TABLE)
 
     def test_pair_marginals(self):
-        a12 = round_distribution(Assignment.A_HOLDS_12)
-        assert a12.p_double(0) == pytest.approx(1 / 3, abs=1e-12)
-        assert a12.p_double(1) == pytest.approx(1 / 3, abs=1e-12)
-        assert a12.p_mixed() == pytest.approx(1 / 3, abs=1e-12)
-        a13 = round_distribution(Assignment.A_HOLDS_13)
-        assert a13.p_double(0) == pytest.approx(1 / 12, abs=1e-12)
-        assert a13.p_double(1) == pytest.approx(1 / 12, abs=1e-12)
-        assert a13.p_mixed() == pytest.approx(5 / 6, abs=1e-12)
+        a12 = round_distribution(Assignment.A_HOLDS_12).pair_marginal()
+        assert a12[(0, 0)] == pytest.approx(1 / 3, abs=1e-12)
+        assert a12[(1, 1)] == pytest.approx(1 / 3, abs=1e-12)
+        assert a12[(0, 1)] == pytest.approx(1 / 3, abs=1e-12)
+        a13 = round_distribution(Assignment.A_HOLDS_13).pair_marginal()
+        assert a13[(0, 0)] == pytest.approx(1 / 12, abs=1e-12)
+        assert a13[(1, 1)] == pytest.approx(1 / 12, abs=1e-12)
+        assert a13[(0, 1)] == pytest.approx(5 / 6, abs=1e-12)
 
     def test_doubles_force_complement_bits(self):
         # a double (m, m) at A leaves B and C reading 1 - m with certainty
         for assignment in Assignment:
             dist = round_distribution(assignment)
             for m in (0, 1):
-                conditional = dist.probability((m, m), 1 - m, 1 - m) / dist.p_double(m)
+                conditional = dist.table[((m, m), 1 - m, 1 - m)] / dist.pair_marginal()[(m, m)]
                 assert conditional == pytest.approx(1.0, abs=1e-12)
 
     def test_sums_to_one(self):
@@ -98,17 +98,10 @@ class TestRoundDistribution:
             flipped = ((1 - hi, 1 - lo), 1 - b, 1 - c)
             assert dist.table[flipped] == pytest.approx(p, abs=1e-12)
 
-    def test_probability_accepts_unsorted_pair(self):
-        dist = round_distribution(Assignment.A_HOLDS_12)
-        assert dist.probability((1, 0), 0, 1) == dist.probability((0, 1), 0, 1)
-
-    def test_weight_extremes_recover_pure_assignments(self):
-        assert_tables_match(round_distribution(None, a12_weight=1.0).table, A12_TABLE)
-        assert_tables_match(round_distribution(None, a12_weight=0.0).table, A13_TABLE)
-
-    def test_weight_out_of_range(self):
-        with pytest.raises(ValueError):
-            round_distribution(None, a12_weight=1.5)
+    def test_mixture_is_mean_of_pure_assignments(self):
+        mean = {key: (A12_TABLE[key] + A13_TABLE[key]) / 2 for key in A12_TABLE}
+        assert_tables_match(round_distribution().table, mean)
+        assert round_distribution().label == "mixture(a12_weight=0.5)"
 
 
 class TestEscapeProbabilities:

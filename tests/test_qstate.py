@@ -36,6 +36,10 @@ FOUR_QUBIT_AMPS = {
 }
 
 
+IDENTITY = SingleQubitUnitary(np.eye(2))
+BIT_FLIP = SingleQubitUnitary(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
 def rng(seed=0):
     return np.random.default_rng(seed)
 
@@ -121,11 +125,11 @@ class TestUnitaries:
     # a product state, which a common rotation does change (a singlet would not)
     def test_identity_leaves_state_alone(self):
         state = basis_state("0110")
-        out = apply_bilateral(state, SingleQubitUnitary.identity())
+        out = apply_bilateral(state, IDENTITY)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_bit_flip_permutes_basis(self):
-        out = apply_bilateral(basis_state("0110"), SingleQubitUnitary.bit_flip())
+        out = apply_bilateral(basis_state("0110"), BIT_FLIP)
         np.testing.assert_allclose(out.amplitudes, basis_state("1001").amplitudes, atol=1e-12)
 
     def test_unitary_then_inverse_restores_state(self):
@@ -153,13 +157,13 @@ class TestBilateralInvariance:
 
     def test_identity_case(self):
         state = make_singlet(4)
-        out = apply_bilateral(state, SingleQubitUnitary.identity())
+        out = apply_bilateral(state, IDENTITY)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_global_bit_flip_fixes_amplitudes_exactly(self):
         # reversing every bit maps the four-qubit table onto itself
         state = make_singlet(4)
-        out = apply_bilateral(state, SingleQubitUnitary.bit_flip())
+        out = apply_bilateral(state, BIT_FLIP)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
 
