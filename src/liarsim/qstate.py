@@ -16,9 +16,10 @@ This module alone turns a probability law into a CDF and draws from it.
 ``_cdf`` is the one rule: along the last axis, no edge above 1.0 and
 every edge from the last nonzero probability on exactly 1.0, so no
 uniform in [0, 1) draws an outcome of probability zero. A law drawn many
-times goes through its guide table (``_GuideTable.draw``); laws drawn
-once per uniform go through ``_draw_rows``. Both equal
-``searchsorted(cum, u, side="right")`` exactly.
+times goes through ``_GuideTable.draw``, which searches the CDF directly
+for a batch of fewer than ``_SEARCH_BELOW`` uniforms and walks its guide
+table for a longer one; laws drawn once per uniform go through
+``_draw_rows``. All equal ``searchsorted(cum, u, side="right")`` exactly.
 """
 from __future__ import annotations
 
@@ -266,6 +267,12 @@ def _draw_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.count_nonzero(cum <= u[..., None], axis=-1)
 
 
+# Below this many uniforms one binary search over the CDF costs less than
+# the guide table's bucket lookup and passes; above it the table wins
+# (singlet laws of 8 and 16 outcomes, crossing over at 700-2,000 uniforms)
+_SEARCH_BELOW = 1024
+
+
 class _GuideTable(NamedTuple):
     """Indexed search (Chen & Asau, 1974) over one sorted CDF ``cum``.
 
@@ -276,6 +283,7 @@ class _GuideTable(NamedTuple):
     entries at or below the c-th smallest edge (``counts[0]`` is 0).
     """
 
+    cum: np.ndarray
     edges: np.ndarray
     starts: np.ndarray
     passes: int
@@ -284,11 +292,15 @@ class _GuideTable(NamedTuple):
     def draw(self, u: np.ndarray) -> np.ndarray:
         """``searchsorted(cum, u, side="right")``, exactly, for u in [0, 1).
 
-        ``u * K`` is exact for a power of two K, so u lies in bucket
-        floor(u * K) and ``c`` starts at the edges at or below it. Each
-        pass counts one more edge at or below u; the last edge is 1.0,
-        above every u, so ``c`` never runs past it.
+        Fewer than ``_SEARCH_BELOW`` uniforms are drawn by that search
+        itself. Longer batches use the table: ``u * K`` is exact for a
+        power of two K, so u lies in bucket floor(u * K) and ``c`` starts
+        at the edges at or below it. Each pass counts one more edge at or
+        below u; the last edge is 1.0, above every u, so ``c`` never runs
+        past it.
         """
+        if u.size < _SEARCH_BELOW:
+            return np.searchsorted(self.cum, u, side="right")
         c = self.starts.take((u * self.starts.size).astype(np.intp))
         for _ in range(self.passes):
             c += self.edges.take(c) <= u
@@ -304,6 +316,7 @@ def _guide_table(cum: np.ndarray) -> _GuideTable:
     inside = np.searchsorted(edges, bounds[1:], side="left") - at_or_below[:-1]
     counts = np.concatenate(([0], np.searchsorted(cum, edges, side="right")), dtype=np.int64)
     return _GuideTable(
+        cum,
         *(mark_readonly(a) for a in (edges, at_or_below[:-1])),
         int(inside.max()),
         mark_readonly(counts),

@@ -9,15 +9,19 @@ byte-identical for a fixed seed.
 Determinism contract: trial ``i`` draws from a stream derived from
 ``(seed, i)`` only, so records are independent of execution order, and
 the result file contains no timestamps or timing data (wall-clock
-figures go to stdout only).
+figures go to stdout only). That stream is exactly numpy's
+``PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))``; ``trial_rng``
+computes the SeedSequence hash itself, the seed's share once per seed.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -234,11 +238,172 @@ def wilson_interval(successes: int, n: int, z: float = _WILSON_Z) -> tuple[float
     return (low, high)
 
 
-def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """The stream for one trial, derived only from (seed, trial_index)."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), computed directly.
+# Every word it mixes in passes through ``hashmix``, whose hash constant
+# starts at INIT_A and is multiplied by MULT_A after each use; ``mix`` folds
+# one word into another; ``generate_state`` hashes the pool words in turn
+# under a constant that starts at INIT_B and steps by MULT_B. No constant
+# depends on the data, so each is computed once.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _words32(n: int) -> list[int]:
+    """The 32-bit words of a non-negative integer, least significant first,
+    at least one: how SeedSequence reads an integer."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(hc: int, count: int, mult: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """``count`` successive (xor, multiplier) pairs of a hash constant that
+    starts at ``hc`` and is multiplied by ``mult`` after each xor, and the
+    constant after them."""
+    pairs = []
+    for _ in range(count):
+        xor = hc
+        hc = hc * mult & _MASK32
+        pairs.append((xor, hc))
+    return tuple(pairs), hc
+
+
+def _hash(value: int, xor: int, mult: int) -> int:
+    h = (value ^ xor) * mult & _MASK32
+    return h ^ h >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
+    return r ^ r >> 16
+
+
+@functools.lru_cache(maxsize=8)
+def _word_constants(hc: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The hash constants of one word mixed in past the pool, from ``hc``."""
+    return _hash_constants(hc, _POOL_SIZE, _MULT_A)
+
+
+def _mix_word(pool: tuple[int, ...], word: int, hc: int) -> tuple[tuple[int, ...], int]:
+    """Mix one entropy word past the pool into every pool word, as
+    SeedSequence's ``mix_entropy`` does: (new pool, hash constant after).
+    Unrolled, as it runs for every trial."""
+    ((x0, m0), (x1, m1), (x2, m2), (x3, m3)), after = _word_constants(hc)
+    p0, p1, p2, p3 = pool
+    h0 = (word ^ x0) * m0 & _MASK32
+    h1 = (word ^ x1) * m1 & _MASK32
+    h2 = (word ^ x2) * m2 & _MASK32
+    h3 = (word ^ x3) * m3 & _MASK32
+    r0 = _MIX_MULT_L * p0 - _MIX_MULT_R * (h0 ^ h0 >> 16) & _MASK32
+    r1 = _MIX_MULT_L * p1 - _MIX_MULT_R * (h1 ^ h1 >> 16) & _MASK32
+    r2 = _MIX_MULT_L * p2 - _MIX_MULT_R * (h2 ^ h2 >> 16) & _MASK32
+    r3 = _MIX_MULT_L * p3 - _MIX_MULT_R * (h3 ^ h3 >> 16) & _MASK32
+    return (r0 ^ r0 >> 16, r1 ^ r1 >> 16, r2 ^ r2 >> 16, r3 ^ r3 >> 16), after
+
+
+@functools.lru_cache(maxsize=8)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """The pool of SeedSequence(entropy=seed, spawn_key=(i,)) before i's
+    words are mixed in, and the hash constant reached: the same for every i.
+
+    With a spawn key, the seed's words are padded with zeros to the pool
+    size. The first four fill the pool and are cross-mixed; any further
+    seed words are mixed in after them, then the key's words.
+    """
+    words = _words32(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    pairs, hc = _hash_constants(_INIT_A, _POOL_SIZE * _POOL_SIZE, _MULT_A)
+    steps = iter(pairs)
+    pool = [_hash(word, *next(steps)) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
+    pool = tuple(pool)
+    for word in words[_POOL_SIZE:]:
+        pool, hc = _mix_word(pool, word, hc)
+    return pool, hc
+
+
+# generate_state(4, np.uint64) hashes the pool words twice round
+_STATE_CONSTANTS, _ = _hash_constants(_INIT_B, 2 * _POOL_SIZE, _MULT_B)
+
+
+def _pcg64_words(pool: tuple[int, ...]) -> np.ndarray:
+    """A pool's ``generate_state(4, np.uint64)``: eight 32-bit hashes, paired
+    low half first. Unrolled, as it runs for every trial."""
+    (x0, m0), (x1, m1), (x2, m2), (x3, m3), (x4, m4), (x5, m5), (x6, m6), (x7, m7) = (
+        _STATE_CONSTANTS
     )
+    p0, p1, p2, p3 = pool
+    h0 = (p0 ^ x0) * m0 & _MASK32
+    h1 = (p1 ^ x1) * m1 & _MASK32
+    h2 = (p2 ^ x2) * m2 & _MASK32
+    h3 = (p3 ^ x3) * m3 & _MASK32
+    h4 = (p0 ^ x4) * m4 & _MASK32
+    h5 = (p1 ^ x5) * m5 & _MASK32
+    h6 = (p2 ^ x6) * m6 & _MASK32
+    h7 = (p3 ^ x7) * m7 & _MASK32
+    return np.array(
+        [
+            h0 ^ h0 >> 16 | (h1 ^ h1 >> 16) << 32,
+            h2 ^ h2 >> 16 | (h3 ^ h3 >> 16) << 32,
+            h4 ^ h4 >> 16 | (h5 ^ h5 >> 16) << 32,
+            h6 ^ h6 >> 16 | (h7 ^ h7 >> 16) << 32,
+        ],
+        dtype=np.uint64,
+    )
+
+
+class _PCG64Seed:
+    """numpy's ``ISeedSequence`` interface over the four 64-bit words a
+    SeedSequence would hand PCG64: it serves PCG64's one request only."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("only PCG64's generate_state(4, np.uint64) is served")
+        return self.words
+
+
+@functools.cache
+def _bit_generator_types() -> tuple[type, type]:
+    """PCG64 and Generator, with ``_PCG64Seed`` registered as an
+    ``ISeedSequence``: on first use, so importing liarsim does not load
+    ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_PCG64Seed)
+    return np.random.PCG64, np.random.Generator
+
+
+def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
+    """The stream for one trial, derived only from (seed, trial_index).
+
+    Exactly ``default_rng(SeedSequence(entropy=seed, spawn_key=(trial_index,)))``,
+    the same PCG64 state, built without a SeedSequence: the seed's share of
+    the hash is computed once per seed, and each trial mixes in only its
+    index and hashes out PCG64's four words. Negative values raise
+    ValueError, as SeedSequence does. The generator's ``seed_seq`` serves
+    PCG64's seeding only, so it cannot ``spawn``.
+    """
+    # an int key: a float seed equal to a cached one would otherwise hit it
+    pool, hc = _seed_pool(operator.index(seed))
+    for word in _words32(trial_index):
+        pool, hc = _mix_word(pool, word, hc)
+    pcg64, generator = _bit_generator_types()
+    return generator(pcg64(_PCG64Seed(_pcg64_words(pool))))
 
 
 def _escape_counts(lists, a_action, b_action) -> dict[str, int]:

@@ -357,6 +357,30 @@ class TestGuideTableSampler:
         assert drawn.dtype == np.int64
         np.testing.assert_array_equal(drawn, np.searchsorted(cum, u, side="right"))
 
+    @pytest.mark.parametrize("label, state, direction", SAMPLER_STATES,
+                             ids=[case[0] for case in SAMPLER_STATES])
+    def test_short_batches_equal_searchsorted(self, label, state, direction):
+        # the same uniforms in batches just below the size where the table takes over
+        cum = _exact_cdf(state, direction)
+        u = np.concatenate((_edge_uniforms(cum), rng(7).random(20_000)))
+        size = qstate._SEARCH_BELOW - 1
+        for chunk in np.split(u, range(size, u.size, size)):
+            drawn = sample_outcomes(state, direction, chunk.size, _FixedUniforms(chunk))
+            assert drawn.dtype == np.int64
+            np.testing.assert_array_equal(drawn, np.searchsorted(cum, chunk, side="right"))
+
+    def test_batch_size_picks_search_or_table(self):
+        # with its buckets broken, the table draws wrongly, so only batches
+        # of at least _SEARCH_BELOW uniforms may reach it
+        cum = make_singlet(4).computational_cdf
+        table = qstate._guide_table(cum)
+        broken = table._replace(starts=np.zeros_like(table.starts))
+        u = rng(11).random(qstate._SEARCH_BELOW)
+        short = u[:-1]
+        np.testing.assert_array_equal(broken.draw(short), np.searchsorted(cum, short, side="right"))
+        assert not np.array_equal(broken.draw(u), np.searchsorted(cum, u, side="right"))
+        np.testing.assert_array_equal(table.draw(u), np.searchsorted(cum, u, side="right"))
+
     def test_random_state_needs_several_passes(self):
         (state,) = [s for label, s, _ in SAMPLER_STATES if label == "random10"]
         assert state.computational_table.passes > 1

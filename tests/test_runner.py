@@ -1,13 +1,18 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+import liarsim
 from liarsim import runner
 from liarsim.cli import main as cli_main
 from liarsim.runner import (
@@ -91,7 +96,77 @@ class TestTrialConfig:
             TrialConfig(**base)
 
 
+_RANDOM_64 = [int(x) for x in np.random.default_rng(2026).integers(0, 2**64, 6, dtype=np.uint64)]
+# seeds of 1, 2, 3 and 5 words (2**130 + 7 is mixed in past the pool) and
+# indices of 1 and 2 words, at each word-size boundary
+REFERENCE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 7, *_RANDOM_64[:3]]
+REFERENCE_INDICES = [0, 1, 2, 2**32 - 1, 2**32, 2**63, *_RANDOM_64[3:]]
+
+
+def numpy_trial_rng(seed, trial_index):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,)))
+
+
 class TestTrialRng:
+    @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+    def test_matches_numpy_seed_sequence(self, seed):
+        for i in REFERENCE_INDICES:
+            ours, reference = trial_rng(seed, i), numpy_trial_rng(seed, i)
+            assert ours.bit_generator.state == reference.bit_generator.state, (seed, i)
+            np.testing.assert_array_equal(ours.random(3), reference.random(3))
+            assert ours.integers(0, 2**63) == reference.integers(0, 2**63)
+
+    def test_matches_numpy_beyond_64_bit_index_and_many_seed_words(self):
+        for seed, i in [(2**224 - 1, 2**64 + 3), (_RANDOM_64[0], 2**100), (2**96, 7)]:
+            assert trial_rng(seed, i).bit_generator.state == numpy_trial_rng(seed, i).bit_generator.state
+
+    def test_numpy_integers_are_accepted(self):
+        ours = trial_rng(np.uint64(2**64 - 1), np.int64(5))
+        assert ours.bit_generator.state == numpy_trial_rng(2**64 - 1, 5).bit_generator.state
+
+    def test_float_seed_rejected_even_when_an_equal_int_is_cached(self):
+        trial_rng(1, 0)
+        with pytest.raises(TypeError):
+            trial_rng(1.0, 0)
+        with pytest.raises(TypeError):
+            trial_rng(1, 0.0)
+
+    @pytest.mark.parametrize("seed, i", [(-1, 0), (0, -1), (-(2**40), 3)])
+    def test_negative_values_rejected_like_numpy(self, seed, i):
+        with pytest.raises(ValueError):
+            numpy_trial_rng(seed, i)
+        with pytest.raises(ValueError):
+            trial_rng(seed, i)
+
+    def test_seed_object_serves_pcg64_only(self):
+        seed_seq = trial_rng(1, 2).bit_generator.seed_seq
+        np.testing.assert_array_equal(
+            seed_seq.generate_state(4, np.uint64),
+            np.random.SeedSequence(1, spawn_key=(2,)).generate_state(4, np.uint64),
+        )
+        with pytest.raises(ValueError):
+            seed_seq.generate_state(8)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random loads on the first trial, not with the package
+        src = str(Path(liarsim.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = (
+            "import sys, liarsim\n"
+            "liarsim.TrialConfig.build(L=64, strategy_a='split:n=3', qubit_loss_prob=1e-4)\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            "liarsim.trial_rng(1, 2)\n"
+            "assert 'numpy.random' in sys.modules\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_reproducible_per_index(self):
         a = trial_rng(42, 3).integers(0, 2**32, size=4)
         b = trial_rng(42, 3).integers(0, 2**32, size=4)
