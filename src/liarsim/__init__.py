@@ -2,8 +2,8 @@
 four-qubit singlet correlations.
 
 Layering, bottom up: ``qstate`` (state-vector engine), ``oracle`` (exact
-probability tables), ``channels`` (parties, message envelopes, fault
-model, qubit custody), ``distribute_test`` (distribute-and-test phase),
+probability tables), ``channels`` (parties, fault model, qubit
+custody), ``distribute_test`` (distribute-and-test phase),
 ``liar_protocol`` (list exchange and adjudication), ``adversary``
 (party strategies), ``runner`` and ``cli`` (Monte-Carlo trial harness).
 """
@@ -19,7 +19,6 @@ from .adversary import (
 from .channels import (
     NO_FAULTS,
     FaultModel,
-    PartyId,
     ProtocolViolationError,
 )
 from .distribute_test import (
@@ -32,10 +31,7 @@ from .distribute_test import (
 )
 from .liar_protocol import (
     EXPECTED_DOUBLE_FRACTION,
-    FullList,
-    MessageWithList,
     PartyLists,
-    Reject,
     RejectReason,
     Thresholds,
     VerdictValue,
@@ -86,7 +82,6 @@ __all__ = [
     "strategy_B_act",
     "NO_FAULTS",
     "FaultModel",
-    "PartyId",
     "ProtocolViolationError",
     "DirectionPolicy",
     "DistributeStatus",
@@ -95,10 +90,7 @@ __all__ = [
     "make_verified_pool",
     "run_distribute_and_test",
     "EXPECTED_DOUBLE_FRACTION",
-    "FullList",
-    "MessageWithList",
     "PartyLists",
-    "Reject",
     "RejectReason",
     "Thresholds",
     "VerdictValue",

@@ -1,11 +1,10 @@
-"""Parties, classical envelopes, the fault model and the qubit custody ledger.
+"""Parties, the fault model and the qubit custody ledger.
 
-``ClassicalEnvelope`` records one message of the liar protocol: who sent
-it, to whom, and its place in send order. ``FaultModel`` injects transit
-loss and a corrupted source into the distribute-and-test phase. The
-custody ledger (``QubitRef``, ``QubitRegistry``), ``QuantumSystem`` and
-``transfer_qubits`` serve only the step-by-step reference of that phase,
-which its array kernel is checked against.
+``FaultModel`` injects transit loss and a corrupted source into the
+distribute-and-test phase. The custody ledger (``PartyId``, ``QubitRef``,
+``QubitRegistry``), ``QuantumSystem`` and ``transfer_qubits`` serve only
+the step-by-step reference of that phase, which its array kernel is
+checked against.
 """
 from __future__ import annotations
 
@@ -58,16 +57,6 @@ class QubitRef:
             raise ValueError(f"system_id must be >= 1, got {self.system_id}")
         if self.slot not in (1, 2, 3, 4):
             raise ValueError(f"slot must be in 1..4, got {self.slot}")
-
-
-@dataclass(frozen=True)
-class ClassicalEnvelope:
-    """A classical payload in flight from ``sender`` to ``receiver``."""
-
-    sender: PartyId
-    receiver: PartyId
-    payload: object
-    sequence: int
 
 
 class QuantumSystem:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import adversary
-from .channels import ArrayRecord, ClassicalEnvelope, PartyId
+from .channels import ArrayRecord
 from .distribute_test import VerifiedPool
 from .oracle import EXPECTED_DOUBLE_FRACTION, Assignment
 from .qstate import (
@@ -85,10 +85,7 @@ def generate_lists(pool: VerifiedPool, rng: np.random.Generator) -> PartyLists:
 
 
 # --------------------------------------------------------------------------
-# Protocol messages
-
-
-_MAX_POSITION = np.iinfo(np.int64).max  # no list is longer
+# Payload checks
 
 
 def _integer_prefix(values) -> tuple[np.ndarray, bool]:
@@ -146,53 +143,13 @@ def _pair_counts(values) -> np.ndarray | None:
     return readonly_array(entries, np.int8)
 
 
-@dataclass(frozen=True, eq=False)
-class MessageWithList(ArrayRecord):
-    """A message bit plus the positions (int64) where its sender claims doubles."""
-
-    m: int
-    positions: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not _is_bit(self.m):
-            raise ValueError(f"message bit must be 0 or 1, got {self.m!r}")
-        positions, bad = _scan_positions(self.positions, _MAX_POSITION)
-        if bad is not None:
-            raise ValueError("positions must be strictly increasing integers >= 1")
-        object.__setattr__(self, "positions", readonly_array(positions, np.int64))
-
-
-@dataclass(frozen=True, eq=False)
-class FullList(ArrayRecord):
-    """A message bit plus a claimed complete pair list (read-only int8 counts of 1s)."""
-
-    m: int
-    pairs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not _is_bit(self.m):
-            raise ValueError(f"message bit must be 0 or 1, got {self.m!r}")
-        pairs = _pair_counts(self.pairs)
-        if pairs is None:
-            raise ValueError("pair entries must be 0, 1, or 2 ones")
-        object.__setattr__(self, "pairs", pairs)
+# --------------------------------------------------------------------------
+# B's acceptance test
 
 
 class RejectReason(enum.Enum):
     INCOMPATIBLE = "INCOMPATIBLE"
     TOO_SHORT = "TOO_SHORT"
-
-
-@dataclass(frozen=True, eq=False)
-class Reject(ArrayRecord):
-    """B's step-(III) refusal, carrying the offending claim as evidence."""
-
-    reason: RejectReason
-    claimed: np.ndarray
-
-
-# --------------------------------------------------------------------------
-# B's acceptance test
 
 
 @dataclass(frozen=True)
@@ -414,9 +371,8 @@ def c_adjudicate(
 @dataclass(frozen=True)
 class ProtocolResult:
     verdict: Verdict
-    transcript: tuple[ClassicalEnvelope, ...]
-    a_action: object
-    b_action: object | None
+    a_action: adversary.ActionA
+    b_action: adversary.ActionB | None
     b_acceptance: AcceptanceResult | None
     delivered_message: int | None
 
@@ -429,49 +385,31 @@ def run_liar_protocol(
     *,
     rng: np.random.Generator,
 ) -> ProtocolResult:
-    """Run steps (II)-(VI) and return the verdict with the message transcript.
+    """Run steps (II)-(VI) and return the verdict with both parties' actions.
 
     Each party acts only on its own list and the messages addressed to
-    it. The transcript holds the three messages in send order: A to B,
-    B to C, then A to C. A's message to C is sent unconditionally; when
-    honest B rejects at step (III), he sends C his rejection with A's
-    claim as evidence, and C reports the rejection.
+    it: A sends B her bit and claimed positions, B forwards a bit and
+    positions to C, and A sends C her bit and full list. When honest B
+    rejects at step (III), he sends C his rejection instead of a
+    forward, and C reports the rejection.
     """
     a_action = adversary.strategy_A_act(strategy_A, lists.a_ones, rng)
-    to_b = MessageWithList(a_action.m_AB, a_action.positions_for_B)
     b_acceptance = None
-    b_action = None
     if strategy_B.is_honest:
-        b_acceptance = b_accepts(to_b.m, to_b.positions, lists.b_bits, thresholds)
-    if b_acceptance is not None and not b_acceptance.accepted:
-        from_b = Reject(b_acceptance.reason, to_b.positions)
-    else:
-        b_action = adversary.strategy_B_act(
-            strategy_B, (to_b.m, to_b.positions), lists.b_bits, rng
+        b_acceptance = b_accepts(
+            a_action.m_AB, a_action.positions_for_B, lists.b_bits, thresholds
         )
-        from_b = MessageWithList(b_action.m_BC, b_action.forwarded)
-    from_a = FullList(a_action.m_AC, a_action.l_AC)
-
-    if isinstance(from_b, Reject):
-        verdict = Verdict(
-            VerdictValue.B_REJECTED_AT_STEP_III,
-            Evidence(f"step_iii_{from_b.reason.value.lower()}"),
-        )
-    else:
-        verdict = c_adjudicate(
-            from_a.m, from_a.pairs, from_b.m, from_b.positions, lists.c_bits, thresholds
-        )
-    delivered = from_b.m if verdict.value is VerdictValue.CONSISTENT else None
-    sent = (
-        (PartyId.A, PartyId.B, to_b),
-        (PartyId.B, PartyId.C, from_b),
-        (PartyId.A, PartyId.C, from_a),
+        if not b_acceptance.accepted:
+            verdict = Verdict(
+                VerdictValue.B_REJECTED_AT_STEP_III,
+                Evidence(f"step_iii_{b_acceptance.reason.value.lower()}"),
+            )
+            return ProtocolResult(verdict, a_action, None, b_acceptance, None)
+    b_action = adversary.strategy_B_act(
+        strategy_B, (a_action.m_AB, a_action.positions_for_B), lists.b_bits, rng
     )
-    return ProtocolResult(
-        verdict=verdict,
-        transcript=tuple(ClassicalEnvelope(*message, i) for i, message in enumerate(sent)),
-        a_action=a_action,
-        b_action=b_action,
-        b_acceptance=b_acceptance,
-        delivered_message=delivered,
+    verdict = c_adjudicate(
+        a_action.m_AC, a_action.l_AC, b_action.m_BC, b_action.forwarded, lists.c_bits, thresholds
     )
+    delivered = b_action.m_BC if verdict.value is VerdictValue.CONSISTENT else None
+    return ProtocolResult(verdict, a_action, b_action, b_acceptance, delivered)

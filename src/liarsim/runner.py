@@ -131,6 +131,12 @@ class TrialConfig:
     direction_policy: str = "random"
 
     def __post_init__(self) -> None:
+        # stored as plain ints, so the summary record serializes them as such
+        for name in ("seed", "trials", "M", "N1", "N2", "L"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.trials < 1:

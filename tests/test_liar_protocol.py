@@ -4,8 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from liarsim.adversary import StrategyA, StrategyB
-from liarsim.channels import PartyId
+from liarsim.adversary import StrategyA, StrategyB, parse_strategy_A, parse_strategy_B
 from liarsim.distribute_test import (
     DirectionPolicy,
     VerifiedPool,
@@ -16,13 +15,12 @@ from liarsim.liar_protocol import (
     EXPECTED_DOUBLE_FRACTION,
     AcceptanceResult,
     Evidence,
-    FullList,
-    MessageWithList,
     PartyLists,
-    Reject,
     RejectReason,
     Thresholds,
     VerdictValue,
+    _is_bit,
+    _pair_counts,
     _scan_positions,
     b_accepts,
     c_adjudicate,
@@ -170,52 +168,6 @@ class TestGenerateLists:
         first = generate_lists(make_verified_pool(500, rng(11)), rng(12))
         second = generate_lists(make_verified_pool(500, rng(11)), rng(12))
         assert first == second
-
-
-class TestMessages:
-    def test_positions_must_increase(self):
-        with pytest.raises(ValueError):
-            MessageWithList(0, (3, 1))
-        with pytest.raises(ValueError):
-            MessageWithList(0, (1, 1))
-        with pytest.raises(ValueError):
-            MessageWithList(0, (0,))
-        assert MessageWithList(0, (1, 3, 6)).positions.tolist() == [1, 3, 6]
-
-    def test_positions_stored_read_only(self):
-        message = MessageWithList(0, [1, 3, 6])
-        assert message.positions.dtype == np.int64
-        with pytest.raises(ValueError):
-            message.positions[0] = 2
-        assert message == MessageWithList(0, np.array([1, 3, 6]))
-        assert message != MessageWithList(0, (1, 3))
-
-    def test_bool_entries_rejected(self):
-        # bool is a subclass of int, but True is not position 1
-        with pytest.raises(ValueError):
-            MessageWithList(0, (True, 3))
-        with pytest.raises(ValueError):
-            MessageWithList(0, np.array([True, False]))
-        with pytest.raises(ValueError):
-            FullList(0, (0, True, 2))
-        with pytest.raises(ValueError):
-            FullList(0, np.array([False, True]))
-
-    def test_message_bit_validated(self):
-        with pytest.raises(ValueError):
-            MessageWithList(2, ())
-        with pytest.raises(ValueError):
-            FullList(-1, (0, 1))
-        # the receivers' rule: an integer 0 or 1, and a bool or float is neither
-        with pytest.raises(ValueError):
-            MessageWithList(True, (1, 2))
-        with pytest.raises(ValueError):
-            FullList(1.0, (0, 1, 2))
-        assert FullList(np.int64(1), (0, 1, 2)).m == 1
-
-    def test_full_list_entries_validated(self):
-        with pytest.raises(ValueError):
-            FullList(0, (0, 3))
 
 
 class TestBAccepts:
@@ -477,10 +429,6 @@ class TestThresholds:
         assert Thresholds().required_length(256) == pytest.approx(256 * 5 / 48)
 
 
-# (sender, receiver, sequence) of the three messages, in send order
-SEND_ORDER = [(PartyId.A, PartyId.B, 0), (PartyId.B, PartyId.C, 1), (PartyId.A, PartyId.C, 2)]
-
-
 class TestRunLiarProtocol:
     def test_honest_parties_always_consistent(self):
         # at short lengths an honest run can still trip the length
@@ -527,19 +475,6 @@ class TestRunLiarProtocol:
         assert result.verdict.value is VerdictValue.B_IS_LIAR
         assert result.verdict.evidence.check == "stage2_too_short"
 
-    def test_transcript_contains_exactly_the_protocol_messages(self):
-        stream = rng(35)
-        lists = generate_lists(make_verified_pool(64, stream), stream)
-        result = run_liar_protocol(lists, StrategyA.honest(), StrategyB.honest(), rng=stream)
-        payloads = [env.payload for env in result.transcript]
-        assert len(payloads) == 3
-        assert [(e.sender, e.receiver, e.sequence) for e in result.transcript] == SEND_ORDER
-        assert isinstance(payloads[0], MessageWithList)  # A -> B
-        assert isinstance(payloads[1], MessageWithList)  # B -> C
-        assert isinstance(payloads[2], FullList)  # A -> C
-        # private lists never cross the channel
-        assert not any(isinstance(p, PartyLists) for p in payloads)
-
     def test_reject_flow_sends_evidence_to_c(self):
         stream = rng(36)
         lists = generate_lists(make_verified_pool(64, stream), stream)
@@ -547,13 +482,26 @@ class TestRunLiarProtocol:
             lists, StrategyA.split_message(10), StrategyB.honest(), rng=stream
         )
         assert result.verdict.value is VerdictValue.B_REJECTED_AT_STEP_III
-        rejects = [e.payload for e in result.transcript if isinstance(e.payload, Reject)]
-        assert len(rejects) == 1
-        assert [(e.sender, e.receiver, e.sequence) for e in result.transcript] == SEND_ORDER
-        assert result.transcript[1].payload is rejects[0]  # B -> C
-        np.testing.assert_array_equal(rejects[0].claimed, result.transcript[0].payload.positions)
-        assert result.b_acceptance is not None
-        assert not result.b_acceptance.accepted
+        assert result.verdict.evidence == Evidence("step_iii_incompatible")
+        acceptance = result.b_acceptance
+        assert (acceptance.accepted, acceptance.reason) == (False, RejectReason.INCOMPATIBLE)
+        # the rejected position is one of A's fabrications, and B sent no forward
+        assert acceptance.position in result.a_action.fabricated_positions
+        assert result.b_action is None and result.delivered_message is None
+
+    def test_too_short_claim_rejected_at_step_iii(self):
+        # L=16 expects 3.33 doubles and requires 1.67, so an honest claim of
+        # one position or none is refused as too short
+        stream = rng(36)
+        for _ in range(200):
+            lists = generate_lists(make_verified_pool(16, stream), stream)
+            result = run_liar_protocol(lists, StrategyA.honest(), StrategyB.honest(), rng=stream)
+            if result.a_action.positions_for_B.size < 2:
+                break
+        assert result.verdict.value is VerdictValue.B_REJECTED_AT_STEP_III
+        assert result.verdict.evidence == Evidence("step_iii_too_short")
+        assert result.b_acceptance.reason is RejectReason.TOO_SHORT
+        assert result.b_action is None and result.delivered_message is None
 
     def test_acceptance_audit_fields(self):
         stream = rng(37)
@@ -576,6 +524,45 @@ class TestRunLiarProtocol:
         first, second = one(38), one(38)
         assert first.verdict == second.verdict
         assert first.a_action == second.a_action
+
+
+# The benchmark's strategy mix, plus capped strategies at L=16 that ask for
+# more fabrications than a short list has positions to fabricate on.
+_OUTGOING_CASES = [
+    (64, "honest", "honest"),
+    (64, "split:n=3", "honest"),
+    (64, "forgefull:k=8", "flipforge"),
+    (64, "honest", "flipforge"),
+    (16, "split:n=50", "honest"),
+    (16, "forgefull:k=50", "honest"),
+    (16, "honest", "flipforge:k=50"),
+]
+
+
+@pytest.mark.parametrize("length, text_a, text_b", _OUTGOING_CASES)
+def test_outgoing_payloads_pass_the_receivers_checks(length, text_a, text_b):
+    # B's and C's checks are the only validation of a payload, so every
+    # payload a strategy sends must be well formed by their own helpers
+    strategy_a, strategy_b = parse_strategy_A(text_a), parse_strategy_B(text_b)
+    capped = False
+    for seed in range(150):
+        stream = rng(seed)
+        lists = generate_lists(make_verified_pool(length, stream), stream)
+        result = run_liar_protocol(lists, strategy_a, strategy_b, rng=stream)
+        a_action, b_action = result.a_action, result.b_action
+        assert _is_bit(a_action.m_AB) and _is_bit(a_action.m_AC)
+        assert _scan_positions(a_action.positions_for_B, length)[1] is None
+        assert len(_pair_counts(a_action.l_AC)) == length
+        sent = [a_action.positions_for_B]
+        capped |= a_action.capped
+        if b_action is not None:
+            assert _is_bit(b_action.m_BC)
+            assert _scan_positions(b_action.forwarded, length)[1] is None
+            sent.append(b_action.forwarded)
+            capped |= b_action.capped
+        for positions in sent:
+            assert positions.dtype == np.int64 and not positions.flags.writeable
+    assert capped is (length == 16)
 
 
 # Each one-pass check must reject exactly the inputs of the per-rule form it

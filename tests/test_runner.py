@@ -87,6 +87,12 @@ class TestTrialConfig:
             dict(source_state="001"),
             dict(min_fraction=2.0),
             dict(M=100, N1=10, N2=10, L=10),
+            # integer fields must be integers, so the CLI rejects them before any trial
+            dict(seed=1.0),
+            dict(trials=2.0),
+            dict(seed=True),
+            dict(trials=True),
+            dict(L=256.0),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -94,6 +100,23 @@ class TestTrialConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             TrialConfig(**base)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(seed=np.int64(5)),
+            dict(trials=np.int64(2)),
+            dict(M=np.int64(40), L=np.uint16(16), seed=np.uint64(9), trials=np.int32(3)),
+        ],
+        ids=["seed", "trials", "sizes-and-seed"],
+    )
+    def test_numpy_integers_give_the_file_of_python_ints(self, kwargs, tmp_path):
+        files = []
+        for values in (kwargs, {key: int(value) for key, value in kwargs.items()}):
+            out = tmp_path / f"{len(files)}.ndjson"
+            run_trials(TrialConfig.build(**{"L": 16, "trials": 2, **values}), out_path=str(out))
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
 
 
 _RANDOM_64 = [int(x) for x in np.random.default_rng(2026).integers(0, 2**64, 6, dtype=np.uint64)]
