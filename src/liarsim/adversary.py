@@ -10,7 +10,7 @@ position contradicted by the cheater's own data is strictly worse.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,6 +96,10 @@ class StrategyB:
         return cls(BKind.FLIP_AND_FORGE, fake_count=k)
 
 
+# the default of every unset position field: read-only, so shared, never copied
+_NO_POSITIONS = mark_readonly(np.empty(0, np.int64))
+
+
 @dataclass(frozen=True, eq=False)
 class ActionA(ArrayRecord):
     """Everything A emits, plus audit fields naming her fabrications.
@@ -107,8 +111,8 @@ class ActionA(ArrayRecord):
     positions_for_B: np.ndarray
     m_AC: int
     l_AC: np.ndarray
-    fabricated_positions: np.ndarray = ()
-    altered_positions: np.ndarray = ()
+    fabricated_positions: np.ndarray = field(default_factory=lambda: _NO_POSITIONS)
+    altered_positions: np.ndarray = field(default_factory=lambda: _NO_POSITIONS)
     capped: bool = False
 
     def __post_init__(self) -> None:
@@ -121,7 +125,7 @@ class ActionA(ArrayRecord):
 class ActionB(ArrayRecord):
     m_BC: int
     forwarded: np.ndarray
-    fabricated_positions: np.ndarray = ()
+    fabricated_positions: np.ndarray = field(default_factory=lambda: _NO_POSITIONS)
     capped: bool = False
 
     def __post_init__(self) -> None:

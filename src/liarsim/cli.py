@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -68,6 +69,7 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+@functools.cache  # one parser per process: main() reuses it on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liarsim",
@@ -106,14 +108,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.config:
         values.update(parse_config_file(args.config))
     for key in _ALL_KEYS:
-        if key == "out":
-            continue
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
     out = values.pop("out", None)
-    if args.out is not None:
-        out = args.out
     config = TrialConfig.build(**values)
     stats = run_trials(config, out_path=out)
     print(summarize_to_text(stats))

@@ -19,6 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +92,7 @@ class DistributionPlan:
         return cls(M=M, N1=n, N2=n, L=M - 2 * n)
 
 
-@dataclass(frozen=True)
-class FailureInfo:
+class FailureInfo(NamedTuple):
     step: str  # protocol step that failed: "ii", "v", or "vii"
     system_id: int | None
     detail: str
@@ -168,8 +168,7 @@ class TestRounds(ArrayRecord):
         return self.system_ids.size
 
 
-@dataclass(frozen=True)
-class DistributeOutcome:
+class DistributeOutcome(NamedTuple):
     """A run's verdict; ``test_records`` holds every round it measured."""
 
     status: DistributeStatus

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,8 +43,10 @@ class PartyLists(ArrayRecord):
     """The three private lists of one protocol run.
 
     A's unordered pairs are stored as their count of 1s (0, 1, or 2);
-    positions are 1-based everywhere. Construction enforces the doubles
-    correlation: a (0,0) pair forces 1 at B and C, a (1,1) pair forces 0.
+    positions are 1-based everywhere. Construction checks shape, range
+    and equal length only: the doubles correlation (a (0,0) pair faces 1
+    at B and C, a (1,1) pair faces 0) is a law of the singlet source, and
+    a corrupted source that passed testing by chance breaks it.
     """
 
     a_ones: np.ndarray
@@ -60,10 +62,6 @@ class PartyLists(ArrayRecord):
             object.__setattr__(self, name, arr)
         if not (len(self.a_ones) == len(self.b_bits) == len(self.c_bits)):
             raise ValueError("the three lists must have equal length")
-        facing = 1 - self.a_ones // 2  # what B and C must hold opposite a double
-        doubles = self.a_ones != 1
-        if np.any(doubles & ((self.b_bits != facing) | (self.c_bits != facing))):
-            raise ValueError("a double (m, m) must face 1 - m in the other lists")
 
     @property
     def length(self) -> int:
@@ -174,8 +172,7 @@ class Thresholds:
 DEFAULT_THRESHOLDS = Thresholds()
 
 
-@dataclass(frozen=True)
-class AcceptanceResult:
+class AcceptanceResult(NamedTuple):
     accepted: bool
     reason: RejectReason | None = None
     position: int | None = None
@@ -238,8 +235,7 @@ class VerdictValue(enum.Enum):
     B_REJECTED_AT_STEP_III = "B_REJECTED_AT_STEP_III"
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     """Which check decided the verdict, and where it tripped."""
 
     check: str
@@ -247,8 +243,7 @@ class Evidence:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     value: VerdictValue
     evidence: Evidence | None = None
 
@@ -368,8 +363,7 @@ def c_adjudicate(
 # Orchestration
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
+class ProtocolResult(NamedTuple):
     verdict: Verdict
     a_action: adversary.ActionA
     b_action: adversary.ActionB | None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .qstate import COMPUTATIONAL, joint_distribution, make_singlet, outcome_bits
 
@@ -101,8 +101,7 @@ def round_distribution(assignment: Assignment | None = None) -> RoundDistributio
     return RoundDistribution("mixture(a12_weight=0.5)", table)
 
 
-@dataclass(frozen=True)
-class EscapeProbabilities:
+class EscapeProbabilities(NamedTuple):
     """Per-entry survival chances of fabricated list claims.
 
     ``p_fake_entry_passes_B``: A claims a mixed-outcome position as a
@@ -166,6 +165,7 @@ def rejection_lower_bound(n_fabricated: int) -> float:
 
 def as_fraction(value: float, max_denominator: int = 1000) -> str:
     """Render an enumerated probability as its reduced fraction string."""
+    from fractions import Fraction  # loaded on use: only ``liarsim oracle`` needs it
     frac = Fraction(value).limit_denominator(max_denominator)
     if abs(float(frac) - value) > 1e-9:
         return f"{value:.12f}"

@@ -56,7 +56,7 @@ def mark_readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state of ``num_qubits`` qubits.
 
@@ -103,7 +103,7 @@ class StateVector:
         return format(index, f"0{self.num_qubits}b")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingleQubitUnitary:
     """A 2x2 unitary; validated to satisfy U^dag U = I within 1e-12."""
 

@@ -25,7 +25,7 @@ import operator
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -61,6 +61,13 @@ _DETECTION_VERDICTS = frozenset(
 )
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as a plain int for the records; a bool or non-integer raises."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def resolve_sizes(
     M: int | None = None,
     N1: int | None = None,
@@ -70,8 +77,11 @@ def resolve_sizes(
     """Fill in unspecified batch sizes around the invariant M = N1 + N2 + L.
 
     Defaults mirror the distribution plan: the two test subsets each take
-    a quarter of the batch. Fully unspecified configs get L = 256.
+    a quarter of the batch. Fully unspecified configs get L = 256. The
+    given sizes are checked first, so an error names a size the caller set.
     """
+    given = zip(("M", "N1", "N2", "L"), (M, N1, N2, L))
+    M, N1, N2, L = (value if value is None else _as_int(name, value) for name, value in given)
     if M is None and L is None:
         L = 256
     if M is not None and L is not None:
@@ -131,12 +141,8 @@ class TrialConfig:
     direction_policy: str = "random"
 
     def __post_init__(self) -> None:
-        # stored as plain ints, so the summary record serializes them as such
         for name in ("seed", "trials", "M", "N1", "N2", "L"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.trials < 1:
@@ -172,9 +178,8 @@ class TrialConfig:
         return cls(M=M, N1=N1, N2=N2, L=L, **kwargs)
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """Flat per-trial record, serializable as one result-file line."""
+class TrialResult(NamedTuple):
+    """Flat per-trial record; ``_asdict()`` gives one result-file line's fields."""
 
     trial: int
     distribute_status: str
@@ -539,10 +544,11 @@ def aggregate(
 
 
 def _summary_record(config: TrialConfig, stats: TrialStats) -> dict:
-    record = {"record": "summary", "config": dataclasses.asdict(config)}
-    record.update(dataclasses.asdict(stats))
+    # each field by name, its value shared: the encoder only reads it
+    config_fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    record = {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)}
     del record["mean_trial_seconds"]  # timing never enters the result file
-    return record
+    return {"record": "summary", "config": config_fields, **record}
 
 
 def format_records(config: TrialConfig, results: list[TrialResult], stats: TrialStats) -> str:
@@ -553,7 +559,7 @@ def format_records(config: TrialConfig, results: list[TrialResult], stats: Trial
     """
     lines = []
     for r in sorted(results, key=lambda r: r.trial):
-        record = {"record": "trial", **vars(r)}  # flat fields: no deep copy needed
+        record = {"record": "trial", **r._asdict()}
         lines.append(_ENCODER.encode(record))
     lines.append(_ENCODER.encode(_summary_record(config, stats)))
     return "\n".join(lines) + "\n"

@@ -13,10 +13,24 @@ from liarsim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
     oracle_dump,
     parse_config_file,
 )
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports liarsim from this checkout."""
+    src = str(Path(liarsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestOracleDump:
@@ -49,6 +63,17 @@ class TestOracleDump:
         digest = hashlib.sha256(oracle_dump().encode()).hexdigest()
         assert digest == "c89b4d4763476495970f2e3d44672005f927be270b9a2c9f7aa1384bdf68b93f"
 
+    def test_fractions_load_only_for_the_dump(self):
+        # only the dump renders fractions, so importing the package leaves them out
+        code = (
+            "import sys, liarsim, liarsim.cli\n"
+            "assert not {'fractions', 'decimal'} & set(sys.modules)\n"
+            "liarsim.cli.oracle_dump()\n"
+            "assert {'fractions', 'decimal'} <= set(sys.modules)\n"
+        )
+        done = fresh_python("-c", code)
+        assert done.returncode == 0, done.stderr
+
 
 class TestWithoutScipy:
     """The package itself never needs scipy; only some tests do."""
@@ -57,20 +82,12 @@ class TestWithoutScipy:
         "argv", [["oracle"], ["run", "--trials", "3", "--qubit-loss-prob", "0.001"]]
     )
     def test_cli_runs_with_scipy_blocked(self, argv):
-        src = str(Path(liarsim.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         code = (
             "import sys; sys.modules['scipy'] = None\n"
             "from liarsim.cli import main\n"
             "sys.exit(main(sys.argv[1:]))"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", code, *argv],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        done = fresh_python("-c", code, *argv)
         assert done.returncode == EXIT_OK, done.stderr
 
 
@@ -154,6 +171,21 @@ class TestExitCodes:
         assert main(["run", "--help"]) == EXIT_OK
 
 
+class TestOneParserPerProcess:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_write_the_file_of_a_fresh_process(self, tmp_path, capsys):
+        args = ["run", "--trials", "6", "--L", "16", "--seed", "9", "--strategy-a", "split:n=2"]
+        assert main(["run", "--no-such-flag"]) == EXIT_USAGE
+        assert main(["--help"]) == EXIT_OK
+        here, fresh = tmp_path / "here.ndjson", tmp_path / "fresh.ndjson"
+        assert main([*args, "--out", str(here)]) == EXIT_OK
+        done = fresh_python("-m", "liarsim", *args, "--out", str(fresh))
+        assert done.returncode == EXIT_OK, done.stderr
+        assert here.read_bytes() == fresh.read_bytes()
+
+
 class TestRunSubcommand:
     def test_deterministic_result_files(self, tmp_path):
         args = ["run", "--trials", "20", "--L", "64", "--seed", "6"]
@@ -228,3 +260,20 @@ class TestRunSubcommand:
         )
         assert code == EXIT_OK
         assert "DISTRIBUTE_FAILURE" in capsys.readouterr().out
+
+    # a product source can pass a one-round test subset by chance along
+    # random directions; its lists then break the singlet's doubles law
+    @pytest.mark.parametrize(
+        "source, strategy_b, verdict",
+        [("0001", "honest", "B_REJECTED_AT_STEP_III"), ("0000", "flipforge", "A_IS_LIAR")],
+    )
+    def test_corrupted_source_that_passes_testing_is_adjudicated(
+        self, tmp_path, capsys, source, strategy_b, verdict
+    ):
+        out = tmp_path / "r.ndjson"
+        argv = ["run", "--M", "6", "--N1", "1", "--N2", "1", "--L", "4", "--trials", "200"]
+        argv += ["--source-state", source, "--strategy-b", strategy_b, "--seed", "3"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        counts = json.loads(out.read_text().splitlines()[-1])["verdict_counts"]
+        assert counts[verdict] > 0
+        assert counts[verdict] + counts["DISTRIBUTE_FAILURE"] == 200

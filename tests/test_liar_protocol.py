@@ -13,6 +13,7 @@ from liarsim.distribute_test import (
 )
 from liarsim.liar_protocol import (
     EXPECTED_DOUBLE_FRACTION,
+    _LIST_ENTRIES,
     AcceptanceResult,
     Evidence,
     PartyLists,
@@ -31,7 +32,9 @@ from liarsim.liar_protocol import (
     stage2_mismatches,
 )
 from liarsim.oracle import Assignment
-from liarsim.qstate import basis_state, make_singlet, measure_qubits
+from liarsim.qstate import (
+    COMPUTATIONAL, basis_state, joint_distribution, make_singlet, measure_qubits,
+)
 
 # Worked eight-row example used throughout: a valid joint outcome whose
 # doubles sit at 1,3,6 (for 0) and 4,5,8 (for 1). A's pairs
@@ -85,12 +88,23 @@ class TestPartyLists:
         np.testing.assert_array_equal(lists.b_bits, [1, 0, 1, 0, 0, 1, 0, 0])
         np.testing.assert_array_equal(lists.c_bits, [1, 1, 1, 0, 0, 1, 1, 0])
 
-    def test_correlation_enforced(self):
-        # a (0,0) pair forces 1 at B and C; a (1,1) pair forces 0
-        with pytest.raises(ValueError):
-            PartyLists([0], [0], [1])
-        with pytest.raises(ValueError):
-            PartyLists([2], [0], [1])
+    def test_correlation_left_to_the_source(self):
+        # a double facing its own bit breaks the singlet's law, not the list
+        # shape: a corrupted source that passed testing deals such lists
+        for rows in (([0], [0], [1]), ([2], [0], [1]), ([0, 2], [0, 1], [0, 1])):
+            lists = PartyLists(*rows)
+            np.testing.assert_array_equal(lists.a_ones, rows[0])
+
+    def test_singlet_entries_obey_the_doubles_correlation(self):
+        # exact: every (code, outcome) column the singlet can draw has a
+        # (0,0) pair facing 1 at B and C, and a (1,1) pair facing 0
+        drawable = np.tile(joint_distribution(make_singlet(4), COMPUTATIONAL) > 0, 2)
+        a_ones, b_bits, c_bits = _LIST_ENTRIES[:, drawable]
+        doubles = a_ones != 1
+        facing = 1 - a_ones[doubles] // 2
+        assert drawable.sum() == 12 and set(a_ones[doubles]) == {0, 2}
+        np.testing.assert_array_equal(b_bits[doubles], facing)
+        np.testing.assert_array_equal(c_bits[doubles], facing)
 
     def test_lengths_must_match(self):
         with pytest.raises(ValueError):
@@ -117,7 +131,7 @@ class TestGenerateLists:
         pool = make_verified_pool(100_000, rng(1))
         lists = generate_lists(pool, rng(2))
         assert lists.length == 100_000
-        # constructor enforces the doubles rule; recheck explicitly
+        # the singlet source obeys the doubles rule at every position
         for m in (0, 1):
             doubles = lists.a_ones == 2 * m
             assert np.all(lists.b_bits[doubles] == 1 - m)
@@ -581,11 +595,7 @@ class TestOnePassChecksMatchReference:
                     return "nonempty 1-D arrays"
             if not len(ints[0]) == len(ints[1]) == len(ints[2]):
                 return "equal length"
-            facing = 1 - ints[0] // 2
-            doubles = ints[0] != 1
-            if np.any(doubles & ((ints[1] != facing) | (ints[2] != facing))):
-                return "must face"
-            return None
+            return None  # the doubles correlation is the source's law, not checked here
 
         expected = reference()
         if expected is None:

@@ -1,9 +1,9 @@
-import dataclasses
+import json
 
 import pytest
 
 import liarsim
-from liarsim import channels, liar_protocol
+from liarsim import channels, distribute_test, liar_protocol, oracle, runner
 
 
 def test_every_public_name_resolves():
@@ -38,5 +38,36 @@ def test_party_ids_stay_with_the_custody_ledger():
 
 
 def test_protocol_result_has_no_transcript():
-    names = [field.name for field in dataclasses.fields(liar_protocol.ProtocolResult)]
+    names = list(liar_protocol.ProtocolResult._fields)
     assert names == ["verdict", "a_action", "b_action", "b_acceptance", "delivered_message"]
+
+
+# plain result records: built once per trial or phase, never validated
+_VERDICT = liar_protocol.Verdict(liar_protocol.VerdictValue.CONSISTENT)
+PLAIN_RECORDS = [
+    liar_protocol.AcceptanceResult(True),
+    liar_protocol.Evidence("stage1_malformed"),
+    _VERDICT,
+    liar_protocol.ProtocolResult(_VERDICT, None, None, None, 0),
+    distribute_test.FailureInfo("ii", 1, "lost"),
+    distribute_test.DistributeOutcome(distribute_test.DistributeStatus.FAILURE, None, None, None),
+    channels.TransferRecord(channels.QubitRef(1, 1), channels.TransferStatus.LOST),
+    oracle.escape_probabilities(),
+    runner.TrialResult(0, "SUCCESS"),
+]
+
+
+@pytest.mark.parametrize("record", PLAIN_RECORDS, ids=lambda r: type(r).__name__)
+def test_plain_records_reject_attribute_assignment(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.unknown_field = None
+
+
+def test_trial_result_fields_are_the_trial_record_keys(tmp_path):
+    out = tmp_path / "r.ndjson"
+    runner.run_trials(runner.TrialConfig.build(L=16, trials=1), out_path=str(out))
+    record = json.loads(out.read_text().splitlines()[0])
+    assert record.pop("record") == "trial"
+    assert sorted(record) == sorted(runner.TrialResult._fields)

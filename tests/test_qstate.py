@@ -112,6 +112,13 @@ class TestStateVector:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
 
+    def test_compares_and_hashes_by_identity(self):
+        # field-wise == would take the truth value of an amplitude array
+        state, twin = basis_state("01"), basis_state("01")
+        assert state == state and state != twin
+        assert hash(state) == hash(state)
+        assert len({state, twin}) == 2
+
 
 class TestUnitaries:
     def test_rejects_non_unitary(self):
@@ -121,6 +128,13 @@ class TestUnitaries:
     def test_rejects_nan_matrix(self):
         with pytest.raises(ValueError):
             SingleQubitUnitary(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_compares_and_hashes_by_identity(self):
+        # field-wise == would take the truth value of a matrix array
+        unitary, twin = SingleQubitUnitary(np.eye(2)), SingleQubitUnitary(np.eye(2))
+        assert unitary == unitary and unitary != twin
+        assert hash(unitary) == hash(unitary)
+        assert len({unitary, twin}) == 2
 
     # a product state, which a common rotation does change (a singlet would not)
     def test_identity_leaves_state_alone(self):

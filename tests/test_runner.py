@@ -101,6 +101,20 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(**base)
 
+    # the given sizes are checked before the missing ones are derived from them
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(L=16.0), "L must be an integer, got 16.0"),
+            (dict(M=40.0, L=16), "M must be an integer, got 40.0"),
+            (dict(M=40, L=16.0), "L must be an integer, got 16.0"),
+        ],
+    )
+    def test_build_names_the_size_that_is_not_an_integer(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            TrialConfig.build(**kwargs)
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize(
         "kwargs",
         [
