@@ -136,7 +136,9 @@ class ActionB(ArrayRecord):
 def _draw_sorted(
     candidates: np.ndarray, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    return np.sort(rng.choice(candidates, size=count, replace=False))
+    drawn = rng.choice(candidates, size=count, replace=False)
+    drawn.sort()
+    return drawn
 
 
 def strategy_A_act(
@@ -151,12 +153,12 @@ def strategy_A_act(
     """
     arr = np.asarray(l_A)
     m = int(rng.integers(0, 2))
-    honest_positions = mark_readonly(np.flatnonzero(arr == 2 * m) + 1)
+    honest_positions = mark_readonly((arr == 2 * m).nonzero()[0] + 1)
 
     if strategy.kind is AKind.HONEST:
         return ActionA(m, honest_positions, m, arr)
 
-    mixed = np.flatnonzero(arr == 1) + 1
+    mixed = (arr == 1).nonzero()[0] + 1
     if strategy.kind is AKind.SPLIT_MESSAGE:
         m_AC = 1 - m
         n = min(strategy.fabrication_count, mixed.size)
@@ -201,7 +203,7 @@ def strategy_B_act(
         return ActionB(m_AB, positions)
 
     m_BC = 1 - m_AB
-    plausible = np.flatnonzero(bits == 1 - m_BC) + 1
+    plausible = (bits == 1 - m_BC).nonzero()[0] + 1
     target = strategy.fake_count
     if target is None:
         target = round(EXPECTED_DOUBLE_FRACTION * len(bits))

@@ -8,17 +8,17 @@ and the four outcome bits must contain exactly two 0s and two 1s. Any
 failed check aborts immediately. On success the remaining L systems are
 returned untouched as the verified pool for the messaging protocol.
 
-``run_distribute_and_test`` plays each subset's rounds in one array
-pass. ``_dense_distribute_and_test`` plays the same protocol qubit by
-qubit through the custody ledger and the dense engine; it is the
-reference the tests hold the array pass to.
+``run_distribute_and_test`` plays every test round, S1's then S2's, in
+one array pass. ``_dense_distribute_and_test`` plays the same protocol
+qubit by qubit through the custody ledger and the dense engine; it is
+the reference the tests hold the array pass to.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -119,7 +119,7 @@ class VerifiedPool:
     def __post_init__(self) -> None:
         ids = readonly_array(self.system_ids, np.int64)
         codes = readonly_array(self.codes, np.int8)
-        if ids.ndim != 1 or ids.shape != codes.shape or np.any(codes & ~1):
+        if ids.ndim != 1 or ids.shape != codes.shape or (codes & ~1).any():
             raise ValueError("need equally long 1-D system ids and 0/1 assignment codes")
         object.__setattr__(self, "system_ids", ids)
         object.__setattr__(self, "codes", codes)
@@ -185,12 +185,15 @@ def _failure(step: str, system_id: int, detail: str, rounds: TestRounds) -> Dist
 
 def _draw_subsets(
     plan: DistributionPlan, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S1, S2 and the pool, each as sorted system ids, from one permutation."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tested ids (S1's, then S2's) and pool ids: read-only views of one permutation,
+    each part sorted in place, which the records keep without a copy."""
     order = rng.permutation(plan.M) + 1
     cut = plan.N1 + plan.N2
-    pool_ids = mark_readonly(np.sort(order[cut:]))  # the pool keeps it without a copy
-    return np.sort(order[: plan.N1]), np.sort(order[plan.N1 : cut]), pool_ids
+    for part in (order[: plan.N1], order[plan.N1 : cut], order[cut:]):
+        part.sort()
+    mark_readonly(order)
+    return order[:cut], order[cut:]
 
 
 def _rotated_probabilities(source: StateVector, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -226,43 +229,47 @@ def _round_law(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # singlet's outcome law along any common direction is its computational one.
 _SINGLET_CUM, _SINGLET_C_ZERO = _round_law(make_singlet(4).probabilities().reshape(8, 2))
 _SINGLET_TABLE = _guide_table(_SINGLET_CUM)
+_UNBALANCED = mark_readonly(outcome_bits(4).sum(axis=1) != 2)  # not two 0s and two 1s
 
 
 def _play_rounds(
-    source: StateVector,
-    singlet: bool,
-    sent: int,
-    p_loss: float,
-    policy: DirectionPolicy,
-    rng: np.random.Generator,
-    rounds: int,
+    source: StateVector, singlet: bool, n1: int, n2: int, p_loss: float,
+    policy: DirectionPolicy, rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw and measure one subset's rounds: (lost, theta, phi, bits).
+    """Draw and measure every test round, S1's then S2's: (lost, theta, phi, outcome).
 
-    Each round takes, in the order the step-by-step protocol draws them,
-    ``sent`` transit uniforms, two direction uniforms under the random
-    policy, one uniform for the measurer's three outcomes and one for C's.
-    Both measurements use one common direction and commute, so the four
-    bits are a single draw: from the one singlet law for a singlet source,
-    else from the source rotated into each round's direction.
+    One block of uniforms holds each round's draws in the order the
+    step-by-step protocol reads them: the sender's transit uniforms (A
+    forwards two qubits in S1, B one in S2), two direction uniforms under
+    the random policy, one uniform for the measurer's three outcomes and
+    one for C's. Both measurements use one common direction and commute,
+    so the four bits are a single draw: from the one singlet law for a
+    singlet source, else from the source rotated into each round's
+    direction. ``outcome`` indexes ``outcome_bits(4)``; ``theta`` and
+    ``phi`` are read-only.
     """
-    u = rng.random((rounds, sent + (2 if policy is DirectionPolicy.RANDOM else 0) + 2))
-    lost = np.any(u[:, :sent] < p_loss, axis=1)
+    width = 1 + (2 if policy is DirectionPolicy.RANDOM else 0) + 2  # an S2 round
+    u = rng.random(n1 * (width + 1) + n2 * width)
+    first = u[: n1 * (width + 1)].reshape(n1, width + 1)
+    rounds = np.concatenate((first[:, 1:], u[n1 * (width + 1) :].reshape(n2, width)))
+    # column 0 is each round's smallest transit uniform: S1 sends two qubits
+    np.minimum(rounds[:n1, 0], first[:, 0], out=rounds[:n1, 0])
+    lost = rounds[:, 0] < p_loss
     if policy is DirectionPolicy.RANDOM:
-        theta = np.arccos(-1.0 + 2.0 * u[:, sent])
-        phi = (2.0 * math.pi * u[:, sent + 1]) % (2.0 * math.pi)
+        theta = mark_readonly(np.arccos(-1.0 + 2.0 * rounds[:, 1]))
+        # 2pi * u rounds below 2pi for every u < 1, so phi needs no "% 2pi"
+        phi = mark_readonly(2.0 * math.pi * rounds[:, 2])
     else:
-        theta = phi = np.zeros(rounds)
+        theta = phi = mark_readonly(np.zeros(n1 + n2))
     if singlet:
-        drawn = _SINGLET_TABLE.draw(u[:, -2])
+        drawn = _SINGLET_TABLE.draw(rounds[:, -2])
         c_zero = _SINGLET_C_ZERO.take(drawn)
     else:
         cum, c_zero = _round_law(_rotated_probabilities(source, theta, phi))
-        drawn = _draw_rows(cum, u[:, -2])
-        c_zero = c_zero[np.arange(rounds), drawn]
-    c_bit = u[:, -1] >= c_zero
-    bits = np.column_stack((outcome_bits(3)[drawn], c_bit.astype(np.int8)))
-    return lost, theta, phi, bits
+        drawn = _draw_rows(cum, rounds[:, -2])
+        c_zero = c_zero[np.arange(n1 + n2), drawn]
+    # C's slot 4 is the low bit of the four-qubit outcome index
+    return lost, theta, phi, 2 * drawn + (rounds[:, -1] >= c_zero)
 
 
 def _test_rounds(played: list[tuple]) -> TestRounds:
@@ -282,19 +289,18 @@ def run_distribute_and_test(
     """Run the full distribute-and-test protocol for one batch of M systems.
 
     Returns SUCCESS with the untouched verified pool, or FAILURE naming
-    the first step whose check failed. Every round of a subset is drawn
-    and measured in one array pass; the stream is read in the order of
-    the step-by-step protocol (``_dense_distribute_and_test``), so a
+    the first step whose check failed. Every test round, S1's then S2's, is
+    drawn and measured in one array pass; the stream is read in the order
+    of the step-by-step protocol (``_dense_distribute_and_test``), so a
     successful run leaves ``rng`` exactly where that one does. An aborted
-    run may read further, up to the end of the block it aborted in.
+    run may read further, up to the end of the test rounds.
     """
     codes = rng.integers(0, 2, size=plan.M)
     source = fault.prepare_state()
-    singlet = fault.source_state == "singlet"
     p_loss = fault.qubit_loss_prob
 
     # (i)-(ii): per system, A's two transit draws then B's one.
-    lost = np.flatnonzero(rng.random(3 * plan.M) < p_loss)
+    lost = (rng.random(3 * plan.M) < p_loss).nonzero()[0]
     if lost.size:
         return _failure(
             "ii", int(lost[0]) // 3 + 1, "receipt count wrong: a qubit was lost in transit",
@@ -302,29 +308,30 @@ def run_distribute_and_test(
         )
 
     # (iii): only now does C draw the test subsets.
-    s1, s2, pool_ids = _draw_subsets(plan, rng)
+    tested, pool_ids = _draw_subsets(plan, rng)
 
-    # (iv)-(viii): sacrifice each tested system; roles swap between subsets,
+    # (iv)-(viii): sacrifice every tested system; roles swap between subsets,
     # so the sender forwards A's two qubits in S1 and B's one in S2.
-    played = [_NO_ROUNDS]
-    for subset, ids, sent in ((1, s1, 2), (2, s2, 1)):
-        lost, theta, phi, bits = _play_rounds(
-            source, singlet, sent, p_loss, direction_policy, rng, ids.size
-        )
-        played.append((ids, np.full(ids.size, subset, np.int8), theta, phi, bits))
-        bad = np.flatnonzero(lost | (bits.sum(axis=1) != 2))
-        if bad.size:
-            i = int(bad[0])
-            if lost[i]:  # a round that lost a qubit is never measured
-                step, played_to = "v", i
-                detail = "the measurer did not receive all forwarded qubits"
-            else:
-                step, played_to = "vii", i + 1
-                detail = f"outcome pattern {tuple(bits[i].tolist())} is not two 0s and two 1s"
-            played[-1] = tuple(column[:played_to] for column in played[-1])
-            return _failure(step, int(ids[i]), detail, _test_rounds(played))
+    lost, theta, phi, outcome = _play_rounds(
+        source, fault.source_state == "singlet", plan.N1, plan.N2, p_loss, direction_policy, rng
+    )
+    subsets = np.full(tested.size, 2, np.int8)
+    subsets[: plan.N1] = 1
+    bits = mark_readonly(outcome_bits(4).take(outcome, axis=0))
+    columns = (tested, mark_readonly(subsets), theta, phi, bits)
+    bad = (lost | _UNBALANCED.take(outcome)).nonzero()[0]
+    if bad.size:
+        i = int(bad[0])
+        if lost[i]:  # a round that lost a qubit is never measured
+            step, played_to = "v", i
+            detail = "the measurer did not receive all forwarded qubits"
+        else:
+            step, played_to = "vii", i + 1
+            detail = f"outcome pattern {tuple(bits[i].tolist())} is not two 0s and two 1s"
+        played = TestRounds(*(column[:played_to] for column in columns))
+        return _failure(step, int(tested[i]), detail, played)
     pool = VerifiedPool(pool_ids, codes[pool_ids - 1], source)
-    return DistributeOutcome(DistributeStatus.SUCCESS, pool, None, _test_rounds(played))
+    return DistributeOutcome(DistributeStatus.SUCCESS, pool, None, TestRounds(*columns))
 
 
 def _dense_distribute_and_test(
@@ -362,13 +369,13 @@ def _dense_distribute_and_test(
             )
 
     # (iii): only now does C draw the test subsets.
-    s1, s2, pool_ids = _draw_subsets(plan, rng)
+    tested, pool_ids = _draw_subsets(plan, rng)
 
     # (iv)-(viii): sacrifice each tested system; roles swap between subsets.
     played = [_NO_ROUNDS]
     for subset, tested_ids, sender, measurer in (
-        (1, s1, PartyId.A, PartyId.B),
-        (2, s2, PartyId.B, PartyId.A),
+        (1, tested[: plan.N1], PartyId.A, PartyId.B),
+        (2, tested[plan.N1 :], PartyId.B, PartyId.A),
     ):
         for j in tested_ids.tolist():
             refs = registry.holdings(sender, j)
@@ -409,5 +416,10 @@ def make_verified_pool(L: int, rng: np.random.Generator) -> VerifiedPool:
     """
     if L < 1:
         raise ValueError(f"pool size must be positive, got {L}")
-    ids = mark_readonly(np.arange(1, L + 1))
-    return VerifiedPool(ids, rng.integers(0, 2, size=L), make_singlet(4))
+    return VerifiedPool(_pool_ids(L), rng.integers(0, 2, size=L), make_singlet(4))
+
+
+@cache
+def _pool_ids(L: int) -> np.ndarray:
+    """Read-only ids 1..L, one array per pool size."""
+    return mark_readonly(np.arange(1, L + 1))

@@ -136,7 +136,7 @@ def _is_bit(value) -> bool:
 def _pair_counts(values) -> np.ndarray | None:
     """``values`` as int8 pair counts, or None unless each entry is 0, 1 or 2."""
     entries, complete = _integer_prefix(values)
-    if not complete or np.any((entries < 0) | (entries > 2)):
+    if not complete or ((entries < 0) | (entries > 2)).any():
         return None
     return readonly_array(entries, np.int8)
 
@@ -162,8 +162,8 @@ class Thresholds:
     min_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.min_fraction <= 1.0:
-            raise ValueError(f"min_fraction must lie in [0, 1], got {self.min_fraction!r}")
+        if isinstance(self.min_fraction, bool) or not 0.0 <= self.min_fraction <= 1.0:
+            raise ValueError(f"min_fraction must be a number in [0, 1], got {self.min_fraction!r}")
 
     def required_length(self, length: int) -> float:
         return self.min_fraction * EXPECTED_DOUBLE_FRACTION * length
@@ -253,7 +253,7 @@ def stage1_violations(l_AC: Sequence[int], l_C: np.ndarray) -> np.ndarray:
     arr = np.asarray(l_AC)
     l_C = np.asarray(l_C)
     mask = ((arr == 0) & (l_C != 1)) | ((arr == 2) & (l_C != 0))
-    return np.flatnonzero(mask) + 1
+    return mask.nonzero()[0] + 1
 
 
 def stage2_mismatches(

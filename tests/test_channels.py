@@ -118,6 +118,12 @@ class TestFaultModel:
         with pytest.raises(ValueError):
             FaultModel(source_state="0x11")
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_loss_prob_rejected(self, flag):
+        # a bool compares as 0 or 1, but the records would echo true/false
+        with pytest.raises(ValueError, match="qubit_loss_prob must be a number"):
+            FaultModel(qubit_loss_prob=flag)
+
 
 class TestTransferQubits:
     def test_lossless_transfer_moves_ownership(self):

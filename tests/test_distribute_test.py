@@ -24,12 +24,29 @@ from liarsim.distribute_test import (
     make_verified_pool,
     run_distribute_and_test,
 )
-from liarsim.qstate import COMPUTATIONAL, _draw_rows, make_singlet
+from liarsim.qstate import COMPUTATIONAL, _draw_rows, make_singlet, outcome_bits
 from liarsim.runner import resolve_sizes
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+class _RecordingGenerator:
+    """Passes each call on to ``rng`` and records its name and arguments."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append((name, args + tuple(kwargs.values())))
+            return method(*args, **kwargs)
+
+        return recorded
 
 
 class TestDistributionPlan:
@@ -145,6 +162,32 @@ class TestHonestRun:
         np.testing.assert_array_equal(
             outcome.pool.system_ids, np.sort(order[plan.N1 + plan.N2 :])
         )
+
+    @pytest.mark.parametrize(
+        "policy, per_round", [(DirectionPolicy.RANDOM, 4), (DirectionPolicy.FIXED, 2)]
+    )
+    def test_successful_run_reads_four_blocks(self, policy, per_round):
+        # the codes, A's and B's transit uniforms, the permutation, then one
+        # block for every test round: each S1 round has two transit uniforms
+        # and each S2 round one, then two direction uniforms under the random
+        # policy and one uniform per measurement
+        plan = DistributionPlan(20, 3, 5, 12)
+        stream = _RecordingGenerator(rng(23))
+        outcome = run_distribute_and_test(plan, NO_FAULTS, stream, policy)
+        assert outcome.status is DistributeStatus.SUCCESS
+        assert stream.calls == [
+            ("integers", (0, 2, 20)),
+            ("random", (60,)),
+            ("permutation", (20,)),
+            ("random", (3 * (2 + per_round) + 5 * (1 + per_round),)),
+        ]
+
+    def test_rounds_and_pool_share_one_permutation(self):
+        # both records keep read-only views of the drawn permutation
+        outcome = run_distribute_and_test(DistributionPlan(20, 3, 5, 12), NO_FAULTS, rng(4))
+        tested, pool = outcome.test_records.system_ids, outcome.pool.system_ids
+        assert tested.base is not None and tested.base is pool.base
+        assert not tested.base.flags.writeable
 
     def test_fixed_direction_policy_also_succeeds(self):
         outcome = run_distribute_and_test(
@@ -279,24 +322,30 @@ FAULTS = {
     "loss-1": FaultModel(qubit_loss_prob=1.0),
 }
 
+ORACLE_CASES = [
+    ("singlet", DirectionPolicy.RANDOM),
+    ("singlet", DirectionPolicy.FIXED),
+    ("0011", DirectionPolicy.RANDOM),
+    ("0011", DirectionPolicy.FIXED),
+    ("0000", DirectionPolicy.RANDOM),
+    ("loss-0.01", DirectionPolicy.RANDOM),
+    ("loss-1", DirectionPolicy.RANDOM),
+]
+
 
 class TestClosedFormMatchesDenseOracle:
     """The array kernel against the step-by-step run through the dense engine."""
 
-    @pytest.mark.parametrize(
-        "fault, policy",
-        [
-            ("singlet", DirectionPolicy.RANDOM),
-            ("singlet", DirectionPolicy.FIXED),
-            ("0011", DirectionPolicy.RANDOM),
-            ("0011", DirectionPolicy.FIXED),
-            ("0000", DirectionPolicy.RANDOM),
-            ("loss-0.01", DirectionPolicy.RANDOM),
-            ("loss-1", DirectionPolicy.RANDOM),
-        ],
-    )
+    @pytest.mark.parametrize("fault, policy", ORACLE_CASES)
     def test_identical_outcomes_for_each_seed(self, fault, policy):
-        plan = DistributionPlan.default(12)
+        self.assert_matches_dense(DistributionPlan.default(12), fault, policy)
+
+    @pytest.mark.parametrize("fault, policy", ORACLE_CASES)
+    def test_identical_outcomes_for_unequal_subsets(self, fault, policy):
+        self.assert_matches_dense(DistributionPlan(20, 3, 5, 12), fault, policy)
+
+    @staticmethod
+    def assert_matches_dense(plan, fault, policy):
         for seed in range(100):
             fast_rng, dense_rng = rng(seed), rng(seed)
             fast = run_distribute_and_test(plan, FAULTS[fault], fast_rng, policy)
@@ -357,12 +406,12 @@ class TestSingletTable:
         "u, expected", [(0.0, [0, 0, 1, 1]), (np.nextafter(1.0, 0.0), [1, 1, 0, 0])]
     )
     def test_extreme_uniforms_give_balanced_bits(self, policy, u, expected):
-        for sent in (1, 2):
-            lost, _, _, bits = _play_rounds(
-                make_singlet(4), True, sent, 0.0, policy, _ConstantUniforms(u), 5
-            )
-            assert not lost.any()
-            np.testing.assert_array_equal(bits, [expected] * 5)
+        # five rounds of each subset's width: S1 forwards two qubits, S2 one
+        lost, _, _, outcome = _play_rounds(
+            make_singlet(4), True, 5, 5, 0.0, policy, _ConstantUniforms(u)
+        )
+        assert not lost.any()
+        np.testing.assert_array_equal(outcome_bits(4)[outcome], [expected] * 10)
 
     @pytest.mark.parametrize("state", ["0011", "0110"])
     def test_product_round_draw_is_exact(self, state):

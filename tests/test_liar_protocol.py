@@ -439,6 +439,12 @@ class TestThresholds:
         with pytest.raises(ValueError):
             Thresholds(min_fraction=-0.1)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_fraction_rejected(self, flag):
+        # a bool compares as 0 or 1, but the records would echo true/false
+        with pytest.raises(ValueError, match="min_fraction must be a number"):
+            Thresholds(min_fraction=flag)
+
     def test_required_length(self):
         assert Thresholds().required_length(256) == pytest.approx(256 * 5 / 48)
 

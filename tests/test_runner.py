@@ -93,6 +93,8 @@ class TestTrialConfig:
             dict(seed=True),
             dict(trials=True),
             dict(L=256.0),
+            dict(min_fraction=True),
+            dict(qubit_loss_prob=False),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
