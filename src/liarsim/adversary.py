@@ -138,7 +138,7 @@ def _draw_sorted(
 ) -> np.ndarray:
     drawn = rng.choice(candidates, size=count, replace=False)
     drawn.sort()
-    return drawn
+    return mark_readonly(drawn)
 
 
 def strategy_A_act(
@@ -158,16 +158,19 @@ def strategy_A_act(
     if strategy.kind is AKind.HONEST:
         return ActionA(m, honest_positions, m, arr)
 
-    mixed = (arr == 1).nonzero()[0] + 1
+    # each array is marked read-only where it is made, so ActionA keeps it uncopied
+    mixed = mark_readonly((arr == 1).nonzero()[0] + 1)
     if strategy.kind is AKind.SPLIT_MESSAGE:
         m_AC = 1 - m
         n = min(strategy.fabrication_count, mixed.size)
         fabricated = _draw_sorted(mixed, n, rng)
+        claimed = np.concatenate((honest_positions, fabricated))
+        claimed.sort()
         return ActionA(
             m_AB=m,
-            positions_for_B=np.sort(np.concatenate((honest_positions, fabricated))),
+            positions_for_B=mark_readonly(claimed),
             m_AC=m_AC,
-            l_AC=np.where(arr == 1, 2 * m_AC, arr),
+            l_AC=mark_readonly(np.where(arr == 1, 2 * m_AC, arr)),
             fabricated_positions=fabricated,
             altered_positions=mixed,
             capped=n < strategy.fabrication_count,
@@ -183,7 +186,7 @@ def strategy_A_act(
         m_AB=m,
         positions_for_B=honest_positions,
         m_AC=m,
-        l_AC=forged,
+        l_AC=mark_readonly(forged),
         altered_positions=altered,
         capped=k < strategy.altered_count,
     )

@@ -119,7 +119,7 @@ class VerifiedPool:
     def __post_init__(self) -> None:
         ids = readonly_array(self.system_ids, np.int64)
         codes = readonly_array(self.codes, np.int8)
-        if ids.ndim != 1 or ids.shape != codes.shape or (codes & ~1).any():
+        if ids.ndim != 1 or ids.shape != codes.shape or np.count_nonzero(codes & ~1):
             raise ValueError("need equally long 1-D system ids and 0/1 assignment codes")
         object.__setattr__(self, "system_ids", ids)
         object.__setattr__(self, "codes", codes)

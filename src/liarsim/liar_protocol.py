@@ -57,7 +57,7 @@ class PartyLists(ArrayRecord):
         for name, upper in (("a_ones", 2), ("b_bits", 1), ("c_bits", 1)):
             arr = readonly_array(getattr(self, name), np.int8)
             # viewed as uint8, a negative entry reads as 128 or more
-            if arr.ndim != 1 or arr.size < 1 or arr.view(np.uint8).max() > upper:
+            if arr.ndim != 1 or arr.size < 1 or np.count_nonzero(arr.view(np.uint8) > upper):
                 raise ValueError(f"lists must be nonempty 1-D arrays of 0..{upper}")
             object.__setattr__(self, name, arr)
         if not (len(self.a_ones) == len(self.b_bits) == len(self.c_bits)):
@@ -114,7 +114,7 @@ def _scan_positions(claimed, length: int) -> tuple[np.ndarray, int | None]:
         or (
             positions[0] >= 1
             and positions[-1] <= length
-            and (positions[1:] > positions[:-1]).all()
+            and not np.count_nonzero(positions[1:] <= positions[:-1])
         )
     ):
         return positions, None
@@ -136,7 +136,7 @@ def _is_bit(value) -> bool:
 def _pair_counts(values) -> np.ndarray | None:
     """``values`` as int8 pair counts, or None unless each entry is 0, 1 or 2."""
     entries, complete = _integer_prefix(values)
-    if not complete or ((entries < 0) | (entries > 2)).any():
+    if not complete or np.count_nonzero((entries < 0) | (entries > 2)):
         return None
     return readonly_array(entries, np.int8)
 

@@ -25,6 +25,7 @@ import operator
 import os
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, TextIO
 
 import numpy as np
@@ -319,6 +320,10 @@ def _mix_word(pool: tuple[int, ...], word: int, hc: int) -> tuple[tuple[int, ...
     return (r0 ^ r0 >> 16, r1 ^ r1 >> 16, r2 ^ r2 >> 16, r3 ^ r3 >> 16), after
 
 
+# filling and cross-mixing the pool hashes sixteen words, whatever the seed
+_POOL_CONSTANTS, _POOL_HC = _hash_constants(_INIT_A, _POOL_SIZE * _POOL_SIZE, _MULT_A)
+
+
 @functools.lru_cache(maxsize=8)
 def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """The pool of SeedSequence(entropy=seed, spawn_key=(i,)) before i's
@@ -330,8 +335,7 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """
     words = _words32(seed)
     words += [0] * (_POOL_SIZE - len(words))
-    pairs, hc = _hash_constants(_INIT_A, _POOL_SIZE * _POOL_SIZE, _MULT_A)
-    steps = iter(pairs)
+    steps, hc = iter(_POOL_CONSTANTS), _POOL_HC
     pool = [_hash(word, *next(steps)) for word in words[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
@@ -417,36 +421,32 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return generator(pcg64(_PCG64Seed(_pcg64_words(pool))))
 
 
-def _escape_counts(lists, a_action, b_action) -> dict[str, int]:
-    """Per-entry survival counts for each kind of fabricated entry."""
-    counts = dict.fromkeys(
-        (
-            "fabricated_for_b",
-            "fabricated_passing_b",
-            "altered_for_c",
-            "altered_passing_c",
-            "forged_for_stage2",
-            "forged_passing_stage2",
-        ),
-        0,
-    )
+def _escape_counts(lists, a_action, b_action) -> tuple[int, int, int, int, int, int]:
+    """Per-entry survival counts for each kind of fabricated entry, in
+    ``TrialResult`` field order: fabricated for B and passing B, altered
+    for C and passing C, forged for stage 2 and passing it."""
+    fabricated_for_b = fabricated_passing_b = altered_for_c = altered_passing_c = 0
+    forged_for_stage2 = forged_passing_stage2 = 0
     fabricated = a_action.fabricated_positions
     if fabricated.size:
         bad = incompatible_positions(fabricated, lists.b_bits, a_action.m_AB)
-        counts["fabricated_for_b"] = fabricated.size
-        counts["fabricated_passing_b"] = fabricated.size - bad.size
+        fabricated_for_b = fabricated.size
+        fabricated_passing_b = fabricated.size - bad.size
     altered = a_action.altered_positions - 1
     if altered.size:
         # a forged double (m, m) survives exactly where C's bit reads 1 - m
         survives = lists.c_bits[altered] == 1 - a_action.l_AC[altered] // 2
-        counts["altered_for_c"] = altered.size
-        counts["altered_passing_c"] = int(np.count_nonzero(survives))
+        altered_for_c = altered.size
+        altered_passing_c = int(np.count_nonzero(survives))
     if b_action is not None and b_action.fabricated_positions.size:
         forged = b_action.fabricated_positions
         bad2 = stage2_mismatches(forged, a_action.l_AC, b_action.m_BC)
-        counts["forged_for_stage2"] = forged.size
-        counts["forged_passing_stage2"] = forged.size - bad2.size
-    return counts
+        forged_for_stage2 = forged.size
+        forged_passing_stage2 = forged.size - bad2.size
+    return (
+        fabricated_for_b, fabricated_passing_b, altered_for_c, altered_passing_c,
+        forged_for_stage2, forged_passing_stage2,
+    )
 
 
 def run_single_trial(config: TrialConfig, trial_index: int) -> TrialResult:
@@ -476,19 +476,21 @@ def run_single_trial(config: TrialConfig, trial_index: int) -> TrialResult:
         lists, strategy_a, strategy_b, thresholds=config.thresholds, rng=rng
     )
     a_action, b_action = result.a_action, result.b_action
+    # positional, in field order: a keyword build costs several times more
     return TrialResult(
-        trial=trial_index,
-        distribute_status=DistributeStatus.SUCCESS.value,
-        verdict=result.verdict.value.value,
-        evidence_check=None if result.verdict.evidence is None else result.verdict.evidence.check,
-        m_AB=a_action.m_AB,
-        m_AC=a_action.m_AC,
-        m_BC=None if b_action is None else b_action.m_BC,
-        delivered=result.delivered_message,
-        claim_length=a_action.positions_for_B.size,
-        forwarded_length=None if b_action is None else b_action.forwarded.size,
-        list_length=lists.length,
-        **_escape_counts(lists, a_action, b_action),
+        trial_index,
+        DistributeStatus.SUCCESS.value,
+        None,
+        result.verdict.value.value,
+        None if result.verdict.evidence is None else result.verdict.evidence.check,
+        a_action.m_AB,
+        a_action.m_AC,
+        None if b_action is None else b_action.m_BC,
+        result.delivered_message,
+        a_action.positions_for_B.size,
+        None if b_action is None else b_action.forwarded.size,
+        lists.length,
+        *_escape_counts(lists, a_action, b_action),
     )
 
 
@@ -551,16 +553,40 @@ def _summary_record(config: TrialConfig, stats: TrialStats) -> dict:
     return {"record": "summary", "config": config_fields, **record}
 
 
+# The line ``_ENCODER`` writes for {"record": "trial", **r._asdict()}, with
+# a %s for each field's JSON: its keys sorted, its default separators.
+_TRIAL_KEYS = sorted(("record",) + TrialResult._fields)
+_TRIAL_LINE = "{%s}" % ", ".join(
+    encode_basestring_ascii(key) + ": " + ('"trial"' if key == "record" else "%s")
+    for key in _TRIAL_KEYS
+)
+_TRIAL_FIELDS = operator.itemgetter(
+    *(TrialResult._fields.index(key) for key in _TRIAL_KEYS if key != "record")
+)
+
+
+def _trial_line(r: TrialResult) -> str:
+    """One trial's result-file line, exactly as ``_ENCODER`` writes it.
+
+    None and exact ints are written directly; everything else must be a
+    str, and ``encode_basestring_ascii`` raises TypeError for a bool,
+    float or numpy value rather than write it differently.
+    """
+    return _TRIAL_LINE % tuple(
+        [
+            "null" if v is None else str(v) if type(v) is int else encode_basestring_ascii(v)
+            for v in _TRIAL_FIELDS(r)
+        ]
+    )
+
+
 def format_records(config: TrialConfig, results: list[TrialResult], stats: TrialStats) -> str:
     """Render the result file: one record per line, summary last.
 
     Keys are sorted and trials appear in index order, so the bytes are a
     pure function of the config.
     """
-    lines = []
-    for r in sorted(results, key=lambda r: r.trial):
-        record = {"record": "trial", **r._asdict()}
-        lines.append(_ENCODER.encode(record))
+    lines = [_trial_line(r) for r in sorted(results, key=lambda r: r.trial)]
     lines.append(_ENCODER.encode(_summary_record(config, stats)))
     return "\n".join(lines) + "\n"
 

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 import liarsim
-from liarsim import runner
+from liarsim import adversary, distribute_test, liar_protocol, qstate, runner
 from liarsim.cli import main as cli_main
 from liarsim.runner import (
     DISTRIBUTE_FAILURE,
@@ -389,6 +391,79 @@ class TestResultFile:
         for line in format_records(config, results, aggregate(results)).splitlines():
             keys = list(json.loads(line).keys())
             assert keys == sorted(keys)
+
+
+# one value per TrialResult field: ints past 64 bits, None, and any text
+_FIELD_VALUES = st.one_of(st.integers(-(2**70), 2**70), st.none(), st.text())
+_TRICKY_TEXT = 'é"\\\n\x00\x1f\u2028\U0001f600\ud800'
+
+
+class TestTrialLine:
+    """Each trial line comes from a template; it must be the encoder's line."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.tuples(*[_FIELD_VALUES] * len(TrialResult._fields)))
+    @example((_TRICKY_TEXT,) + (None,) * (len(TrialResult._fields) - 2) + (-(2**64),))
+    @example(tuple(range(2**63, 2**63 + len(TrialResult._fields))))
+    def test_line_is_the_encoders_line(self, values):
+        r = TrialResult(*values)
+        expected = runner._ENCODER.encode({"record": "trial", **r._asdict()})
+        assert runner._trial_line(r) == expected
+
+    def test_template_keys_are_sorted_with_the_record_literal(self):
+        keys = list(json.loads(runner._TRIAL_LINE % (("0",) * len(TrialResult._fields))))
+        assert keys == sorted(keys) == sorted(("record",) + TrialResult._fields)
+
+    @pytest.mark.parametrize("value", [True, 1.5, np.int64(3)], ids=["bool", "float", "np.int64"])
+    def test_other_types_raise_rather_than_write_differently(self, value):
+        r = TrialResult(0, "SUCCESS", m_AB=value)
+        with pytest.raises(TypeError):
+            runner._trial_line(r)
+        with pytest.raises(TypeError):
+            format_records(TrialConfig.build(L=16, trials=1), [r], aggregate([r]))
+
+
+_NO_COPY_CONFIGS = [
+    {"strategy_a": a, "strategy_b": b}
+    for a, b in (
+        ("honest", "honest"),
+        ("split:n=3", "honest"),
+        ("forgefull:k=8", "flipforge"),
+        ("honest", "flipforge"),
+        ("split:n=50", "flipforge:k=50"),
+    )
+]
+
+
+class TestTrialPathCopiesNothing:
+    """Actions, lists and C's checks take the arrays they are given as they
+    are: each is read-only and of its final dtype where it is made."""
+
+    @pytest.mark.parametrize("L", [16, 64])
+    @pytest.mark.parametrize(
+        "strategies", _NO_COPY_CONFIGS, ids=lambda s: f"{s['strategy_a']}/{s['strategy_b']}"
+    )
+    def test_readonly_array_returns_its_input(self, monkeypatch, L, strategies):
+        calls = []
+
+        def recording(values, dtype):
+            out = qstate.readonly_array(values, dtype)
+            caller = sys._getframe(1)
+            owner = type(caller.f_locals.get("self")).__name__
+            calls.append((f"{owner}.{caller.f_code.co_name}", dtype, out is values))
+            return out
+
+        for module in (adversary, liar_protocol, distribute_test):
+            monkeypatch.setattr(module, "readonly_array", recording)
+        config = TrialConfig.build(L=L, seed=L, trials=20, **strategies)
+        for i in range(config.trials):
+            run_single_trial(config, i)
+        copies = {(where, dtype) for where, dtype, same in calls if not same}
+        # the one copy: make_verified_pool draws int64 codes, kept as int8
+        assert copies == {("VerifiedPool.__post_init__", np.int8)}
+        assert {where for where, _, _ in calls} >= {
+            "ActionA.__post_init__", "PartyLists.__post_init__", "VerifiedPool.__post_init__",
+        }
 
 
 class TestRunTrials:
