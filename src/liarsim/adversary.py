@@ -257,9 +257,12 @@ def _split_descriptor(text: str) -> tuple[str, dict[str, int]]:
     if rest:
         for item in rest.split(","):
             key, eq, value = item.partition("=")
-            if not eq or not value.lstrip("-").isdigit():
+            digits = value.removeprefix("-")
+            if not eq or not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"malformed strategy parameter {item!r} in {text!r}")
-            params[key.strip()] = int(value)
+            if (key := key.strip()) in params:
+                raise ValueError(f"repeated strategy parameter {key!r} in {text!r}")
+            params[key] = int(value)
     return name.strip().lower(), params
 
 

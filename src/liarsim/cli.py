@@ -60,12 +60,11 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             if key not in _ALL_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            convert = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+            try:
+                values[key] = convert(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 

@@ -163,10 +163,11 @@ def rejection_lower_bound(n_fabricated: int) -> float:
     return 1.0 - 0.5**n_fabricated
 
 
-def as_fraction(value: float, max_denominator: int = 1000) -> str:
-    """Render an enumerated probability as its reduced fraction string."""
+def as_fraction(value: float) -> str:
+    """Render an enumerated probability as its reduced fraction string,
+    of denominator at most 1000."""
     from fractions import Fraction  # loaded on use: only ``liarsim oracle`` needs it
-    frac = Fraction(value).limit_denominator(max_denominator)
+    frac = Fraction(value).limit_denominator(1000)
     if abs(float(frac) - value) > 1e-9:
         return f"{value:.12f}"
     if frac.denominator == 1:

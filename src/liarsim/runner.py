@@ -10,8 +10,9 @@ Determinism contract: trial ``i`` draws from a stream derived from
 ``(seed, i)`` only, so records are independent of execution order, and
 the result file contains no timestamps or timing data (wall-clock
 figures go to stdout only). That stream is exactly numpy's
-``PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))``; ``trial_rng``
-computes the SeedSequence hash itself, the seed's share once per seed.
+``PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))``: numpy computes the
+seed's pool once per seed, and ``trial_rng`` hashes only each trial's
+index words and PCG64's four words.
 """
 
 from __future__ import annotations
@@ -237,8 +238,9 @@ class TrialStats:
 DISTRIBUTE_FAILURE = "DISTRIBUTE_FAILURE"
 
 
-def wilson_interval(successes: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """Wilson score 95% confidence interval for a binomial proportion."""
+    z = _WILSON_Z
     if n == 0:
         return (0.0, 1.0)
     p = successes / n
@@ -250,12 +252,12 @@ def wilson_interval(successes: int, n: int, z: float = _WILSON_Z) -> tuple[float
     return (low, high)
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx), computed directly.
-# Every word it mixes in passes through ``hashmix``, whose hash constant
-# starts at INIT_A and is multiplied by MULT_A after each use; ``mix`` folds
-# one word into another; ``generate_state`` hashes the pool words in turn
-# under a constant that starts at INIT_B and steps by MULT_B. No constant
-# depends on the data, so each is computed once.
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): numpy computes the
+# seed's pool once per seed, and only each trial's index words and PCG64's
+# four words are hashed here. ``hashmix``'s constant starts at INIT_A and is
+# multiplied by MULT_A after each use, ``mix`` folds one word into another,
+# and ``generate_state``'s constant starts at INIT_B and steps by MULT_B.
+# No constant depends on the data, so each is computed once.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -287,16 +289,6 @@ def _hash_constants(hc: int, count: int, mult: int) -> tuple[tuple[tuple[int, in
     return tuple(pairs), hc
 
 
-def _hash(value: int, xor: int, mult: int) -> int:
-    h = (value ^ xor) * mult & _MASK32
-    return h ^ h >> 16
-
-
-def _mix(x: int, y: int) -> int:
-    r = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
-    return r ^ r >> 16
-
-
 @functools.lru_cache(maxsize=8)
 def _word_constants(hc: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """The hash constants of one word mixed in past the pool, from ``hc``."""
@@ -320,31 +312,19 @@ def _mix_word(pool: tuple[int, ...], word: int, hc: int) -> tuple[tuple[int, ...
     return (r0 ^ r0 >> 16, r1 ^ r1 >> 16, r2 ^ r2 >> 16, r3 ^ r3 >> 16), after
 
 
-# filling and cross-mixing the pool hashes sixteen words, whatever the seed
-_POOL_CONSTANTS, _POOL_HC = _hash_constants(_INIT_A, _POOL_SIZE * _POOL_SIZE, _MULT_A)
-
-
 @functools.lru_cache(maxsize=8)
 def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """The pool of SeedSequence(entropy=seed, spawn_key=(i,)) before i's
     words are mixed in, and the hash constant reached: the same for every i.
 
     With a spawn key, the seed's words are padded with zeros to the pool
-    size. The first four fill the pool and are cross-mixed; any further
-    seed words are mixed in after them, then the key's words.
+    size, as filling the pool does anyway, so that pool is SeedSequence(seed)'s
+    own; building it used the hash constant four times per padded word.
     """
-    words = _words32(seed)
-    words += [0] * (_POOL_SIZE - len(words))
-    steps, hc = iter(_POOL_CONSTANTS), _POOL_HC
-    pool = [_hash(word, *next(steps)) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
-    pool = tuple(pool)
-    for word in words[_POOL_SIZE:]:
-        pool, hc = _mix_word(pool, word, hc)
-    return pool, hc
+    from numpy.random import SeedSequence  # on first use, as in _bit_generator_types
+    uses = _POOL_SIZE * max(_POOL_SIZE, len(_words32(seed)))
+    pool = tuple(int(word) for word in SeedSequence(seed).pool)
+    return pool, _INIT_A * pow(_MULT_A, uses, 2**32) & _MASK32
 
 
 # generate_state(4, np.uint64) hashes the pool words twice round
@@ -407,9 +387,9 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """The stream for one trial, derived only from (seed, trial_index).
 
     Exactly ``default_rng(SeedSequence(entropy=seed, spawn_key=(trial_index,)))``,
-    the same PCG64 state, built without a SeedSequence: the seed's share of
-    the hash is computed once per seed, and each trial mixes in only its
-    index and hashes out PCG64's four words. Negative values raise
+    the same PCG64 state, built without a per-trial SeedSequence: numpy
+    computes the seed's pool once per seed, and each trial mixes in only
+    its index and hashes out PCG64's four words. Negative values raise
     ValueError, as SeedSequence does. The generator's ``seed_seq`` serves
     PCG64's seeding only, so it cannot ``spawn``.
     """

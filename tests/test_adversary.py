@@ -197,16 +197,35 @@ class TestParsers:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "bogus", "split:n", "split:n=x", "split:k=3", "honest:n=1", "split:n=-2"],
+        [
+            "", "bogus", "split:n", "split:n=x", "split:k=3", "honest:n=1", "split:n=-2",
+            "split:n=3,n=9",
+        ],
     )
     def test_malformed_a_descriptors(self, text):
         with pytest.raises(ValueError):
             parse_strategy_A(text)
 
-    @pytest.mark.parametrize("text", ["split:n=3", "flipforge:n=3", "flipforge:k=-1"])
+    @pytest.mark.parametrize(
+        "text", ["split:n=3", "flipforge:n=3", "flipforge:k=-1", "flipforge:k=1,k=2"]
+    )
     def test_malformed_b_descriptors(self, text):
         with pytest.raises(ValueError):
             parse_strategy_B(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("split:n=--3", "malformed strategy parameter 'n=--3'"),
+            ("split:n=\u00b2", "malformed strategy parameter"),
+            ("split:n=\u0663", "malformed strategy parameter"),
+            ("split:n=-2", "strategy counts must be nonnegative"),
+            ("split:n=3, n=9", "repeated strategy parameter 'n'"),
+        ],
+    )
+    def test_descriptor_errors_name_the_fault(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_strategy_A(text)
 
 
 class TestPerEntryEscapeRates:

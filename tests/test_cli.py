@@ -122,6 +122,15 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             parse_config_file(str(path))
 
+    @pytest.mark.parametrize("line", ["trials = 1e3", "qubit_loss_prob = lots"])
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.conf"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=r"bad\.conf:1: "):
+            parse_config_file(str(path))
+        assert main(["run", "--config", str(path)]) == EXIT_USAGE
+        assert "bad.conf:1: " in capsys.readouterr().err
+
     def test_flags_override_file(self, tmp_path, capsys):
         path = tmp_path / "run.conf"
         path.write_text("trials = 9\nL = 64\nseed = 4\n")

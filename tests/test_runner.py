@@ -138,9 +138,11 @@ class TestTrialConfig:
 
 
 _RANDOM_64 = [int(x) for x in np.random.default_rng(2026).integers(0, 2**64, 6, dtype=np.uint64)]
-# seeds of 1, 2, 3 and 5 words (2**130 + 7 is mixed in past the pool) and
-# indices of 1 and 2 words, at each word-size boundary
-REFERENCE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 7, *_RANDOM_64[:3]]
+# seeds of 1 to 5 words (2**128 and 2**130 + 7 are mixed in past the pool)
+# and indices of 1 and 2 words, at each word-size boundary
+REFERENCE_SEEDS = [
+    0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**130 + 7, *_RANDOM_64[:3]
+]
 REFERENCE_INDICES = [0, 1, 2, 2**32 - 1, 2**32, 2**63, *_RANDOM_64[3:]]
 
 
@@ -207,6 +209,21 @@ class TestTrialRng:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+    def test_seed_sequence_built_once_per_seed(self, monkeypatch):
+        builds = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                builds.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        runner._seed_pool.cache_clear()
+        config = TrialConfig.build(L=16, seed=2**63 + 14, trials=50)
+        for i in range(config.trials):
+            run_single_trial(config, i)
+        assert builds == [(2**63 + 14,)]
 
     def test_reproducible_per_index(self):
         a = trial_rng(42, 3).integers(0, 2**32, size=4)
