@@ -251,18 +251,28 @@ def parse_strategy_B(text: str) -> StrategyB:
     )
 
 
+def integer(text: str) -> int:
+    """``text`` as an int if it is an optional ``-`` then ASCII digits: the rule
+    for every integer read from outside (``int`` also takes ``_`` and non-ASCII digits)."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _split_descriptor(text: str) -> tuple[str, dict[str, int]]:
     name, _, rest = text.strip().partition(":")
     params: dict[str, int] = {}
     if rest:
         for item in rest.split(","):
-            key, eq, value = item.partition("=")
-            digits = value.removeprefix("-")
-            if not eq or not (digits.isascii() and digits.isdigit()):
-                raise ValueError(f"malformed strategy parameter {item!r} in {text!r}")
+            key, _, value = item.partition("=")  # no "=" leaves value empty
+            try:
+                number = integer(value)
+            except ValueError:
+                raise ValueError(f"malformed strategy parameter {item!r} in {text!r}") from None
             if (key := key.strip()) in params:
                 raise ValueError(f"repeated strategy parameter {key!r} in {text!r}")
-            params[key] = int(value)
+            params[key] = number
     return name.strip().lower(), params
 
 

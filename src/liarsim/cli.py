@@ -26,6 +26,7 @@ import functools
 import math
 import sys
 
+from .adversary import integer
 from .oracle import (
     Assignment,
     as_fraction,
@@ -47,6 +48,13 @@ _STR_KEYS = ("strategy_a", "strategy_b", "source_state", "direction_policy", "ou
 _ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS
 
 
+def real(text: str) -> float:
+    """``text`` as a float, when it is ASCII with no ``_`` digit separators."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid number {text!r}")
+    return float(text)
+
+
 def parse_config_file(path: str) -> dict:
     """Read ``key=value`` settings; '#' starts a comment, blanks ignored."""
     values: dict[str, object] = {}
@@ -60,7 +68,7 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             if key not in _ALL_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            convert = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+            convert = integer if key in _INT_KEYS else real if key in _FLOAT_KEYS else str
             try:
                 values[key] = convert(value)
             except ValueError as exc:
@@ -78,17 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a batch of seeded trials")
     run.add_argument("--config", help="key=value config file (flags win)")
-    run.add_argument("--trials", type=int, help="number of trials (default 100)")
-    run.add_argument("--seed", type=int, help="64-bit master seed (default 0)")
-    run.add_argument("--L", type=int, help="surviving pool size per trial")
-    run.add_argument("--M", type=int, help="systems distributed per trial")
-    run.add_argument("--N1", type=int, help="first test subset size")
-    run.add_argument("--N2", type=int, help="second test subset size")
+    run.add_argument("--trials", type=integer, help="number of trials (default 100)")
+    run.add_argument("--seed", type=integer, help="64-bit master seed (default 0)")
+    run.add_argument("--L", type=integer, help="surviving pool size per trial")
+    run.add_argument("--M", type=integer, help="systems distributed per trial")
+    run.add_argument("--N1", type=integer, help="first test subset size")
+    run.add_argument("--N2", type=integer, help="second test subset size")
     run.add_argument("--strategy-a", help='"honest", "split:n=N", or "forgefull:k=K"')
     run.add_argument("--strategy-b", help='"honest" or "flipforge:k=K"')
-    run.add_argument("--qubit-loss-prob", type=float, help="transit loss probability")
+    run.add_argument("--qubit-loss-prob", type=real, help="transit loss probability")
     run.add_argument("--source-state", help='"singlet" or a 4-bit product state')
-    run.add_argument("--min-fraction", type=float, help="length-test strictness in [0,1]")
+    run.add_argument("--min-fraction", type=real, help="length-test strictness in [0,1]")
     run.add_argument(
         "--direction-policy",
         choices=("random", "fixed"),

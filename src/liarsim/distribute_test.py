@@ -95,7 +95,6 @@ class DistributionPlan:
 class FailureInfo(NamedTuple):
     step: str  # protocol step that failed: "ii", "v", or "vii"
     system_id: int | None
-    detail: str
 
 
 class DistributeStatus(enum.Enum):
@@ -177,10 +176,8 @@ class DistributeOutcome(NamedTuple):
     test_records: TestRounds
 
 
-def _failure(step: str, system_id: int, detail: str, rounds: TestRounds) -> DistributeOutcome:
-    return DistributeOutcome(
-        DistributeStatus.FAILURE, None, FailureInfo(step, system_id, detail), rounds
-    )
+def _failure(step: str, system_id: int, rounds: TestRounds) -> DistributeOutcome:
+    return DistributeOutcome(DistributeStatus.FAILURE, None, FailureInfo(step, system_id), rounds)
 
 
 def _draw_subsets(
@@ -302,10 +299,7 @@ def run_distribute_and_test(
     # (i)-(ii): per system, A's two transit draws then B's one.
     lost = (rng.random(3 * plan.M) < p_loss).nonzero()[0]
     if lost.size:
-        return _failure(
-            "ii", int(lost[0]) // 3 + 1, "receipt count wrong: a qubit was lost in transit",
-            _test_rounds([_NO_ROUNDS]),
-        )
+        return _failure("ii", int(lost[0]) // 3 + 1, _test_rounds([_NO_ROUNDS]))
 
     # (iii): only now does C draw the test subsets.
     tested, pool_ids = _draw_subsets(plan, rng)
@@ -322,14 +316,10 @@ def run_distribute_and_test(
     bad = (lost | _UNBALANCED.take(outcome)).nonzero()[0]
     if bad.size:
         i = int(bad[0])
-        if lost[i]:  # a round that lost a qubit is never measured
-            step, played_to = "v", i
-            detail = "the measurer did not receive all forwarded qubits"
-        else:
-            step, played_to = "vii", i + 1
-            detail = f"outcome pattern {tuple(bits[i].tolist())} is not two 0s and two 1s"
+        # a round that lost a qubit is never measured
+        step, played_to = ("v", i) if lost[i] else ("vii", i + 1)
         played = TestRounds(*(column[:played_to] for column in columns))
-        return _failure(step, int(tested[i]), detail, played)
+        return _failure(step, int(tested[i]), played)
     pool = VerifiedPool(pool_ids, codes[pool_ids - 1], source)
     return DistributeOutcome(DistributeStatus.SUCCESS, pool, None, TestRounds(*columns))
 
@@ -361,12 +351,8 @@ def _dense_distribute_and_test(
         b_refs = [QubitRef(j, assignment.b_slot)]
         outcomes = transfer_qubits(registry, systems, PartyId.C, PartyId.A, a_refs, fault, rng)
         outcomes += transfer_qubits(registry, systems, PartyId.C, PartyId.B, b_refs, fault, rng)
-        lost = [rec.ref for rec in outcomes if rec.status is TransferStatus.LOST]
-        if lost:
-            return _failure(
-                "ii", j, f"receipt count wrong: lost {len(lost)} qubit(s) in transit",
-                _test_rounds([_NO_ROUNDS]),
-            )
+        if any(rec.status is TransferStatus.LOST for rec in outcomes):
+            return _failure("ii", j, _test_rounds([_NO_ROUNDS]))
 
     # (iii): only now does C draw the test subsets.
     tested, pool_ids = _draw_subsets(plan, rng)
@@ -381,10 +367,7 @@ def _dense_distribute_and_test(
             refs = registry.holdings(sender, j)
             outcomes = transfer_qubits(registry, systems, sender, measurer, refs, fault, rng)
             if any(rec.status is TransferStatus.LOST for rec in outcomes):
-                return _failure(
-                    "v", j, f"{measurer.value} did not receive all of {sender.value}'s qubits",
-                    _test_rounds(played),
-                )
+                return _failure("v", j, _test_rounds(played))
             direction = choose_direction(rng, direction_policy)
             slots = [ref.slot for ref in registry.holdings(measurer, j)]
             reported = systems[j].measure_slots(slots, direction, rng)
@@ -392,10 +375,7 @@ def _dense_distribute_and_test(
             bits = tuple(reported) + (c_bit,)
             played.append(([j], [subset], [direction.theta], [direction.phi], [bits]))
             if sorted(bits) != [0, 0, 1, 1]:
-                return _failure(
-                    "vii", j, f"outcome pattern {bits} is not two 0s and two 1s",
-                    _test_rounds(played),
-                )
+                return _failure("vii", j, _test_rounds(played))
 
     # testing must never touch the pool: each system still holds the source
     touched = [j for j in pool_ids.tolist() if not systems[j].is_pristine]

@@ -7,7 +7,7 @@ bit lists whose doubles are perfectly anticorrelated with A's. A then
 sends her message to B together with the positions where it appears
 doubled; B checks that claim against his own list before forwarding it
 to C; C, on receiving conflicting messages, convicts whichever party's
-data fails its consistency check.
+data fails its consistency check, and the verdict names that check.
 """
 from __future__ import annotations
 
@@ -235,17 +235,13 @@ class VerdictValue(enum.Enum):
     B_REJECTED_AT_STEP_III = "B_REJECTED_AT_STEP_III"
 
 
-class Evidence(NamedTuple):
-    """Which check decided the verdict, and where it tripped."""
-
-    check: str
-    position: int | None = None
-    detail: str = ""
-
-
 class Verdict(NamedTuple):
+    """C's verdict, the check that decided it, and the position where that
+    check tripped (None when it names no single position)."""
+
     value: VerdictValue
-    evidence: Evidence | None = None
+    check: str | None = None
+    position: int | None = None
 
 
 def stage1_violations(l_AC: Sequence[int], l_C: np.ndarray) -> np.ndarray:
@@ -277,22 +273,24 @@ def c_adjudicate(
     """C's step-(VI) decision between conflicting messages.
 
     A message bit that is not an integer 0 or 1 convicts its sender
-    before the messages are compared. Stage 1 tests A's claimed full
-    list against C's own bits: any wrong length, malformed entry, or
-    contradicted double convicts A. Stage 2 then tests B's forwarded
-    positions against A's full list: a too short or inconsistent
-    forwarding convicts B. If both stages pass despite the conflicting
-    messages, A verifiably supplied full-length support for both
-    message values, so the verdict falls on her.
+    before the messages are compared (``stage1_malformed`` for A,
+    ``stage2_malformed`` for B). Stage 1 tests A's claimed full list
+    against C's own bits: a wrong length (``stage1_wrong_length``), an
+    entry that is not 0, 1 or 2 (``stage1_malformed``) or a contradicted
+    double (``stage1_inconsistent``) convicts A. Stage 2 then tests B's
+    forwarded positions against A's full list: a malformed position
+    (``stage2_malformed``), a too short list (``stage2_too_short``) or a
+    position that is not a matching double (``stage2_inconsistent``)
+    convicts B. The three position-naming checks give their first bad
+    position, a non-integer forwarded entry reading as 0. If both stages pass
+    despite the conflicting messages, A verifiably supplied full-length
+    support for both message values, so the verdict falls on her
+    (``stage2_passed_under_conflict``).
     """
     if not _is_bit(m_AC):
-        return Verdict(
-            VerdictValue.A_IS_LIAR, Evidence("stage1_malformed", None, "invalid message bit")
-        )
+        return Verdict(VerdictValue.A_IS_LIAR, "stage1_malformed")
     if not _is_bit(m_BC):
-        return Verdict(
-            VerdictValue.B_IS_LIAR, Evidence("stage2_malformed", None, "invalid message bit")
-        )
+        return Verdict(VerdictValue.B_IS_LIAR, "stage2_malformed")
     if m_AC == m_BC:
         return Verdict(VerdictValue.CONSISTENT)
     l_C = np.asarray(l_C)
@@ -303,60 +301,23 @@ def c_adjudicate(
     except TypeError:  # no length: an int, None, or a 0-d array
         claimed_length = None
     if claimed_length != length:
-        return Verdict(
-            VerdictValue.A_IS_LIAR,
-            Evidence("stage1_wrong_length", None, f"claimed length {claimed_length}"),
-        )
+        return Verdict(VerdictValue.A_IS_LIAR, "stage1_wrong_length")
     l_AC = _pair_counts(l_AC)
     if l_AC is None:
-        return Verdict(
-            VerdictValue.A_IS_LIAR, Evidence("stage1_malformed", None, "invalid pair")
-        )
+        return Verdict(VerdictValue.A_IS_LIAR, "stage1_malformed")
     violations = stage1_violations(l_AC, l_C)
     if violations.size:
-        return Verdict(
-            VerdictValue.A_IS_LIAR,
-            Evidence(
-                "stage1_inconsistent",
-                int(violations[0]),
-                "claimed double contradicts C's bit",
-            ),
-        )
+        return Verdict(VerdictValue.A_IS_LIAR, "stage1_inconsistent", int(violations[0]))
 
-    required = thresholds.required_length(length)
     forwarded, bad = _scan_positions(forwarded, length)
     if bad is not None:
-        return Verdict(
-            VerdictValue.B_IS_LIAR, Evidence("stage2_malformed", bad, "invalid position")
-        )
-    if forwarded.size < required:
-        return Verdict(
-            VerdictValue.B_IS_LIAR,
-            Evidence(
-                "stage2_too_short",
-                None,
-                f"forwarded {forwarded.size} < required {required:.2f}",
-            ),
-        )
+        return Verdict(VerdictValue.B_IS_LIAR, "stage2_malformed", bad)
+    if forwarded.size < thresholds.required_length(length):
+        return Verdict(VerdictValue.B_IS_LIAR, "stage2_too_short")
     mismatches = stage2_mismatches(forwarded, l_AC, m_BC)
     if mismatches.size:
-        return Verdict(
-            VerdictValue.B_IS_LIAR,
-            Evidence(
-                "stage2_inconsistent",
-                int(mismatches[0]),
-                "forwarded position is not a matching double in the full list",
-            ),
-        )
-    return Verdict(
-        VerdictValue.A_IS_LIAR,
-        Evidence(
-            "stage2_passed_under_conflict",
-            None,
-            "a full-length forwarded list consistent with A's own full list "
-            "proves A supported both conflicting messages",
-        ),
-    )
+        return Verdict(VerdictValue.B_IS_LIAR, "stage2_inconsistent", int(mismatches[0]))
+    return Verdict(VerdictValue.A_IS_LIAR, "stage2_passed_under_conflict")
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +346,8 @@ def run_liar_protocol(
     it: A sends B her bit and claimed positions, B forwards a bit and
     positions to C, and A sends C her bit and full list. When honest B
     rejects at step (III), he sends C his rejection instead of a
-    forward, and C reports the rejection.
+    forward, and C reports the rejection under the check
+    ``step_iii_incompatible`` or ``step_iii_too_short``.
     """
     a_action = adversary.strategy_A_act(strategy_A, lists.a_ones, rng)
     b_acceptance = None
@@ -396,7 +358,7 @@ def run_liar_protocol(
         if not b_acceptance.accepted:
             verdict = Verdict(
                 VerdictValue.B_REJECTED_AT_STEP_III,
-                Evidence(f"step_iii_{b_acceptance.reason.value.lower()}"),
+                f"step_iii_{b_acceptance.reason.value.lower()}",
             )
             return ProtocolResult(verdict, a_action, None, b_acceptance, None)
     b_action = adversary.strategy_B_act(

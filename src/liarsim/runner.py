@@ -86,31 +86,19 @@ def resolve_sizes(
     M, N1, N2, L = (value if value is None else _as_int(name, value) for name, value in given)
     if M is None and L is None:
         L = 256
-    if M is not None and L is not None:
-        rest = M - L
-        if N1 is None and N2 is None:
-            N1 = math.ceil(rest / 2)
-            N2 = rest - N1
-        elif N1 is None:
-            N1 = rest - N2
-        elif N2 is None:
-            N2 = rest - N1
-    elif L is not None:  # no M: test subsets default to half the pool each
-        if N1 is None and N2 is None:
-            N1 = N2 = math.ceil(L / 2)
-        elif N1 is None:
-            N1 = N2
-        elif N2 is None:
-            N2 = N1
-        M = N1 + N2 + L
-    else:  # M without L: the default plan split
-        if N1 is None and N2 is None:
+    if N1 is None and N2 is None:
+        if L is None:  # M alone: the default plan split
             plan = DistributionPlan.default(M)
             N1, N2 = plan.N1, plan.N2
-        elif N1 is None:
-            N1 = N2
-        elif N2 is None:
-            N2 = N1
+        else:  # half the pool each, or half of what the pool leaves of M
+            N1 = math.ceil((L if M is None else M - L) / 2)
+    if N1 is None or N2 is None:  # mirror the given subset, or take the remainder
+        known = N2 if N1 is None else N1
+        other = known if M is None or L is None else M - L - known
+        N1, N2 = (N1, other) if N2 is None else (other, N2)
+    if M is None:
+        M = N1 + N2 + L
+    if L is None:
         L = M - N1 - N2
     if L < 1 or N1 < 1 or N2 < 1 or M != N1 + N2 + L:
         raise ValueError(
@@ -462,7 +450,7 @@ def run_single_trial(config: TrialConfig, trial_index: int) -> TrialResult:
         DistributeStatus.SUCCESS.value,
         None,
         result.verdict.value.value,
-        None if result.verdict.evidence is None else result.verdict.evidence.check,
+        result.verdict.check,
         a_action.m_AB,
         a_action.m_AC,
         None if b_action is None else b_action.m_BC,

@@ -6,6 +6,7 @@ from liarsim.adversary import (
     BKind,
     StrategyA,
     StrategyB,
+    integer,
     parse_strategy_A,
     parse_strategy_B,
     strategy_A_act,
@@ -226,6 +227,18 @@ class TestParsers:
     def test_descriptor_errors_name_the_fault(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_strategy_A(text)
+
+    # one rule for every integer read from outside: an optional "-", then ASCII digits
+    @pytest.mark.parametrize("text, value", [("0", 0), ("16", 16), ("-3", -3), ("007", 7)])
+    def test_integer_accepts_ascii_decimals(self, text, value):
+        assert integer(text) == value
+
+    @pytest.mark.parametrize(
+        "text", ["", "-", "--3", "+3", " 3", "3 ", "1_6", "1e3", "\u0667", "\uff13", "\u00b2"]
+    )
+    def test_integer_rejects_everything_else(self, text):
+        with pytest.raises(ValueError, match="invalid integer"):
+            integer(text)
 
 
 class TestPerEntryEscapeRates:

@@ -131,6 +131,20 @@ class TestConfigFile:
         assert main(["run", "--config", str(path)]) == EXIT_USAGE
         assert "bad.conf:1: " in capsys.readouterr().err
 
+    # Python's int() and float() take other scripts' digits and "_" separators
+    @pytest.mark.parametrize(
+        "line", ["trials = \uff13", "L = 1_6", "seed = \u0667", "min_fraction = \u0660.\u0665"]
+    )
+    def test_non_ascii_or_separated_numbers_rejected(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.conf"
+        path.write_text(line + "\n", encoding="utf-8")
+        value = line.partition("= ")[2]
+        with pytest.raises(ValueError, match=r"bad\.conf:1: "):
+            parse_config_file(str(path))
+        assert main(["run", "--config", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "bad.conf:1: " in err and repr(value) in err
+
     def test_flags_override_file(self, tmp_path, capsys):
         path = tmp_path / "run.conf"
         path.write_text("trials = 9\nL = 64\nseed = 4\n")
@@ -159,6 +173,23 @@ class TestExitCodes:
     def test_usage_error_from_argparse(self, capsys):
         assert main(["run", "--no-such-flag"]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--seed", "\u0667"),
+            ("--trials", "\uff13"),
+            ("--L", "1_6"),
+            ("--M", "+64"),
+            ("--min-fraction", "\u0660.\u0665"),
+            ("--qubit-loss-prob", "0_1"),
+        ],
+    )
+    def test_numbers_must_be_ascii_without_separators(self, capsys, flag, value):
+        argv = ["run", "--trials", "3", "--L", "16", flag, value]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid" in err and repr(value) in err
 
     def test_io_error_on_unwritable_output(self, capsys):
         code = main(["run", "--trials", "1", "--L", "64", "--out", "/no/such/dir/x"])

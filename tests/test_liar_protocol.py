@@ -15,7 +15,6 @@ from liarsim.liar_protocol import (
     EXPECTED_DOUBLE_FRACTION,
     _LIST_ENTRIES,
     AcceptanceResult,
-    Evidence,
     PartyLists,
     RejectReason,
     Thresholds,
@@ -267,9 +266,9 @@ class TestBAccepts:
             assert result.position == expected
         verdict = c_adjudicate(1, lists.a_ones, 0, tuple(claimed), lists.c_bits)
         if expected is None:
-            assert verdict.evidence.check != "stage2_malformed"
+            assert verdict.check != "stage2_malformed"
         else:
-            assert verdict.evidence == Evidence("stage2_malformed", expected, "invalid position")
+            assert verdict[1:] == ("stage2_malformed", expected)
 
     def test_incompatible_positions_helper(self):
         bad = incompatible_positions((1, 2, 3, 6), worked_lists().b_bits, 0)
@@ -294,25 +293,32 @@ _PAYLOADS = st.one_of(
 )
 _BITS_OR_PAYLOADS = st.one_of(st.sampled_from([0, 1]), _PAYLOADS)
 
+# every check a verdict can name: C's seven, then B's two at step (III)
+_CHECKS = (
+    "stage1_malformed", "stage1_wrong_length", "stage1_inconsistent",
+    "stage2_malformed", "stage2_too_short", "stage2_inconsistent",
+    "stage2_passed_under_conflict", "step_iii_incompatible", "step_iii_too_short",
+)
+
 
 class TestCAdjudicate:
     def test_matching_messages_are_consistent_without_checks(self):
         verdict = c_adjudicate(1, (9, 9), 1, (999,), worked_lists().c_bits)
         assert verdict.value is VerdictValue.CONSISTENT
-        assert verdict.evidence is None
+        assert verdict[1:] == (None, None)
 
     def test_stage1_wrong_length(self):
         lists = worked_lists()
         verdict = c_adjudicate(1, (0, 1, 2), 0, (1,), lists.c_bits)
         assert verdict.value is VerdictValue.A_IS_LIAR
-        assert verdict.evidence.check == "stage1_wrong_length"
+        assert verdict.check == "stage1_wrong_length"
 
     def test_stage1_malformed_entry(self):
         lists = worked_lists()
         l_AC = (0, 1, 0, 2, 2, 0, 3, 2)
         verdict = c_adjudicate(1, l_AC, 0, (1,), lists.c_bits)
         assert verdict.value is VerdictValue.A_IS_LIAR
-        assert verdict.evidence.check == "stage1_malformed"
+        assert verdict.check == "stage1_malformed"
 
     def test_stage1_contradicted_double(self):
         lists = worked_lists()
@@ -320,40 +326,40 @@ class TestCAdjudicate:
         l_AC = (0, 1, 0, 0, 2, 0, 1, 2)
         verdict = c_adjudicate(1, l_AC, 0, (1, 3, 6), lists.c_bits)
         assert verdict.value is VerdictValue.A_IS_LIAR
-        assert verdict.evidence.check == "stage1_inconsistent"
-        assert verdict.evidence.position == 4
+        assert verdict.check == "stage1_inconsistent"
+        assert verdict.position == 4
 
     def test_stage2_too_short(self):
         lists = worked_lists()
         verdict = c_adjudicate(1, tuple(lists.a_ones), 0, (), lists.c_bits)
         assert verdict.value is VerdictValue.B_IS_LIAR
-        assert verdict.evidence.check == "stage2_too_short"
+        assert verdict.check == "stage2_too_short"
 
     def test_stage2_mismatched_position(self):
         lists = worked_lists()
         verdict = c_adjudicate(1, tuple(lists.a_ones), 0, (1, 2, 3), lists.c_bits)
         assert verdict.value is VerdictValue.B_IS_LIAR
-        assert verdict.evidence.check == "stage2_inconsistent"
-        assert verdict.evidence.position == 2
+        assert verdict.check == "stage2_inconsistent"
+        assert verdict.position == 2
 
     def test_stage2_malformed_position(self):
         lists = worked_lists()
         verdict = c_adjudicate(1, tuple(lists.a_ones), 0, (0, 1), lists.c_bits)
         assert verdict.value is VerdictValue.B_IS_LIAR
-        assert verdict.evidence.check == "stage2_malformed"
+        assert verdict.check == "stage2_malformed"
 
     def test_bool_entries_are_malformed(self):
         lists = worked_lists()
         l_AC = (False, 1, 0, 2, 2, 0, 1, 2)
         verdict = c_adjudicate(1, l_AC, 0, (1, 3, 6), lists.c_bits)
         assert verdict.value is VerdictValue.A_IS_LIAR
-        assert verdict.evidence.check == "stage1_malformed"
+        assert verdict.check == "stage1_malformed"
         verdict = c_adjudicate(1, lists.a_ones, 0, (True, 3, 6), lists.c_bits)
         assert verdict.value is VerdictValue.B_IS_LIAR
-        assert verdict.evidence.check == "stage2_malformed"
-        assert verdict.evidence.position == 0
+        assert verdict.check == "stage2_malformed"
+        assert verdict.position == 0
         verdict = c_adjudicate(1, lists.a_ones, 0, np.ones(3, dtype=bool), lists.c_bits)
-        assert verdict.evidence.check == "stage2_malformed"
+        assert verdict.check == "stage2_malformed"
 
     def test_hostile_payloads_never_raise(self):
         lists = worked_lists()
@@ -363,22 +369,22 @@ class TestCAdjudicate:
         # a payload without a length, 0-d arrays included, has the wrong length
         for l_AC in (None, 7, np.array(5), np.array(1.0)):
             verdict = c_adjudicate(1, l_AC, 0, (1, 3, 6), lists.c_bits)
-            assert (verdict.value, verdict.evidence.check) == (
+            assert (verdict.value, verdict.check) == (
                 VerdictValue.A_IS_LIAR, "stage1_wrong_length"
             )
         for forwarded in (None, 7, [[1], [3]], ("1",), (1, None)):
             verdict = c_adjudicate(1, lists.a_ones, 0, forwarded, lists.c_bits)
-            assert verdict.evidence.check == "stage2_malformed"
+            assert verdict.check == "stage2_malformed"
         # a malformed message bit convicts its sender, even when the bits agree
         # or the other side's payload is malformed too
         for bad in (2, -1, None, "0", True, 0.0):
             verdict = c_adjudicate(bad, lists.a_ones, 0, (), lists.c_bits)
-            assert (verdict.value, verdict.evidence.check) == (
+            assert (verdict.value, verdict.check) == (
                 VerdictValue.A_IS_LIAR, "stage1_malformed"
             )
             for m_AC in (0, 1):
                 verdict = c_adjudicate(m_AC, None, bad, None, lists.c_bits)
-                assert (verdict.value, verdict.evidence.check) == (
+                assert (verdict.value, verdict.check) == (
                     VerdictValue.B_IS_LIAR, "stage2_malformed"
                 )
 
@@ -392,6 +398,10 @@ class TestCAdjudicate:
         lists = worked_lists()
         verdict = c_adjudicate(m_AC, l_AC, m_BC, forwarded, lists.c_bits)
         assert isinstance(verdict.value, VerdictValue)
+        if verdict.value is VerdictValue.CONSISTENT:
+            assert verdict[1:] == (None, None)
+        else:
+            assert verdict.check in _CHECKS
         result = b_accepts(m_AC, l_AC, lists.b_bits)
         assert isinstance(result, AcceptanceResult)
         result = b_accepts(m_BC, forwarded, lists.b_bits)
@@ -403,14 +413,14 @@ class TestCAdjudicate:
         lists = worked_lists()
         verdict = c_adjudicate(1, tuple(lists.a_ones), 0, (1, 3, 6), lists.c_bits)
         assert verdict.value is VerdictValue.A_IS_LIAR
-        assert verdict.evidence.check == "stage2_passed_under_conflict"
+        assert verdict.check == "stage2_passed_under_conflict"
 
     def test_stage_order_stops_at_first_conviction(self):
         lists = worked_lists()
         # both a stage-1 violation and a stage-2 mismatch exist; stage 1 wins
         l_AC = (0, 1, 0, 0, 2, 0, 1, 2)
         verdict = c_adjudicate(1, l_AC, 0, (2,), lists.c_bits)
-        assert verdict.evidence.check == "stage1_inconsistent"
+        assert verdict.check == "stage1_inconsistent"
 
     def test_stage_helpers(self):
         lists = worked_lists()
@@ -493,7 +503,7 @@ class TestRunLiarProtocol:
             lists, StrategyA.honest(), StrategyB.flip_and_forge(0), rng=stream
         )
         assert result.verdict.value is VerdictValue.B_IS_LIAR
-        assert result.verdict.evidence.check == "stage2_too_short"
+        assert result.verdict.check == "stage2_too_short"
 
     def test_reject_flow_sends_evidence_to_c(self):
         stream = rng(36)
@@ -502,7 +512,7 @@ class TestRunLiarProtocol:
             lists, StrategyA.split_message(10), StrategyB.honest(), rng=stream
         )
         assert result.verdict.value is VerdictValue.B_REJECTED_AT_STEP_III
-        assert result.verdict.evidence == Evidence("step_iii_incompatible")
+        assert result.verdict[1:] == ("step_iii_incompatible", None)
         acceptance = result.b_acceptance
         assert (acceptance.accepted, acceptance.reason) == (False, RejectReason.INCOMPATIBLE)
         # the rejected position is one of A's fabrications, and B sent no forward
@@ -519,7 +529,7 @@ class TestRunLiarProtocol:
             if result.a_action.positions_for_B.size < 2:
                 break
         assert result.verdict.value is VerdictValue.B_REJECTED_AT_STEP_III
-        assert result.verdict.evidence == Evidence("step_iii_too_short")
+        assert result.verdict[1:] == ("step_iii_too_short", None)
         assert result.b_acceptance.reason is RejectReason.TOO_SHORT
         assert result.b_action is None and result.delivered_message is None
 

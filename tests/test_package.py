@@ -23,6 +23,7 @@ def test_no_public_name_listed_twice():
         (liar_protocol, "FullList"),
         (liar_protocol, "Reject"),
         (liar_protocol, "_MAX_POSITION"),
+        (liar_protocol, "Evidence"),
         (channels, "ClassicalEnvelope"),
     ],
 )
@@ -42,14 +43,19 @@ def test_protocol_result_has_no_transcript():
     assert names == ["verdict", "a_action", "b_action", "b_acceptance", "delivered_message"]
 
 
+# a verdict names its deciding check and position; an abort, its step and system
+def test_verdict_and_failure_fields():
+    assert liar_protocol.Verdict._fields == ("value", "check", "position")
+    assert distribute_test.FailureInfo._fields == ("step", "system_id")
+
+
 # plain result records: built once per trial or phase, never validated
 _VERDICT = liar_protocol.Verdict(liar_protocol.VerdictValue.CONSISTENT)
 PLAIN_RECORDS = [
     liar_protocol.AcceptanceResult(True),
-    liar_protocol.Evidence("stage1_malformed"),
     _VERDICT,
     liar_protocol.ProtocolResult(_VERDICT, None, None, None, 0),
-    distribute_test.FailureInfo("ii", 1, "lost"),
+    distribute_test.FailureInfo("ii", 1),
     distribute_test.DistributeOutcome(distribute_test.DistributeStatus.FAILURE, None, None, None),
     channels.TransferRecord(channels.QubitRef(1, 1), channels.TransferStatus.LOST),
     oracle.escape_probabilities(),
