@@ -25,13 +25,11 @@ from .distribute_test import (
     DirectionPolicy,
     DistributeStatus,
     DistributionPlan,
-    VerifiedPool,
     make_verified_pool,
     run_distribute_and_test,
 )
 from .liar_protocol import (
     EXPECTED_DOUBLE_FRACTION,
-    PartyLists,
     RejectReason,
     Thresholds,
     VerdictValue,
@@ -86,11 +84,9 @@ __all__ = [
     "DirectionPolicy",
     "DistributeStatus",
     "DistributionPlan",
-    "VerifiedPool",
     "make_verified_pool",
     "run_distribute_and_test",
     "EXPECTED_DOUBLE_FRACTION",
-    "PartyLists",
     "RejectReason",
     "Thresholds",
     "VerdictValue",

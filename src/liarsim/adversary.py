@@ -10,13 +10,13 @@ position contradicted by the cheater's own data is strictly worse.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ArrayRecord
 from .oracle import EXPECTED_DOUBLE_FRACTION
-from .qstate import mark_readonly, readonly_array
+from .qstate import mark_readonly
 
 
 class AKind(enum.Enum):
@@ -100,37 +100,32 @@ class StrategyB:
 _NO_POSITIONS = mark_readonly(np.empty(0, np.int64))
 
 
-@dataclass(frozen=True, eq=False)
-class ActionA(ArrayRecord):
+class ActionA(NamedTuple):
     """Everything A emits, plus audit fields naming her fabrications.
 
-    Positions are read-only int64 arrays, ``l_AC`` a read-only int8 one.
+    Positions are read-only, sorted 1-D int64 arrays of 1..L, and ``l_AC``
+    is a read-only int8 array of 0..2 as long as her list.
+    ``strategy_A_act`` makes them so from a list that ``generate_lists``
+    made; nothing here checks it.
     """
 
     m_AB: int
     positions_for_B: np.ndarray
     m_AC: int
     l_AC: np.ndarray
-    fabricated_positions: np.ndarray = field(default_factory=lambda: _NO_POSITIONS)
-    altered_positions: np.ndarray = field(default_factory=lambda: _NO_POSITIONS)
+    fabricated_positions: np.ndarray = _NO_POSITIONS
+    altered_positions: np.ndarray = _NO_POSITIONS
     capped: bool = False
 
-    def __post_init__(self) -> None:
-        for name in ("positions_for_B", "fabricated_positions", "altered_positions"):
-            object.__setattr__(self, name, readonly_array(getattr(self, name), np.int64))
-        object.__setattr__(self, "l_AC", readonly_array(self.l_AC, np.int8))
 
+class ActionB(NamedTuple):
+    """What B sends C: read-only, sorted 1-D int64 position arrays, as
+    ``strategy_B_act`` makes them from A's action and his list."""
 
-@dataclass(frozen=True, eq=False)
-class ActionB(ArrayRecord):
     m_BC: int
     forwarded: np.ndarray
-    fabricated_positions: np.ndarray = field(default_factory=lambda: _NO_POSITIONS)
+    fabricated_positions: np.ndarray = _NO_POSITIONS
     capped: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("forwarded", "fabricated_positions"):
-            object.__setattr__(self, name, readonly_array(getattr(self, name), np.int64))
 
 
 def _draw_sorted(
@@ -146,10 +141,11 @@ def strategy_A_act(
 ) -> ActionA:
     """Produce A's two outgoing transmissions from her private list.
 
-    Reads nothing but A's own list ``l_A`` (her pairs' counts of 1s) and
-    the strategy parameters. Her first draw is the message bit m. When a
-    cheating strategy asks for more fabrications than there are mixed
-    positions, the count is capped and flagged.
+    Reads nothing but A's own list ``l_A`` (her pairs' counts of 1s, the
+    read-only int8 array ``generate_lists`` makes, which an honest A sends
+    C as it is) and the strategy parameters. Her first draw is the message
+    bit m. When a cheating strategy asks for more fabrications than there
+    are mixed positions, the count is capped and flagged.
     """
     arr = np.asarray(l_A)
     m = int(rng.integers(0, 2))
@@ -158,7 +154,7 @@ def strategy_A_act(
     if strategy.kind is AKind.HONEST:
         return ActionA(m, honest_positions, m, arr)
 
-    # each array is marked read-only where it is made, so ActionA keeps it uncopied
+    # each array is marked read-only where it is made, in its final dtype
     mixed = mark_readonly((arr == 1).nonzero()[0] + 1)
     if strategy.kind is AKind.SPLIT_MESSAGE:
         m_AC = 1 - m
@@ -198,7 +194,11 @@ def strategy_B_act(
     l_B: np.ndarray,
     rng: np.random.Generator,
 ) -> ActionB:
-    """Produce B's transmission to C from what he received and his list."""
+    """Produce B's transmission to C from what he received and his list.
+
+    An honest B forwards A's positions as they arrived; a forger's are
+    drawn from his own list.
+    """
     m_AB, positions = received
     bits = np.asarray(l_B)
 

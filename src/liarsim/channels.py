@@ -5,11 +5,23 @@ distribute-and-test phase. The custody ledger (``PartyId``, ``QubitRef``,
 ``QubitRegistry``), ``QuantumSystem`` and ``transfer_qubits`` serve only
 the step-by-step reference of that phase, which its array kernel is
 checked against.
+
+Only input from outside the program is checked where it enters:
+``FaultModel`` here, the plan, thresholds, strategies and trial config in
+their own modules, and every payload by B's and C's checks. The records
+that carry arrays between phases (``VerifiedPool``, ``TestRounds``,
+``PartyLists``, ``ActionA``, ``ActionB``) check nothing when built. The
+function that makes each one casts and marks its arrays read-only, and
+one hypothesis test per producer holds it to 1-D, equally long,
+in-range, read-only arrays of the record's dtypes: the
+``TestProducerInvariants`` classes of ``tests/test_distribute_test.py``
+(pools and rounds), ``tests/test_liar_protocol.py`` (lists) and
+``tests/test_adversary.py`` (actions).
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -26,17 +38,6 @@ from .qstate import (
 
 class ProtocolViolationError(Exception):
     """A party attempted something the protocol's rules forbid."""
-
-
-class ArrayRecord:
-    """Field-wise equality for frozen ``eq=False`` dataclasses that hold arrays."""
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
 
 
 class PartyId(enum.Enum):

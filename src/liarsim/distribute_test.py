@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import (
-    ArrayRecord,
     FaultModel,
     PartyId,
     ProtocolViolationError,
@@ -37,7 +36,7 @@ from .channels import (
 from .oracle import Assignment
 from .qstate import (
     COMPUTATIONAL, MeasurementDirection, StateVector, _cdf, _draw_rows, _guide_table,
-    make_singlet, mark_readonly, outcome_bits, readonly_array,
+    make_singlet, mark_readonly, outcome_bits,
 )
 
 class DirectionPolicy(enum.Enum):
@@ -107,33 +106,28 @@ class VerifiedPool:
     """Verified, untouched systems, each still holding the shared ``source``.
 
     ``system_ids`` (read-only int64) names each system of the batch and
-    ``codes`` (read-only int8) its assignment code, an index into
-    ``tuple(Assignment)``.
+    ``codes`` (read-only int8, 0 or 1) its assignment code, an index into
+    ``tuple(Assignment)``; both are 1-D and equally long. The producers
+    make them so and nothing here checks it. ``len`` is the system count.
     """
 
     system_ids: np.ndarray
     codes: np.ndarray
     source: StateVector
 
-    def __post_init__(self) -> None:
-        ids = readonly_array(self.system_ids, np.int64)
-        codes = readonly_array(self.codes, np.int8)
-        if ids.ndim != 1 or ids.shape != codes.shape or np.count_nonzero(codes & ~1):
-            raise ValueError("need equally long 1-D system ids and 0/1 assignment codes")
-        object.__setattr__(self, "system_ids", ids)
-        object.__setattr__(self, "codes", codes)
-
     def __len__(self) -> int:
         return self.codes.size
 
 
 @dataclass(frozen=True, eq=False)
-class TestRounds(ArrayRecord):
+class TestRounds:
     """Every test round one run played, in play order, as read-only arrays.
 
     Row ``i`` is one sacrificed system: its id (int64), its subset (int8,
-    1 for S1 and 2 for S2), the common direction's ``theta`` and ``phi``,
-    and the four outcome ``bits`` (int8, slots 1-4).
+    1 for S1 and 2 for S2), the common direction's ``theta`` and ``phi``
+    (float64), and the four outcome ``bits`` (int8, slots 1-4). The
+    producers make every column so and nothing here checks it. ``len`` is
+    the round count.
     """
 
     __test__ = False  # not a test case, despite the name (pytest opt-out)
@@ -143,17 +137,6 @@ class TestRounds(ArrayRecord):
     theta: np.ndarray
     phi: np.ndarray
     bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name, dtype in (
-            ("system_ids", np.int64), ("subsets", np.int8),
-            ("theta", np.float64), ("phi", np.float64), ("bits", np.int8),
-        ):
-            object.__setattr__(self, name, readonly_array(getattr(self, name), dtype))
-        n = self.system_ids.shape
-        columns = (self.subsets.shape, self.theta.shape, self.phi.shape, self.bits.shape[:1])
-        if len(n) != 1 or any(shape != n for shape in columns) or self.bits.shape[1:] != (4,):
-            raise ValueError("need one subset, direction and four bits per tested system")
 
     @cached_property
     def passed(self) -> np.ndarray:
@@ -292,7 +275,7 @@ def run_distribute_and_test(
     successful run leaves ``rng`` exactly where that one does. An aborted
     run may read further, up to the end of the test rounds.
     """
-    codes = rng.integers(0, 2, size=plan.M)
+    codes = rng.integers(0, 2, size=plan.M).astype(np.int8)
     source = fault.prepare_state()
     p_loss = fault.qubit_loss_prob
 
@@ -320,7 +303,7 @@ def run_distribute_and_test(
         step, played_to = ("v", i) if lost[i] else ("vii", i + 1)
         played = TestRounds(*(column[:played_to] for column in columns))
         return _failure(step, int(tested[i]), played)
-    pool = VerifiedPool(pool_ids, codes[pool_ids - 1], source)
+    pool = VerifiedPool(pool_ids, mark_readonly(codes[pool_ids - 1]), source)
     return DistributeOutcome(DistributeStatus.SUCCESS, pool, None, TestRounds(*columns))
 
 
@@ -339,7 +322,7 @@ def _dense_distribute_and_test(
     """
     registry = QubitRegistry()
     systems: dict[int, QuantumSystem] = {}
-    codes = rng.integers(0, 2, size=plan.M)
+    codes = rng.integers(0, 2, size=plan.M).astype(np.int8)
     source = fault.prepare_state()
 
     # (i)-(ii): prepare, distribute, and immediately verify receipt counts.
@@ -373,7 +356,10 @@ def _dense_distribute_and_test(
             reported = systems[j].measure_slots(slots, direction, rng)
             (c_bit,) = systems[j].measure_slots([4], direction, rng)
             bits = tuple(reported) + (c_bit,)
-            played.append(([j], [subset], [direction.theta], [direction.phi], [bits]))
+            played.append((
+                np.array([j]), np.array([subset], np.int8), np.array([direction.theta]),
+                np.array([direction.phi]), np.array([bits], np.int8),
+            ))
             if sorted(bits) != [0, 0, 1, 1]:
                 return _failure("vii", j, _test_rounds(played))
 
@@ -381,7 +367,7 @@ def _dense_distribute_and_test(
     touched = [j for j in pool_ids.tolist() if not systems[j].is_pristine]
     if touched:
         raise ProtocolViolationError(f"pool system {touched[0]} was touched during testing")
-    pool = VerifiedPool(pool_ids, codes[pool_ids - 1], source)
+    pool = VerifiedPool(pool_ids, mark_readonly(codes[pool_ids - 1]), source)
     return DistributeOutcome(DistributeStatus.SUCCESS, pool, None, _test_rounds(played))
 
 
@@ -396,7 +382,8 @@ def make_verified_pool(L: int, rng: np.random.Generator) -> VerifiedPool:
     """
     if L < 1:
         raise ValueError(f"pool size must be positive, got {L}")
-    return VerifiedPool(_pool_ids(L), rng.integers(0, 2, size=L), make_singlet(4))
+    codes = mark_readonly(rng.integers(0, 2, size=L).astype(np.int8))
+    return VerifiedPool(_pool_ids(L), codes, make_singlet(4))
 
 
 @cache

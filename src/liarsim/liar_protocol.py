@@ -18,7 +18,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import adversary
-from .channels import ArrayRecord
 from .distribute_test import VerifiedPool
 from .oracle import EXPECTED_DOUBLE_FRACTION, Assignment
 from .qstate import (
@@ -38,34 +37,26 @@ _LIST_ENTRIES = np.array(
 ).reshape(3, 32)
 
 
-@dataclass(frozen=True, eq=False)
-class PartyLists(ArrayRecord):
+class PartyLists(NamedTuple):
     """The three private lists of one protocol run.
 
     A's unordered pairs are stored as their count of 1s (0, 1, or 2);
-    positions are 1-based everywhere. Construction checks shape, range
-    and equal length only: the doubles correlation (a (0,0) pair faces 1
-    at B and C, a (1,1) pair faces 0) is a law of the singlet source, and
-    a corrupted source that passed testing by chance breaks it.
+    positions are 1-based everywhere. The lists are nonempty, equally
+    long, read-only 1-D int8 arrays of 0..2 (A's) and 0..1 (B's and C's):
+    ``generate_lists`` reads every entry off one read-only int8 table, and
+    ``TestProducerInvariants`` in ``tests/test_liar_protocol.py`` holds it
+    to that; nothing here checks it. The doubles correlation (a (0,0) pair
+    faces 1 at B and C, a (1,1) pair faces 0) is a law of the singlet
+    source, and a corrupted source that passed testing by chance breaks it.
     """
 
     a_ones: np.ndarray
     b_bits: np.ndarray
     c_bits: np.ndarray
 
-    def __post_init__(self) -> None:
-        for name, upper in (("a_ones", 2), ("b_bits", 1), ("c_bits", 1)):
-            arr = readonly_array(getattr(self, name), np.int8)
-            # viewed as uint8, a negative entry reads as 128 or more
-            if arr.ndim != 1 or arr.size < 1 or np.count_nonzero(arr.view(np.uint8) > upper):
-                raise ValueError(f"lists must be nonempty 1-D arrays of 0..{upper}")
-            object.__setattr__(self, name, arr)
-        if not (len(self.a_ones) == len(self.b_bits) == len(self.c_bits)):
-            raise ValueError("the three lists must have equal length")
-
     @property
     def length(self) -> int:
-        return len(self.a_ones)
+        return self.a_ones.size
 
 
 def generate_lists(pool: VerifiedPool, rng: np.random.Generator) -> PartyLists:
@@ -76,9 +67,9 @@ def generate_lists(pool: VerifiedPool, rng: np.random.Generator) -> PartyLists:
     distribution of that state; each party's entry is read off the slots
     the position's assignment code gives it.
     """
-    if len(pool) == 0:
+    if pool.codes.size == 0:
         raise ValueError("cannot generate lists from an empty pool")
-    outcomes = sample_outcomes(pool.source, COMPUTATIONAL, len(pool), rng)
+    outcomes = sample_outcomes(pool.source, COMPUTATIONAL, pool.codes.size, rng)
     return PartyLists(*mark_readonly(_LIST_ENTRIES.take(16 * pool.codes + outcomes, axis=1)))
 
 
@@ -176,7 +167,6 @@ class AcceptanceResult(NamedTuple):
     accepted: bool
     reason: RejectReason | None = None
     position: int | None = None
-    required_length: float = 0.0
 
 
 def incompatible_positions(
@@ -208,20 +198,17 @@ def b_accepts(
     is rejected, never raised.
     """
     l_B = np.asarray(l_B)
-    required = thresholds.required_length(len(l_B))
     if not _is_bit(m_AB):
-        return AcceptanceResult(False, RejectReason.INCOMPATIBLE, None, required)
+        return AcceptanceResult(False, RejectReason.INCOMPATIBLE)
     claimed, bad = _scan_positions(claimed, len(l_B))
     if bad is not None:
-        return AcceptanceResult(False, RejectReason.INCOMPATIBLE, bad, required)
+        return AcceptanceResult(False, RejectReason.INCOMPATIBLE, bad)
     contradicted = incompatible_positions(claimed, l_B, m_AB)
     if contradicted.size:
-        return AcceptanceResult(
-            False, RejectReason.INCOMPATIBLE, int(contradicted[0]), required
-        )
-    if claimed.size < required:
-        return AcceptanceResult(False, RejectReason.TOO_SHORT, None, required)
-    return AcceptanceResult(True, None, None, required)
+        return AcceptanceResult(False, RejectReason.INCOMPATIBLE, int(contradicted[0]))
+    if claimed.size < thresholds.required_length(len(l_B)):
+        return AcceptanceResult(False, RejectReason.TOO_SHORT)
+    return AcceptanceResult(True)
 
 
 # --------------------------------------------------------------------------

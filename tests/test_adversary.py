@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liarsim.adversary import (
     AKind,
@@ -18,11 +20,13 @@ from liarsim.liar_protocol import (
     PartyLists,
     generate_lists,
 )
+from liarsim.qstate import mark_readonly
 
-# A's pairs 00 01 00 11 11 00 01 11, as counts of 1s
-WORKED_A = np.array([0, 1, 0, 2, 2, 0, 1, 2])
-WORKED_B = np.array([1, 0, 1, 0, 0, 1, 0, 0])
-WORKED_C = np.array([1, 1, 1, 0, 0, 1, 1, 0])
+# A's pairs 00 01 00 11 11 00 01 11, as counts of 1s; like the lists
+# generate_lists makes, the rows are read-only int8 arrays
+WORKED_A = mark_readonly(np.array([0, 1, 0, 2, 2, 0, 1, 2], np.int8))
+WORKED_B = mark_readonly(np.array([1, 0, 1, 0, 0, 1, 0, 0], np.int8))
+WORKED_C = mark_readonly(np.array([1, 1, 1, 0, 0, 1, 1, 0], np.int8))
 
 
 def worked_lists():
@@ -145,7 +149,7 @@ class TestForgedFullList:
 
 class TestStrategyBAct:
     def test_honest_forwards_exactly_what_arrived(self):
-        action = strategy_B_act(StrategyB.honest(), (0, (1, 3, 6)), worked_b(), rng())
+        action = strategy_B_act(StrategyB.honest(), (0, np.array([1, 3, 6])), worked_b(), rng())
         assert action.m_BC == 0
         assert action.forwarded.tolist() == [1, 3, 6]
         assert action.fabricated_positions.tolist() == []
@@ -181,6 +185,53 @@ class TestStrategyBAct:
         )
         assert len(action.forwarded) == 5
         assert action.capped
+
+
+# descriptors with counts from 0 to well past what a short list can supply
+_STRATEGY_A = st.one_of(
+    st.just("honest"),
+    st.builds("split:n={}".format, st.integers(0, 80)),
+    st.builds("forgefull:k={}".format, st.integers(0, 80)),
+)
+_STRATEGY_B = st.one_of(
+    st.just("honest"),
+    st.just("flipforge"),
+    st.builds("flipforge:k={}".format, st.integers(0, 80)),
+)
+
+
+class TestProducerInvariants:
+    """Actions check nothing when built: given A's list as ``generate_lists``
+    makes it, each strategy makes every position array 1-D, int64, read-only
+    and within 1..L, and A's full list int8, read-only, 0..2 and L long."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text_a=_STRATEGY_A, L=st.integers(1, 128), seed=st.integers(0, 2**32))
+    def test_strategy_A_act(self, assert_frozen, text_a, L, seed):
+        lists = big_lists(seed, L)
+        action = strategy_A_act(parse_strategy_A(text_a), lists.a_ones, rng(seed))
+        assert action.m_AB in (0, 1) and action.m_AC in (0, 1)
+        for positions in (
+            action.positions_for_B, action.fabricated_positions, action.altered_positions
+        ):
+            assert_frozen(positions, np.int64, 1, L)
+        assert_frozen(action.l_AC, np.int8, 0, 2, (L,))
+        assert type(action.capped) is bool
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text_a=_STRATEGY_A, text_b=_STRATEGY_B, L=st.integers(1, 128),
+        seed=st.integers(0, 2**32),
+    )
+    def test_strategy_B_act(self, assert_frozen, text_a, text_b, L, seed):
+        lists = big_lists(seed, L)
+        a_action = strategy_A_act(parse_strategy_A(text_a), lists.a_ones, rng(seed))
+        received = (a_action.m_AB, a_action.positions_for_B)
+        action = strategy_B_act(parse_strategy_B(text_b), received, lists.b_bits, rng(seed))
+        assert action.m_BC in (0, 1)
+        assert_frozen(action.forwarded, np.int64, 1, L)
+        assert_frozen(action.fabricated_positions, np.int64, 1, L)
+        assert type(action.capped) is bool
 
 
 class TestParsers:

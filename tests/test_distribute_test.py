@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liarsim import distribute_test
 from liarsim.channels import (
@@ -24,7 +28,7 @@ from liarsim.distribute_test import (
     make_verified_pool,
     run_distribute_and_test,
 )
-from liarsim.qstate import COMPUTATIONAL, _draw_rows, make_singlet, outcome_bits
+from liarsim.qstate import COMPUTATIONAL, _draw_rows, make_singlet, mark_readonly, outcome_bits
 from liarsim.runner import resolve_sizes
 
 
@@ -72,12 +76,6 @@ class TestDistributionPlan:
         M, N1, N2, pool = resolve_sizes(L=L)
         plan = DistributionPlan.default(M)
         assert (plan.N1, plan.N2, plan.L) == (N1, N2, pool) == (N1, N1, L)
-
-    def test_pinned_assignments_length_checked(self):
-        # a plan always draws its assignments; pinned ones live only in a
-        # pool built directly, which needs one code per system id
-        with pytest.raises(ValueError):
-            VerifiedPool(np.arange(1, 5), np.zeros(1, np.int8), make_singlet(4))
 
 
 class TestChooseDirection:
@@ -198,12 +196,12 @@ class TestHonestRun:
         )
         assert outcome.status is DistributeStatus.SUCCESS
 
-    def test_reproducible_for_fixed_seed(self):
+    def test_reproducible_for_fixed_seed(self, records_equal):
         results = [
             run_distribute_and_test(DistributionPlan.default(24), NO_FAULTS, rng(21))
             for _ in range(2)
         ]
-        assert results[0].test_records == results[1].test_records
+        assert records_equal(results[0].test_records, results[1].test_records)
         ids = [r.pool.system_ids.tolist() for r in results]
         assert ids[0] == ids[1]
 
@@ -301,7 +299,11 @@ class TestLossyChannel:
 
 class TestRoundRecord:
     def test_rounds_are_read_only_and_passed_is_derived(self):
-        rounds = TestRounds([4, 9], [1, 2], [0.0, 1.0], [0.0, 2.0], [[0, 1, 1, 0], [0, 0, 0, 1]])
+        columns = (
+            np.array([4, 9]), np.array([1, 2], np.int8), np.array([0.0, 1.0]),
+            np.array([0.0, 2.0]), np.array([[0, 1, 1, 0], [0, 0, 0, 1]], np.int8),
+        )
+        rounds = TestRounds(*map(mark_readonly, columns))
         np.testing.assert_array_equal(rounds.passed, [True, False])
         row = (rounds.system_ids[1], rounds.subsets[1], rounds.theta[1], rounds.phi[1])
         assert row == (9, 2, 1.0, 2.0)
@@ -310,8 +312,6 @@ class TestRoundRecord:
             rounds.bits[0, 0] = 1
         with pytest.raises(ValueError):
             rounds.passed[0] = False
-        with pytest.raises(ValueError):
-            TestRounds([4], [1], [0.0], [0.0], [[0, 1, 1]])
 
 
 FAULTS = {
@@ -475,3 +475,47 @@ class TestMakeVerifiedPool:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             make_verified_pool(0, rng(0))
+
+
+_FAULT_NAMES = st.sampled_from(sorted(FAULTS))
+_POLICIES = st.sampled_from(list(DirectionPolicy))
+
+
+class TestProducerInvariants:
+    """Records check nothing when built: each producer makes every array
+    1-D (the bits (n, 4)), equally long, in range, of its dtype and read-only."""
+
+    @staticmethod
+    def assert_pool(pool, M, L, check):
+        check(pool.system_ids, np.int64, 1, M, (L,))
+        check(pool.codes, np.int8, 0, 1, (L,))
+        assert len(pool) == L
+
+    @staticmethod
+    def assert_rounds(rounds, M, check):
+        n = rounds.system_ids.size
+        check(rounds.system_ids, np.int64, 1, M, (n,))
+        check(rounds.subsets, np.int8, 1, 2, (n,))
+        check(rounds.theta, np.float64, 0.0, math.pi, (n,))
+        check(rounds.phi, np.float64, 0.0, 2 * math.pi, (n,))
+        check(rounds.bits, np.int8, 0, 1, (n, 4))
+        assert len(rounds) == n
+
+    @settings(max_examples=100, deadline=None)
+    @given(L=st.integers(1, 300), seed=st.integers(0, 2**32))
+    def test_make_verified_pool(self, assert_frozen, L, seed):
+        self.assert_pool(make_verified_pool(L, rng(seed)), L, L, assert_frozen)
+
+    @pytest.mark.parametrize(
+        "producer, most", [(run_distribute_and_test, 40), (_dense_distribute_and_test, 4)],
+        ids=["array", "dense"],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), fault=_FAULT_NAMES, policy=_POLICIES, seed=st.integers(0, 2**32))
+    def test_distribute_and_test(self, assert_frozen, producer, most, data, fault, policy, seed):
+        N1, N2, L = (data.draw(st.integers(1, most)) for _ in range(3))
+        plan = DistributionPlan(N1 + N2 + L, N1, N2, L)
+        outcome = producer(plan, FAULTS[fault], rng(seed), policy)
+        self.assert_rounds(outcome.test_records, plan.M, assert_frozen)
+        if outcome.pool is not None:
+            self.assert_pool(outcome.pool, plan.M, L, assert_frozen)

@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 import liarsim
-from liarsim import channels, distribute_test, liar_protocol, oracle, runner
+from liarsim import adversary, channels, distribute_test, liar_protocol, oracle, runner
 
 
 def test_every_public_name_resolves():
@@ -25,6 +26,7 @@ def test_no_public_name_listed_twice():
         (liar_protocol, "_MAX_POSITION"),
         (liar_protocol, "Evidence"),
         (channels, "ClassicalEnvelope"),
+        (channels, "ArrayRecord"),
     ],
 )
 def test_deleted_names_are_gone(module, name):
@@ -36,6 +38,12 @@ def test_deleted_names_are_gone(module, name):
 def test_party_ids_stay_with_the_custody_ledger():
     assert "PartyId" not in liarsim.__all__ and not hasattr(liarsim, "PartyId")
     assert [party.value for party in channels.PartyId] == ["A", "B", "C"]
+
+
+# records that check nothing when built are reached through their modules
+def test_unchecked_records_are_not_exported():
+    for name in ("VerifiedPool", "PartyLists"):
+        assert name not in liarsim.__all__ and not hasattr(liarsim, name)
 
 
 def test_protocol_result_has_no_transcript():
@@ -51,7 +59,11 @@ def test_verdict_and_failure_fields():
 
 # plain result records: built once per trial or phase, never validated
 _VERDICT = liar_protocol.Verdict(liar_protocol.VerdictValue.CONSISTENT)
+_ROW = np.zeros(1, np.int8)
 PLAIN_RECORDS = [
+    liar_protocol.PartyLists(_ROW, _ROW, _ROW),
+    adversary.ActionA(0, np.ones(1, np.int64), 0, _ROW),
+    adversary.ActionB(0, np.ones(1, np.int64)),
     liar_protocol.AcceptanceResult(True),
     _VERDICT,
     liar_protocol.ProtocolResult(_VERDICT, None, None, None, 0),
