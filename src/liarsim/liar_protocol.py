@@ -169,20 +169,6 @@ class AcceptanceResult(NamedTuple):
     position: int | None = None
 
 
-def incompatible_positions(
-    claimed: Sequence[int], l_B: np.ndarray, m_AB: int
-) -> np.ndarray:
-    """In-range claimed positions whose bit in l_B contradicts the claim.
-
-    A true double (m, m) at position j forces l_B[j] = 1 - m, so any
-    claimed position showing m in l_B exposes the claim as false.
-    """
-    l_B = np.asarray(l_B)
-    arr = np.asarray(claimed, dtype=np.int64)
-    arr = arr[(arr >= 1) & (arr <= len(l_B))]
-    return arr[l_B[arr - 1] == m_AB]
-
-
 def b_accepts(
     m_AB: int,
     claimed: Sequence[int],
@@ -203,9 +189,12 @@ def b_accepts(
     claimed, bad = _scan_positions(claimed, len(l_B))
     if bad is not None:
         return AcceptanceResult(False, RejectReason.INCOMPATIBLE, bad)
-    contradicted = incompatible_positions(claimed, l_B, m_AB)
-    if contradicted.size:
-        return AcceptanceResult(False, RejectReason.INCOMPATIBLE, int(contradicted[0]))
+    # every claimed position is now valid, so it indexes l_B as it is
+    contradicted = l_B[claimed - 1] == m_AB
+    if np.count_nonzero(contradicted):
+        return AcceptanceResult(
+            False, RejectReason.INCOMPATIBLE, int(claimed[contradicted.argmax()])
+        )
     if claimed.size < thresholds.required_length(len(l_B)):
         return AcceptanceResult(False, RejectReason.TOO_SHORT)
     return AcceptanceResult(True)
@@ -229,24 +218,6 @@ class Verdict(NamedTuple):
     value: VerdictValue
     check: str | None = None
     position: int | None = None
-
-
-def stage1_violations(l_AC: Sequence[int], l_C: np.ndarray) -> np.ndarray:
-    """Positions where a claimed double contradicts C's own bit."""
-    arr = np.asarray(l_AC)
-    l_C = np.asarray(l_C)
-    mask = ((arr == 0) & (l_C != 1)) | ((arr == 2) & (l_C != 0))
-    return mask.nonzero()[0] + 1
-
-
-def stage2_mismatches(
-    forwarded: Sequence[int], l_AC: Sequence[int], m_BC: int
-) -> np.ndarray:
-    """Forwarded positions that are not (m_BC, m_BC) doubles in l_AC."""
-    arr = np.asarray(l_AC)
-    fwd = np.asarray(forwarded, dtype=np.int64)
-    fwd = fwd[(fwd >= 1) & (fwd <= len(arr))]
-    return fwd[arr[fwd - 1] != 2 * m_BC]
 
 
 def c_adjudicate(
@@ -292,18 +263,23 @@ def c_adjudicate(
     l_AC = _pair_counts(l_AC)
     if l_AC is None:
         return Verdict(VerdictValue.A_IS_LIAR, "stage1_malformed")
-    violations = stage1_violations(l_AC, l_C)
-    if violations.size:
-        return Verdict(VerdictValue.A_IS_LIAR, "stage1_inconsistent", int(violations[0]))
+    # a claimed double (m, m), a count of 2m, must face 1 - m at C: the
+    # count plus twice C's bit is 2 there
+    violations = (l_AC != 1) & (l_AC + 2 * l_C != 2)
+    if np.count_nonzero(violations):
+        return Verdict(VerdictValue.A_IS_LIAR, "stage1_inconsistent", int(violations.argmax()) + 1)
 
     forwarded, bad = _scan_positions(forwarded, length)
     if bad is not None:
         return Verdict(VerdictValue.B_IS_LIAR, "stage2_malformed", bad)
     if forwarded.size < thresholds.required_length(length):
         return Verdict(VerdictValue.B_IS_LIAR, "stage2_too_short")
-    mismatches = stage2_mismatches(forwarded, l_AC, m_BC)
-    if mismatches.size:
-        return Verdict(VerdictValue.B_IS_LIAR, "stage2_inconsistent", int(mismatches[0]))
+    # every forwarded position is now valid, so it indexes l_AC as it is
+    mismatches = l_AC[forwarded - 1] != 2 * m_BC
+    if np.count_nonzero(mismatches):
+        return Verdict(
+            VerdictValue.B_IS_LIAR, "stage2_inconsistent", int(forwarded[mismatches.argmax()])
+        )
     return Verdict(VerdictValue.A_IS_LIAR, "stage2_passed_under_conflict")
 
 
@@ -346,6 +322,7 @@ def run_liar_protocol(
             verdict = Verdict(
                 VerdictValue.B_REJECTED_AT_STEP_III,
                 f"step_iii_{b_acceptance.reason.value.lower()}",
+                b_acceptance.position,
             )
             return ProtocolResult(verdict, a_action, None, b_acceptance, None)
     b_action = adversary.strategy_B_act(

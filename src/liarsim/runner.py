@@ -11,8 +11,15 @@ Determinism contract: trial ``i`` draws from a stream derived from
 the result file contains no timestamps or timing data (wall-clock
 figures go to stdout only). That stream is exactly numpy's
 ``PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))``: numpy computes the
-seed's pool once per seed, and ``trial_rng`` hashes only each trial's
-index words and PCG64's four words.
+seed's pool once per seed, and ``trial_rng`` hashes PCG64's four seed
+words for a block of 64 consecutive indices in one array pass, so a trial
+only builds its generator from its block's row. A block depends on
+``(seed, block)`` only, so neither the trial count nor the order of the
+trials changes a record.
+
+B's and C's checks in ``liar_protocol`` scan each payload once; the
+escape tallies here index the lists with the strategies' own positions,
+which are valid by construction, with no scan at all.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import json
 import math
 import operator
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -44,9 +52,7 @@ from .liar_protocol import (
     Thresholds,
     VerdictValue,
     generate_lists,
-    incompatible_positions,
     run_liar_protocol,
-    stage2_mismatches,
 )
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -144,10 +150,12 @@ class TrialConfig:
             )
         # constructing the collaborators validates the remaining fields;
         # trials reuse them, and as plain attributes rather than dataclass
-        # fields they stay out of the summary record
+        # fields they stay out of the summary record. A fault-free model is
+        # NO_FAULTS itself, so a trial tells it by identity.
+        fault = FaultModel(self.qubit_loss_prob, self.source_state)
         for name, value in (
             ("plan", DistributionPlan(self.M, self.N1, self.N2, self.L)),
-            ("fault", FaultModel(self.qubit_loss_prob, self.source_state)),
+            ("fault", NO_FAULTS if fault == NO_FAULTS else fault),
             ("thresholds", Thresholds(self.min_fraction)),
             ("strategies", (parse_strategy_A(self.strategy_a), parse_strategy_B(self.strategy_b))),
             ("policy", DirectionPolicy(self.direction_policy)),
@@ -241,16 +249,22 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): numpy computes the
-# seed's pool once per seed, and only each trial's index words and PCG64's
+# seed's pool once per seed, and only the trials' index words and PCG64's
 # four words are hashed here. ``hashmix``'s constant starts at INIT_A and is
 # multiplied by MULT_A after each use, ``mix`` folds one word into another,
 # and ``generate_state``'s constant starts at INIT_B and steps by MULT_B.
-# No constant depends on the data, so each is computed once.
+# No constant depends on the data. The hashes run in uint32 arrays, whose
+# products wrap modulo 2**32 as SeedSequence's do.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
+
+# Trials are seeded a block at a time: a power of two, so a block's indices
+# share every index word but the lowest, and a block never crosses 2**32.
+_BLOCK = 64
+_BLOCK_ROWS = np.arange(_BLOCK, dtype=np.uint32)[:, None]
 
 
 def _words32(n: int) -> list[int]:
@@ -265,43 +279,36 @@ def _words32(n: int) -> list[int]:
     return words
 
 
-def _hash_constants(hc: int, count: int, mult: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """``count`` successive (xor, multiplier) pairs of a hash constant that
+def _hash_constants(hc: int, count: int, mult: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``count`` successive xor and multiplier words of a hash constant that
     starts at ``hc`` and is multiplied by ``mult`` after each xor, and the
     constant after them."""
-    pairs = []
+    xors, mults = [], []
     for _ in range(count):
-        xor = hc
+        xors.append(hc)
         hc = hc * mult & _MASK32
-        pairs.append((xor, hc))
-    return tuple(pairs), hc
+        mults.append(hc)
+    return np.array(xors, np.uint32), np.array(mults, np.uint32), hc
 
 
 @functools.lru_cache(maxsize=8)
-def _word_constants(hc: int) -> tuple[tuple[tuple[int, int], ...], int]:
+def _word_constants(hc: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The hash constants of one word mixed in past the pool, from ``hc``."""
     return _hash_constants(hc, _POOL_SIZE, _MULT_A)
 
 
-def _mix_word(pool: tuple[int, ...], word: int, hc: int) -> tuple[tuple[int, ...], int]:
+def _mix_word(pool: np.ndarray, word, hc: int) -> tuple[np.ndarray, int]:
     """Mix one entropy word past the pool into every pool word, as
     SeedSequence's ``mix_entropy`` does: (new pool, hash constant after).
-    Unrolled, as it runs for every trial."""
-    ((x0, m0), (x1, m1), (x2, m2), (x3, m3)), after = _word_constants(hc)
-    p0, p1, p2, p3 = pool
-    h0 = (word ^ x0) * m0 & _MASK32
-    h1 = (word ^ x1) * m1 & _MASK32
-    h2 = (word ^ x2) * m2 & _MASK32
-    h3 = (word ^ x3) * m3 & _MASK32
-    r0 = _MIX_MULT_L * p0 - _MIX_MULT_R * (h0 ^ h0 >> 16) & _MASK32
-    r1 = _MIX_MULT_L * p1 - _MIX_MULT_R * (h1 ^ h1 >> 16) & _MASK32
-    r2 = _MIX_MULT_L * p2 - _MIX_MULT_R * (h2 ^ h2 >> 16) & _MASK32
-    r3 = _MIX_MULT_L * p3 - _MIX_MULT_R * (h3 ^ h3 >> 16) & _MASK32
-    return (r0 ^ r0 >> 16, r1 ^ r1 >> 16, r2 ^ r2 >> 16, r3 ^ r3 >> 16), after
+    A column of words gives a row of pool words per word."""
+    xors, mults, hc = _word_constants(hc)
+    hashed = (word ^ xors) * mults
+    mixed = _MIX_MULT_L * pool - _MIX_MULT_R * (hashed ^ hashed >> 16)
+    return mixed ^ mixed >> 16, hc
 
 
 @functools.lru_cache(maxsize=8)
-def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
     """The pool of SeedSequence(entropy=seed, spawn_key=(i,)) before i's
     words are mixed in, and the hash constant reached: the same for every i.
 
@@ -311,38 +318,34 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """
     from numpy.random import SeedSequence  # on first use, as in _bit_generator_types
     uses = _POOL_SIZE * max(_POOL_SIZE, len(_words32(seed)))
-    pool = tuple(int(word) for word in SeedSequence(seed).pool)
-    return pool, _INIT_A * pow(_MULT_A, uses, 2**32) & _MASK32
+    return SeedSequence(seed).pool, _INIT_A * pow(_MULT_A, uses, 2**32) & _MASK32
 
 
-# generate_state(4, np.uint64) hashes the pool words twice round
-_STATE_CONSTANTS, _ = _hash_constants(_INIT_B, 2 * _POOL_SIZE, _MULT_B)
+# generate_state(4, np.uint64) hashes the pool words twice round into eight
+# 32-bit words, paired low half first: the columns are ordered so that each
+# row's bytes read as those four native uint64 words.
+_STATE_ORDER = np.arange(2 * _POOL_SIZE)
+if sys.byteorder == "big":
+    _STATE_ORDER ^= 1
+_STATE_XORS, _STATE_MULTS, _ = _hash_constants(_INIT_B, 2 * _POOL_SIZE, _MULT_B)
+_STATE_XORS, _STATE_MULTS = _STATE_XORS[_STATE_ORDER], _STATE_MULTS[_STATE_ORDER]
+_STATE_POOL_WORDS = _STATE_ORDER % _POOL_SIZE
 
 
-def _pcg64_words(pool: tuple[int, ...]) -> np.ndarray:
-    """A pool's ``generate_state(4, np.uint64)``: eight 32-bit hashes, paired
-    low half first. Unrolled, as it runs for every trial."""
-    (x0, m0), (x1, m1), (x2, m2), (x3, m3), (x4, m4), (x5, m5), (x6, m6), (x7, m7) = (
-        _STATE_CONSTANTS
-    )
-    p0, p1, p2, p3 = pool
-    h0 = (p0 ^ x0) * m0 & _MASK32
-    h1 = (p1 ^ x1) * m1 & _MASK32
-    h2 = (p2 ^ x2) * m2 & _MASK32
-    h3 = (p3 ^ x3) * m3 & _MASK32
-    h4 = (p0 ^ x4) * m4 & _MASK32
-    h5 = (p1 ^ x5) * m5 & _MASK32
-    h6 = (p2 ^ x6) * m6 & _MASK32
-    h7 = (p3 ^ x7) * m7 & _MASK32
-    return np.array(
-        [
-            h0 ^ h0 >> 16 | (h1 ^ h1 >> 16) << 32,
-            h2 ^ h2 >> 16 | (h3 ^ h3 >> 16) << 32,
-            h4 ^ h4 >> 16 | (h5 ^ h5 >> 16) << 32,
-            h6 ^ h6 >> 16 | (h7 ^ h7 >> 16) << 32,
-        ],
-        dtype=np.uint64,
-    )
+@functools.lru_cache(maxsize=4)
+def _block_words(seed: int, block: int) -> np.ndarray:
+    """PCG64's four seed words for each trial of one block of ``seed``'s
+    indices, one read-only uint64 row per trial: the lowest index word is a
+    column, and any higher words are mixed in as scalars."""
+    pool, hc = _seed_pool(seed)
+    low, *high = _words32(block * _BLOCK)
+    pool, hc = _mix_word(pool, _BLOCK_ROWS + low, hc)
+    for word in high:
+        pool, hc = _mix_word(pool, word, hc)
+    hashed = (pool.take(_STATE_POOL_WORDS, axis=1) ^ _STATE_XORS) * _STATE_MULTS
+    words = (hashed ^ hashed >> 16).view(np.uint64)
+    words.flags.writeable = False
+    return words
 
 
 class _PCG64Seed:
@@ -376,41 +379,47 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
     Exactly ``default_rng(SeedSequence(entropy=seed, spawn_key=(trial_index,)))``,
     the same PCG64 state, built without a per-trial SeedSequence: numpy
-    computes the seed's pool once per seed, and each trial mixes in only
-    its index and hashes out PCG64's four words. Negative values raise
-    ValueError, as SeedSequence does. The generator's ``seed_seq`` serves
-    PCG64's seeding only, so it cannot ``spawn``.
+    computes the seed's pool once per seed, and PCG64's four seed words are
+    hashed for a block of 64 consecutive indices in one array pass, kept
+    for the last few blocks, so a trial only builds its PCG64 from its row.
+    Negative values raise ValueError, as SeedSequence does. The generator's
+    ``seed_seq`` serves PCG64's seeding only, so it cannot ``spawn``.
     """
-    # an int key: a float seed equal to a cached one would otherwise hit it
-    pool, hc = _seed_pool(operator.index(seed))
-    for word in _words32(trial_index):
-        pool, hc = _mix_word(pool, word, hc)
+    # int keys: a float seed equal to a cached one would otherwise hit it
+    trial_index = operator.index(trial_index)
+    if trial_index < 0:
+        raise ValueError(f"expected non-negative integer, got {trial_index}")
+    block, row = divmod(trial_index, _BLOCK)
+    words = _block_words(operator.index(seed), block)[row]
     pcg64, generator = _bit_generator_types()
-    return generator(pcg64(_PCG64Seed(_pcg64_words(pool))))
+    return generator(pcg64(_PCG64Seed(words)))
 
 
 def _escape_counts(lists, a_action, b_action) -> tuple[int, int, int, int, int, int]:
     """Per-entry survival counts for each kind of fabricated entry, in
     ``TrialResult`` field order: fabricated for B and passing B, altered
-    for C and passing C, forged for stage 2 and passing it."""
+    for C and passing C, forged for stage 2 and passing it. The strategies
+    make every position valid, so each indexes its list as it is."""
     fabricated_for_b = fabricated_passing_b = altered_for_c = altered_passing_c = 0
     forged_for_stage2 = forged_passing_stage2 = 0
     fabricated = a_action.fabricated_positions
     if fabricated.size:
-        bad = incompatible_positions(fabricated, lists.b_bits, a_action.m_AB)
+        # a fabricated double (m, m) survives where B's bit reads 1 - m
         fabricated_for_b = fabricated.size
-        fabricated_passing_b = fabricated.size - bad.size
-    altered = a_action.altered_positions - 1
+        fabricated_passing_b = int(np.count_nonzero(lists.b_bits[fabricated - 1] != a_action.m_AB))
+    altered = a_action.altered_positions
     if altered.size:
-        # a forged double (m, m) survives exactly where C's bit reads 1 - m
-        survives = lists.c_bits[altered] == 1 - a_action.l_AC[altered] // 2
+        # each altered entry is a double of m_AC in the list C receives,
+        # which survives exactly where C's bit reads 1 - m_AC
         altered_for_c = altered.size
-        altered_passing_c = int(np.count_nonzero(survives))
+        altered_passing_c = int(np.count_nonzero(lists.c_bits[altered - 1] == 1 - a_action.m_AC))
     if b_action is not None and b_action.fabricated_positions.size:
+        # a forged position survives where A's full list holds (m_BC, m_BC)
         forged = b_action.fabricated_positions
-        bad2 = stage2_mismatches(forged, a_action.l_AC, b_action.m_BC)
         forged_for_stage2 = forged.size
-        forged_passing_stage2 = forged.size - bad2.size
+        forged_passing_stage2 = int(
+            np.count_nonzero(a_action.l_AC[forged - 1] == 2 * b_action.m_BC)
+        )
     return (
         fabricated_for_b, fabricated_passing_b, altered_for_c, altered_passing_c,
         forged_for_stage2, forged_passing_stage2,
@@ -422,7 +431,7 @@ def run_single_trial(config: TrialConfig, trial_index: int) -> TrialResult:
     rng = trial_rng(config.seed, trial_index)
     fault = config.fault
 
-    if fault == NO_FAULTS:
+    if fault is NO_FAULTS:
         # a fault-free distribute run always succeeds with the pool
         # untouched, so build the verified pool directly
         pool = make_verified_pool(config.L, rng)

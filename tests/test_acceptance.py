@@ -25,13 +25,7 @@ from liarsim.distribute_test import (
     make_verified_pool,
     run_distribute_and_test,
 )
-from liarsim.liar_protocol import (
-    VerdictValue,
-    generate_lists,
-    incompatible_positions,
-    run_liar_protocol,
-    stage2_mismatches,
-)
+from liarsim.liar_protocol import VerdictValue, generate_lists, run_liar_protocol
 from liarsim.oracle import Assignment, rejection_lower_bound, round_distribution
 from liarsim.qstate import (
     COMPUTATIONAL,
@@ -43,6 +37,7 @@ from liarsim.qstate import (
     sample_outcomes,
 )
 from liarsim.runner import TrialConfig, run_trials
+from reference_checks import incompatible_positions, stage2_mismatches
 
 BALANCED_INDICES = (3, 5, 6, 9, 10, 12)  # four-bit patterns with two 0s
 UNIT = 1.0 / (2.0 * math.sqrt(3.0))

@@ -18,6 +18,7 @@ from liarsim.liar_protocol import (
     PartyLists,
     RejectReason,
     Thresholds,
+    Verdict,
     VerdictValue,
     _is_bit,
     _pair_counts,
@@ -25,15 +26,14 @@ from liarsim.liar_protocol import (
     b_accepts,
     c_adjudicate,
     generate_lists,
-    incompatible_positions,
     run_liar_protocol,
-    stage1_violations,
-    stage2_mismatches,
 )
 from liarsim.oracle import Assignment
 from liarsim.qstate import (
     COMPUTATIONAL, basis_state, joint_distribution, make_singlet, mark_readonly, measure_qubits,
 )
+from liarsim.runner import _escape_counts
+from reference_checks import incompatible_positions, stage1_violations, stage2_mismatches
 
 # Worked eight-row example used throughout: a valid joint outcome whose
 # doubles sit at 1,3,6 (for 0) and 4,5,8 (for 1). A's pairs
@@ -526,12 +526,34 @@ class TestRunLiarProtocol:
             lists, StrategyA.split_message(10), StrategyB.honest(), rng=stream
         )
         assert result.verdict.value is VerdictValue.B_REJECTED_AT_STEP_III
-        assert result.verdict[1:] == ("step_iii_incompatible", None)
         acceptance = result.b_acceptance
+        assert result.verdict[1:] == ("step_iii_incompatible", acceptance.position)
         assert (acceptance.accepted, acceptance.reason) == (False, RejectReason.INCOMPATIBLE)
         # the rejected position is one of A's fabrications, and B sent no forward
         assert acceptance.position in result.a_action.fabricated_positions
         assert result.b_action is None and result.delivered_message is None
+
+    def test_step_iii_verdict_names_the_first_contradicted_position(self):
+        rejected = 0
+        for seed in range(40):
+            stream = rng(seed)
+            lists = generate_lists(make_verified_pool(64, stream), stream)
+            result = run_liar_protocol(
+                lists, StrategyA.split_message(3), StrategyB.honest(), rng=stream
+            )
+            a_action = result.a_action
+            contradicted = incompatible_positions(
+                a_action.positions_for_B, lists.b_bits, a_action.m_AB
+            )
+            if contradicted.size:
+                rejected += 1
+                assert result.verdict == (
+                    VerdictValue.B_REJECTED_AT_STEP_III, "step_iii_incompatible", contradicted[0]
+                )
+                assert result.verdict.position in a_action.fabricated_positions
+            else:
+                assert result.verdict.check != "step_iii_incompatible"
+        assert rejected >= 25  # all 3 fabrications survive B with chance 1/8 only
 
     def test_too_short_claim_rejected_at_step_iii(self):
         # L=16 expects 3.33 doubles and requires 1.67, so an honest claim of
@@ -632,3 +654,120 @@ class TestOnePassChecksMatchReference:
             scanned, bad = _scan_positions(positions, length)
             assert bad == reference(length)
             assert scanned is positions
+
+
+# Once a position list or a full list has passed its scan, B's and C's checks
+# and the escape counts index with it as it is. Each must give what the whole
+# reference checks give, on lists with contradictions and fabrications.
+_SOURCES = st.sampled_from(["singlet", "0011", "0101", "1111"])
+
+
+@st.composite
+def _lists_and_claim(draw):
+    """Lists from ``generate_lists``, a message bit m, and a strictly
+    increasing claim for m drawn from anywhere in the lists: some of A's
+    doubles of m, plus any other positions."""
+    L = draw(st.integers(1, 80))
+    stream = rng(draw(st.integers(0, 2**32)))
+    pool = make_verified_pool(L, stream)
+    source = draw(_SOURCES)
+    if source != "singlet":
+        pool = VerifiedPool(pool.system_ids, pool.codes, basis_state(source))
+    lists = generate_lists(pool, stream)
+    m = draw(st.integers(0, 1))
+    honest = (np.flatnonzero(lists.a_ones == 2 * m) + 1).tolist()
+    kept = draw(st.sets(st.sampled_from(honest))) if honest else set()
+    added = draw(st.sets(st.integers(1, L), max_size=6))
+    return lists, m, np.array(sorted(kept | added), dtype=np.int64)
+
+
+def _reference_b_accepts(m_AB, claimed, l_B, thresholds):
+    contradicted = incompatible_positions(claimed, l_B, m_AB)
+    if contradicted.size:
+        return AcceptanceResult(False, RejectReason.INCOMPATIBLE, int(contradicted[0]))
+    if len(claimed) < thresholds.required_length(len(l_B)):
+        return AcceptanceResult(False, RejectReason.TOO_SHORT)
+    return AcceptanceResult(True)
+
+
+def _reference_c_adjudicate(m_AC, l_AC, m_BC, forwarded, l_C, thresholds):
+    if m_AC == m_BC:
+        return Verdict(VerdictValue.CONSISTENT)
+    violations = stage1_violations(l_AC, l_C)
+    if violations.size:
+        return Verdict(VerdictValue.A_IS_LIAR, "stage1_inconsistent", int(violations[0]))
+    if len(forwarded) < thresholds.required_length(len(l_C)):
+        return Verdict(VerdictValue.B_IS_LIAR, "stage2_too_short")
+    mismatches = stage2_mismatches(forwarded, l_AC, m_BC)
+    if mismatches.size:
+        return Verdict(VerdictValue.B_IS_LIAR, "stage2_inconsistent", int(mismatches[0]))
+    return Verdict(VerdictValue.A_IS_LIAR, "stage2_passed_under_conflict")
+
+
+def _reference_escape_counts(lists, a_action, b_action):
+    fabricated = a_action.fabricated_positions
+    bad = incompatible_positions(fabricated, lists.b_bits, a_action.m_AB)
+    altered = a_action.altered_positions - 1
+    survives = lists.c_bits[altered] == 1 - a_action.l_AC[altered] // 2
+    forged = b_action.fabricated_positions if b_action is not None else np.empty(0, np.int64)
+    bad2 = (
+        stage2_mismatches(forged, a_action.l_AC, b_action.m_BC) if forged.size else forged
+    )
+    return (
+        fabricated.size, fabricated.size - bad.size,
+        altered.size, int(np.count_nonzero(survives)),
+        forged.size, forged.size - bad2.size,
+    )
+
+
+_THRESHOLDS = st.builds(Thresholds, st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+
+
+class TestIndexOnceChecksMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=_lists_and_claim(), as_tuple=st.booleans(), thresholds=_THRESHOLDS)
+    def test_b_accepts(self, drawn, as_tuple, thresholds):
+        lists, m_AB, claimed = drawn
+        payload = tuple(claimed.tolist()) if as_tuple else mark_readonly(claimed)
+        expected = _reference_b_accepts(m_AB, claimed, lists.b_bits, thresholds)
+        assert b_accepts(m_AB, payload, lists.b_bits, thresholds) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=_lists_and_claim(), m_AC=st.integers(0, 1),
+           forged=st.dictionaries(st.integers(0, 79), st.integers(0, 2), max_size=6),
+           as_tuple=st.booleans(), thresholds=_THRESHOLDS)
+    def test_c_adjudicate(self, drawn, m_AC, forged, as_tuple, thresholds):
+        lists, m_BC, forwarded = drawn
+        l_AC = lists.a_ones.copy()
+        for index, count in forged.items():
+            if index < l_AC.size:
+                l_AC[index] = count
+        if as_tuple:
+            sent = tuple(l_AC.tolist()), tuple(forwarded.tolist())
+        else:
+            sent = mark_readonly(l_AC), mark_readonly(forwarded)
+        expected = _reference_c_adjudicate(m_AC, l_AC, m_BC, forwarded, lists.c_bits, thresholds)
+        verdict = c_adjudicate(m_AC, sent[0], m_BC, sent[1], lists.c_bits, thresholds)
+        assert verdict == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        L=st.integers(1, 80),
+        source=_SOURCES,
+        seed=st.integers(0, 2**32),
+        text_a=st.sampled_from(["honest", "split:n=1", "split:n=3", "split:n=50",
+                                "forgefull:k=1", "forgefull:k=8", "forgefull:k=50"]),
+        text_b=st.sampled_from(["honest", "flipforge", "flipforge:k=1", "flipforge:k=50"]),
+    )
+    def test_escape_counts(self, L, source, seed, text_a, text_b):
+        stream = rng(seed)
+        pool = make_verified_pool(L, stream)
+        if source != "singlet":
+            pool = VerifiedPool(pool.system_ids, pool.codes, basis_state(source))
+        lists = generate_lists(pool, stream)
+        result = run_liar_protocol(
+            lists, parse_strategy_A(text_a), parse_strategy_B(text_b), rng=stream
+        )
+        counts = _escape_counts(lists, result.a_action, result.b_action)
+        assert counts == _reference_escape_counts(lists, result.a_action, result.b_action)
+        assert all(type(count) is int for count in counts)

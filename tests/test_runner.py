@@ -139,11 +139,15 @@ class TestTrialConfig:
 
 _RANDOM_64 = [int(x) for x in np.random.default_rng(2026).integers(0, 2**64, 6, dtype=np.uint64)]
 # seeds of 1 to 5 words (2**128 and 2**130 + 7 are mixed in past the pool)
-# and indices of 1 and 2 words, at each word-size boundary
+# and indices of 1 to 4 words, at each word-size boundary and at the edges
+# of the 64-index blocks that are seeded together
 REFERENCE_SEEDS = [
     0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**130 + 7, *_RANDOM_64[:3]
 ]
-REFERENCE_INDICES = [0, 1, 2, 2**32 - 1, 2**32, 2**63, *_RANDOM_64[3:]]
+REFERENCE_INDICES = [
+    0, 1, 2, 63, 64, 65, 127, 128, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**100,
+    *_RANDOM_64[3:],
+]
 
 
 def numpy_trial_rng(seed, trial_index):
@@ -163,6 +167,15 @@ class TestTrialRng:
         for seed, i in [(2**224 - 1, 2**64 + 3), (_RANDOM_64[0], 2**100), (2**96, 7)]:
             assert trial_rng(seed, i).bit_generator.state == numpy_trial_rng(seed, i).bit_generator.state
 
+    def test_block_cache_stays_bounded(self):
+        runner._block_words.cache_clear()
+        for seed in (3, 2**70):
+            for i in range(10**4):
+                trial_rng(seed, i)
+        info = runner._block_words.cache_info()
+        assert info.misses == 2 * math.ceil(10**4 / runner._BLOCK)
+        assert info.currsize <= info.maxsize <= 8
+
     def test_numpy_integers_are_accepted(self):
         ours = trial_rng(np.uint64(2**64 - 1), np.int64(5))
         assert ours.bit_generator.state == numpy_trial_rng(2**64 - 1, 5).bit_generator.state
@@ -178,7 +191,7 @@ class TestTrialRng:
     def test_negative_values_rejected_like_numpy(self, seed, i):
         with pytest.raises(ValueError):
             numpy_trial_rng(seed, i)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"got {min(seed, i)}$"):
             trial_rng(seed, i)
 
     def test_seed_object_serves_pcg64_only(self):
@@ -497,6 +510,16 @@ class TestRunTrials:
             run_trials(TrialConfig.build(L=64, seed=3, trials=2), out_path=str(out))
         assert out.read_text() == "previous run\n"
         assert [path.name for path in tmp_path.iterdir()] == ["r.ndjson"]
+
+    def test_shorter_run_is_a_prefix_of_a_longer_one(self, tmp_path, capsys):
+        # trial i's record depends on (seed, i) only, across seed blocks too
+        lines = {}
+        for trials in (130, 200):
+            out = tmp_path / f"{trials}.ndjson"
+            args = ["run", "--trials", str(trials), "--L", "16", "--seed", "1"]
+            assert cli_main(args + ["--out", str(out)]) == 0
+            lines[trials] = out.read_text().splitlines()
+        assert lines[130][:130] == lines[200][:130]
 
     def test_honest_run_statistics(self):
         config = TrialConfig.build(L=256, seed=23, trials=60)
