@@ -76,12 +76,10 @@ class DistributionPlan:
     L: int
 
     def __post_init__(self) -> None:
-        if self.L < 1 or self.N1 < 1 or self.N2 < 1:
-            raise ValueError("N1, N2 and L must all be at least 1")
-        if self.M != self.N1 + self.N2 + self.L:
+        if min(self.N1, self.N2, self.L) < 1 or self.M != self.N1 + self.N2 + self.L:
             raise ValueError(
-                f"plan arithmetic violated: M={self.M} != "
-                f"N1+N2+L={self.N1 + self.N2 + self.L}"
+                f"inconsistent sizes: M={self.M}, N1={self.N1}, N2={self.N2}, L={self.L} "
+                "(require M = N1 + N2 + L with all parts >= 1)"
             )
 
     @classmethod
@@ -94,11 +92,6 @@ class DistributionPlan:
 class FailureInfo(NamedTuple):
     step: str  # protocol step that failed: "ii", "v", or "vii"
     system_id: int | None
-
-
-class DistributeStatus(enum.Enum):
-    SUCCESS = "SUCCESS"
-    FAILURE = "FAILURE"
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,16 +144,17 @@ class TestRounds:
 
 
 class DistributeOutcome(NamedTuple):
-    """A run's verdict; ``test_records`` holds every round it measured."""
+    """A run's verdict: it succeeded exactly when ``failure`` is None, and
+    then ``pool`` holds the verified systems. ``test_records`` holds every
+    round it measured."""
 
-    status: DistributeStatus
     pool: VerifiedPool | None
     failure: FailureInfo | None
     test_records: TestRounds
 
 
 def _failure(step: str, system_id: int, rounds: TestRounds) -> DistributeOutcome:
-    return DistributeOutcome(DistributeStatus.FAILURE, None, FailureInfo(step, system_id), rounds)
+    return DistributeOutcome(None, FailureInfo(step, system_id), rounds)
 
 
 def _draw_subsets(
@@ -268,8 +262,8 @@ def run_distribute_and_test(
 ) -> DistributeOutcome:
     """Run the full distribute-and-test protocol for one batch of M systems.
 
-    Returns SUCCESS with the untouched verified pool, or FAILURE naming
-    the first step whose check failed. Every test round, S1's then S2's, is
+    Returns the untouched verified pool, or a failure naming the first
+    step whose check failed. Every test round, S1's then S2's, is
     drawn and measured in one array pass; the stream is read in the order
     of the step-by-step protocol (``_dense_distribute_and_test``), so a
     successful run leaves ``rng`` exactly where that one does. An aborted
@@ -304,7 +298,7 @@ def run_distribute_and_test(
         played = TestRounds(*(column[:played_to] for column in columns))
         return _failure(step, int(tested[i]), played)
     pool = VerifiedPool(pool_ids, mark_readonly(codes[pool_ids - 1]), source)
-    return DistributeOutcome(DistributeStatus.SUCCESS, pool, None, TestRounds(*columns))
+    return DistributeOutcome(pool, None, TestRounds(*columns))
 
 
 def _dense_distribute_and_test(
@@ -368,13 +362,13 @@ def _dense_distribute_and_test(
     if touched:
         raise ProtocolViolationError(f"pool system {touched[0]} was touched during testing")
     pool = VerifiedPool(pool_ids, mark_readonly(codes[pool_ids - 1]), source)
-    return DistributeOutcome(DistributeStatus.SUCCESS, pool, None, _test_rounds(played))
+    return DistributeOutcome(pool, None, _test_rounds(played))
 
 
 def make_verified_pool(L: int, rng: np.random.Generator) -> VerifiedPool:
     """Build a verified pool directly, skipping the testing phase.
 
-    Equivalent to the pool returned by a SUCCESS run with an honest
+    Equivalent to the pool returned by a successful run with an honest
     source and no faults: pool systems are never touched during testing,
     so their state is exactly the freshly prepared one. Each system's
     assignment code is one ``integers(0, 2)`` draw, as in a full run.

@@ -136,16 +136,11 @@ def _pair_counts(values) -> np.ndarray | None:
 # B's acceptance test
 
 
-class RejectReason(enum.Enum):
-    INCOMPATIBLE = "INCOMPATIBLE"
-    TOO_SHORT = "TOO_SHORT"
-
-
 @dataclass(frozen=True)
 class Thresholds:
     """Acceptance parameters shared by B's test and C's adjudication.
 
-    A claimed-positions list is rejected as TOO_SHORT when it is shorter
+    A claimed-positions list is rejected as too short when it is shorter
     than ``min_fraction`` times the expected honest double count
     (``EXPECTED_DOUBLE_FRACTION * L``).
     """
@@ -164,8 +159,11 @@ DEFAULT_THRESHOLDS = Thresholds()
 
 
 class AcceptanceResult(NamedTuple):
+    """B's step-(III) decision; a rejection names its check, as C's verdict
+    reports it, and the position where that check tripped, if any."""
+
     accepted: bool
-    reason: RejectReason | None = None
+    check: str | None = None
     position: int | None = None
 
 
@@ -177,26 +175,26 @@ def b_accepts(
 ) -> AcceptanceResult:
     """B's step-(III) test of A's claimed double positions.
 
-    Rejects INCOMPATIBLE on a message bit that is not an integer 0 or 1
-    (with no position), then on the first malformed or contradicted
-    position (a non-integer entry, bools included, is reported as 0),
-    then TOO_SHORT if the claim list is implausibly short; hostile input
-    is rejected, never raised.
+    Rejects under ``step_iii_incompatible`` a message bit that is not an
+    integer 0 or 1 (with no position), then the first malformed or
+    contradicted position (a non-integer entry, bools included, is
+    reported as 0), then under ``step_iii_too_short`` an implausibly short
+    claim list; hostile input is rejected, never raised.
     """
     l_B = np.asarray(l_B)
     if not _is_bit(m_AB):
-        return AcceptanceResult(False, RejectReason.INCOMPATIBLE)
+        return AcceptanceResult(False, "step_iii_incompatible")
     claimed, bad = _scan_positions(claimed, len(l_B))
     if bad is not None:
-        return AcceptanceResult(False, RejectReason.INCOMPATIBLE, bad)
+        return AcceptanceResult(False, "step_iii_incompatible", bad)
     # every claimed position is now valid, so it indexes l_B as it is
     contradicted = l_B[claimed - 1] == m_AB
     if np.count_nonzero(contradicted):
         return AcceptanceResult(
-            False, RejectReason.INCOMPATIBLE, int(claimed[contradicted.argmax()])
+            False, "step_iii_incompatible", int(claimed[contradicted.argmax()])
         )
     if claimed.size < thresholds.required_length(len(l_B)):
-        return AcceptanceResult(False, RejectReason.TOO_SHORT)
+        return AcceptanceResult(False, "step_iii_too_short")
     return AcceptanceResult(True)
 
 
@@ -309,7 +307,7 @@ def run_liar_protocol(
     it: A sends B her bit and claimed positions, B forwards a bit and
     positions to C, and A sends C her bit and full list. When honest B
     rejects at step (III), he sends C his rejection instead of a
-    forward, and C reports the rejection under the check
+    forward, and C reports the rejection under B's check,
     ``step_iii_incompatible`` or ``step_iii_too_short``.
     """
     a_action = adversary.strategy_A_act(strategy_A, lists.a_ones, rng)
@@ -320,9 +318,7 @@ def run_liar_protocol(
         )
         if not b_acceptance.accepted:
             verdict = Verdict(
-                VerdictValue.B_REJECTED_AT_STEP_III,
-                f"step_iii_{b_acceptance.reason.value.lower()}",
-                b_acceptance.position,
+                VerdictValue.B_REJECTED_AT_STEP_III, b_acceptance.check, b_acceptance.position
             )
             return ProtocolResult(verdict, a_action, None, b_acceptance, None)
     b_action = adversary.strategy_B_act(

@@ -43,7 +43,6 @@ from .adversary import parse_strategy_A, parse_strategy_B
 from .channels import NO_FAULTS, FaultModel
 from .distribute_test import (
     DirectionPolicy,
-    DistributeStatus,
     DistributionPlan,
     make_verified_pool,
     run_distribute_and_test,
@@ -106,11 +105,7 @@ def resolve_sizes(
         M = N1 + N2 + L
     if L is None:
         L = M - N1 - N2
-    if L < 1 or N1 < 1 or N2 < 1 or M != N1 + N2 + L:
-        raise ValueError(
-            f"inconsistent sizes: M={M}, N1={N1}, N2={N2}, L={L} "
-            "(require M = N1 + N2 + L with all parts >= 1)"
-        )
+    DistributionPlan(M, N1, N2, L)  # raises unless M = N1 + N2 + L, all parts >= 1
     return M, N1, N2, L
 
 
@@ -143,11 +138,6 @@ class TrialConfig:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.direction_policy not in ("random", "fixed"):
-            raise ValueError(
-                f"direction_policy must be 'random' or 'fixed', got "
-                f"{self.direction_policy!r}"
-            )
         # constructing the collaborators validates the remaining fields;
         # trials reuse them, and as plain attributes rather than dataclass
         # fields they stay out of the summary record. A fault-free model is
@@ -439,12 +429,8 @@ def run_single_trial(config: TrialConfig, trial_index: int) -> TrialResult:
         outcome = run_distribute_and_test(
             config.plan, fault, rng, direction_policy=config.policy
         )
-        if outcome.status is DistributeStatus.FAILURE:
-            return TrialResult(
-                trial=trial_index,
-                distribute_status=outcome.status.value,
-                failure_step=outcome.failure.step,
-            )
+        if outcome.failure is not None:
+            return TrialResult(trial_index, "FAILURE", outcome.failure.step)
         pool = outcome.pool
 
     lists = generate_lists(pool, rng)
@@ -456,7 +442,7 @@ def run_single_trial(config: TrialConfig, trial_index: int) -> TrialResult:
     # positional, in field order: a keyword build costs several times more
     return TrialResult(
         trial_index,
-        DistributeStatus.SUCCESS.value,
+        "SUCCESS",
         None,
         result.verdict.value.value,
         result.verdict.check,

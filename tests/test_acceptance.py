@@ -20,7 +20,6 @@ from liarsim.channels import NO_FAULTS, FaultModel
 from liarsim.cli import main as cli_main
 from liarsim.distribute_test import (
     DirectionPolicy,
-    DistributeStatus,
     DistributionPlan,
     make_verified_pool,
     run_distribute_and_test,
@@ -313,16 +312,12 @@ def test_criterion_10_distribute_and_test(acceptance_report):
     stream = np.random.default_rng(10010)
 
     honest_passes = sum(
-        run_distribute_and_test(plan, NO_FAULTS, stream).status
-        is DistributeStatus.SUCCESS
+        run_distribute_and_test(plan, NO_FAULTS, stream).failure is None
         for _ in range(1000)
     )
 
     all_zero_failures = sum(
-        run_distribute_and_test(
-            plan, FaultModel(source_state="0000"), stream
-        ).status
-        is DistributeStatus.FAILURE
+        run_distribute_and_test(plan, FaultModel(source_state="0000"), stream).failure is not None
         for _ in range(1000)
     )
 
@@ -335,7 +330,7 @@ def test_criterion_10_distribute_and_test(acceptance_report):
             stream,
             direction_policy=DirectionPolicy.RANDOM,
         )
-        half_up_failures += outcome.status is DistributeStatus.FAILURE
+        half_up_failures += outcome.failure is not None
         first_round_passes += outcome.test_records.passed[0]
 
     # sphere average of the per-round pass probability for |0011>:

@@ -14,7 +14,6 @@ from liarsim.channels import (
 )
 from liarsim.distribute_test import (
     DirectionPolicy,
-    DistributeStatus,
     DistributionPlan,
     TestRounds,
     VerifiedPool,
@@ -99,7 +98,6 @@ class TestChooseDirection:
 class TestHonestRun:
     def test_success_with_all_records_passing(self):
         outcome = run_distribute_and_test(DistributionPlan.default(64), NO_FAULTS, rng(11))
-        assert outcome.status is DistributeStatus.SUCCESS
         assert outcome.failure is None
         assert len(outcome.test_records) == 32
         assert outcome.test_records.passed.all()
@@ -172,7 +170,7 @@ class TestHonestRun:
         plan = DistributionPlan(20, 3, 5, 12)
         stream = _RecordingGenerator(rng(23))
         outcome = run_distribute_and_test(plan, NO_FAULTS, stream, policy)
-        assert outcome.status is DistributeStatus.SUCCESS
+        assert outcome.failure is None
         assert stream.calls == [
             ("integers", (0, 2, 20)),
             ("random", (60,)),
@@ -194,7 +192,7 @@ class TestHonestRun:
             rng(17),
             direction_policy=DirectionPolicy.FIXED,
         )
-        assert outcome.status is DistributeStatus.SUCCESS
+        assert outcome.failure is None
 
     def test_reproducible_for_fixed_seed(self, records_equal):
         results = [
@@ -214,7 +212,7 @@ class TestCorruptedSource:
             rng=rng(3),
             direction_policy=DirectionPolicy.FIXED,
         )
-        assert outcome.status is DistributeStatus.FAILURE
+        assert outcome.failure is not None
         assert outcome.failure.step == "vii"
         # the very first tested system already shows four equal bits
         assert len(outcome.test_records) == 1
@@ -227,7 +225,7 @@ class TestCorruptedSource:
                 fault=FaultModel(source_state="0000"),
                 rng=rng(seed),
             )
-            assert outcome.status is DistributeStatus.FAILURE
+            assert outcome.failure is not None
 
     def test_balanced_product_source_evades_fixed_basis(self):
         # |0011> mimics the expected pattern in the computational basis, so
@@ -238,7 +236,7 @@ class TestCorruptedSource:
             rng=rng(19),
             direction_policy=DirectionPolicy.FIXED,
         )
-        assert outcome.status is DistributeStatus.SUCCESS
+        assert outcome.failure is None
 
     def test_balanced_product_source_caught_by_random_directions(self):
         failures = 0
@@ -248,7 +246,7 @@ class TestCorruptedSource:
                 fault=FaultModel(source_state="0011"),
                 rng=rng(100 + seed),
             )
-            failures += outcome.status is DistributeStatus.FAILURE
+            failures += outcome.failure is not None
         # per-round escape is 8/15, so 16 tested rounds pass all checks
         # with probability (8/15)^16 ~ 4e-5
         assert failures == 30
@@ -262,7 +260,7 @@ class TestCorruptedSource:
                     fault=FaultModel(source_state="0011"),
                     rng=rng(1000 * n_tests + seed),
                 )
-                failures += outcome.status is DistributeStatus.FAILURE
+                failures += outcome.failure is not None
             return failures / trials
 
         rates = [detection_rate(n) for n in (1, 3, 8)]
@@ -278,7 +276,7 @@ class TestLossyChannel:
             fault=FaultModel(qubit_loss_prob=1.0),
             rng=rng(0),
         )
-        assert outcome.status is DistributeStatus.FAILURE
+        assert outcome.failure is not None
         assert outcome.failure.step == "ii"
         assert outcome.failure.system_id == 1
         assert outcome.pool is None
@@ -291,7 +289,7 @@ class TestLossyChannel:
                 fault=FaultModel(qubit_loss_prob=0.02),
                 rng=rng(seed),
             )
-            if outcome.status is DistributeStatus.FAILURE:
+            if outcome.failure is not None:
                 seen_steps.add(outcome.failure.step)
         assert seen_steps <= {"ii", "v"}
         assert seen_steps  # at 2% per qubit, 20 runs of 48+ qubits must lose some
@@ -350,7 +348,7 @@ class TestClosedFormMatchesDenseOracle:
             fast_rng, dense_rng = rng(seed), rng(seed)
             fast = run_distribute_and_test(plan, FAULTS[fault], fast_rng, policy)
             dense = _dense_distribute_and_test(plan, FAULTS[fault], dense_rng, policy)
-            assert fast.status is dense.status
+            assert (fast.failure is None) is (dense.failure is None)
             if fast.failure is None:
                 assert dense.failure is None
                 np.testing.assert_array_equal(fast.pool.system_ids, dense.pool.system_ids)

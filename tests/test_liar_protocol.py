@@ -16,7 +16,6 @@ from liarsim.liar_protocol import (
     _LIST_ENTRIES,
     AcceptanceResult,
     PartyLists,
-    RejectReason,
     Thresholds,
     Verdict,
     VerdictValue,
@@ -207,12 +206,12 @@ class TestBAccepts:
         # position 2 shows 0 in B's list, so A cannot hold 00 there
         result = b_accepts(0, (1, 2, 3, 6), worked_lists().b_bits)
         assert not result.accepted
-        assert result.reason is RejectReason.INCOMPATIBLE
+        assert result.check == "step_iii_incompatible"
         assert result.position == 2
 
     def test_rejects_out_of_range(self):
         result = b_accepts(0, (1, 9), worked_lists().b_bits)
-        assert result.reason is RejectReason.INCOMPATIBLE
+        assert result.check == "step_iii_incompatible"
         assert result.position == 9
 
     def test_rejects_unsorted_or_duplicated(self):
@@ -222,7 +221,7 @@ class TestBAccepts:
     def test_rejects_too_short(self):
         result = b_accepts(0, (), worked_lists().b_bits)
         assert not result.accepted
-        assert result.reason is RejectReason.TOO_SHORT
+        assert result.check == "step_iii_too_short"
 
     def test_zero_min_fraction_accepts_empty(self):
         thresholds = Thresholds(min_fraction=0.0)
@@ -232,7 +231,7 @@ class TestBAccepts:
         lists = worked_lists()
         for claimed in ((True, 3, 6), np.array([True, False, True])):
             result = b_accepts(0, claimed, lists.b_bits)
-            assert result.reason is RejectReason.INCOMPATIBLE
+            assert result.check == "step_iii_incompatible"
             assert result.position == 0
 
     def test_first_offending_entry_reported(self):
@@ -245,7 +244,7 @@ class TestBAccepts:
         # a malformed message bit is rejected before any position is read
         for m in (2, -1, None, "0", True, 0.0):
             result = b_accepts(m, (3, 1), b_bits)
-            assert (result.reason, result.position) == (RejectReason.INCOMPATIBLE, None)
+            assert (result.check, result.position) == ("step_iii_incompatible", None)
         assert b_accepts(np.int64(1), (4, 5, 8), b_bits).accepted
 
     @settings(max_examples=300, deadline=None)
@@ -274,9 +273,9 @@ class TestBAccepts:
         result = b_accepts(0, tuple(claimed), lists.b_bits)
         expected = reference(lists.length)
         if expected is None:
-            assert result.reason is not RejectReason.INCOMPATIBLE or result.position != 0
+            assert result.check != "step_iii_incompatible" or result.position != 0
         else:
-            assert result.reason is RejectReason.INCOMPATIBLE
+            assert result.check == "step_iii_incompatible"
             assert result.position == expected
         verdict = c_adjudicate(1, lists.a_ones, 0, tuple(claimed), lists.c_bits)
         if expected is None:
@@ -528,7 +527,7 @@ class TestRunLiarProtocol:
         assert result.verdict.value is VerdictValue.B_REJECTED_AT_STEP_III
         acceptance = result.b_acceptance
         assert result.verdict[1:] == ("step_iii_incompatible", acceptance.position)
-        assert (acceptance.accepted, acceptance.reason) == (False, RejectReason.INCOMPATIBLE)
+        assert (acceptance.accepted, acceptance.check) == (False, "step_iii_incompatible")
         # the rejected position is one of A's fabrications, and B sent no forward
         assert acceptance.position in result.a_action.fabricated_positions
         assert result.b_action is None and result.delivered_message is None
@@ -566,7 +565,7 @@ class TestRunLiarProtocol:
                 break
         assert result.verdict.value is VerdictValue.B_REJECTED_AT_STEP_III
         assert result.verdict[1:] == ("step_iii_too_short", None)
-        assert result.b_acceptance.reason is RejectReason.TOO_SHORT
+        assert result.b_acceptance.check == "step_iii_too_short"
         assert result.b_action is None and result.delivered_message is None
 
     def test_acceptance_audit_fields(self):
@@ -684,9 +683,9 @@ def _lists_and_claim(draw):
 def _reference_b_accepts(m_AB, claimed, l_B, thresholds):
     contradicted = incompatible_positions(claimed, l_B, m_AB)
     if contradicted.size:
-        return AcceptanceResult(False, RejectReason.INCOMPATIBLE, int(contradicted[0]))
+        return AcceptanceResult(False, "step_iii_incompatible", int(contradicted[0]))
     if len(claimed) < thresholds.required_length(len(l_B)):
-        return AcceptanceResult(False, RejectReason.TOO_SHORT)
+        return AcceptanceResult(False, "step_iii_too_short")
     return AcceptanceResult(True)
 
 

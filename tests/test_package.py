@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,38 @@ def test_no_public_name_listed_twice():
     assert len(set(liarsim.__all__)) == len(liarsim.__all__)
 
 
+# the simulator's entry points; every other name is reached through its module
+def test_public_names_are_the_entry_points():
+    assert liarsim.__all__ == [
+        "StrategyA",
+        "StrategyB",
+        "make_verified_pool",
+        "generate_lists",
+        "run_liar_protocol",
+        "TrialConfig",
+        "run_trials",
+        "trial_rng",
+        "__version__",
+    ]
+
+
+# in-process, the other tests' imports would hide a missing transitive import
+def test_fresh_import_loads_every_module_as_an_attribute():
+    src = str(Path(liarsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    modules = "adversary channels distribute_test liar_protocol oracle qstate runner".split()
+    code = f"import liarsim\nprint(*(m for m in {modules!r} if not hasattr(liarsim, m)))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []  # the modules a fresh import left out
+
+
 # the message wrappers and the transcript envelope: the actions are the messages
 @pytest.mark.parametrize(
     "module, name",
@@ -27,6 +63,9 @@ def test_no_public_name_listed_twice():
         (liar_protocol, "Evidence"),
         (channels, "ClassicalEnvelope"),
         (channels, "ArrayRecord"),
+        # a failure and a check name already say what these restated
+        (distribute_test, "DistributeStatus"),
+        (liar_protocol, "RejectReason"),
     ],
 )
 def test_deleted_names_are_gone(module, name):
@@ -68,7 +107,7 @@ PLAIN_RECORDS = [
     _VERDICT,
     liar_protocol.ProtocolResult(_VERDICT, None, None, None, 0),
     distribute_test.FailureInfo("ii", 1),
-    distribute_test.DistributeOutcome(distribute_test.DistributeStatus.FAILURE, None, None, None),
+    distribute_test.DistributeOutcome(None, None, None),
     channels.TransferRecord(channels.QubitRef(1, 1), channels.TransferStatus.LOST),
     oracle.escape_probabilities(),
     runner.TrialResult(0, "SUCCESS"),
