@@ -155,7 +155,8 @@ def strategy_A_act(
         return ActionA(m, honest_positions, m, arr)
 
     # each array is marked read-only where it is made, in its final dtype
-    mixed = mark_readonly((arr == 1).nonzero()[0] + 1)
+    is_mixed = arr == 1
+    mixed = mark_readonly(is_mixed.nonzero()[0] + 1)
     if strategy.kind is AKind.SPLIT_MESSAGE:
         m_AC = 1 - m
         n = min(strategy.fabrication_count, mixed.size)
@@ -166,7 +167,7 @@ def strategy_A_act(
             m_AB=m,
             positions_for_B=mark_readonly(claimed),
             m_AC=m_AC,
-            l_AC=mark_readonly(np.where(arr == 1, 2 * m_AC, arr)),
+            l_AC=mark_readonly(np.where(is_mixed, 2 * m_AC, arr)),
             fabricated_positions=fabricated,
             altered_positions=mixed,
             capped=n < strategy.fabrication_count,

@@ -201,7 +201,8 @@ def _round_law(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # Every singlet round draws from this one law, through its guide table: the
 # singlet's outcome law along any common direction is its computational one.
-_SINGLET_CUM, _SINGLET_C_ZERO = _round_law(make_singlet(4).probabilities().reshape(8, 2))
+_SINGLET = make_singlet(4)
+_SINGLET_CUM, _SINGLET_C_ZERO = _round_law(_SINGLET.probabilities().reshape(8, 2))
 _SINGLET_TABLE = _guide_table(_SINGLET_CUM)
 _UNBALANCED = mark_readonly(outcome_bits(4).sum(axis=1) != 2)  # not two 0s and two 1s
 
@@ -377,7 +378,7 @@ def make_verified_pool(L: int, rng: np.random.Generator) -> VerifiedPool:
     if L < 1:
         raise ValueError(f"pool size must be positive, got {L}")
     codes = mark_readonly(rng.integers(0, 2, size=L).astype(np.int8))
-    return VerifiedPool(_pool_ids(L), codes, make_singlet(4))
+    return VerifiedPool(_pool_ids(L), codes, _SINGLET)
 
 
 @cache

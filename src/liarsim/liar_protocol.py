@@ -261,9 +261,11 @@ def c_adjudicate(
     l_AC = _pair_counts(l_AC)
     if l_AC is None:
         return Verdict(VerdictValue.A_IS_LIAR, "stage1_malformed")
-    # a claimed double (m, m), a count of 2m, must face 1 - m at C: the
-    # count plus twice C's bit is 2 there
-    violations = (l_AC != 1) & (l_AC + 2 * l_C != 2)
+    # a claimed double (m, m), a count of 2m, must face 1 - m at C, so it
+    # is contradicted exactly where the count is twice C's bit. That one
+    # comparison is the whole rule because l_AC is 0..2 (checked just
+    # above) and l_C is C's own 0/1 list: a count of 1 never equals 0 or 2
+    violations = l_AC == l_C + l_C
     if np.count_nonzero(violations):
         return Verdict(VerdictValue.A_IS_LIAR, "stage1_inconsistent", int(violations.argmax()) + 1)
 

@@ -293,14 +293,15 @@ class _GuideTable(NamedTuple):
         """``searchsorted(cum, u, side="right")``, exactly, for u in [0, 1).
 
         Fewer than ``_SEARCH_BELOW`` uniforms are drawn by that search
-        itself. Longer batches use the table: ``u * K`` is exact for a
+        itself, as the array method, which skips ``np.searchsorted``'s
+        dispatch. Longer batches use the table: ``u * K`` is exact for a
         power of two K, so u lies in bucket floor(u * K) and ``c`` starts
         at the edges at or below it. Each pass counts one more edge at or
         below u; the last edge is 1.0, above every u, so ``c`` never runs
         past it.
         """
         if u.size < _SEARCH_BELOW:
-            return np.searchsorted(self.cum, u, side="right")
+            return self.cum.searchsorted(u, side="right")
         c = self.starts.take((u * self.starts.size).astype(np.intp))
         for _ in range(self.passes):
             c += self.edges.take(c) <= u

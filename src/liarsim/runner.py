@@ -33,6 +33,7 @@ import operator
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, TextIO
@@ -151,6 +152,8 @@ class TrialConfig:
             ("policy", DirectionPolicy(self.direction_policy)),
         ):
             object.__setattr__(self, name, value)
+        # a DirectionPolicy member is kept as its string, as the CLI gives it
+        object.__setattr__(self, "direction_policy", self.policy.value)
 
     @classmethod
     def build(
@@ -461,8 +464,10 @@ def _ratio(numer: int, denom: int) -> float | None:
     return None if denom == 0 else numer / denom
 
 
-def _mean(values: list[int]) -> float | None:
-    return None if not values else sum(values) / len(values)
+def _mean(values: tuple[int | None, ...]) -> float | None:
+    """The mean of the entries that are not None; None if every one is."""
+    present = [v for v in values if v is not None]
+    return sum(present) / len(present) if present else None
 
 
 def aggregate(
@@ -473,10 +478,11 @@ def aggregate(
     Every figure here is a pure function of the records, so the emitted
     summary can be recomputed exactly from the result file.
     """
-    counts = {value.value: 0 for value in VerdictValue}
-    counts[DISTRIBUTE_FAILURE] = 0
-    for r in results:
-        counts[DISTRIBUTE_FAILURE if r.verdict is None else r.verdict] += 1
+    # one pass over the records transposes them: column.x holds every trial's x
+    column = TrialResult._make(list(zip(*results)) or [()] * len(TrialResult._fields))
+    tally = Counter(column.verdict)
+    counts = {value.value: tally[value.value] for value in VerdictValue}
+    counts[DISTRIBUTE_FAILURE] = tally[None]  # an aborted trial has no verdict
     detected = sum(counts[v] for v in _DETECTION_VERDICTS)
     completed = len(results) - counts[DISTRIBUTE_FAILURE]
     rate = detected / completed if completed else 0.0
@@ -487,23 +493,14 @@ def aggregate(
         detection_rate=rate,
         wilson_low=low,
         wilson_high=high,
-        escape_rate_b=_ratio(
-            sum(r.fabricated_passing_b for r in results),
-            sum(r.fabricated_for_b for r in results),
-        ),
-        escape_rate_stage1=_ratio(
-            sum(r.altered_passing_c for r in results),
-            sum(r.altered_for_c for r in results),
-        ),
+        escape_rate_b=_ratio(sum(column.fabricated_passing_b), sum(column.fabricated_for_b)),
+        escape_rate_stage1=_ratio(sum(column.altered_passing_c), sum(column.altered_for_c)),
         escape_rate_stage2=_ratio(
-            sum(r.forged_passing_stage2 for r in results),
-            sum(r.forged_for_stage2 for r in results),
+            sum(column.forged_passing_stage2), sum(column.forged_for_stage2)
         ),
-        mean_claim_length=_mean([r.claim_length for r in results if r.claim_length is not None]),
-        mean_forwarded_length=_mean(
-            [r.forwarded_length for r in results if r.forwarded_length is not None]
-        ),
-        mean_list_length=_mean([r.list_length for r in results if r.list_length is not None]),
+        mean_claim_length=_mean(column.claim_length),
+        mean_forwarded_length=_mean(column.forwarded_length),
+        mean_list_length=_mean(column.list_length),
         mean_trial_seconds=mean_trial_seconds,
     )
 

@@ -105,6 +105,21 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(**base)
 
+    def test_policy_member_builds_the_config_and_file_of_its_string(self, tmp_path):
+        configs, files = [], []
+        for policy in (distribute_test.DirectionPolicy.FIXED, "fixed"):
+            config = TrialConfig.build(
+                M=40, seed=5, trials=4, source_state="0011", direction_policy=policy
+            )
+            out = tmp_path / f"{len(files)}.ndjson"
+            run_trials(config, out_path=str(out))
+            configs.append(config)
+            files.append(out.read_bytes())
+        assert configs[0] == configs[1]
+        assert configs[0].direction_policy == "fixed"
+        assert configs[0].policy is distribute_test.DirectionPolicy.FIXED
+        assert files[0] == files[1]
+
     # the given sizes are checked before the missing ones are derived from them
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -327,7 +342,52 @@ class TestExactFiniteTail:
         assert scipy_stats.binomtest(rejected, config.trials, exact).pvalue >= self.ALPHA
 
 
+def reference_aggregate(results):
+    """``aggregate`` read record by record, one pass per figure."""
+    counts = {value.value: 0 for value in liar_protocol.VerdictValue}
+    counts[DISTRIBUTE_FAILURE] = 0
+    for r in results:
+        counts[DISTRIBUTE_FAILURE if r.verdict is None else r.verdict] += 1
+    detected = sum(counts[v] for v in ("A_IS_LIAR", "B_IS_LIAR", "B_REJECTED_AT_STEP_III"))
+    completed = len(results) - counts[DISTRIBUTE_FAILURE]
+
+    def ratio(passing, made):
+        made = sum(getattr(r, made) for r in results)
+        return None if made == 0 else sum(getattr(r, passing) for r in results) / made
+
+    def mean(name):
+        present = [getattr(r, name) for r in results if getattr(r, name) is not None]
+        return None if not present else sum(present) / len(present)
+
+    return TrialStats(
+        len(results), counts, detected / completed if completed else 0.0,
+        *wilson_interval(detected, completed),
+        ratio("fabricated_passing_b", "fabricated_for_b"),
+        ratio("altered_passing_c", "altered_for_c"),
+        ratio("forged_passing_stage2", "forged_for_stage2"),
+        mean("claim_length"), mean("forwarded_length"), mean("list_length"),
+    )
+
+
+_COUNT = st.integers(0, 9)
+_LENGTH = st.none() | st.integers(0, 300)
+TRIAL_RECORDS = st.builds(
+    TrialResult,
+    trial=st.integers(0, 99),
+    distribute_status=st.just("SUCCESS"),
+    verdict=st.sampled_from([None, *(v.value for v in liar_protocol.VerdictValue)]),
+    claim_length=_LENGTH, forwarded_length=_LENGTH, list_length=_LENGTH,
+    fabricated_for_b=_COUNT, fabricated_passing_b=_COUNT, altered_for_c=_COUNT,
+    altered_passing_c=_COUNT, forged_for_stage2=_COUNT, forged_passing_stage2=_COUNT,
+)
+
+
 class TestAggregate:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(TRIAL_RECORDS, max_size=40))
+    def test_matches_the_record_by_record_reference(self, records):
+        assert aggregate(records) == reference_aggregate(records)
+
     def _records(self):
         return [
             TrialResult(
@@ -361,6 +421,23 @@ class TestAggregate:
         assert stats.escape_rate_stage2 is None
         assert stats.mean_claim_length == pytest.approx(13.5)
         assert stats.mean_forwarded_length == pytest.approx(12.0)
+
+    def test_every_trial_failed_distribute_and_test(self):
+        # a product source fails the pattern check, so no trial reaches the lists
+        config = TrialConfig.build(M=40, seed=11, trials=6, source_state="0000")
+        records = [run_single_trial(config, i) for i in range(config.trials)]
+        assert {r.distribute_status for r in records} == {"FAILURE"}
+        stats = aggregate(records)
+        assert stats.detection_rate == 0.0
+        assert (stats.wilson_low, stats.wilson_high) == (0.0, 1.0)
+        assert (stats.escape_rate_b, stats.escape_rate_stage1, stats.escape_rate_stage2) == (
+            None, None, None
+        )
+        assert (stats.mean_claim_length, stats.mean_forwarded_length, stats.mean_list_length) == (
+            None, None, None
+        )
+        assert stats.verdict_counts[DISTRIBUTE_FAILURE] == config.trials
+        assert sum(stats.verdict_counts.values()) == config.trials
 
     def test_stats_validation(self):
         with pytest.raises(ValueError):
@@ -557,6 +634,7 @@ class TestPinnedResultFiles:
 
     FAST = ["run", "--trials", "200", "--seed", "12345", "--L", "64"]
     LONG = ["run", "--trials", "12", "--seed", "12345", "--L", "4096"]
+    SHORT = ["run", "--trials", "200", "--seed", "12345"]
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -618,11 +696,30 @@ class TestPinnedResultFiles:
                 LONG + ["--strategy-a", "honest", "--strategy-b", "flipforge"],
                 "e17ef03545f8a4d16432837f16da1df6cd9a13b8f8f964c137191c0d8c49dce6",
             ),
+            (
+                SHORT + ["--L", "16", "--strategy-a", "forgefull:k=50",
+                         "--strategy-b", "flipforge:k=50"],
+                "f4fe96172cef60a119a4b69a85cdbd7031fbfb316afa97066bd498228e545027",
+            ),
+            (
+                SHORT + ["--L", "16", "--strategy-a", "split:n=50"],
+                "deb10bd74ee57870fbd717398a84190c79eedb600118c1025306126af25db71f",
+            ),
+            (
+                SHORT + ["--L", "17", "--min-fraction", "0", "--strategy-b", "flipforge"],
+                "1afd821294bca6ef69d8676c78480de74a3febd333aae45391b2a0c0ecc4af0c",
+            ),
+            (
+                SHORT + ["--L", "17", "--min-fraction", "1"],
+                "b72ff84d1ebfcf965fb5f5c7ee7010ddc8d9dc20458579220d23e1fd6dc4c066",
+            ),
         ],
         ids=["honest-honest", "split-honest", "forgefull-flipforge", "honest-flipforge",
              "distribute-loss", "distribute-product-source", "distribute-fixed-policy",
              "distribute-lossy", "distribute-M512", "honest-honest-L4096",
-             "split-honest-L4096", "forgefull-flipforge-L4096", "honest-flipforge-L4096"],
+             "split-honest-L4096", "forgefull-flipforge-L4096", "honest-flipforge-L4096",
+             "forgefull-flipforge-capped-L16", "split-capped-L16",
+             "honest-flipforge-odd-L17", "honest-too-short-L17"],
     )
     def test_result_file_digest(self, tmp_path, capsys, args, digest):
         out = tmp_path / "run.ndjson"
