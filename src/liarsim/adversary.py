@@ -10,6 +10,7 @@ position contradicted by the cheater's own data is strictly worse.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -221,6 +222,8 @@ def strategy_B_act(
     )
 
 
+# a descriptor is parsed once per process: the strategies are frozen, and an error is not cached
+@functools.lru_cache(maxsize=64)
 def parse_strategy_A(text: str) -> StrategyA:
     """Parse CLI strategy descriptors like "honest" or "split:n=3"."""
     name, params = _split_descriptor(text)
@@ -238,6 +241,7 @@ def parse_strategy_A(text: str) -> StrategyA:
     )
 
 
+@functools.lru_cache(maxsize=64)
 def parse_strategy_B(text: str) -> StrategyB:
     """Parse CLI strategy descriptors like "honest" or "flipforge:k=40"."""
     name, params = _split_descriptor(text)

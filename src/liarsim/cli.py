@@ -76,8 +76,12 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-@functools.cache  # one parser per process: main() reuses it on every call
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache  # one parser per process, and its {subcommand: parser} map: main() reuses both
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="liarsim",
         description="Three-party liar-detection protocol simulator",
@@ -107,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="print the analytic tables")
     oracle.set_defaults(func=cmd_oracle)
-    return parser
+    return parser, sub.choices
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -204,9 +208,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parsers()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:  # parse a subcommand's flags once, with its own parser
+            args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:  # -h, no arguments or an unknown command
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help and usage errors
         return int(exc.code or 0)
     try:

@@ -25,16 +25,16 @@ which are valid by construction, with no scan at all.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import json
 import math
+import numbers
 import operator
 import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, TextIO
 
@@ -60,12 +60,10 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 # json.dumps builds a new encoder per call for non-default options; one serves all
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
+# verdict names, built once: every run's counts read them
+_VERDICT_NAMES = tuple(value.value for value in VerdictValue)
 _DETECTION_VERDICTS = frozenset(
-    {
-        VerdictValue.A_IS_LIAR.value,
-        VerdictValue.B_IS_LIAR.value,
-        VerdictValue.B_REJECTED_AT_STEP_III.value,
-    }
+    VerdictValue[name].value for name in ("A_IS_LIAR", "B_IS_LIAR", "B_REJECTED_AT_STEP_III")
 )
 
 
@@ -139,6 +137,11 @@ class TrialConfig:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        # a real that JSON cannot write, such as np.float32 or a Fraction, is kept as a float
+        for name in ("qubit_loss_prob", "min_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Real) and not isinstance(value, (int, float)):
+                object.__setattr__(self, name, float(value))
         # constructing the collaborators validates the remaining fields;
         # trials reuse them, and as plain attributes rather than dataclass
         # fields they stay out of the summary record. A fault-free model is
@@ -225,6 +228,10 @@ class TrialStats:
 
 
 DISTRIBUTE_FAILURE = "DISTRIBUTE_FAILURE"
+
+# the summary's field names, built once; timing never enters the result file
+_CONFIG_FIELDS = tuple(f.name for f in fields(TrialConfig))
+_STATS_FIELDS = tuple(f.name for f in fields(TrialStats) if f.name != "mean_trial_seconds")
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -481,7 +488,7 @@ def aggregate(
     # one pass over the records transposes them: column.x holds every trial's x
     column = TrialResult._make(list(zip(*results)) or [()] * len(TrialResult._fields))
     tally = Counter(column.verdict)
-    counts = {value.value: tally[value.value] for value in VerdictValue}
+    counts = {name: tally[name] for name in _VERDICT_NAMES}
     counts[DISTRIBUTE_FAILURE] = tally[None]  # an aborted trial has no verdict
     detected = sum(counts[v] for v in _DETECTION_VERDICTS)
     completed = len(results) - counts[DISTRIBUTE_FAILURE]
@@ -507,9 +514,8 @@ def aggregate(
 
 def _summary_record(config: TrialConfig, stats: TrialStats) -> dict:
     # each field by name, its value shared: the encoder only reads it
-    config_fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
-    record = {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)}
-    del record["mean_trial_seconds"]  # timing never enters the result file
+    config_fields = {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    record = {name: getattr(stats, name) for name in _STATS_FIELDS}
     return {"record": "summary", "config": config_fields, **record}
 
 

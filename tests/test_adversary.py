@@ -279,6 +279,19 @@ class TestParsers:
         with pytest.raises(ValueError, match=message):
             parse_strategy_A(text)
 
+    # each descriptor is parsed once per process; an error is raised on every call
+    def test_descriptors_parsed_once(self):
+        assert parse_strategy_A("split:n=3") is parse_strategy_A("split:n=3")
+        assert parse_strategy_B("flipforge:k=2") is parse_strategy_B("flipforge:k=2")
+
+    @pytest.mark.parametrize(
+        "parse, text", [(parse_strategy_A, "bogus"), (parse_strategy_B, "split:n=3")]
+    )
+    def test_bad_descriptor_raises_on_every_call(self, parse, text):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                parse(text)
+
     # one rule for every integer read from outside: an optional "-", then ASCII digits
     @pytest.mark.parametrize("text, value", [("0", 0), ("16", 16), ("-3", -3), ("007", 7)])
     def test_integer_accepts_ascii_decimals(self, text, value):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,14 +8,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import liarsim
-from liarsim import runner
+from liarsim import cli, runner
 from liarsim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     build_parser,
+    cmd_run,
     main,
     oracle_dump,
     parse_config_file,
@@ -224,6 +229,107 @@ class TestOneParserPerProcess:
         done = fresh_python("-m", "liarsim", *args, "--out", str(fresh))
         assert done.returncode == EXIT_OK, done.stderr
         assert here.read_bytes() == fresh.read_bytes()
+
+
+_INTS = st.integers(-5, 10**6).map(str)
+_REALS = st.floats(0.0, 1.0).map(repr)
+# each ``liarsim run`` flag with values to give it, valid or not for TrialConfig
+_RUN_FLAGS = {
+    "--config": st.just("run.conf"),
+    "--trials": _INTS,
+    "--seed": _INTS,
+    "--L": _INTS,
+    "--M": _INTS,
+    "--N1": _INTS,
+    "--N2": _INTS,
+    "--strategy-a": st.sampled_from(["honest", "split:n=3", "forgefull:k=8", "bogus"]),
+    "--strategy-b": st.sampled_from(["honest", "flipforge", "flipforge:k=2"]),
+    "--qubit-loss-prob": _REALS,
+    "--source-state": st.sampled_from(["singlet", "0011"]),
+    "--min-fraction": _REALS,
+    "--direction-policy": st.sampled_from(["random", "fixed", "diagonal"]),
+    "--out": st.just("r.ndjson"),
+}
+
+
+def _spellings(flag: str) -> list[str]:
+    """The flag and every abbreviation of it that names no other flag."""
+    return [
+        flag[:k]
+        for k in range(3, len(flag) + 1)
+        if [other for other in _RUN_FLAGS if other.startswith(flag[:k])] == [flag]
+    ]
+
+
+@st.composite
+def run_argvs(draw) -> list[str]:
+    """A ``run`` argv: flags in any subset and order, repeats allowed, each
+    as ``--flag value`` or ``--flag=value`` under any unique abbreviation,
+    and now and then a token ``run`` does not know."""
+    argv = []
+    for flag in draw(st.lists(st.sampled_from(sorted(_RUN_FLAGS)), max_size=8)):
+        spelled, value = draw(st.sampled_from(_spellings(flag))), draw(_RUN_FLAGS[flag])
+        argv += draw(st.sampled_from([[spelled, value], [f"{spelled}={value}"]]))
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--no-such", "extra"])))
+    return ["run", *argv]
+
+
+class TestRunFlagsParsedOnce:
+    """``main`` parses a subcommand's flags with that subcommand's parser alone."""
+
+    @given(argv=run_argvs())
+    @example(argv=["run", "--tri", "5", "--se=3", "--strategy-a=split:n=3"])
+    @example(argv=["run", "--tri", "5", "extra"])
+    @settings(max_examples=300, deadline=None)
+    def test_main_parses_as_the_full_parser_does(self, argv):
+        seen = []  # the namespace main() hands the run command, which then runs nothing
+        run_parser = cli._parsers()[1]["run"]
+        run_parser.set_defaults(func=seen.append)
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+                try:
+                    expected = build_parser().parse_args(argv)
+                except SystemExit as exc:
+                    expected = exc.code
+        finally:
+            run_parser.set_defaults(func=cmd_run)
+        if isinstance(expected, int):
+            assert (code, seen) == (expected, []) and expected == EXIT_USAGE
+        else:
+            assert [vars(args) for args in seen] == [vars(expected)]
+            assert build_parser().parse_args(argv).func is cmd_run
+
+    def test_unknown_run_flag_prints_the_run_usage(self, capsys):
+        assert main(["run", "--no-such-flag"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: liarsim run")
+        assert "liarsim run: error: unrecognized arguments: --no-such-flag" in err
+
+    @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["oracle", "extra"]])
+    def test_usage_errors_outside_run(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert "error" in capsys.readouterr().err
+
+    def test_top_level_help_lists_both_commands(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("usage: liarsim") and "{run,oracle}" in out
+        assert "run a batch of seeded trials" in out and "print the analytic tables" in out
+
+    @pytest.mark.parametrize(
+        "argv, code, stream, text",
+        [
+            (["oracle"], EXIT_OK, "out", "P(fake entry passes B) = 1/2"),
+            (["run", "--no-such-flag"], EXIT_USAGE, "err", "usage: liarsim run"),
+            ([], EXIT_USAGE, "err", "usage: liarsim"),
+        ],
+    )
+    def test_no_argv_reads_sys_argv(self, argv, code, stream, text, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["liarsim", *argv])
+        assert main() == code
+        assert text in getattr(capsys.readouterr(), stream)
 
 
 class TestRunSubcommand:

@@ -151,8 +151,33 @@ class TestTrialConfig:
             files.append(out.read_bytes())
         assert files[0] == files[1]
 
+    # a real that the JSON encoder cannot write is stored as a plain float
+    @pytest.mark.parametrize(
+        "name, value, plain",
+        [
+            ("min_fraction", np.float32(0.5), 0.5),
+            ("min_fraction", Fraction(1, 2), 0.5),
+            ("qubit_loss_prob", np.float32(1e-3), float(np.float32(1e-3))),
+        ],
+        ids=["min_fraction-float32", "min_fraction-Fraction", "qubit_loss_prob-float32"],
+    )
+    def test_real_float_fields_give_the_file_of_a_plain_float(self, name, value, plain, tmp_path):
+        files = []
+        for given_value in (value, plain):
+            config = TrialConfig.build(L=16, trials=50, **{name: given_value})
+            assert type(getattr(config, name)) is float
+            out = tmp_path / f"{len(files)}.ndjson"
+            run_trials(config, out_path=str(out))
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
 
-_RANDOM_64 = [int(x) for x in np.random.default_rng(2026).integers(0, 2**64, 6, dtype=np.uint64)]
+    def test_int_and_float_fields_are_kept_as_given(self):
+        config = TrialConfig.build(L=16, min_fraction=1, qubit_loss_prob=np.float64(0.0))
+        assert type(config.min_fraction) is int
+        assert type(config.qubit_loss_prob) is np.float64
+
+
+_RANDOM_64 =[int(x) for x in np.random.default_rng(2026).integers(0, 2**64, 6, dtype=np.uint64)]
 # seeds of 1 to 5 words (2**128 and 2**130 + 7 are mixed in past the pool)
 # and indices of 1 to 4 words, at each word-size boundary and at the edges
 # of the 64-index blocks that are seeded together
