@@ -199,7 +199,9 @@ def strategy_B_act(
     """Produce B's transmission to C from what he received and his list.
 
     An honest B forwards A's positions as they arrived; a forger's are
-    drawn from his own list.
+    drawn from his own list. A forger with no ``fake_count`` targets the
+    expected honest claim length: the integer nearest 5/24 of his list's
+    length L, rounding up the tie that falls at L = 12 (mod 24).
     """
     m_AB, positions = received
     bits = np.asarray(l_B)
@@ -211,7 +213,8 @@ def strategy_B_act(
     plausible = (bits == 1 - m_BC).nonzero()[0] + 1
     target = strategy.fake_count
     if target is None:
-        target = round(EXPECTED_DOUBLE_FRACTION * len(bits))
+        doubles, positions = EXPECTED_DOUBLE_FRACTION
+        target = (2 * doubles * len(bits) + positions) // (2 * positions)
     k = min(target, plausible.size)
     forwarded = _draw_sorted(plausible, k, rng)
     return ActionB(

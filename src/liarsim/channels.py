@@ -178,10 +178,9 @@ class FaultModel:
     source_state: str = "singlet"
 
     def __post_init__(self) -> None:
-        if isinstance(self.qubit_loss_prob, bool) or not 0.0 <= self.qubit_loss_prob <= 1.0:
-            raise ValueError(
-                f"qubit_loss_prob must be a number in [0, 1], got {self.qubit_loss_prob!r}"
-            )
+        value = self.qubit_loss_prob
+        if isinstance(value, (bool, np.bool_)) or not 0.0 <= value <= 1.0:
+            raise ValueError(f"qubit_loss_prob must be a number in [0, 1], got {value!r}")
         if self.source_state != "singlet" and (
             len(self.source_state) != 4 or any(b not in "01" for b in self.source_state)
         ):

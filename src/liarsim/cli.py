@@ -28,11 +28,7 @@ import sys
 
 from .adversary import integer
 from .oracle import (
-    Assignment,
-    as_fraction,
-    escape_probabilities,
-    rejection_lower_bound,
-    round_distribution,
+    Assignment, EscapeProbabilities, escape_ratios, rejection_lower_bound, round_distribution,
 )
 from .qstate import make_singlet
 from .runner import TrialConfig, run_trials, summarize_to_text
@@ -151,53 +147,46 @@ def _holds_description(assignment: Assignment | None) -> str:
     return ",".join(f"j{slot}" for slot in assignment.a_slots)
 
 
+def _exact(value) -> str:
+    """An exact table value as its reduced fraction and its decimal."""
+    return f"{value} = {float(value):.12f}"
+
+
 def _distribution_lines(assignment: Assignment | None) -> list[str]:
     dist = round_distribution(assignment)
     holds = _holds_description(assignment)
     lines = [f"Round outcomes, A holds {holds} [{dist.label}]:"]
     for (pair, b, c), p in sorted(dist.table.items()):
-        pp = f"{pair[0]}{pair[1]}"
-        lines.append(
-            f"  P(A_pair={pp}, B={b}, C={c}) = {as_fraction(p)} = {p:.12f}"
-        )
+        lines.append(f"  P(A_pair={pair[0]}{pair[1]}, B={b}, C={c}) = {_exact(p)}")
     lines.append("  pair marginals:")
     for pair, p in sorted(dist.pair_marginal().items()):
-        pp = f"{pair[0]}{pair[1]}"
-        lines.append(
-            f"    P(A_pair={pp} | holds {holds}) = {as_fraction(p)} = {p:.12f}"
-        )
+        lines.append(f"    P(A_pair={pair[0]}{pair[1]} | holds {holds}) = {_exact(p)}")
     return lines
 
 
 def oracle_dump() -> str:
     """All analytic tables as text, exact fractions alongside decimals."""
-    escapes = escape_probabilities()
+    from fractions import Fraction  # loaded on use: only the dump renders exact values
+
+    escapes = EscapeProbabilities._make(Fraction(*ratio) for ratio in escape_ratios())
     sections = [_amplitude_table()]
     for assignment in (Assignment.A_HOLDS_12, Assignment.A_HOLDS_13, None):
         sections.append(_distribution_lines(assignment))
     sections.append(
         [
             "Per-entry escape probabilities:",
-            "  P(fake entry passes B) = "
-            f"{as_fraction(escapes.p_fake_entry_passes_B)} = "
-            f"{escapes.p_fake_entry_passes_B:.12f}",
+            f"  P(fake entry passes B) = {_exact(escapes.p_fake_entry_passes_B)}",
             "  P(forwarded entry passes C against A's full list) = "
-            f"{as_fraction(escapes.p_fake_entry_passes_C_vs_lA)} = "
-            f"{escapes.p_fake_entry_passes_C_vs_lA:.12f}",
-            "  P(forged double passes C's own bit) = "
-            f"{as_fraction(escapes.p_fake_double_passes_C)} = "
-            f"{escapes.p_fake_double_passes_C:.12f}",
+            f"{_exact(escapes.p_fake_entry_passes_C_vs_lA)}",
+            f"  P(forged double passes C's own bit) = {_exact(escapes.p_fake_double_passes_C)}",
             "  expected double fraction per message bit = "
-            f"{as_fraction(escapes.expected_double_fraction)} = "
-            f"{escapes.expected_double_fraction:.12f}",
+            f"{_exact(escapes.expected_double_fraction)}",
         ]
     )
     bound_lines = ["Rejection bound for n fabricated entries:"]
     for n in range(1, 9):
-        bound = rejection_lower_bound(n)
-        bound_lines.append(
-            f"  n={n}: P(B rejects) >= {as_fraction(bound)} = {bound:.12f}"
-        )
+        bound = Fraction(rejection_lower_bound(n))  # exact: 1 - 2**-n is a float
+        bound_lines.append(f"  n={n}: P(B rejects) >= {_exact(bound)}")
     sections.append(bound_lines)
     return "\n\n".join("\n".join(section) for section in sections)
 

@@ -140,19 +140,29 @@ def _pair_counts(values) -> np.ndarray | None:
 class Thresholds:
     """Acceptance parameters shared by B's test and C's adjudication.
 
-    A claimed-positions list is rejected as too short when it is shorter
-    than ``min_fraction`` times the expected honest double count
-    (``EXPECTED_DOUBLE_FRACTION * L``).
+    A claimed-positions list over L positions is rejected as too short
+    when it holds fewer than ``required_length(L)`` entries: the smallest
+    integer n with n >= min_fraction * 5/24 * L, where 5/24 is the
+    expected share of positions carrying a given double
+    (``EXPECTED_DOUBLE_FRACTION``). A list of exactly that length passes.
     """
 
     min_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if isinstance(self.min_fraction, bool) or not 0.0 <= self.min_fraction <= 1.0:
-            raise ValueError(f"min_fraction must be a number in [0, 1], got {self.min_fraction!r}")
+        # required_length reads the value's exact ratio, which a numpy
+        # integer or a string lacks; a bool has one but is no fraction
+        value = self.min_fraction
+        exact = hasattr(value, "as_integer_ratio") and not isinstance(value, (bool, np.bool_))
+        if not exact or not 0.0 <= value <= 1.0:
+            raise ValueError(f"min_fraction must be a number in [0, 1], got {value!r}")
 
-    def required_length(self, length: int) -> float:
-        return self.min_fraction * EXPECTED_DOUBLE_FRACTION * length
+    def required_length(self, length: int) -> int:
+        """Fewest entries a list over ``length`` positions may hold, in
+        integer arithmetic on ``min_fraction``'s exact ratio."""
+        num, den = self.min_fraction.as_integer_ratio()
+        doubles, positions = EXPECTED_DOUBLE_FRACTION
+        return -(-num * doubles * length // (den * positions))
 
 
 DEFAULT_THRESHOLDS = Thresholds()

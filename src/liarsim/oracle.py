@@ -1,25 +1,23 @@
 """Exact probability tables behind the three-party protocol.
 
-Everything here is computed by brute-force enumeration of the four-qubit
-singlet's joint outcome distribution and marginalization onto the slots
-each party holds. The tables serve as ground truth for the Monte-Carlo
-samplers and fix the protocol thresholds (expected list lengths,
-per-entry escape rates of fabricated claims).
+Every table is read off the four-qubit singlet's six integer outcome
+weights (``SINGLET_WEIGHTS``), marginalized onto the slots each party
+holds. The tables serve as ground truth for the Monte-Carlo samplers and
+fix the protocol thresholds (expected list lengths, per-entry escape
+rates of fabricated claims). Exact ``Fraction``s are built only on use.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .qstate import COMPUTATIONAL, joint_distribution, make_singlet, outcome_bits
-
-# Treat enumerated probabilities below this as structural zeros.
-PROB_ATOL = 1e-12
-
-# An unordered outcome pair, stored sorted: (0,0), (0,1) or (1,1).
-PairOutcome = tuple[int, int]
-RoundOutcome = tuple[PairOutcome, int, int]
+# The singlet (2|0011> + 2|1100> - |0101> - |0110> - |1001> - |1010>) / (2*sqrt(3))
+# in the computational basis: each outcome's bits, slot 1 first, and its
+# probability in twelfths. The ten unbalanced outcomes have weight 0.
+SINGLET_WEIGHTS = {
+    (0, 0, 1, 1): 4, (1, 1, 0, 0): 4,
+    (0, 1, 0, 1): 1, (0, 1, 1, 0): 1, (1, 0, 0, 1): 1, (1, 0, 1, 0): 1,
+}
 
 
 class Assignment(enum.Enum):
@@ -46,43 +44,36 @@ class Assignment(enum.Enum):
         return "A_holds_" + "".join(map(str, self.a_slots))
 
 
-@dataclass(frozen=True)
-class RoundDistribution:
-    """Joint distribution of one round's outcomes (A's pair, B's bit, C's bit).
+class RoundDistribution(NamedTuple):
+    """Exact joint law of one round's outcomes (A's pair, B's bit, C's bit).
 
     A's pair is unordered (she cannot tell her two qubits apart), so
-    keys are ``((lo, hi), b_bit, c_bit)`` with ``lo <= hi``. Nonzero
-    entries always have exactly two 0s and two 1s across the four bits.
+    keys are ``((lo, hi), b_bit, c_bit)`` with ``lo <= hi``; the values
+    are ``Fraction``s. Only outcomes of nonzero weight appear, and each
+    has exactly two 0s and two 1s across the four bits.
     """
 
     label: str
-    table: dict[RoundOutcome, float]
+    table: dict
 
-    def __post_init__(self) -> None:
-        total = sum(self.table.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        for (pair, b, c), p in self.table.items():
-            if p > PROB_ATOL and pair[0] + pair[1] + b + c != 2:
-                raise ValueError(f"unbalanced support element {(pair, b, c)}")
-
-    def pair_marginal(self) -> dict[PairOutcome, float]:
-        out: dict[PairOutcome, float] = {}
+    def pair_marginal(self) -> dict:
+        out: dict = {}
         for (pair, _, _), p in self.table.items():
-            out[pair] = out.get(pair, 0.0) + p
+            out[pair] = out.get(pair, 0) + p
         return out
 
 
-def _enumerate(assignment: Assignment) -> dict[RoundOutcome, float]:
-    probs = joint_distribution(make_singlet(4), COMPUTATIONAL)
-    table: dict[RoundOutcome, float] = {}
-    for bits, p in zip(outcome_bits(4).tolist(), probs):
-        if p <= PROB_ATOL:
-            continue
-        pair = tuple(sorted(bits[s - 1] for s in assignment.a_slots))
-        key = (pair, bits[assignment.b_slot - 1], bits[assignment.c_slot - 1])
-        table[key] = table.get(key, 0.0) + float(p)
-    return table
+def _round_weights(assignment: Assignment | None) -> tuple[dict, int]:
+    """Integer weight of each round outcome, and the weights' total: 12
+    for one assignment, 24 for the half-and-half mixture of both."""
+    members = tuple(Assignment) if assignment is None else (assignment,)
+    weights: dict = {}
+    for member in members:
+        for bits, weight in SINGLET_WEIGHTS.items():
+            pair = tuple(sorted(bits[s - 1] for s in member.a_slots))
+            key = (pair, bits[member.b_slot - 1], bits[member.c_slot - 1])
+            weights[key] = weights.get(key, 0) + weight
+    return weights, 12 * len(members)
 
 
 def round_distribution(assignment: Assignment | None = None) -> RoundDistribution:
@@ -92,13 +83,11 @@ def round_distribution(assignment: Assignment | None = None) -> RoundDistributio
     as C assigns them (A never learns which case occurred, so the
     mixture is what her statistics look like).
     """
-    if assignment is not None:
-        return RoundDistribution(assignment.label, _enumerate(assignment))
-    table: dict[RoundOutcome, float] = {}
-    for member in Assignment:
-        for key, p in _enumerate(member).items():
-            table[key] = table.get(key, 0.0) + 0.5 * p
-    return RoundDistribution("mixture(a12_weight=0.5)", table)
+    from fractions import Fraction  # loaded on use: only the exact tables need it
+
+    weights, total = _round_weights(assignment)
+    label = "mixture(a12_weight=0.5)" if assignment is None else assignment.label
+    return RoundDistribution(label, {key: Fraction(w, total) for key, w in weights.items()})
 
 
 class EscapeProbabilities(NamedTuple):
@@ -114,6 +103,9 @@ class EscapeProbabilities(NamedTuple):
     ``expected_double_fraction``: expected fraction of positions whose
     pair equals (m, m) for one fixed m - the honest claimed-list length
     per unit L, which anchors the length thresholds.
+
+    ``escape_probabilities`` gives each rate as a float, and
+    ``escape_ratios`` as its exact ``(numerator, denominator)``.
     """
 
     p_fake_entry_passes_B: float
@@ -122,34 +114,40 @@ class EscapeProbabilities(NamedTuple):
     expected_double_fraction: float
 
 
-def escape_probabilities() -> EscapeProbabilities:
-    """Compute all per-entry escape rates by exact enumeration.
+def escape_ratios() -> EscapeProbabilities:
+    """Each escape rate as the two integer weights, under the assignment
+    mixture, whose ratio it is.
 
     Values are symmetric in the message bit m (the tables are invariant
-    under flipping every outcome), so each rate is quoted once.
+    under flipping every outcome), so each rate is quoted once, for m = 0.
     """
-    mixture = round_distribution().table
+    weights, total = _round_weights(None)
 
-    def total(predicate) -> float:
-        return sum(p for key, p in mixture.items() if predicate(*key))
+    def weight(pair=None, b=None, c=None) -> int:
+        """Total weight of the outcomes that match every given part."""
+        return sum(
+            w for (p, pb, pc), w in weights.items()
+            if pair in (None, p) and b in (None, pb) and c in (None, pc)
+        )
 
-    m = 0
-    mixed_and_b_ok = total(lambda pair, b, c: pair == (0, 1) and b == 1 - m)
-    mixed = total(lambda pair, b, c: pair == (0, 1))
-    double_and_b_ok = total(lambda pair, b, c: pair == (m, m) and b == 1 - m)
-    b_ok = total(lambda pair, b, c: b == 1 - m)
-    mixed_and_c_ok = total(lambda pair, b, c: pair == (0, 1) and c == 1 - m)
+    mixed = weight(pair=(0, 1))
     return EscapeProbabilities(
-        p_fake_entry_passes_B=mixed_and_b_ok / mixed,
-        p_fake_entry_passes_C_vs_lA=double_and_b_ok / b_ok,
-        p_fake_double_passes_C=mixed_and_c_ok / mixed,
-        expected_double_fraction=total(lambda pair, b, c: pair == (m, m)),
+        (weight(pair=(0, 1), b=1), mixed),
+        (weight(pair=(0, 0), b=1), weight(b=1)),
+        (weight(pair=(0, 1), c=1), mixed),
+        (weight(pair=(0, 0)), total),
     )
 
 
-# Exact expected fraction of positions carrying a given double (m, m)
-# under the 50/50 assignment mixture; anchors all length thresholds.
-EXPECTED_DOUBLE_FRACTION = escape_probabilities().expected_double_fraction
+def escape_probabilities() -> EscapeProbabilities:
+    """Every per-entry escape rate, each the float nearest its exact ratio."""
+    return EscapeProbabilities._make(num / den for num, den in escape_ratios())
+
+
+# The expected fraction of positions carrying a given double (m, m) under
+# the 50/50 assignment mixture, as (numerator, denominator): 5/24. It
+# anchors every length threshold.
+EXPECTED_DOUBLE_FRACTION = escape_ratios().expected_double_fraction
 
 
 def rejection_lower_bound(n_fabricated: int) -> float:
@@ -161,15 +159,3 @@ def rejection_lower_bound(n_fabricated: int) -> float:
     if n_fabricated < 0:
         raise ValueError(f"n_fabricated must be nonnegative, got {n_fabricated}")
     return 1.0 - 0.5**n_fabricated
-
-
-def as_fraction(value: float) -> str:
-    """Render an enumerated probability as its reduced fraction string,
-    of denominator at most 1000."""
-    from fractions import Fraction  # loaded on use: only ``liarsim oracle`` needs it
-    frac = Fraction(value).limit_denominator(1000)
-    if abs(float(frac) - value) > 1e-9:
-        return f"{value:.12f}"
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"

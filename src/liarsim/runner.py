@@ -137,10 +137,14 @@ class TrialConfig:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        # a real that JSON cannot write, such as np.float32 or a Fraction, is kept as a float
+        # a real that JSON cannot write (np.float32, a Fraction, or a Decimal,
+        # which has an exact ratio but is no numbers.Real) is kept as a float;
+        # the collaborators reject an np.bool_ as they reject a bool
         for name in ("qubit_loss_prob", "min_fraction"):
             value = getattr(self, name)
-            if isinstance(value, numbers.Real) and not isinstance(value, (int, float)):
+            if not isinstance(value, (int, float)) and (
+                isinstance(value, numbers.Real) or hasattr(value, "as_integer_ratio")
+            ):
                 object.__setattr__(self, name, float(value))
         # constructing the collaborators validates the remaining fields;
         # trials reuse them, and as plain attributes rather than dataclass
@@ -203,7 +207,8 @@ class TrialStats:
     aborted during distribute-and-test, so its values sum to ``trials``.
     Detection counts a trial once any party is rejected or convicted.
     ``mean_trial_seconds`` is measured wall-clock and is never written
-    to result files.
+    to result files. An internal record that ``aggregate`` makes, it
+    checks nothing.
     """
 
     trials: int
@@ -218,13 +223,6 @@ class TrialStats:
     mean_forwarded_length: float | None
     mean_list_length: float | None
     mean_trial_seconds: float = field(compare=False, default=0.0)
-
-    def __post_init__(self) -> None:
-        if sum(self.verdict_counts.values()) != self.trials:
-            raise ValueError("verdict counts must sum to the trial count")
-        for rate in (self.detection_rate, self.wilson_low, self.wilson_high):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"rate {rate} outside [0, 1]")
 
 
 DISTRIBUTE_FAILURE = "DISTRIBUTE_FAILURE"

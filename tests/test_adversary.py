@@ -165,12 +165,13 @@ class TestStrategyBAct:
         assert action.forwarded.tolist() == sorted(action.forwarded.tolist())
         assert not action.capped
 
-    def test_default_count_targets_expected_claim_length(self):
-        lists = big_lists(9, length=4096)
-        action = strategy_B_act(
-            StrategyB.flip_and_forge(), (1, (2, 3)), lists.b_bits, rng(10)
-        )
-        assert len(action.forwarded) == round(EXPECTED_DOUBLE_FRACTION * 4096)
+    # the integer nearest 5/24 of L; 5L/24 ends in .5 exactly when L = 12
+    # (mod 24), and that tie rounds up
+    @pytest.mark.parametrize("length, target", [(12, 3), (24, 5), (36, 8), (61, 13), (4096, 853)])
+    def test_default_count_targets_expected_claim_length(self, length, target):
+        bits = np.zeros(length, np.int8)  # every position plausible, so no cap applies
+        action = strategy_B_act(StrategyB.flip_and_forge(), (0, ()), bits, rng(10))
+        assert len(action.forwarded) == target
 
     def test_zero_count_gives_empty_forward(self):
         action = strategy_B_act(
@@ -334,4 +335,4 @@ class TestPerEntryEscapeRates:
             assert rate == pytest.approx(5 / 12, abs=0.015)
 
     def test_expected_double_fraction_constant(self):
-        assert EXPECTED_DOUBLE_FRACTION == pytest.approx(5 / 24, abs=1e-12)
+        assert EXPECTED_DOUBLE_FRACTION == (5, 24)

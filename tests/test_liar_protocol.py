@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -223,6 +226,12 @@ class TestBAccepts:
         assert not result.accepted
         assert result.check == "step_iii_too_short"
 
+    def test_claim_of_exactly_the_required_length_passes(self):
+        # at L=48 the rule asks for 0.5 * 5/24 * 48 = 5 entries exactly
+        l_B = np.zeros(48, np.int8)
+        assert b_accepts(1, (1, 2, 3, 4, 5), l_B).accepted
+        assert b_accepts(1, (1, 2, 3, 4), l_B) == (False, "step_iii_too_short", None)
+
     def test_zero_min_fraction_accepts_empty(self):
         thresholds = Thresholds(min_fraction=0.0)
         assert b_accepts(0, (), worked_lists().b_bits, thresholds).accepted
@@ -348,6 +357,14 @@ class TestCAdjudicate:
         assert verdict.value is VerdictValue.B_IS_LIAR
         assert verdict.check == "stage2_too_short"
 
+    def test_forward_of_exactly_the_required_length_passes_the_length_check(self):
+        # at L=48 the rule asks for 5 positions; A's list doubles 1 everywhere
+        l_AC, l_C = (2,) * 48, np.zeros(48, np.int8)
+        verdict = c_adjudicate(0, l_AC, 1, (1, 2, 3, 4, 5), l_C)
+        assert verdict == (VerdictValue.A_IS_LIAR, "stage2_passed_under_conflict", None)
+        verdict = c_adjudicate(0, l_AC, 1, (1, 2, 3, 4), l_C)
+        assert verdict == (VerdictValue.B_IS_LIAR, "stage2_too_short", None)
+
     def test_stage2_mismatched_position(self):
         lists = worked_lists()
         verdict = c_adjudicate(1, tuple(lists.a_ones), 0, (1, 2, 3), lists.c_bits)
@@ -454,22 +471,37 @@ class TestThresholds:
     def test_defaults(self):
         thresholds = Thresholds()
         assert thresholds.min_fraction == 0.5
-        assert EXPECTED_DOUBLE_FRACTION == pytest.approx(5 / 24)
+        assert EXPECTED_DOUBLE_FRACTION == (5, 24)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Thresholds(min_fraction=1.5)
         with pytest.raises(ValueError):
             Thresholds(min_fraction=-0.1)
+        # no exact ratio to read the threshold off
+        for value in (np.int64(1), "0.5"):
+            with pytest.raises(ValueError):
+                Thresholds(min_fraction=value)
 
-    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
     def test_bool_fraction_rejected(self, flag):
         # a bool compares as 0 or 1, but the records would echo true/false
         with pytest.raises(ValueError, match="min_fraction must be a number"):
             Thresholds(min_fraction=flag)
 
     def test_required_length(self):
-        assert Thresholds().required_length(256) == pytest.approx(256 * 5 / 48)
+        assert Thresholds().required_length(256) == 27
+
+    # the exact rule, min_fraction * 5/24 * L rounded up; a float product can
+    # land just above an integer and demand one entry more
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(st.floats(0, 1), st.sampled_from([0.25, 0.5, 0.75, 1])),
+        st.integers(1, 10**6),
+    )
+    def test_required_length_is_the_exact_ceiling(self, fraction, length):
+        expected = math.ceil(Fraction(fraction) * Fraction(5, 24) * length)
+        assert Thresholds(fraction).required_length(length) == expected
 
 
 class TestRunLiarProtocol:

@@ -1,15 +1,22 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from liarsim.oracle import (
+    EXPECTED_DOUBLE_FRACTION,
+    SINGLET_WEIGHTS,
     Assignment,
     EscapeProbabilities,
-    as_fraction,
     escape_probabilities,
+    escape_ratios,
     rejection_lower_bound,
     round_distribution,
 )
-from liarsim.qstate import COMPUTATIONAL, make_singlet, sample_outcomes
+from liarsim.qstate import (
+    COMPUTATIONAL, joint_distribution, make_singlet, outcome_bits, sample_outcomes,
+)
 
 # Frozen expected tables, keyed by (unordered A pair, B bit, C bit).
 A12_TABLE = {
@@ -50,7 +57,23 @@ class TestAssignment:
         assert all(a.c_slot == 4 for a in Assignment)
 
 
+class TestSingletWeights:
+    def test_weights_are_the_dense_engines_law(self):
+        # the dense state-vector engine stays the independent check of the weights
+        probs = joint_distribution(make_singlet(4), COMPUTATIONAL)
+        weights = [SINGLET_WEIGHTS.get(tuple(bits), 0) for bits in outcome_bits(4).tolist()]
+        np.testing.assert_allclose(np.array(weights) / 12, probs, rtol=0, atol=1e-15)
+        assert sum(SINGLET_WEIGHTS.values()) == 12
+
+
 class TestRoundDistribution:
+    def test_values_are_exact_fractions(self):
+        for assignment in (*Assignment, None):
+            table = round_distribution(assignment).table
+            assert all(type(p) is Fraction for p in table.values())
+            assert sum(table.values()) == 1
+        assert round_distribution().table[((0, 0), 1, 1)] == Fraction(5, 24)
+
     def test_a12_table(self):
         assert_tables_match(round_distribution(Assignment.A_HOLDS_12).table, A12_TABLE)
 
@@ -113,6 +136,14 @@ class TestEscapeProbabilities:
         assert esc.p_fake_double_passes_C == pytest.approx(1 / 2, abs=1e-12)
         assert esc.expected_double_fraction == pytest.approx(5 / 24, abs=1e-12)
 
+    def test_exact_ratios_and_their_nearest_floats(self):
+        ratios = escape_ratios()
+        exact = [Fraction(*ratio) for ratio in ratios]
+        assert exact == [Fraction(1, 2), Fraction(5, 12), Fraction(1, 2), Fraction(5, 24)]
+        assert EXPECTED_DOUBLE_FRACTION == ratios.expected_double_fraction == (5, 24)
+        # each float is the correctly rounded value of its exact ratio
+        assert list(escape_probabilities()) == [float(value) for value in exact]
+
     def test_rejection_lower_bound(self):
         assert rejection_lower_bound(0) == 0.0
         assert rejection_lower_bound(1) == pytest.approx(1 / 2)
@@ -138,16 +169,5 @@ class TestMonteCarloAgreement:
         assert set(counts) <= set(table)
         for key, p in table.items():
             observed = counts.get(key, 0) / shots
-            sigma = np.sqrt(p * (1 - p) / shots)
+            sigma = math.sqrt(p * (1 - p) / shots)
             assert abs(observed - p) < 3 * sigma, key
-
-
-class TestFractionRendering:
-    def test_exact_fractions(self):
-        assert as_fraction(1 / 3) == "1/3"
-        assert as_fraction(5 / 24) == "5/24"
-        assert as_fraction(1.0) == "1"
-        assert as_fraction(0.0) == "0"
-
-    def test_non_fraction_falls_back_to_decimal(self):
-        assert as_fraction(0.123456789123) == "0.123456789123"

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,6 +98,9 @@ class TestTrialConfig:
             dict(L=256.0),
             dict(min_fraction=True),
             dict(qubit_loss_prob=False),
+            # numpy's bools are no ints, but are rejected as bools are
+            dict(min_fraction=np.True_),
+            dict(qubit_loss_prob=np.False_),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -157,9 +161,11 @@ class TestTrialConfig:
         [
             ("min_fraction", np.float32(0.5), 0.5),
             ("min_fraction", Fraction(1, 2), 0.5),
+            ("min_fraction", Decimal("0.5"), 0.5),
             ("qubit_loss_prob", np.float32(1e-3), float(np.float32(1e-3))),
         ],
-        ids=["min_fraction-float32", "min_fraction-Fraction", "qubit_loss_prob-float32"],
+        ids=["min_fraction-float32", "min_fraction-Fraction", "min_fraction-Decimal",
+             "qubit_loss_prob-float32"],
     )
     def test_real_float_fields_give_the_file_of_a_plain_float(self, name, value, plain, tmp_path):
         files = []
@@ -464,22 +470,6 @@ class TestAggregate:
         assert stats.verdict_counts[DISTRIBUTE_FAILURE] == config.trials
         assert sum(stats.verdict_counts.values()) == config.trials
 
-    def test_stats_validation(self):
-        with pytest.raises(ValueError):
-            TrialStats(
-                trials=2,
-                verdict_counts={"CONSISTENT": 1},
-                detection_rate=0.0,
-                wilson_low=0.0,
-                wilson_high=1.0,
-                escape_rate_b=None,
-                escape_rate_stage1=None,
-                escape_rate_stage2=None,
-                mean_claim_length=None,
-                mean_forwarded_length=None,
-                mean_list_length=None,
-            )
-
     def test_summary_recomputable_from_records(self):
         config = TrialConfig.build(L=64, seed=21, trials=40, strategy_a="split:n=2")
         results = [run_single_trial(config, i) for i in range(config.trials)]
@@ -738,13 +728,18 @@ class TestPinnedResultFiles:
                 SHORT + ["--L", "17", "--min-fraction", "1"],
                 "b72ff84d1ebfcf965fb5f5c7ee7010ddc8d9dc20458579220d23e1fd6dc4c066",
             ),
+            # 0.5 * 5/24 * 48 is 5 exactly: B must accept a claim of 5 entries
+            (
+                ["run", "--trials", "200", "--seed", "1", "--L", "48"],
+                "d93ccefc7f8c178e0b9f8699ffa11267747ca8cfdd64122bb65f5af82638f7a0",
+            ),
         ],
         ids=["honest-honest", "split-honest", "forgefull-flipforge", "honest-flipforge",
              "distribute-loss", "distribute-product-source", "distribute-fixed-policy",
              "distribute-lossy", "distribute-M512", "honest-honest-L4096",
              "split-honest-L4096", "forgefull-flipforge-L4096", "honest-flipforge-L4096",
              "forgefull-flipforge-capped-L16", "split-capped-L16",
-             "honest-flipforge-odd-L17", "honest-too-short-L17"],
+             "honest-flipforge-odd-L17", "honest-too-short-L17", "honest-boundary-L48"],
     )
     def test_result_file_digest(self, tmp_path, capsys, args, digest):
         out = tmp_path / "run.ndjson"
