@@ -35,8 +35,8 @@ from .channels import (
 )
 from .oracle import Assignment
 from .qstate import (
-    COMPUTATIONAL, MeasurementDirection, StateVector, _cdf, _draw_rows, _guide_table,
-    make_singlet, mark_readonly, outcome_bits,
+    COMPUTATIONAL, MeasurementDirection, StateVector, _cdf, _draw_rows, make_singlet,
+    mark_readonly, outcome_bits,
 )
 
 class DirectionPolicy(enum.Enum):
@@ -66,8 +66,9 @@ def choose_direction(
 class DistributionPlan:
     """Sizes for one distribute-and-test run: M = N1 + N2 + L.
 
-    Which two slots A receives for each system is drawn uniformly at run
-    time, one ``integers(0, 2)`` code per system.
+    Which two slots A receives for a pool system is drawn only when its
+    list entry is made (``liar_protocol.generate_lists``), jointly with
+    its outcome: no check before then reads it.
     """
 
     M: int
@@ -98,18 +99,16 @@ class FailureInfo(NamedTuple):
 class VerifiedPool:
     """Verified, untouched systems, each still holding the shared ``source``.
 
-    ``system_ids`` (read-only int64) names each system of the batch and
-    ``codes`` (read-only int8, 0 or 1) its assignment code, an index into
-    ``tuple(Assignment)``; both are 1-D and equally long. The producers
-    make them so and nothing here checks it. ``len`` is the system count.
+    ``system_ids`` (read-only 1-D int64) names each system of the batch;
+    the producers make it so and nothing here checks it. ``len`` is the
+    system count.
     """
 
     system_ids: np.ndarray
-    codes: np.ndarray
     source: StateVector
 
     def __len__(self) -> int:
-        return self.codes.size
+        return self.system_ids.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,11 +198,10 @@ def _round_law(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _cdf(marginal / marginal.sum(axis=-1, keepdims=True)), mark_readonly(c_zero)
 
 
-# Every singlet round draws from this one law, through its guide table: the
-# singlet's outcome law along any common direction is its computational one.
+# Every singlet round draws from this one law: the singlet's outcome law
+# along any common direction is its computational one.
 _SINGLET = make_singlet(4)
 _SINGLET_CUM, _SINGLET_C_ZERO = _round_law(_SINGLET.probabilities().reshape(8, 2))
-_SINGLET_TABLE = _guide_table(_SINGLET_CUM)
 _UNBALANCED = mark_readonly(outcome_bits(4).sum(axis=1) != 2)  # not two 0s and two 1s
 
 
@@ -237,7 +235,7 @@ def _play_rounds(
     else:
         theta = phi = mark_readonly(np.zeros(n1 + n2))
     if singlet:
-        drawn = _SINGLET_TABLE.draw(rounds[:, -2])
+        drawn = _SINGLET_CUM.searchsorted(rounds[:, -2], side="right")
         c_zero = _SINGLET_C_ZERO.take(drawn)
     else:
         cum, c_zero = _round_law(_rotated_probabilities(source, theta, phi))
@@ -270,7 +268,6 @@ def run_distribute_and_test(
     successful run leaves ``rng`` exactly where that one does. An aborted
     run may read further, up to the end of the test rounds.
     """
-    codes = rng.integers(0, 2, size=plan.M).astype(np.int8)
     source = fault.prepare_state()
     p_loss = fault.qubit_loss_prob
 
@@ -298,8 +295,7 @@ def run_distribute_and_test(
         step, played_to = ("v", i) if lost[i] else ("vii", i + 1)
         played = TestRounds(*(column[:played_to] for column in columns))
         return _failure(step, int(tested[i]), played)
-    pool = VerifiedPool(pool_ids, mark_readonly(codes[pool_ids - 1]), source)
-    return DistributeOutcome(pool, None, TestRounds(*columns))
+    return DistributeOutcome(VerifiedPool(pool_ids, source), None, TestRounds(*columns))
 
 
 def _dense_distribute_and_test(
@@ -314,15 +310,18 @@ def _dense_distribute_and_test(
     one transfer and one measurement at a time, and raises
     ``ProtocolViolationError`` if testing touched a pool system. No
     option selects it; tests compare the closed form against it.
+
+    No assignment is drawn: a test round gathers slots 1-3 at its measurer
+    whichever two A holds, and a pool system's assignment is drawn with its
+    list entry. So system j is routed by a fixed rule, j's parity.
     """
     registry = QubitRegistry()
     systems: dict[int, QuantumSystem] = {}
-    codes = rng.integers(0, 2, size=plan.M).astype(np.int8)
     source = fault.prepare_state()
 
     # (i)-(ii): prepare, distribute, and immediately verify receipt counts.
     for j in range(1, plan.M + 1):
-        assignment = tuple(Assignment)[codes[j - 1]]
+        assignment = tuple(Assignment)[j % 2]
         registry.create_system(j)
         systems[j] = QuantumSystem(j, source)
         a_refs = [QubitRef(j, slot) for slot in assignment.a_slots]
@@ -362,26 +361,19 @@ def _dense_distribute_and_test(
     touched = [j for j in pool_ids.tolist() if not systems[j].is_pristine]
     if touched:
         raise ProtocolViolationError(f"pool system {touched[0]} was touched during testing")
-    pool = VerifiedPool(pool_ids, mark_readonly(codes[pool_ids - 1]), source)
-    return DistributeOutcome(pool, None, _test_rounds(played))
-
-
-def make_verified_pool(L: int, rng: np.random.Generator) -> VerifiedPool:
-    """Build a verified pool directly, skipping the testing phase.
-
-    Equivalent to the pool returned by a successful run with an honest
-    source and no faults: pool systems are never touched during testing,
-    so their state is exactly the freshly prepared one. Each system's
-    assignment code is one ``integers(0, 2)`` draw, as in a full run.
-    Intended for experiments that study only the messaging protocol.
-    """
-    if L < 1:
-        raise ValueError(f"pool size must be positive, got {L}")
-    codes = mark_readonly(rng.integers(0, 2, size=L).astype(np.int8))
-    return VerifiedPool(_pool_ids(L), codes, _SINGLET)
+    return DistributeOutcome(VerifiedPool(pool_ids, source), None, _test_rounds(played))
 
 
 @cache
-def _pool_ids(L: int) -> np.ndarray:
-    """Read-only ids 1..L, one array per pool size."""
-    return mark_readonly(np.arange(1, L + 1))
+def make_verified_pool(L: int) -> VerifiedPool:
+    """Build a verified pool of L systems directly, skipping the testing phase.
+
+    Equivalent to the pool returned by a successful run with an honest
+    source and no faults: pool systems are never touched during testing,
+    so their state is exactly the freshly prepared one. It draws nothing,
+    so one read-only pool per L serves every call. Intended for
+    experiments that study only the messaging protocol.
+    """
+    if L < 1:
+        raise ValueError(f"pool size must be positive, got {L}")
+    return VerifiedPool(mark_readonly(np.arange(1, L + 1)), _SINGLET)

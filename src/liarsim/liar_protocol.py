@@ -12,7 +12,9 @@ data fails its consistency check, and the verdict names that check.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -20,21 +22,59 @@ import numpy as np
 from . import adversary
 from .distribute_test import VerifiedPool
 from .oracle import EXPECTED_DOUBLE_FRACTION, Assignment
-from .qstate import (
-    COMPUTATIONAL, mark_readonly, outcome_bits, readonly_array, sample_outcomes,
-)
+from .qstate import NORM_ATOL, StateVector, mark_readonly, outcome_bits, readonly_array
 
-# Each party's list entry, indexed by [party, 16 * assignment code +
-# outcome index], read off the slots each ``Assignment`` gives the party.
-_BITS = outcome_bits(4)
-_LIST_ENTRIES = np.array(
-    [
-        [_BITS[:, np.subtract(a.a_slots, 1)].sum(axis=1) for a in Assignment],  # A's 1s
-        [_BITS[:, a.b_slot - 1] for a in Assignment],  # B's bit
-        [_BITS[:, a.c_slot - 1] for a in Assignment],  # C's bit
-    ],
-    dtype=np.int8,
-).reshape(3, 32)
+
+@cache
+def _table_for(twelfths: tuple[int, ...]) -> np.ndarray:
+    """Read-only (3, 24) int8 list entries of a four-qubit law in twelfths.
+
+    The law's 12 cells list its outcomes in index order, each as often as
+    its weight. Column ``12 * code + cell`` holds A's count of 1s, B's bit
+    and C's bit for a system of assignment code ``code`` (an index into
+    ``tuple(Assignment)``) whose outcome is that cell's, read off the slots
+    the assignment gives each party.
+    """
+    bits = outcome_bits(4)[np.repeat(np.arange(16), twelfths)]
+    return mark_readonly(np.array(
+        [
+            [bits[:, np.subtract(a.a_slots, 1)].sum(axis=1) for a in Assignment],  # A's 1s
+            [bits[:, a.b_slot - 1] for a in Assignment],  # B's bit
+            [bits[:, a.c_slot - 1] for a in Assignment],  # C's bit
+        ],
+        dtype=np.int8,
+    ).reshape(3, 24))
+
+
+def _twelfths(source: StateVector) -> tuple[int, ...]:
+    """The source's computational law as 16 integer weights summing to 12:
+    ``oracle.SINGLET_WEIGHTS`` for the singlet, 12 on one outcome for a basis
+    state. Raises ValueError unless every probability is a whole twelfth."""
+    scaled = 12 * source.probabilities()
+    weights = np.rint(scaled)
+    if scaled.size != 16 or not np.all(np.abs(scaled - weights) <= 12 * NORM_ATOL):
+        raise ValueError("the source's law is not a four-qubit law in whole twelfths")
+    return tuple(weights.astype(int).tolist())
+
+
+# each source's table, kept while the source lives; equal laws share one
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _list_table(source: StateVector) -> np.ndarray:
+    """The list table of ``source``'s law, built once per law."""
+    table = _TABLES.get(source)
+    if table is None:
+        table = _TABLES[source] = _table_for(_twelfths(source))
+    return table
+
+
+# the one list draw, under the name ``bench/tracer.py`` times
+def sample_outcomes(size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` independent list positions as ``12 * code + cell`` in 0..23,
+    int8: the assignment code is 50/50 and each of the law's 12 cells 1/12,
+    so every one of the 24 values is equally likely."""
+    return rng.integers(0, 24, size=size, dtype=np.int8)
 
 
 class PartyLists(NamedTuple):
@@ -62,15 +102,16 @@ class PartyLists(NamedTuple):
 def generate_lists(pool: VerifiedPool, rng: np.random.Generator) -> PartyLists:
     """Measure every pool system along the computational basis, one draw each.
 
-    Every pool system holds the untouched shared source state, so the
-    four outcome bits of each position are one draw from the exact joint
-    distribution of that state; each party's entry is read off the slots
-    the position's assignment code gives it.
+    Every pool system holds the untouched shared source state, and which two
+    of its slots A holds is first read here, so each position is one uniform
+    draw of its assignment code and a cell of the source's law in twelfths;
+    every party's entry is read off the source's table in one pass.
     """
-    if pool.codes.size == 0:
+    size = pool.system_ids.size
+    if size == 0:
         raise ValueError("cannot generate lists from an empty pool")
-    outcomes = sample_outcomes(pool.source, COMPUTATIONAL, pool.codes.size, rng)
-    return PartyLists(*mark_readonly(_LIST_ENTRIES.take(16 * pool.codes + outcomes, axis=1)))
+    cells = sample_outcomes(size, rng)
+    return PartyLists(*mark_readonly(_list_table(pool.source).take(cells, axis=1)))
 
 
 # --------------------------------------------------------------------------

@@ -12,21 +12,20 @@ Conventions fixed here and relied on everywhere else:
   axis) and ``1`` (spin down);
 * states are immutable; every operation returns a new ``StateVector``.
 
-This module alone turns a probability law into a CDF and draws from it.
-``_cdf`` is the one rule: along the last axis, no edge above 1.0 and
-every edge from the last nonzero probability on exactly 1.0, so no
-uniform in [0, 1) draws an outcome of probability zero. A law drawn many
-times goes through ``_GuideTable.draw``, which searches the CDF directly
-for a batch of fewer than ``_SEARCH_BELOW`` uniforms and walks its guide
-table for a longer one; laws drawn once per uniform go through
-``_draw_rows``. All equal ``searchsorted(cum, u, side="right")`` exactly.
+This module alone turns a float probability law into a CDF. ``_cdf`` is
+the one rule: along the last axis, no edge above 1.0 and every edge from
+the last nonzero probability on exactly 1.0, so no uniform in [0, 1)
+draws an outcome of probability zero. Laws that change with every
+uniform are drawn by ``_draw_rows``, which equals
+``searchsorted(cum, u, side="right")`` exactly. The protocol's lists do
+not come from here: ``liar_protocol`` draws them as integer cells of the
+source's law in twelfths.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import NamedTuple
+from functools import cache
 
 import numpy as np
 
@@ -85,19 +84,6 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         """Born probability of each computational basis outcome."""
         return np.abs(self.amplitudes) ** 2
-
-    @cached_property
-    def computational_cdf(self) -> np.ndarray:
-        """Read-only cumulative outcome law in the computational basis.
-
-        Built on first use and kept with the state, which never changes.
-        """
-        return _cdf(joint_distribution(self, COMPUTATIONAL))
-
-    @cached_property
-    def computational_table(self) -> "_GuideTable":
-        """The sampler's guide table for ``computational_cdf``, kept likewise."""
-        return _guide_table(self.computational_cdf)
 
     def bitstring(self, index: int) -> str:
         return format(index, f"0{self.num_qubits}b")
@@ -267,63 +253,6 @@ def _draw_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.count_nonzero(cum <= u[..., None], axis=-1)
 
 
-# Below this many uniforms one binary search over the CDF costs less than
-# the guide table's bucket lookup and passes; above it the table wins
-# (singlet laws of 8 and 16 outcomes, crossing over at 700-2,000 uniforms)
-_SEARCH_BELOW = 1024
-
-
-class _GuideTable(NamedTuple):
-    """Indexed search (Chen & Asau, 1974) over one sorted CDF ``cum``.
-
-    ``edges`` are the distinct entries D of ``cum``. Of K buckets, K a
-    power of two, bucket b covers [b/K, (b+1)/K) and ``starts[b]`` counts
-    the edges at or below b/K. ``passes`` is the most edges lying
-    strictly inside one bucket, and ``counts[c]`` the number of ``cum``
-    entries at or below the c-th smallest edge (``counts[0]`` is 0).
-    """
-
-    cum: np.ndarray
-    edges: np.ndarray
-    starts: np.ndarray
-    passes: int
-    counts: np.ndarray
-
-    def draw(self, u: np.ndarray) -> np.ndarray:
-        """``searchsorted(cum, u, side="right")``, exactly, for u in [0, 1).
-
-        Fewer than ``_SEARCH_BELOW`` uniforms are drawn by that search
-        itself, as the array method, which skips ``np.searchsorted``'s
-        dispatch. Longer batches use the table: ``u * K`` is exact for a
-        power of two K, so u lies in bucket floor(u * K) and ``c`` starts
-        at the edges at or below it. Each pass counts one more edge at or
-        below u; the last edge is 1.0, above every u, so ``c`` never runs
-        past it.
-        """
-        if u.size < _SEARCH_BELOW:
-            return self.cum.searchsorted(u, side="right")
-        c = self.starts.take((u * self.starts.size).astype(np.intp))
-        for _ in range(self.passes):
-            c += self.edges.take(c) <= u
-        return self.counts.take(c)
-
-
-def _guide_table(cum: np.ndarray) -> _GuideTable:
-    """The guide table of a 1-D CDF from ``_cdf``, with 4 buckets per outcome."""
-    edges = cum[np.diff(cum, prepend=-1.0) > 0]  # sorted: distinct where above the previous
-    buckets = 4 * cum.size  # cum has 2**k entries, so a power of two
-    bounds = np.arange(buckets + 1) / buckets
-    at_or_below = np.searchsorted(edges, bounds, side="right")
-    inside = np.searchsorted(edges, bounds[1:], side="left") - at_or_below[:-1]
-    counts = np.concatenate(([0], np.searchsorted(cum, edges, side="right")), dtype=np.int64)
-    return _GuideTable(
-        cum,
-        *(mark_readonly(a) for a in (edges, at_or_below[:-1])),
-        int(inside.max()),
-        mark_readonly(counts),
-    )
-
-
 def measure_qubits(
     state: StateVector,
     targets: list[int] | tuple[int, ...],
@@ -388,27 +317,6 @@ def joint_distribution(
         rotated = apply_bilateral(state, direction.basis_unitary().dagger())
     probs = rotated.probabilities()
     return probs / probs.sum()
-
-
-def sample_outcomes(
-    state: StateVector,
-    direction: MeasurementDirection,
-    shots: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample ``shots`` independent all-qubit measurements of ``state``.
-
-    Each shot measures a fresh copy along the common axis; returns the
-    outcome indices (same encoding as ``joint_distribution``), one
-    uniform per shot, through the guide table of the exact CDF.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
-    if direction.is_computational:
-        table = state.computational_table
-    else:
-        table = _guide_table(_cdf(joint_distribution(state, direction)))
-    return table.draw(rng.random(shots))
 
 
 def random_unitary(rng: np.random.Generator) -> SingleQubitUnitary:

@@ -227,6 +227,10 @@ class TrialStats:
 
 DISTRIBUTE_FAILURE = "DISTRIBUTE_FAILURE"
 
+# How a trial reads its stream. 2: each list position is one integers(0, 24)
+# draw of its assignment code and outcome cell, and no code is drawn before.
+STREAM_VERSION = 2
+
 # the summary's field names, built once; timing never enters the result file
 _CONFIG_FIELDS = tuple(f.name for f in fields(TrialConfig))
 _STATS_FIELDS = tuple(f.name for f in fields(TrialStats) if f.name != "mean_trial_seconds")
@@ -432,7 +436,7 @@ def run_single_trial(config: TrialConfig, trial_index: int) -> TrialResult:
     if fault is NO_FAULTS:
         # a fault-free distribute run always succeeds with the pool
         # untouched, so build the verified pool directly
-        pool = make_verified_pool(config.L, rng)
+        pool = make_verified_pool(config.L)
     else:
         outcome = run_distribute_and_test(
             config.plan, fault, rng, direction_policy=config.policy
@@ -514,7 +518,9 @@ def _summary_record(config: TrialConfig, stats: TrialStats) -> dict:
     # each field by name, its value shared: the encoder only reads it
     config_fields = {name: getattr(config, name) for name in _CONFIG_FIELDS}
     record = {name: getattr(stats, name) for name in _STATS_FIELDS}
-    return {"record": "summary", "config": config_fields, **record}
+    return {
+        "record": "summary", "stream_version": STREAM_VERSION, "config": config_fields, **record
+    }
 
 
 # The line ``_ENCODER`` writes for {"record": "trial", **r._asdict()}, with

@@ -4,9 +4,12 @@
 lists once with positions they have already validated. These helpers are
 the checks written out whole: each re-reads its inputs as arrays and
 drops out-of-range positions itself, so it takes any claim, valid or not.
+``too_short_tail`` is the exact chance that an honest claim is too short.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -42,3 +45,14 @@ def stage2_mismatches(
     fwd = np.asarray(forwarded, dtype=np.int64)
     fwd = fwd[(fwd >= 1) & (fwd <= len(arr))]
     return fwd[arr[fwd - 1] != 2 * m_BC]
+
+
+def too_short_tail(L: int, min_fraction: float = 0.5) -> float:
+    """Exact P(Bin(L, 5/24) < ceil(min_fraction * 5L/24)), as the float nearest it.
+
+    An honest claim lists every double (m, m), K ~ Bin(L, 5/24) positions,
+    and B rejects it TOO_SHORT exactly when K < min_fraction * 5L/24.
+    """
+    p = Fraction(5, 24)
+    required = math.ceil(Fraction(min_fraction) * p * L)
+    return float(sum(math.comb(L, k) * p**k * (1 - p) ** (L - k) for k in range(required)))

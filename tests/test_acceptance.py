@@ -33,10 +33,10 @@ from liarsim.qstate import (
     fidelity,
     make_singlet,
     random_unitary,
-    sample_outcomes,
 )
 from liarsim.runner import TrialConfig, run_trials
-from reference_checks import incompatible_positions, stage2_mismatches
+from reference_checks import incompatible_positions, stage2_mismatches, too_short_tail
+from sampling import sample_along
 
 BALANCED_INDICES = (3, 5, 6, 9, 10, 12)  # four-bit patterns with two 0s
 UNIT = 1.0 / (2.0 * math.sqrt(3.0))
@@ -50,7 +50,7 @@ B_REJECTED = VerdictValue.B_REJECTED_AT_STEP_III
 
 
 def fresh_lists(length, stream):
-    return generate_lists(make_verified_pool(length, stream), stream)
+    return generate_lists(make_verified_pool(length), stream)
 
 
 def random_direction(stream):
@@ -64,6 +64,7 @@ def honest_suite():
     """10^4 honest trials at L = 256 (criteria 6 and 9)."""
     stream = np.random.default_rng(61001)
     counts = Counter()
+    checks = Counter()  # the check behind each verdict that is not CONSISTENT
     delivered_intact = 0
     for _ in range(10_000):
         lists = fresh_lists(256, stream)
@@ -71,9 +72,14 @@ def honest_suite():
             lists, StrategyA.honest(), StrategyB.honest(), rng=stream
         )
         counts[result.verdict.value] += 1
+        if result.verdict.value is not CONSISTENT:
+            checks[result.verdict.check] += 1
         if result.delivered_message == result.a_action.m_AB:
             delivered_intact += 1
-    return {"trials": 10_000, "counts": counts, "delivered_intact": delivered_intact}
+    return {
+        "trials": 10_000, "counts": counts, "checks": checks,
+        "delivered_intact": delivered_intact,
+    }
 
 
 @pytest.fixture(scope="session")
@@ -173,11 +179,11 @@ def test_criterion_3_balanced_outcome_law(acceptance_report):
 
     unbalanced = 0
     for _ in range(200):
-        outcomes = sample_outcomes(state, random_direction(stream), 500, stream)
+        outcomes = sample_along(state, random_direction(stream), 500, stream)
         counts = np.bincount(outcomes, minlength=16)
         unbalanced += counts.sum() - counts[list(BALANCED_INDICES)].sum()
 
-    computational = sample_outcomes(state, COMPUTATIONAL, 100_000, stream)
+    computational = sample_along(state, COMPUTATIONAL, 100_000, stream)
     comp_counts = np.bincount(computational, minlength=16)
     observed = comp_counts[list(BALANCED_INDICES)]
     expected = np.array([PATTERN_PROBS[i] for i in BALANCED_INDICES]) * 100_000
@@ -203,7 +209,7 @@ def test_criterion_4_oracle_sampler_equivalence(acceptance_report):
     state = make_singlet(4)
     worst_tv = 0.0
     for assignment in Assignment:
-        outcomes = sample_outcomes(state, COMPUTATIONAL, 100_000, stream)
+        outcomes = sample_along(state, COMPUTATIONAL, 100_000, stream)
         bits = (outcomes[:, None] >> np.array([3, 2, 1, 0])) & 1
         slot_a1, slot_a2 = assignment.a_slots
         a1, a2 = bits[:, slot_a1 - 1], bits[:, slot_a2 - 1]
@@ -235,12 +241,28 @@ def test_criterion_5_list_correlation(acceptance_report):
 
 
 def test_criterion_6_completeness(acceptance_report, honest_suite):
-    consistent = honest_suite["counts"][CONSISTENT]
+    # Honest parties are never convicted, and every CONSISTENT trial delivers
+    # m_AB. The only other ending is B's TOO_SHORT rejection of an honest claim
+    # that is short by chance, P(Bin(256, 5/24) < 27) = 4.2e-6 per trial, so
+    # its count is held to that exact tail by a binomial test at level 0.001.
+    counts, checks = honest_suite["counts"], honest_suite["checks"]
+    consistent = counts[CONSISTENT]
     intact = honest_suite["delivered_intact"]
     trials = honest_suite["trials"]
-    ok = consistent == trials and intact == trials
+    too_short = checks["step_iii_too_short"]
+    exact = too_short_tail(256)
+    pvalue = scipy_stats.binomtest(too_short, trials, exact).pvalue
+    ok = (
+        counts[A_IS_LIAR] == counts[B_IS_LIAR] == 0
+        and intact == consistent
+        and consistent + too_short == trials
+        and counts[B_REJECTED] == too_short
+        and pvalue >= 0.001
+    )
     acceptance_report(
-        6, ok, f"CONSISTENT {consistent}/{trials}, message intact {intact}/{trials}"
+        6, ok,
+        f"CONSISTENT {consistent}/{trials}, message intact {intact}/{consistent}, "
+        f"too short {too_short} (exact rate {exact:.1e}, p={pvalue:.3f})",
     )
     assert ok
 

@@ -47,7 +47,7 @@ def rng(seed=0):
 
 def big_lists(seed, length=40_000):
     stream = rng(seed)
-    return generate_lists(make_verified_pool(length, stream), stream)
+    return generate_lists(make_verified_pool(length), stream)
 
 
 class TestStrategyConstruction:

@@ -18,7 +18,6 @@ from liarsim.distribute_test import (
     TestRounds,
     VerifiedPool,
     _SINGLET_CUM,
-    _SINGLET_TABLE,
     _dense_distribute_and_test,
     _play_rounds,
     _rotated_probabilities,
@@ -29,27 +28,11 @@ from liarsim.distribute_test import (
 )
 from liarsim.qstate import COMPUTATIONAL, _draw_rows, make_singlet, mark_readonly, outcome_bits
 from liarsim.runner import resolve_sizes
+from sampling import RecordingGenerator
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-class _RecordingGenerator:
-    """Passes each call on to ``rng`` and records its name and arguments."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.calls = []
-
-    def __getattr__(self, name):
-        method = getattr(self.rng, name)
-
-        def recorded(*args, **kwargs):
-            self.calls.append((name, args + tuple(kwargs.values())))
-            return method(*args, **kwargs)
-
-        return recorded
 
 
 class TestDistributionPlan:
@@ -119,14 +102,6 @@ class TestHonestRun:
         with pytest.raises(ProtocolViolationError, match="touched during testing"):
             _dense_distribute_and_test(DistributionPlan.default(16), NO_FAULTS, rng(5))
 
-    def test_pool_codes_follow_the_drawn_assignments(self):
-        plan = DistributionPlan.default(40)
-        codes = rng(15).integers(0, 2, size=plan.M)
-        outcome = run_distribute_and_test(plan, NO_FAULTS, rng(15))
-        np.testing.assert_array_equal(
-            outcome.pool.codes, codes[outcome.pool.system_ids - 1]
-        )
-
     def test_tested_and_pool_ids_partition_the_batch(self):
         plan = DistributionPlan.default(40)
         outcome = run_distribute_and_test(plan, NO_FAULTS, rng(7))
@@ -143,12 +118,11 @@ class TestHonestRun:
 
     def test_subsets_drawn_after_distribution(self):
         # the permutation that picks S1 and S2 comes after every transit
-        # draw of the distribution, so replaying the assignments, all 3M
-        # transit uniforms and then one permutation gives the partition
+        # draw of the distribution, so replaying all 3M transit uniforms and
+        # then one permutation gives the partition
         plan = DistributionPlan.default(16)
         outcome = run_distribute_and_test(plan, NO_FAULTS, rng(13))
         replay = rng(13)
-        replay.integers(0, 2, size=plan.M)
         replay.random(3 * plan.M)
         order = replay.permutation(plan.M) + 1
         s1, s2 = order[: plan.N1], order[plan.N1 : plan.N1 + plan.N2]
@@ -162,17 +136,17 @@ class TestHonestRun:
     @pytest.mark.parametrize(
         "policy, per_round", [(DirectionPolicy.RANDOM, 4), (DirectionPolicy.FIXED, 2)]
     )
-    def test_successful_run_reads_four_blocks(self, policy, per_round):
-        # the codes, A's and B's transit uniforms, the permutation, then one
-        # block for every test round: each S1 round has two transit uniforms
-        # and each S2 round one, then two direction uniforms under the random
-        # policy and one uniform per measurement
+    def test_successful_run_reads_three_blocks(self, policy, per_round):
+        # A's and B's transit uniforms, the permutation, then one block for
+        # every test round: each S1 round has two transit uniforms and each
+        # S2 round one, then two direction uniforms under the random policy
+        # and one uniform per measurement. No assignment is drawn: a pool
+        # system's is drawn with its list entry
         plan = DistributionPlan(20, 3, 5, 12)
-        stream = _RecordingGenerator(rng(23))
+        stream = RecordingGenerator(rng(23))
         outcome = run_distribute_and_test(plan, NO_FAULTS, stream, policy)
         assert outcome.failure is None
         assert stream.calls == [
-            ("integers", (0, 2, 20)),
             ("random", (60,)),
             ("permutation", (20,)),
             ("random", (3 * (2 + per_round) + 5 * (1 + per_round),)),
@@ -352,7 +326,6 @@ class TestClosedFormMatchesDenseOracle:
             if fast.failure is None:
                 assert dense.failure is None
                 np.testing.assert_array_equal(fast.pool.system_ids, dense.pool.system_ids)
-                np.testing.assert_array_equal(fast.pool.codes, dense.pool.codes)
                 # the same number of draws: both streams continue in step
                 assert fast_rng.random() == dense_rng.random()
             else:
@@ -397,7 +370,8 @@ class TestSingletTable:
         assert _SINGLET_CUM[0] == 0.0
         assert _SINGLET_CUM[6] == _SINGLET_CUM[7] == 1.0
         extremes = np.array([0.0, np.nextafter(1.0, 0.0)])
-        np.testing.assert_array_equal(_SINGLET_TABLE.draw(extremes), [1, 6])  # 001 and 110
+        drawn = _SINGLET_CUM.searchsorted(extremes, side="right")
+        np.testing.assert_array_equal(drawn, [1, 6])  # 001 and 110
 
     @pytest.mark.parametrize("policy", list(DirectionPolicy))
     @pytest.mark.parametrize(
@@ -447,32 +421,25 @@ class TestSingletTable:
 
 class TestMakeVerifiedPool:
     def test_matches_success_pool_shape(self):
-        pool = make_verified_pool(32, rng(2))
+        pool = make_verified_pool(32)
         assert pool.source is make_singlet(4)
         assert len(pool) == 32
         assert pool.system_ids.tolist() == list(range(1, 33))
-        assert pool.codes.dtype == np.int8
         assert pool.source.amplitudes is make_singlet(4).amplitudes
         with pytest.raises(ValueError):
-            pool.codes[0] = 1
+            pool.system_ids[0] = 2
 
-    def test_assignments_can_be_pinned(self):
-        # a pinned pool is built directly; the pool's own codes are one draw
-        ids = np.arange(1, 5)
-        pool = VerifiedPool(ids, np.zeros(4, np.int8), make_singlet(4))
-        np.testing.assert_array_equal(pool.codes, [0, 0, 0, 0])
-        pool = VerifiedPool(ids[:2], np.ones(2, np.int8), make_singlet(4))
-        np.testing.assert_array_equal(pool.codes, [1, 1])
-        drawn = make_verified_pool(4, rng(0))
-        np.testing.assert_array_equal(drawn.codes, rng(0).integers(0, 2, size=4))
+    def test_one_pool_per_size(self):
+        # the pool draws nothing, so one read-only pool serves every call
+        assert make_verified_pool(32) is make_verified_pool(32)
+        assert make_verified_pool(33) is not make_verified_pool(32)
 
-    def test_random_assignments_roughly_balanced(self):
-        pool = make_verified_pool(2000, rng(8))
-        assert 0.45 < pool.codes.mean() < 0.55
+    def test_len_counts_the_systems(self):
+        assert len(VerifiedPool(np.array([4, 9, 11]), make_singlet(4))) == 3
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            make_verified_pool(0, rng(0))
+            make_verified_pool(0)
 
 
 _FAULT_NAMES = st.sampled_from(sorted(FAULTS))
@@ -486,7 +453,6 @@ class TestProducerInvariants:
     @staticmethod
     def assert_pool(pool, M, L, check):
         check(pool.system_ids, np.int64, 1, M, (L,))
-        check(pool.codes, np.int8, 0, 1, (L,))
         assert len(pool) == L
 
     @staticmethod
@@ -500,9 +466,9 @@ class TestProducerInvariants:
         assert len(rounds) == n
 
     @settings(max_examples=100, deadline=None)
-    @given(L=st.integers(1, 300), seed=st.integers(0, 2**32))
-    def test_make_verified_pool(self, assert_frozen, L, seed):
-        self.assert_pool(make_verified_pool(L, rng(seed)), L, L, assert_frozen)
+    @given(L=st.integers(1, 300))
+    def test_make_verified_pool(self, assert_frozen, L):
+        self.assert_pool(make_verified_pool(L), L, L, assert_frozen)
 
     @pytest.mark.parametrize(
         "producer, most", [(run_distribute_and_test, 40), (_dense_distribute_and_test, 4)],

@@ -1,4 +1,6 @@
+import functools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from liarsim import liar_protocol
 from liarsim.adversary import StrategyA, StrategyB, parse_strategy_A, parse_strategy_B
 from liarsim.distribute_test import (
     DirectionPolicy,
@@ -16,26 +19,29 @@ from liarsim.distribute_test import (
 )
 from liarsim.liar_protocol import (
     EXPECTED_DOUBLE_FRACTION,
-    _LIST_ENTRIES,
     AcceptanceResult,
     PartyLists,
     Thresholds,
     Verdict,
     VerdictValue,
     _is_bit,
+    _list_table,
     _pair_counts,
     _scan_positions,
+    _twelfths,
     b_accepts,
     c_adjudicate,
     generate_lists,
     run_liar_protocol,
 )
-from liarsim.oracle import Assignment
+from liarsim.oracle import SINGLET_WEIGHTS, Assignment, round_distribution
 from liarsim.qstate import (
-    COMPUTATIONAL, basis_state, joint_distribution, make_singlet, mark_readonly, measure_qubits,
+    apply_bilateral, basis_state, make_singlet, mark_readonly, measure_qubits, outcome_bits,
+    random_unitary,
 )
 from liarsim.runner import _escape_counts
 from reference_checks import incompatible_positions, stage1_violations, stage2_mismatches
+from sampling import RecordingGenerator
 
 # Worked eight-row example used throughout: a valid joint outcome whose
 # doubles sit at 1,3,6 (for 0) and 4,5,8 (for 1). A's pairs
@@ -57,13 +63,14 @@ def rng(seed=0):
 def dense_engine_lists(pool, stream, policy=DirectionPolicy.FIXED):
     """Lists measured position by position through the state-vector engine.
 
-    Each position measures A's two slots, then B's, then C's, along one
-    common direction, collapsing the state between measurements: the
-    exact oracle the vectorized ``generate_lists`` must agree with.
+    Each position draws its assignment from ``stream``, then measures A's
+    two slots, B's, then C's, along one common direction, collapsing the
+    state between measurements: the exact oracle the vectorized
+    ``generate_lists`` must agree with in distribution.
     """
     a_ones, b_bits, c_bits = [], [], []
-    for code in pool.codes:
-        assignment = tuple(Assignment)[code]
+    for _ in range(len(pool)):
+        assignment = tuple(Assignment)[stream.integers(0, 2)]
         direction = choose_direction(stream, policy)
         state = pool.source
         a_bits, state = measure_qubits(state, assignment.a_slots, direction, stream)
@@ -98,13 +105,12 @@ class TestPartyLists:
             np.testing.assert_array_equal(lists.a_ones, rows[0])
 
     def test_singlet_entries_obey_the_doubles_correlation(self):
-        # exact: every (code, outcome) column the singlet can draw has a
+        # exact: every one of the 24 columns the singlet draws from has a
         # (0,0) pair facing 1 at B and C, and a (1,1) pair facing 0
-        drawable = np.tile(joint_distribution(make_singlet(4), COMPUTATIONAL) > 0, 2)
-        a_ones, b_bits, c_bits = _LIST_ENTRIES[:, drawable]
+        a_ones, b_bits, c_bits = _list_table(make_singlet(4))
         doubles = a_ones != 1
         facing = 1 - a_ones[doubles] // 2
-        assert drawable.sum() == 12 and set(a_ones[doubles]) == {0, 2}
+        assert set(a_ones[doubles]) == {0, 2}
         np.testing.assert_array_equal(b_bits[doubles], facing)
         np.testing.assert_array_equal(c_bits[doubles], facing)
 
@@ -121,7 +127,7 @@ class TestPartyLists:
 
 class TestGenerateLists:
     def test_fast_path_produces_valid_correlated_lists(self):
-        pool = make_verified_pool(100_000, rng(1))
+        pool = make_verified_pool(100_000)
         lists = generate_lists(pool, rng(2))
         assert lists.length == 100_000
         # the singlet source obeys the doubles rule at every position
@@ -131,32 +137,32 @@ class TestGenerateLists:
             assert np.all(lists.c_bits[doubles] == 1 - m)
 
     def test_doubles_fraction_matches_expectation(self):
-        lists = generate_lists(make_verified_pool(100_000, rng(3)), rng(4))
+        lists = generate_lists(make_verified_pool(100_000), rng(4))
         for m in (0, 1):
             fraction = np.mean(lists.a_ones == 2 * m)
             assert fraction == pytest.approx(5 / 24, abs=0.005)
 
     def test_empty_pool_rejected(self):
-        empty = VerifiedPool(np.empty(0, np.int64), np.empty(0, np.int8), make_singlet(4))
+        empty = VerifiedPool(np.empty(0, np.int64), make_singlet(4))
         with pytest.raises(ValueError):
             generate_lists(empty, rng(0))
 
-    def test_product_source_lists_match_dense_engine(self, records_equal):
-        # a product source measures deterministically, so the vectorized
-        # lists equal the engine's position by position
-        pool = make_verified_pool(40, rng(5))
-        pool = VerifiedPool(pool.system_ids, pool.codes, basis_state("0011"))
-        lists = generate_lists(pool, rng(50))
-        assert records_equal(lists, dense_engine_lists(pool, rng(51)))
-        # |0011>: A holding slots (1,3) sees one 1, B then holds slot 2
-        np.testing.assert_array_equal(lists.a_ones, pool.codes)
-        np.testing.assert_array_equal(lists.b_bits, 1 - pool.codes)
-        np.testing.assert_array_equal(lists.c_bits, np.ones(40))
+    def test_product_source_lists_match_dense_engine(self):
+        # a product source measures deterministically, so each position's
+        # entries follow from its assignment alone: |0011> gives A no 1 and
+        # B slot 3's 1 when she holds slots (1,2), and one 1 and slot 2's 0
+        # when she holds (1,3); C's slot 4 reads 1 either way
+        pool = VerifiedPool(make_verified_pool(400).system_ids, basis_state("0011"))
+        by_code = [(0, 1, 1), (1, 0, 1)]
+        fast = generate_lists(pool, rng(50))
+        codes = rng(50).integers(0, 24, size=400, dtype=np.int8) // 12
+        np.testing.assert_array_equal(fast, np.array(by_code, np.int8)[codes].T)
+        dense = dense_engine_lists(pool, rng(51))
+        assert set(zip(*(row.tolist() for row in dense))) == set(by_code)
 
     def test_engine_and_fast_paths_agree_in_distribution(self):
         count = 3000
-        # every system pinned to A_HOLDS_12
-        pool = VerifiedPool(np.arange(1, count + 1), np.zeros(count, np.int8), make_singlet(4))
+        pool = make_verified_pool(count)
         fast = generate_lists(pool, rng(7))
         engine = dense_engine_lists(pool, rng(8))
         tv = 0.5 * np.abs(joint_counts(fast) - joint_counts(engine)).sum()
@@ -166,16 +172,83 @@ class TestGenerateLists:
         # outcome statistics do not depend on the common direction, so
         # the computational-basis draw matches random-direction engine runs
         count = 3000
-        pool = make_verified_pool(count, rng(9))
+        pool = make_verified_pool(count)
         fast = generate_lists(pool, rng(10))
         engine = dense_engine_lists(pool, rng(90), DirectionPolicy.RANDOM)
         tv = 0.5 * np.abs(joint_counts(fast) - joint_counts(engine)).sum()
         assert tv < 0.05
 
     def test_deterministic_for_fixed_seed(self, records_equal):
-        first = generate_lists(make_verified_pool(500, rng(11)), rng(12))
-        second = generate_lists(make_verified_pool(500, rng(11)), rng(12))
+        first = generate_lists(make_verified_pool(500), rng(12))
+        second = generate_lists(make_verified_pool(500), rng(12))
         assert records_equal(first, second)
+
+
+ALL_BASIS_STATES = [format(i, "04b") for i in range(16)]
+
+
+class TestListTable:
+    """Every list position is one of 24 equally likely (code, cell) columns
+    of a table built from the source's law in twelfths."""
+
+    @pytest.mark.parametrize("code, assignment", list(enumerate(Assignment)))
+    def test_singlet_columns_are_the_exact_round_table(self, code, assignment):
+        a_ones, b_bits, c_bits = _list_table(make_singlet(4))[:, 12 * code : 12 * code + 12]
+        counts: dict = {}
+        for a, b, c in zip(a_ones.tolist(), b_bits.tolist(), c_bits.tolist()):
+            key = (((0, 0), (0, 1), (1, 1))[a], b, c)
+            counts[key] = counts.get(key, 0) + 1
+        exact = {key: Fraction(n, 12) for key, n in counts.items()}
+        assert exact == round_distribution(assignment).table
+
+    def test_singlet_law_is_its_integer_weights(self):
+        weights = [0] * 16
+        for bits, weight in SINGLET_WEIGHTS.items():
+            weights[int("".join(map(str, bits)), 2)] = weight
+        assert _twelfths(make_singlet(4)) == tuple(weights)
+
+    @pytest.mark.parametrize("bits", ALL_BASIS_STATES)
+    def test_basis_state_columns_all_give_its_outcome(self, bits):
+        table = _list_table(basis_state(bits))
+        outcome = outcome_bits(4)[int(bits, 2)]
+        for code, assignment in enumerate(Assignment):
+            a_ones = outcome[np.subtract(assignment.a_slots, 1)].sum()
+            entry = [a_ones, outcome[assignment.b_slot - 1], outcome[3]]
+            np.testing.assert_array_equal(
+                table[:, 12 * code : 12 * code + 12], np.repeat([entry], 12, axis=0).T
+            )
+
+    def test_table_is_read_only_int8_and_built_once_per_law(self, monkeypatch):
+        built = []
+        original = liar_protocol._table_for.__wrapped__
+        monkeypatch.setattr(
+            liar_protocol, "_table_for",
+            functools.cache(lambda law: built.append(law) or original(law)),
+        )
+        monkeypatch.setattr(liar_protocol, "_TABLES", weakref.WeakKeyDictionary())
+        first, second = basis_state("0110"), basis_state("0110")
+        table = _list_table(first)
+        assert table.dtype == np.int8 and table.shape == (3, 24)
+        assert not table.flags.writeable
+        assert _list_table(first) is table and _list_table(second) is table
+        for seed in range(3):
+            generate_lists(VerifiedPool(np.arange(1, 9), second), rng(seed))
+        assert len(built) == 1
+        _list_table(make_singlet(4))
+        assert len(built) == 2
+
+    def test_law_not_in_twelfths_raises(self):
+        rotated = apply_bilateral(basis_state("0011"), random_unitary(rng(3)))
+        with pytest.raises(ValueError, match="twelfths"):
+            generate_lists(VerifiedPool(np.arange(1, 5), rotated), rng(0))
+
+    @pytest.mark.parametrize("L", [1, 64, 4096])
+    def test_one_int8_draw_of_24_cells_per_list(self, L):
+        stream = RecordingGenerator(rng(5))
+        lists = generate_lists(make_verified_pool(L), stream)
+        assert stream.calls == [("integers", (0, 24, L, np.int8))]
+        cells = rng(5).integers(0, 24, size=L, dtype=np.int8)
+        np.testing.assert_array_equal(lists, _list_table(make_singlet(4))[:, cells])
 
 
 class TestProducerInvariants:
@@ -190,9 +263,9 @@ class TestProducerInvariants:
     )
     def test_generate_lists(self, assert_frozen, L, source, seed):
         stream = rng(seed)
-        pool = make_verified_pool(L, stream)
+        pool = make_verified_pool(L)
         if source != "singlet":
-            pool = VerifiedPool(pool.system_ids, pool.codes, basis_state(source))
+            pool = VerifiedPool(pool.system_ids, basis_state(source))
         lists = generate_lists(pool, stream)
         assert_frozen(lists.a_ones, np.int8, 0, 2, (L,))
         assert_frozen(lists.b_bits, np.int8, 0, 1, (L,))
@@ -510,7 +583,7 @@ class TestRunLiarProtocol:
         # threshold; 256 entries pushes that residual below 1e-5
         stream = rng(31)
         for _ in range(100):
-            lists = generate_lists(make_verified_pool(256, stream), stream)
+            lists = generate_lists(make_verified_pool(256), stream)
             result = run_liar_protocol(lists, StrategyA.honest(), StrategyB.honest(), rng=stream)
             assert result.verdict.value is VerdictValue.CONSISTENT
             assert result.delivered_message == result.a_action.m_AB
@@ -520,7 +593,7 @@ class TestRunLiarProtocol:
         seen = set()
         for n in (0, 1, 2, 4):
             for _ in range(150):
-                lists = generate_lists(make_verified_pool(64, stream), stream)
+                lists = generate_lists(make_verified_pool(64), stream)
                 result = run_liar_protocol(
                     lists, StrategyA.split_message(n), StrategyB.honest(), rng=stream
                 )
@@ -535,7 +608,7 @@ class TestRunLiarProtocol:
     def test_flipforge_convicted_and_honest_a_safe(self):
         stream = rng(33)
         for _ in range(150):
-            lists = generate_lists(make_verified_pool(256, stream), stream)
+            lists = generate_lists(make_verified_pool(256), stream)
             result = run_liar_protocol(
                 lists, StrategyA.honest(), StrategyB.flip_and_forge(), rng=stream
             )
@@ -543,7 +616,7 @@ class TestRunLiarProtocol:
 
     def test_flipforge_with_empty_list_too_short(self):
         stream = rng(34)
-        lists = generate_lists(make_verified_pool(64, stream), stream)
+        lists = generate_lists(make_verified_pool(64), stream)
         result = run_liar_protocol(
             lists, StrategyA.honest(), StrategyB.flip_and_forge(0), rng=stream
         )
@@ -552,7 +625,7 @@ class TestRunLiarProtocol:
 
     def test_reject_flow_sends_evidence_to_c(self):
         stream = rng(36)
-        lists = generate_lists(make_verified_pool(64, stream), stream)
+        lists = generate_lists(make_verified_pool(64), stream)
         result = run_liar_protocol(
             lists, StrategyA.split_message(10), StrategyB.honest(), rng=stream
         )
@@ -568,7 +641,7 @@ class TestRunLiarProtocol:
         rejected = 0
         for seed in range(40):
             stream = rng(seed)
-            lists = generate_lists(make_verified_pool(64, stream), stream)
+            lists = generate_lists(make_verified_pool(64), stream)
             result = run_liar_protocol(
                 lists, StrategyA.split_message(3), StrategyB.honest(), rng=stream
             )
@@ -591,7 +664,7 @@ class TestRunLiarProtocol:
         # one position or none is refused as too short
         stream = rng(36)
         for _ in range(200):
-            lists = generate_lists(make_verified_pool(16, stream), stream)
+            lists = generate_lists(make_verified_pool(16), stream)
             result = run_liar_protocol(lists, StrategyA.honest(), StrategyB.honest(), rng=stream)
             if result.a_action.positions_for_B.size < 2:
                 break
@@ -602,7 +675,7 @@ class TestRunLiarProtocol:
 
     def test_acceptance_audit_fields(self):
         stream = rng(37)
-        lists = generate_lists(make_verified_pool(64, stream), stream)
+        lists = generate_lists(make_verified_pool(64), stream)
         honest = run_liar_protocol(lists, StrategyA.honest(), StrategyB.honest(), rng=stream)
         assert honest.b_acceptance is not None and honest.b_acceptance.accepted
         forged = run_liar_protocol(
@@ -613,7 +686,7 @@ class TestRunLiarProtocol:
     def test_deterministic_for_fixed_seed(self, records_equal):
         def one(seed):
             stream = rng(seed)
-            lists = generate_lists(make_verified_pool(64, stream), stream)
+            lists = generate_lists(make_verified_pool(64), stream)
             return run_liar_protocol(
                 lists, StrategyA.split_message(2), StrategyB.honest(), rng=stream
             )
@@ -644,7 +717,7 @@ def test_outgoing_payloads_pass_the_receivers_checks(length, text_a, text_b):
     capped = False
     for seed in range(150):
         stream = rng(seed)
-        lists = generate_lists(make_verified_pool(length, stream), stream)
+        lists = generate_lists(make_verified_pool(length), stream)
         result = run_liar_protocol(lists, strategy_a, strategy_b, rng=stream)
         a_action, b_action = result.a_action, result.b_action
         assert _is_bit(a_action.m_AB) and _is_bit(a_action.m_AC)
@@ -700,10 +773,10 @@ def _lists_and_claim(draw):
     doubles of m, plus any other positions."""
     L = draw(st.integers(1, 80))
     stream = rng(draw(st.integers(0, 2**32)))
-    pool = make_verified_pool(L, stream)
+    pool = make_verified_pool(L)
     source = draw(_SOURCES)
     if source != "singlet":
-        pool = VerifiedPool(pool.system_ids, pool.codes, basis_state(source))
+        pool = VerifiedPool(pool.system_ids, basis_state(source))
     lists = generate_lists(pool, stream)
     m = draw(st.integers(0, 1))
     honest = (np.flatnonzero(lists.a_ones == 2 * m) + 1).tolist()
@@ -792,9 +865,9 @@ class TestIndexOnceChecksMatchReference:
     )
     def test_escape_counts(self, L, source, seed, text_a, text_b):
         stream = rng(seed)
-        pool = make_verified_pool(L, stream)
+        pool = make_verified_pool(L)
         if source != "singlet":
-            pool = VerifiedPool(pool.system_ids, pool.codes, basis_state(source))
+            pool = VerifiedPool(pool.system_ids, basis_state(source))
         lists = generate_lists(pool, stream)
         result = run_liar_protocol(
             lists, parse_strategy_A(text_a), parse_strategy_B(text_b), rng=stream

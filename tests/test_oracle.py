@@ -14,9 +14,8 @@ from liarsim.oracle import (
     rejection_lower_bound,
     round_distribution,
 )
-from liarsim.qstate import (
-    COMPUTATIONAL, joint_distribution, make_singlet, outcome_bits, sample_outcomes,
-)
+from liarsim.qstate import COMPUTATIONAL, joint_distribution, make_singlet, outcome_bits
+from sampling import sample_along
 
 # Frozen expected tables, keyed by (unordered A pair, B bit, C bit).
 A12_TABLE = {
@@ -158,7 +157,7 @@ class TestMonteCarloAgreement:
     def test_tables_reproduced_by_sampling(self, assignment):
         shots = 100_000
         rng = np.random.default_rng(2024)
-        outcomes = sample_outcomes(make_singlet(4), COMPUTATIONAL, shots, rng)
+        outcomes = sample_along(make_singlet(4), COMPUTATIONAL, shots, rng)
         counts: dict = {}
         for index, count in zip(*np.unique(outcomes, return_counts=True)):
             bits = tuple((int(index) >> (3 - k)) & 1 for k in range(4))

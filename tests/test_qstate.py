@@ -19,9 +19,9 @@ from liarsim.qstate import (
     make_singlet,
     measure_qubits,
     random_unitary,
-    sample_outcomes,
     singlet_amplitude,
 )
+from sampling import sample_along
 
 # Known amplitude tables for the smallest singlets, frozen by hand.
 TWO_QUBIT_AMPS = (0.0, 1.0 / math.sqrt(2), -1.0 / math.sqrt(2), 0.0)
@@ -275,7 +275,7 @@ class TestSampling:
     def test_sampler_matches_exact_distribution(self):
         state = make_singlet(4)
         shots = 100_000
-        outcomes = sample_outcomes(state, COMPUTATIONAL, shots, rng(17))
+        outcomes = sample_along(state, COMPUTATIONAL, shots, rng(17))
         counts = np.bincount(outcomes, minlength=16)
         exact = joint_distribution(state, COMPUTATIONAL)
         tv = 0.5 * np.abs(counts / shots - exact).sum()
@@ -292,21 +292,15 @@ class TestSampling:
         tv = 0.5 * np.abs(counts / shots - joint_distribution(state, COMPUTATIONAL)).sum()
         assert tv < 0.01
 
-    def test_computational_cdf_built_once_and_read_only(self):
-        state = make_singlet(4)
-        cdf = state.computational_cdf
-        assert make_singlet(4).computational_cdf is cdf
+    def test_cdf_is_read_only_with_its_rounding_guard(self):
+        probs = joint_distribution(make_singlet(4), COMPUTATIONAL)
+        cdf = qstate._cdf(probs)
         assert not cdf.flags.writeable
-        # the sampler's rounding guard: no edge above 1.0, and every edge from
-        # the last nonzero probability on exactly 1.0
-        probs = joint_distribution(state, COMPUTATIONAL)
+        # no edge above 1.0, and every edge from the last nonzero probability
+        # on exactly 1.0
         expected = np.minimum(np.cumsum(probs), 1.0)
         expected[np.flatnonzero(probs)[-1]:] = 1.0
         np.testing.assert_array_equal(cdf, expected)
-
-    def test_rejects_nonpositive_shots(self):
-        with pytest.raises(ValueError):
-            sample_outcomes(make_singlet(2), COMPUTATIONAL, 0, rng(0))
 
 
 class _FixedUniforms:
@@ -325,7 +319,7 @@ class _FixedUniforms:
 
 
 def _sampler_states():
-    """(label, state, direction): the sources the guide table must get exactly right."""
+    """(label, state, direction): laws whose CDF must be exactly right."""
     stream = rng(2024)
     cases = [(f"singlet{n}", make_singlet(n), COMPUTATIONAL) for n in (2, 4, 6)]
     cases += [(bits, basis_state(bits), COMPUTATIONAL) for bits in ("0011", "0110")]
@@ -342,8 +336,6 @@ SAMPLER_STATES = _sampler_states()
 
 
 def _exact_cdf(state, direction):
-    if direction.is_computational:
-        return state.computational_cdf
     return qstate._cdf(joint_distribution(state, direction))
 
 
@@ -354,68 +346,13 @@ def _edge_uniforms(cum):
     return np.concatenate(([0.0, np.nextafter(1.0, 0.0)], edges[(edges >= 0) & (edges < 1)]))
 
 
-class TestGuideTableSampler:
+class TestCdf:
     @pytest.mark.parametrize("label, state, direction", SAMPLER_STATES,
                              ids=[case[0] for case in SAMPLER_STATES])
     def test_cdf_is_sorted_and_ends_at_one(self, label, state, direction):
         cdf = _exact_cdf(state, direction)
         assert np.all(np.diff(cdf) >= 0)
         assert cdf.max() == cdf[-1] == 1.0
-
-    @pytest.mark.parametrize("label, state, direction", SAMPLER_STATES,
-                             ids=[case[0] for case in SAMPLER_STATES])
-    def test_draw_equals_searchsorted(self, label, state, direction):
-        cum = _exact_cdf(state, direction)
-        u = np.concatenate((_edge_uniforms(cum), rng(7).random(100_000)))
-        drawn = sample_outcomes(state, direction, u.size, _FixedUniforms(u))
-        assert drawn.dtype == np.int64
-        np.testing.assert_array_equal(drawn, np.searchsorted(cum, u, side="right"))
-
-    @pytest.mark.parametrize("label, state, direction", SAMPLER_STATES,
-                             ids=[case[0] for case in SAMPLER_STATES])
-    def test_short_batches_equal_searchsorted(self, label, state, direction):
-        # the same uniforms in batches just below the size where the table takes over
-        cum = _exact_cdf(state, direction)
-        u = np.concatenate((_edge_uniforms(cum), rng(7).random(20_000)))
-        size = qstate._SEARCH_BELOW - 1
-        for chunk in np.split(u, range(size, u.size, size)):
-            drawn = sample_outcomes(state, direction, chunk.size, _FixedUniforms(chunk))
-            assert drawn.dtype == np.int64
-            np.testing.assert_array_equal(drawn, np.searchsorted(cum, chunk, side="right"))
-
-    def test_batch_size_picks_search_or_table(self):
-        # with its buckets broken, the table draws wrongly, so only batches
-        # of at least _SEARCH_BELOW uniforms may reach it
-        cum = make_singlet(4).computational_cdf
-        table = qstate._guide_table(cum)
-        broken = table._replace(starts=np.zeros_like(table.starts))
-        u = rng(11).random(qstate._SEARCH_BELOW)
-        short = u[:-1]
-        np.testing.assert_array_equal(broken.draw(short), np.searchsorted(cum, short, side="right"))
-        assert not np.array_equal(broken.draw(u), np.searchsorted(cum, u, side="right"))
-        np.testing.assert_array_equal(table.draw(u), np.searchsorted(cum, u, side="right"))
-
-    def test_random_state_needs_several_passes(self):
-        (state,) = [s for label, s, _ in SAMPLER_STATES if label == "random10"]
-        assert state.computational_table.passes > 1
-
-    def test_stream_read_unchanged(self):
-        state = make_singlet(4)
-        drawn = sample_outcomes(state, COMPUTATIONAL, 1000, rng(5))
-        reference = np.searchsorted(state.computational_cdf, rng(5).random(1000), side="right")
-        np.testing.assert_array_equal(drawn, reference)
-
-    def test_computational_table_built_once_per_state(self, monkeypatch):
-        built = []
-        original = qstate._guide_table
-        monkeypatch.setattr(qstate, "_guide_table", lambda cum: built.append(cum) or original(cum))
-        state = apply_bilateral(basis_state("0110"), random_unitary(rng(3)))
-        for seed in range(3):
-            sample_outcomes(state, COMPUTATIONAL, 10, rng(seed))
-        assert len(built) == 1 and built[0] is state.computational_cdf
-        assert state.computational_table is state.computational_table
-        sample_outcomes(state, MeasurementDirection(0.3, 0.2), 10, rng(0))
-        assert len(built) == 2  # other directions build theirs per call
 
 
 PRODUCT_STATES = [case for case in SAMPLER_STATES if not case[0].startswith(("singlet", "random"))]
@@ -451,9 +388,9 @@ class TestSingletTailRegression:
     nonzero edge of its CDF is exactly 1.0, whatever the sum rounds to."""
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
-    def test_sample_outcomes_stays_balanced(self, n):
+    def test_cdf_draw_stays_balanced(self, n):
         top = _FixedUniforms([np.nextafter(1.0, 0.0)])
-        (index,) = sample_outcomes(make_singlet(n), COMPUTATIONAL, 1, top)
+        (index,) = sample_along(make_singlet(n), COMPUTATIONAL, 1, top)
         assert make_singlet(n).bitstring(index).count("1") == n // 2
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])

@@ -32,6 +32,7 @@ from liarsim.runner import (
     trial_rng,
     wilson_interval,
 )
+from reference_checks import too_short_tail
 
 
 class TestResolveSizes:
@@ -347,17 +348,6 @@ class TestRunSingleTrial:
         assert record.failure_step == "ii"
 
 
-def too_short_tail(L: int, min_fraction: float = 0.5) -> float:
-    """Exact P(Bin(L, 5/24) < ceil(min_fraction * 5L/24)).
-
-    An honest claim lists every double (m, m), K ~ Bin(L, 5/24) positions,
-    and B rejects it TOO_SHORT exactly when K < min_fraction * 5L/24.
-    """
-    p = Fraction(5, 24)
-    required = math.ceil(min_fraction * 5 * L / 24)
-    return float(sum(math.comb(L, k) * p**k * (1 - p) ** (L - k) for k in range(required)))
-
-
 class TestExactFiniteTail:
     # 0.001 for the whole family of two checks, split between them
     ALPHA = 0.001 / 2
@@ -656,82 +646,82 @@ class TestPinnedResultFiles:
         [
             (
                 FAST + ["--strategy-a", "honest", "--strategy-b", "honest"],
-                "9c63d48a44ba5d90f9fbd64cd8726f9855e6ce4a39ea500e173826335e3c3ef5",
+                "772559b463593ccb01e9eb55a773e580391bd74a5f4c28bc3b6145a9b0aca1ee",
             ),
             (
                 FAST + ["--strategy-a", "split:n=3", "--strategy-b", "honest"],
-                "884699420bae5c122585bd7621ff340ddb728285fd4feac59c4d262142b83d43",
+                "1a5d5f6f276523287ea9e261af2449dd6bf825f9973835afefb42ed9c50e8120",
             ),
             (
                 FAST + ["--strategy-a", "forgefull:k=8", "--strategy-b", "flipforge"],
-                "84bbefcd768d9e92922f8068b65b12b77718a226d20a875f065fac02963da68e",
+                "a79b615e5c4a27858de71c9456b2394c6e81407cbafaeb242078fdf43e88c10a",
             ),
             (
                 FAST + ["--strategy-a", "honest", "--strategy-b", "flipforge"],
-                "7da1037328ef79db0764c37eb265effc72e834cbd7a787fd5ca520d6e168f18b",
+                "2e1ea679228b88bfee6912fbf88a2375ece021f9b7541b7d01c7a3014fd86aa2",
             ),
             (
                 ["run", "--trials", "30", "--seed", "12345", "--M", "40",
                  "--qubit-loss-prob", "1e-3"],
-                "c8947d460d304c427432a52be7b1a4e79429f6f0201102d97dfae4230e7a0862",
+                "a8aa3aa997a978237d086da2f68339369f1b8136d0b769a3e4e0066704b9b5a5",
             ),
             (
                 ["run", "--trials", "30", "--seed", "12345", "--M", "12", "--N1", "1",
                  "--N2", "1", "--L", "10", "--source-state", "0011"],
-                "d6cb0576f48a3be49367733d78588a3cd050158fd8271cb780bd749a835770ef",
+                "788b328370af9894460b978c74974673d5f9993553c823fdfaf9b65410ecd942",
             ),
             (
                 ["run", "--trials", "30", "--seed", "12345", "--M", "40",
                  "--source-state", "0011", "--direction-policy", "fixed"],
-                "9604d9db2ef1af256b9eb1e891c2fc225b110afefdd1bc71dac380eb8f79853e",
+                "54d407ad6857194a9fb33a5c325bcea07f3051eddca2039a9d7e2cd986276f20",
             ),
             (
                 ["run", "--trials", "30", "--seed", "12345", "--M", "40",
                  "--qubit-loss-prob", "0.003"],
-                "8d524f123b7722ecc2fb082e8b87bf84a0a96df629bbfc0351eceba210ac98ff",
+                "814ab014eb223898e89bed2b248d5198698957e029e6d0c4e62d34c44f63fcc3",
             ),
             (
                 ["run", "--trials", "20", "--seed", "12345", "--M", "512", "--N1", "128",
                  "--N2", "128", "--L", "256", "--qubit-loss-prob", "1e-4"],
-                "a91443fb50860288796a986eba3db0e5097eb30e0c6679de847fabe9e5e93a91",
+                "ec4a8369487503d149ce7be5ecc7efd4fa48c1e17931c9d7fb5eff4e9f49e624",
             ),
             (
                 LONG + ["--strategy-a", "honest", "--strategy-b", "honest"],
-                "b90a54315e62e7269981f2d221f3ceb4f8cecc2f3c3631568ef3eb5d9a4dceb0",
+                "3430301564aeb9a8b9feca21b6a26658b3ffdc4fa1a68a1d13e4b01095371e49",
             ),
             (
                 LONG + ["--strategy-a", "split:n=3", "--strategy-b", "honest"],
-                "7156ccb1c015a844393b22ceaa4111fa36cb35b943f95608473519477c7d4e74",
+                "0b5d145c8dab054ec446f6fbc8203f422d85f876d9e2362e0e80faf71135e8a4",
             ),
             (
                 LONG + ["--strategy-a", "forgefull:k=8", "--strategy-b", "flipforge"],
-                "091abb2741b903cd6f95f872663314d5edb8f0a22f267aa7217a4e4b787e8bfa",
+                "0984a8a567be834ff1edc35d5ce5a3fcb1ca20174a59d1fb60809561aa37534e",
             ),
             (
                 LONG + ["--strategy-a", "honest", "--strategy-b", "flipforge"],
-                "e17ef03545f8a4d16432837f16da1df6cd9a13b8f8f964c137191c0d8c49dce6",
+                "c4b7cd8264bb6d16d2217efcaf52186d1e30aa89c0537b78df88f766599c8e98",
             ),
             (
                 SHORT + ["--L", "16", "--strategy-a", "forgefull:k=50",
                          "--strategy-b", "flipforge:k=50"],
-                "f4fe96172cef60a119a4b69a85cdbd7031fbfb316afa97066bd498228e545027",
+                "c4fb664cf3bdaaf383699d024a323b3b370c0f198c9920188c854f60586d9a1e",
             ),
             (
                 SHORT + ["--L", "16", "--strategy-a", "split:n=50"],
-                "deb10bd74ee57870fbd717398a84190c79eedb600118c1025306126af25db71f",
+                "312cbd4ea27d1fcff9d5816fe5e52bac381f2cfdcec633d2ab8ee5fc653dd4db",
             ),
             (
                 SHORT + ["--L", "17", "--min-fraction", "0", "--strategy-b", "flipforge"],
-                "1afd821294bca6ef69d8676c78480de74a3febd333aae45391b2a0c0ecc4af0c",
+                "0b0196157e22a24dc1b10bc72d3b7d28a1d5b6540ad9412d1dc0c3fa53516f9f",
             ),
             (
                 SHORT + ["--L", "17", "--min-fraction", "1"],
-                "b72ff84d1ebfcf965fb5f5c7ee7010ddc8d9dc20458579220d23e1fd6dc4c066",
+                "a69983dcb5e1fbeaa9d919b718316f1989e2a9e6e2aae5f7d9b44c6373dc36fe",
             ),
             # 0.5 * 5/24 * 48 is 5 exactly: B must accept a claim of 5 entries
             (
                 ["run", "--trials", "200", "--seed", "1", "--L", "48"],
-                "d93ccefc7f8c178e0b9f8699ffa11267747ca8cfdd64122bb65f5af82638f7a0",
+                "a1272e5ddebe08db703bc30c9a474a45c8025aa7fba85970fcc17c385f01d9cc",
             ),
         ],
         ids=["honest-honest", "split-honest", "forgefull-flipforge", "honest-flipforge",
