@@ -36,8 +36,8 @@ from liarsim.liar_protocol import (
 )
 from liarsim.oracle import SINGLET_WEIGHTS, Assignment, round_distribution
 from liarsim.qstate import (
-    apply_bilateral, basis_state, make_singlet, mark_readonly, measure_qubits, outcome_bits,
-    random_unitary,
+    StateVector, apply_bilateral, basis_state, make_singlet, mark_readonly, measure_qubits,
+    outcome_bits, random_unitary,
 )
 from liarsim.runner import _escape_counts
 from reference_checks import incompatible_positions, stage1_violations, stage2_mismatches
@@ -186,6 +186,48 @@ class TestGenerateLists:
 
 ALL_BASIS_STATES = [format(i, "04b") for i in range(16)]
 
+# four-qubit laws in whole twelfths other than the singlet's and a basis
+# state's, as {outcome index: weight}
+TWELFTHS_LAWS = {
+    "ghz": {0b0000: 6, 0b1111: 6},
+    "quarters": {0b0000: 3, 0b0101: 3, 0b1010: 3, 0b1111: 3},
+    "thirds": {0b0011: 4, 0b0110: 4, 0b1100: 4},
+    "two-ten": {0b1001: 2, 0b0110: 10},
+    "five-seven": {0b0001: 5, 0b1110: 7},
+    "one-eleven": {0b0111: 1, 0b1000: 11},
+    "twelve-cells": {i: 1 for i in range(2, 14)},
+    "singlet-weights-moved": {0b0000: 4, 0b1111: 4, 0b0001: 1, 0b0010: 1, 0b0100: 1, 0b1000: 1},
+}
+
+
+def _source_of(weights, phase_seed=0):
+    """A four-qubit state whose law is ``weights`` in twelfths, with random phases."""
+    phases = np.exp(2j * np.pi * rng(phase_seed).random(16))
+    amps = np.sqrt([weights.get(i, 0) / 12 for i in range(16)]) * phases
+    return StateVector(4, amps)
+
+
+def _nudged_singlet(shift):
+    """The singlet with ``shift`` of probability moved from outcome 0011 to 1100."""
+    probs = make_singlet(4).probabilities().copy()
+    probs[0b0011] -= shift
+    probs[0b1100] += shift
+    return StateVector(4, np.sqrt(probs))
+
+
+OFF_TWELFTHS_SOURCES = [
+    ("singlet2", make_singlet(2)),
+    ("singlet6", make_singlet(6)),
+    ("nudged-1e-6", _nudged_singlet(1e-6)),
+    ("nudged-1e-9", _nudged_singlet(1e-9)),
+    ("half-twelfths", _source_of({0b0000: 6.5, 0b1111: 5.5})),
+    ("thirteenths", StateVector(4, np.sqrt(np.r_[np.full(13, 1 / 13), np.zeros(3)]))),
+] + [
+    (f"rotated{seed}",
+     apply_bilateral(basis_state(("0011", "0110")[seed % 2]), random_unitary(rng(200 + seed))))
+    for seed in range(4)
+]
+
 
 class TestListTable:
     """Every list position is one of 24 equally likely (code, cell) columns
@@ -249,6 +291,64 @@ class TestListTable:
         assert stream.calls == [("integers", (0, 24, L, np.int8))]
         cells = rng(5).integers(0, 24, size=L, dtype=np.int8)
         np.testing.assert_array_equal(lists, _list_table(make_singlet(4))[:, cells])
+
+    def test_all_24_columns_give_the_mixed_round_table(self):
+        # both codes' columns together, each 1/24, are C's half-and-half mixture
+        counts: dict = {}
+        for a, b, c in _list_table(make_singlet(4)).T.tolist():
+            key = (((0, 0), (0, 1), (1, 1))[a], b, c)
+            counts[key] = counts.get(key, 0) + 1
+        assert {key: Fraction(n, 24) for key, n in counts.items()} == round_distribution().table
+
+    @pytest.mark.parametrize("law", list(TWELFTHS_LAWS), ids=list(TWELFTHS_LAWS))
+    def test_columns_repeat_each_outcome_by_its_weight(self, law):
+        # any four-qubit law in twelfths, whatever its phases: each code's 12
+        # columns list its outcomes in index order, each as often as its weight
+        weights = TWELFTHS_LAWS[law]
+        table = _list_table(_source_of(weights))
+        assert _twelfths(_source_of(weights)) == tuple(weights.get(i, 0) for i in range(16))
+        for code, assignment in enumerate(Assignment):
+            expected = []
+            for index in sorted(weights):
+                bits = [int(bit) for bit in format(index, "04b")]
+                entry = (
+                    bits[assignment.a_slots[0] - 1] + bits[assignment.a_slots[1] - 1],
+                    bits[assignment.b_slot - 1],
+                    bits[assignment.c_slot - 1],
+                )
+                expected += [entry] * weights[index]
+            np.testing.assert_array_equal(table[:, 12 * code : 12 * code + 12], np.array(expected).T)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rotated_singlet_keeps_the_singlet_table(self, seed):
+        # the singlet is unchanged by the same rotation of every qubit, so
+        # its rotated copy's rounded law reads back as the singlet's weights
+        rotated = apply_bilateral(make_singlet(4), random_unitary(rng(100 + seed)))
+        assert not np.array_equal(rotated.probabilities(), make_singlet(4).probabilities())
+        assert _list_table(rotated) is _list_table(make_singlet(4))
+
+    @pytest.mark.parametrize("label, source", OFF_TWELFTHS_SOURCES,
+                             ids=[label for label, _ in OFF_TWELFTHS_SOURCES])
+    def test_law_off_twelfths_or_four_qubits_raises(self, label, source):
+        with pytest.raises(ValueError, match="twelfths"):
+            _list_table(source)
+
+    @pytest.mark.parametrize("bits", ALL_BASIS_STATES)
+    def test_every_basis_source_matches_dense_engine(self, bits):
+        # a basis source measures deterministically, so each position's
+        # entries follow from its assignment alone, on both engines
+        outcome = [int(bit) for bit in bits]
+        by_code = [
+            (outcome[a.a_slots[0] - 1] + outcome[a.a_slots[1] - 1],
+             outcome[a.b_slot - 1], outcome[a.c_slot - 1])
+            for a in Assignment
+        ]
+        pool = VerifiedPool(make_verified_pool(200).system_ids, basis_state(bits))
+        fast = generate_lists(pool, rng(60))
+        codes = rng(60).integers(0, 24, size=200, dtype=np.int8) // 12
+        np.testing.assert_array_equal(fast, np.array(by_code, np.int8)[codes].T)
+        dense = dense_engine_lists(pool, rng(61))
+        assert set(zip(*(row.tolist() for row in dense))) == set(by_code)
 
 
 class TestProducerInvariants:

@@ -359,10 +359,10 @@ PRODUCT_STATES = [case for case in SAMPLER_STATES if not case[0].startswith(("si
 
 
 class TestRowDraw:
-    """The draw for laws that change per uniform, on product-source laws."""
+    """The draw for laws that change per uniform, and for ``measure_qubits``."""
 
-    @pytest.mark.parametrize("label, state, direction", PRODUCT_STATES,
-                             ids=[case[0] for case in PRODUCT_STATES])
+    @pytest.mark.parametrize("label, state, direction", SAMPLER_STATES,
+                             ids=[case[0] for case in SAMPLER_STATES])
     def test_draw_equals_searchsorted(self, label, state, direction):
         cum = _exact_cdf(state, direction)
         u = _edge_uniforms(cum)

@@ -504,6 +504,18 @@ class TestResultFile:
             keys = list(json.loads(line).keys())
             assert keys == sorted(keys)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"L": 64}, {"M": 64, "qubit_loss_prob": 0.01}, {"M": 64, "source_state": "0011"}],
+        ids=["fast-path", "lossy-distribute", "product-source"],
+    )
+    def test_summary_declares_the_stream_version(self, kwargs):
+        # each list position reads one integers(0, 24) cell: stream version 2
+        config = TrialConfig.build(seed=5, trials=2, **kwargs)
+        results = [run_single_trial(config, i) for i in range(2)]
+        summary = json.loads(format_records(config, results, aggregate(results)).splitlines()[-1])
+        assert summary["stream_version"] == runner.STREAM_VERSION == 2
+
 
 # one value per TrialResult field: ints past 64 bits, None, and any text
 _FIELD_VALUES = st.one_of(st.integers(-(2**70), 2**70), st.none(), st.text())
