@@ -1,11 +1,12 @@
 """Simulator for a three-party liar-detection protocol backed by
 four-qubit singlet correlations.
 
-Layering, bottom up: ``qstate`` (state-vector engine), ``oracle`` (exact
-probability tables), ``channels`` (parties, fault model, qubit
-custody), ``distribute_test`` (distribute-and-test phase),
-``liar_protocol`` (list exchange and adjudication), ``adversary``
-(party strategies), ``runner`` and ``cli`` (Monte-Carlo trial harness).
+Layering, bottom up: ``qstate`` (the dense reference's engine), ``oracle``
+(exact tables, and each source's law in integer weights), ``channels``
+(parties, fault model, qubit custody), ``distribute_test``
+(distribute-and-test phase), ``liar_protocol`` (list exchange and
+adjudication), ``adversary`` (party strategies), ``runner`` and ``cli``
+(Monte-Carlo trial harness).
 
 The package exports the simulator's entry points only: the quick start's
 strategies and protocol steps, and the trial harness. Every other name is

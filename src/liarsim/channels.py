@@ -1,10 +1,10 @@
 """Parties, the fault model and the qubit custody ledger.
 
 ``FaultModel`` injects transit loss and a corrupted source into the
-distribute-and-test phase. The custody ledger (``PartyId``, ``QubitRef``,
-``QubitRegistry``), ``QuantumSystem`` and ``transfer_qubits`` serve only
-the step-by-step reference of that phase, which its array kernel is
-checked against.
+distribute-and-test phase. ``FaultModel.prepare_state``, the custody
+ledger (``PartyId``, ``QubitRef``, ``QubitRegistry``), ``QuantumSystem``
+and ``transfer_qubits`` serve only the step-by-step reference of that
+phase; its array kernel carries the source by name.
 
 Only input from outside the program is checked where it enters:
 ``FaultModel`` here, the plan, thresholds, strategies and trial config in

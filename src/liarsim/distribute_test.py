@@ -9,16 +9,18 @@ failed check aborts immediately. On success the remaining L systems are
 returned untouched as the verified pool for the messaging protocol.
 
 ``run_distribute_and_test`` plays every test round, S1's then S2's, in
-one array pass. ``_dense_distribute_and_test`` plays the same protocol
-qubit by qubit through the custody ledger and the dense engine; it is
-the reference the tests hold the array pass to.
+one array pass, reading a singlet round's law in twelfths and a product
+round's in closed form. ``_dense_distribute_and_test`` plays the same
+protocol qubit by qubit through the custody ledger and the dense engine;
+it is the reference the tests hold the array pass to.
 """
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -33,10 +35,9 @@ from .channels import (
     TransferStatus,
     transfer_qubits,
 )
-from .oracle import Assignment
+from .oracle import Assignment, source_weights
 from .qstate import (
-    COMPUTATIONAL, MeasurementDirection, StateVector, _cdf, _draw_rows, make_singlet,
-    mark_readonly, outcome_bits,
+    COMPUTATIONAL, MeasurementDirection, _cdf, _draw_rows, mark_readonly, outcome_bits,
 )
 
 class DirectionPolicy(enum.Enum):
@@ -97,7 +98,7 @@ class FailureInfo(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class VerifiedPool:
-    """Verified, untouched systems, each still holding the shared ``source``.
+    """Verified, untouched systems, each holding the ``source_state`` source.
 
     ``system_ids`` (read-only 1-D int64) names each system of the batch;
     the producers make it so and nothing here checks it. ``len`` is the
@@ -105,7 +106,7 @@ class VerifiedPool:
     """
 
     system_ids: np.ndarray
-    source: StateVector
+    source_state: str
 
     def __len__(self) -> int:
         return self.system_ids.size
@@ -169,27 +170,20 @@ def _draw_subsets(
     return order[:cut], order[cut:]
 
 
-def _rotated_probabilities(source: StateVector, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """|(U^dag)^(x)4 psi|^2 per round, shape (rounds, 8, 2): slots 1-3, then slot 4.
+def _product_probabilities(source_state: str, theta: np.ndarray) -> np.ndarray:
+    """A basis state's law per round, shape (rounds, 8, 2): slots 1-3, then slot 4.
 
-    ``U`` has the up/down eigenvectors of the round's axis as columns, as
-    in ``MeasurementDirection.basis_unitary``. Each pass applies U^dag to
-    the leading qubit and cycles it to the back, so four passes restore
-    the slot order.
+    Along a common axis at polar angle theta, each qubit reads its own bit
+    with probability cos^2(theta/2), independently, whatever the azimuth.
     """
-    ct, st = np.cos(theta / 2.0)[:, None], np.sin(theta / 2.0)[:, None]
-    st_ph = st * np.exp(1j * phi)[:, None]
-    amps = np.broadcast_to(source.amplitudes.reshape(2, 8), theta.shape + (2, 8))
-    for _ in range(4):
-        up, down = amps[:, 0], amps[:, 1]
-        amps = np.stack((ct * up + st_ph.conj() * down, ct * down - st_ph * up), axis=2)
-        amps = amps.reshape(-1, 2, 8)
-    return (np.abs(amps) ** 2).reshape(-1, 8, 2)
+    keep = outcome_bits(4) == outcome_bits(4)[int(source_state, 2)]  # each qubit's own bit
+    cos2, sin2 = (f(theta / 2.0)[:, None, None] ** 2 for f in (np.cos, np.sin))
+    return np.where(keep, cos2, sin2).prod(axis=-1).reshape(-1, 8, 2)
 
 
 def _round_law(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A round's outcome law from |psi|^2 as (..., slots 1-3, slot 4): the CDF
-    of slots 1-3, and the chance ``c_zero`` that C reads 0 given slots 1-3.
+    """A round's outcome law from its weights as (..., slots 1-3, slot 4): the
+    CDF of slots 1-3, and the chance ``c_zero`` that C reads 0 given slots 1-3.
 
     ``_cdf`` never draws a zero-probability row; such rows get ``c_zero`` 0.
     """
@@ -198,15 +192,16 @@ def _round_law(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _cdf(marginal / marginal.sum(axis=-1, keepdims=True)), mark_readonly(c_zero)
 
 
-# Every singlet round draws from this one law: the singlet's outcome law
-# along any common direction is its computational one.
-_SINGLET = make_singlet(4)
-_SINGLET_CUM, _SINGLET_C_ZERO = _round_law(_SINGLET.probabilities().reshape(8, 2))
+# Every singlet round draws from this one law, as no common rotation changes
+# it; summed in integer twelfths, not floats, each CDF edge is exactly k/12.
+_SINGLET_WEIGHTS = np.reshape(source_weights("singlet"), (8, 2))
+_SINGLET_CUM = mark_readonly(_SINGLET_WEIGHTS.sum(axis=1).cumsum() / 12)
+_SINGLET_C_ZERO = _round_law(_SINGLET_WEIGHTS)[1]
 _UNBALANCED = mark_readonly(outcome_bits(4).sum(axis=1) != 2)  # not two 0s and two 1s
 
 
 def _play_rounds(
-    source: StateVector, singlet: bool, n1: int, n2: int, p_loss: float,
+    source_state: str, n1: int, n2: int, p_loss: float,
     policy: DirectionPolicy, rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw and measure every test round, S1's then S2's: (lost, theta, phi, outcome).
@@ -217,7 +212,7 @@ def _play_rounds(
     the random policy, one uniform for the measurer's three outcomes and
     one for C's. Both measurements use one common direction and commute,
     so the four bits are a single draw: from the one singlet law for a
-    singlet source, else from the source rotated into each round's
+    singlet source, else from the basis state's law along each round's
     direction. ``outcome`` indexes ``outcome_bits(4)``; ``theta`` and
     ``phi`` are read-only.
     """
@@ -234,11 +229,11 @@ def _play_rounds(
         phi = mark_readonly(2.0 * math.pi * rounds[:, 2])
     else:
         theta = phi = mark_readonly(np.zeros(n1 + n2))
-    if singlet:
+    if source_state == "singlet":
         drawn = _SINGLET_CUM.searchsorted(rounds[:, -2], side="right")
         c_zero = _SINGLET_C_ZERO.take(drawn)
     else:
-        cum, c_zero = _round_law(_rotated_probabilities(source, theta, phi))
+        cum, c_zero = _round_law(_product_probabilities(source_state, theta))
         drawn = _draw_rows(cum, rounds[:, -2])
         c_zero = c_zero[np.arange(n1 + n2), drawn]
     # C's slot 4 is the low bit of the four-qubit outcome index
@@ -268,7 +263,6 @@ def run_distribute_and_test(
     successful run leaves ``rng`` exactly where that one does. An aborted
     run may read further, up to the end of the test rounds.
     """
-    source = fault.prepare_state()
     p_loss = fault.qubit_loss_prob
 
     # (i)-(ii): per system, A's two transit draws then B's one.
@@ -282,7 +276,7 @@ def run_distribute_and_test(
     # (iv)-(viii): sacrifice every tested system; roles swap between subsets,
     # so the sender forwards A's two qubits in S1 and B's one in S2.
     lost, theta, phi, outcome = _play_rounds(
-        source, fault.source_state == "singlet", plan.N1, plan.N2, p_loss, direction_policy, rng
+        fault.source_state, plan.N1, plan.N2, p_loss, direction_policy, rng
     )
     subsets = np.full(tested.size, 2, np.int8)
     subsets[: plan.N1] = 1
@@ -295,7 +289,8 @@ def run_distribute_and_test(
         step, played_to = ("v", i) if lost[i] else ("vii", i + 1)
         played = TestRounds(*(column[:played_to] for column in columns))
         return _failure(step, int(tested[i]), played)
-    return DistributeOutcome(VerifiedPool(pool_ids, source), None, TestRounds(*columns))
+    pool = VerifiedPool(pool_ids, fault.source_state)
+    return DistributeOutcome(pool, None, TestRounds(*columns))
 
 
 def _dense_distribute_and_test(
@@ -361,19 +356,29 @@ def _dense_distribute_and_test(
     touched = [j for j in pool_ids.tolist() if not systems[j].is_pristine]
     if touched:
         raise ProtocolViolationError(f"pool system {touched[0]} was touched during testing")
-    return DistributeOutcome(VerifiedPool(pool_ids, source), None, _test_rounds(played))
+    pool = VerifiedPool(pool_ids, fault.source_state)
+    return DistributeOutcome(pool, None, _test_rounds(played))
 
 
-@cache
+def _as_int(name: str, value) -> int:
+    """``value`` as a plain int; a bool or non-integer raises."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+# typed: True and 3.0 equal 1 and 3, and must reach the check, not their pools
+@lru_cache(maxsize=None, typed=True)
 def make_verified_pool(L: int) -> VerifiedPool:
     """Build a verified pool of L systems directly, skipping the testing phase.
 
     Equivalent to the pool returned by a successful run with an honest
     source and no faults: pool systems are never touched during testing,
-    so their state is exactly the freshly prepared one. It draws nothing,
-    so one read-only pool per L serves every call. Intended for
-    experiments that study only the messaging protocol.
+    so they still hold the singlet. It draws nothing, so one read-only
+    pool per L serves every call. Intended for experiments that study
+    only the messaging protocol.
     """
+    L = _as_int("pool size", L)
     if L < 1:
         raise ValueError(f"pool size must be positive, got {L}")
-    return VerifiedPool(mark_readonly(np.arange(1, L + 1)), _SINGLET)
+    return VerifiedPool(mark_readonly(np.arange(1, L + 1)), "singlet")

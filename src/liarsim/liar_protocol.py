@@ -12,7 +12,6 @@ data fails its consistency check, and the verdict names that check.
 from __future__ import annotations
 
 import enum
-import weakref
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Sequence
@@ -21,21 +20,21 @@ import numpy as np
 
 from . import adversary
 from .distribute_test import VerifiedPool
-from .oracle import EXPECTED_DOUBLE_FRACTION, Assignment
-from .qstate import NORM_ATOL, StateVector, mark_readonly, outcome_bits, readonly_array
+from .oracle import EXPECTED_DOUBLE_FRACTION, Assignment, source_weights
+from .qstate import mark_readonly, outcome_bits, readonly_array
 
 
 @cache
-def _table_for(twelfths: tuple[int, ...]) -> np.ndarray:
-    """Read-only (3, 24) int8 list entries of a four-qubit law in twelfths.
+def _list_table(source_state: str) -> np.ndarray:
+    """Read-only (3, 24) int8 list entries of the named source, built once per name.
 
-    The law's 12 cells list its outcomes in index order, each as often as
-    its weight. Column ``12 * code + cell`` holds A's count of 1s, B's bit
-    and C's bit for a system of assignment code ``code`` (an index into
-    ``tuple(Assignment)``) whose outcome is that cell's, read off the slots
-    the assignment gives each party.
+    The source's 12 cells (``oracle.source_weights``) list its outcomes in
+    index order, each as often as its weight. Column ``12 * code + cell``
+    holds A's count of 1s, B's bit and C's bit for a system of assignment
+    code ``code`` (an index into ``tuple(Assignment)``) whose outcome is
+    that cell's, read off the slots the assignment gives each party.
     """
-    bits = outcome_bits(4)[np.repeat(np.arange(16), twelfths)]
+    bits = outcome_bits(4)[np.repeat(np.arange(16), source_weights(source_state))]
     return mark_readonly(np.array(
         [
             [bits[:, np.subtract(a.a_slots, 1)].sum(axis=1) for a in Assignment],  # A's 1s
@@ -44,29 +43,6 @@ def _table_for(twelfths: tuple[int, ...]) -> np.ndarray:
         ],
         dtype=np.int8,
     ).reshape(3, 24))
-
-
-def _twelfths(source: StateVector) -> tuple[int, ...]:
-    """The source's computational law as 16 integer weights summing to 12:
-    ``oracle.SINGLET_WEIGHTS`` for the singlet, 12 on one outcome for a basis
-    state. Raises ValueError unless every probability is a whole twelfth."""
-    scaled = 12 * source.probabilities()
-    weights = np.rint(scaled)
-    if scaled.size != 16 or not np.all(np.abs(scaled - weights) <= 12 * NORM_ATOL):
-        raise ValueError("the source's law is not a four-qubit law in whole twelfths")
-    return tuple(weights.astype(int).tolist())
-
-
-# each source's table, kept while the source lives; equal laws share one
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _list_table(source: StateVector) -> np.ndarray:
-    """The list table of ``source``'s law, built once per law."""
-    table = _TABLES.get(source)
-    if table is None:
-        table = _TABLES[source] = _table_for(_twelfths(source))
-    return table
 
 
 # the one list draw, under the name ``bench/tracer.py`` times
@@ -102,16 +78,16 @@ class PartyLists(NamedTuple):
 def generate_lists(pool: VerifiedPool, rng: np.random.Generator) -> PartyLists:
     """Measure every pool system along the computational basis, one draw each.
 
-    Every pool system holds the untouched shared source state, and which two
-    of its slots A holds is first read here, so each position is one uniform
-    draw of its assignment code and a cell of the source's law in twelfths;
-    every party's entry is read off the source's table in one pass.
+    Every pool system holds the untouched source the pool names, and which
+    two of its slots A holds is first read here, so each position is one
+    uniform draw of its assignment code and a cell of the source's law in
+    twelfths; every party's entry is read off the source's table in one pass.
     """
     size = pool.system_ids.size
     if size == 0:
         raise ValueError("cannot generate lists from an empty pool")
     cells = sample_outcomes(size, rng)
-    return PartyLists(*mark_readonly(_list_table(pool.source).take(cells, axis=1)))
+    return PartyLists(*mark_readonly(_list_table(pool.source_state).take(cells, axis=1)))
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Every table is read off the four-qubit singlet's six integer outcome
 weights (``SINGLET_WEIGHTS``), marginalized onto the slots each party
-holds. The tables serve as ground truth for the Monte-Carlo samplers and
-fix the protocol thresholds (expected list lengths, per-entry escape
-rates of fabricated claims). Exact ``Fraction``s are built only on use.
+holds; ``source_weights`` gives any named source's law in twelfths, which
+the samplers draw from. The tables fix the protocol thresholds (expected
+list lengths, per-entry escape rates of fabricated claims). Exact
+``Fraction``s are built only on use.
 """
 from __future__ import annotations
 
@@ -18,6 +19,13 @@ SINGLET_WEIGHTS = {
     (0, 0, 1, 1): 4, (1, 1, 0, 0): 4,
     (0, 1, 0, 1): 1, (0, 1, 1, 0): 1, (1, 0, 0, 1): 1, (1, 0, 1, 0): 1,
 }
+
+
+def source_weights(source_state: str) -> tuple[int, ...]:
+    """A source's computational law as 16 weights in twelfths, by outcome
+    index: ``SINGLET_WEIGHTS`` for ``"singlet"``, all 12 on a basis state's."""
+    law = SINGLET_WEIGHTS if source_state == "singlet" else {tuple(map(int, source_state)): 12}
+    return tuple(law.get(tuple(map(int, f"{index:04b}")), 0) for index in range(16))
 
 
 class Assignment(enum.Enum):

@@ -17,9 +17,9 @@ the one rule: along the last axis, no edge above 1.0 and every edge from
 the last nonzero probability on exactly 1.0, so no uniform in [0, 1)
 draws an outcome of probability zero. Laws that change with every
 uniform are drawn by ``_draw_rows``, which equals
-``searchsorted(cum, u, side="right")`` exactly. The protocol's lists do
-not come from here: ``liar_protocol`` draws them as integer cells of the
-source's law in twelfths.
+``searchsorted(cum, u, side="right")`` exactly. This is the dense
+reference's engine: the array paths read each source's law as integer
+weights from ``oracle`` and build no state vector.
 """
 from __future__ import annotations
 
@@ -141,9 +141,6 @@ class MeasurementDirection:
 
 COMPUTATIONAL = MeasurementDirection(0.0, 0.0)
 
-_singlet_cache: dict[int, StateVector] = {}
-
-
 @cache
 def outcome_bits(n: int) -> np.ndarray:
     """Read-only (2**n, n) int8 table: row i holds the bits of outcome i, qubit 1 first."""
@@ -176,8 +173,9 @@ def singlet_amplitude(bits: tuple[int, ...] | str) -> float:
     )
 
 
+@cache
 def make_singlet(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """The n-qubit singlet state (n even), one shared instance per n.
+    """The n-qubit singlet state (n even), built once per argument list.
 
     The state is supported only on balanced bit strings and is invariant
     under applying the same unitary to every qubit.
@@ -186,11 +184,7 @@ def make_singlet(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
         raise ValueError(f"singlet size must be a positive even integer, got {n}")
     if n > max_qubits:
         raise ResourceLimitError(f"singlet size {n} exceeds the maximum of {max_qubits}")
-    cached = _singlet_cache.get(n)
-    if cached is None:
-        amps = [singlet_amplitude(tuple(bits)) for bits in outcome_bits(n).tolist()]
-        cached = _singlet_cache[n] = StateVector(n, amps)
-    return cached
+    return StateVector(n, [singlet_amplitude(tuple(bits)) for bits in outcome_bits(n).tolist()])
 
 
 def basis_state(bits: str) -> StateVector:

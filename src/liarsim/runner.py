@@ -45,6 +45,7 @@ from .channels import NO_FAULTS, FaultModel
 from .distribute_test import (
     DirectionPolicy,
     DistributionPlan,
+    _as_int,
     make_verified_pool,
     run_distribute_and_test,
 )
@@ -65,13 +66,6 @@ _VERDICT_NAMES = tuple(value.value for value in VerdictValue)
 _DETECTION_VERDICTS = frozenset(
     VerdictValue[name].value for name in ("A_IS_LIAR", "B_IS_LIAR", "B_REJECTED_AT_STEP_III")
 )
-
-
-def _as_int(name: str, value) -> int:
-    """``value`` as a plain int for the records; a bool or non-integer raises."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 def resolve_sizes(

@@ -17,16 +17,21 @@ from liarsim.distribute_test import (
     DistributionPlan,
     TestRounds,
     VerifiedPool,
+    _SINGLET_C_ZERO,
     _SINGLET_CUM,
     _dense_distribute_and_test,
     _play_rounds,
-    _rotated_probabilities,
+    _product_probabilities,
     _round_law,
     choose_direction,
     make_verified_pool,
     run_distribute_and_test,
 )
-from liarsim.qstate import COMPUTATIONAL, _draw_rows, make_singlet, mark_readonly, outcome_bits
+from liarsim.oracle import source_weights
+from liarsim.qstate import (
+    COMPUTATIONAL, MeasurementDirection, _draw_rows, basis_state, joint_distribution, make_singlet,
+    mark_readonly, outcome_bits,
+)
 from liarsim.runner import resolve_sizes
 from sampling import RecordingGenerator
 
@@ -87,10 +92,11 @@ class TestHonestRun:
         assert len(outcome.pool) == 32
 
     def test_pool_systems_untouched(self):
-        # the run itself raises if a pool system was measured or traced
-        # out; the pool hands on the source exactly as prepared
-        outcome = run_distribute_and_test(DistributionPlan.default(32), NO_FAULTS, rng(5))
-        assert outcome.pool.source.amplitudes is make_singlet(4).amplitudes
+        # the dense run itself raises if a pool system was measured or traced
+        # out; the pool hands on the source it was prepared as
+        for producer in (run_distribute_and_test, _dense_distribute_and_test):
+            outcome = producer(DistributionPlan.default(32), NO_FAULTS, rng(5))
+            assert outcome.pool.source_state == "singlet"
 
     def test_touched_pool_system_is_a_protocol_violation(self, monkeypatch):
         class TamperedSystem(QuantumSystem):
@@ -351,19 +357,32 @@ class _ConstantUniforms:
         return np.full(size, self.u)
 
 
+def _random_directions(seed, count):
+    u = rng(seed).random((count, 2))
+    return np.arccos(-1.0 + 2.0 * u[:, 0]), 2.0 * np.pi * u[:, 1]
+
+
 class TestSingletTable:
-    """Singlet rounds draw from one exact table; product sources still rotate."""
+    """Singlet rounds draw from one exact table in twelfths; a product source
+    draws each round from its closed-form law. Both are held to the dense
+    engine's ``joint_distribution``."""
 
     def test_table_matches_rotated_source_along_random_directions(self):
-        stream = rng(31)
+        # the singlet is unchanged by a common rotation, so its dense law along
+        # any direction is the table's, and so is that law's CDF
+        exact = np.reshape(source_weights("singlet"), (8, 2)) / 12
         worst = 0.0
-        for _ in range(10):  # 10^5 directions, 10^4 at a time
-            u = stream.random((10_000, 2))
-            theta, phi = np.arccos(-1.0 + 2.0 * u[:, 0]), 2.0 * np.pi * u[:, 1]
-            rotated = _rotated_probabilities(make_singlet(4), theta, phi)
-            exact = make_singlet(4).probabilities().reshape(8, 2)
-            worst = max(worst, np.abs(rotated - exact).max())
+        for theta, phi in zip(*_random_directions(31, 2000)):
+            rotated = joint_distribution(make_singlet(4), MeasurementDirection(theta, phi))
+            cum, _ = _round_law(rotated.reshape(8, 2))
+            worst = max(worst, np.abs(rotated.reshape(8, 2) - exact).max(),
+                        np.abs(cum - _SINGLET_CUM).max())
         assert worst < 1e-14
+
+    def test_cdf_edges_are_exact_twelfths(self):
+        np.testing.assert_array_equal(_SINGLET_CUM, np.array([0, 4, 5, 6, 7, 8, 12, 12]) / 12)
+        # each balanced row has one nonzero cell, so C's bit follows from slots 1-3
+        np.testing.assert_array_equal(_SINGLET_C_ZERO, [0, 0, 0, 1, 0, 1, 1, 0])
 
     def test_zero_probability_rows_are_unreachable(self):
         # rows 000 and 111: no uniform in [0, 1) lands between equal edges
@@ -379,19 +398,28 @@ class TestSingletTable:
     )
     def test_extreme_uniforms_give_balanced_bits(self, policy, u, expected):
         # five rounds of each subset's width: S1 forwards two qubits, S2 one
-        lost, _, _, outcome = _play_rounds(
-            make_singlet(4), True, 5, 5, 0.0, policy, _ConstantUniforms(u)
-        )
+        lost, _, _, outcome = _play_rounds("singlet", 5, 5, 0.0, policy, _ConstantUniforms(u))
         assert not lost.any()
         np.testing.assert_array_equal(outcome_bits(4)[outcome], [expected] * 10)
+
+    @pytest.mark.parametrize("state", [format(i, "04b") for i in range(16)])
+    def test_product_law_matches_dense_engine(self, state):
+        # the closed form against the rotated state vector, along 200 random
+        # directions and the poles of the sphere
+        theta, phi = _random_directions(int(state, 2), 200)
+        theta, phi = np.r_[theta, 0.0, np.pi], np.r_[phi, 0.0, 1.0]
+        closed = _product_probabilities(state, theta)
+        assert closed.shape == (202, 8, 2)
+        for i, direction in enumerate(map(MeasurementDirection, theta, phi)):
+            dense = joint_distribution(basis_state(state), direction).reshape(8, 2)
+            np.testing.assert_allclose(closed[i], dense, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("state", ["0011", "0110"])
     def test_product_round_draw_is_exact(self, state):
         # each round's own law, drawn at u = 0, just below 1, every edge and
         # its float neighbours, equals searchsorted on that round's CDF
-        u = rng(41).random((50, 2))
-        theta, phi = np.arccos(-1.0 + 2.0 * u[:, 0]), 2.0 * np.pi * u[:, 1]
-        probs = _rotated_probabilities(FaultModel(source_state=state).prepare_state(), theta, phi)
+        theta, _ = _random_directions(41, 50)
+        probs = _product_probabilities(state, theta)
         cum, c_zero = _round_law(probs)
         assert np.all(np.diff(cum, axis=1) >= 0) and np.all(cum[:, -1] == 1.0)
         np.testing.assert_array_equal(c_zero, probs[..., 0] / probs.sum(axis=2))
@@ -405,14 +433,14 @@ class TestSingletTable:
         expected = [np.searchsorted(cum[i], v, side="right") for i, v in zip(rows, x)]
         np.testing.assert_array_equal(_draw_rows(cum[rows], x), expected)
 
-    def test_only_product_sources_rotate(self, monkeypatch):
+    def test_only_product_sources_read_a_law_per_round(self, monkeypatch):
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return _rotated_probabilities(*args)
+            return _product_probabilities(*args)
 
-        monkeypatch.setattr(distribute_test, "_rotated_probabilities", counted)
+        monkeypatch.setattr(distribute_test, "_product_probabilities", counted)
         run_distribute_and_test(DistributionPlan.default(40), NO_FAULTS, rng(3))
         assert not calls
         run_distribute_and_test(DistributionPlan.default(40), FAULTS["0011"], rng(3))
@@ -422,10 +450,9 @@ class TestSingletTable:
 class TestMakeVerifiedPool:
     def test_matches_success_pool_shape(self):
         pool = make_verified_pool(32)
-        assert pool.source is make_singlet(4)
+        assert pool.source_state == "singlet"
         assert len(pool) == 32
         assert pool.system_ids.tolist() == list(range(1, 33))
-        assert pool.source.amplitudes is make_singlet(4).amplitudes
         with pytest.raises(ValueError):
             pool.system_ids[0] = 2
 
@@ -435,11 +462,28 @@ class TestMakeVerifiedPool:
         assert make_verified_pool(33) is not make_verified_pool(32)
 
     def test_len_counts_the_systems(self):
-        assert len(VerifiedPool(np.array([4, 9, 11]), make_singlet(4))) == 3
+        assert len(VerifiedPool(np.array([4, 9, 11]), "singlet")) == 3
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             make_verified_pool(0)
+
+    @pytest.mark.parametrize(
+        "size", [2.5, 3.0, True, False, "4", None, np.float64(4.0)],
+        ids=["float", "whole-float", "true", "false", "str", "none", "np-float64"],
+    )
+    def test_non_integer_size_rejected(self, size):
+        # 3.0 and True equal 3 and 1, so their pools must not be served from
+        # the cache either
+        make_verified_pool(1)
+        make_verified_pool(3)
+        with pytest.raises(ValueError, match="pool size must be an integer"):
+            make_verified_pool(size)
+
+    def test_numpy_integer_size_accepted(self):
+        pool = make_verified_pool(np.int64(4))
+        assert pool.system_ids.dtype == np.int64
+        assert pool.system_ids.tolist() == [1, 2, 3, 4]
 
 
 _FAULT_NAMES = st.sampled_from(sorted(FAULTS))

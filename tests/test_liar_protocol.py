@@ -1,6 +1,5 @@
 import functools
 import math
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from liarsim import liar_protocol
 from liarsim.adversary import StrategyA, StrategyB, parse_strategy_A, parse_strategy_B
+from liarsim.channels import FaultModel
 from liarsim.distribute_test import (
     DirectionPolicy,
     VerifiedPool,
@@ -28,17 +28,13 @@ from liarsim.liar_protocol import (
     _list_table,
     _pair_counts,
     _scan_positions,
-    _twelfths,
     b_accepts,
     c_adjudicate,
     generate_lists,
     run_liar_protocol,
 )
-from liarsim.oracle import SINGLET_WEIGHTS, Assignment, round_distribution
-from liarsim.qstate import (
-    StateVector, apply_bilateral, basis_state, make_singlet, mark_readonly, measure_qubits,
-    outcome_bits, random_unitary,
-)
+from liarsim.oracle import SINGLET_WEIGHTS, Assignment, round_distribution, source_weights
+from liarsim.qstate import make_singlet, mark_readonly, measure_qubits, outcome_bits
 from liarsim.runner import _escape_counts
 from reference_checks import incompatible_positions, stage1_violations, stage2_mismatches
 from sampling import RecordingGenerator
@@ -68,11 +64,12 @@ def dense_engine_lists(pool, stream, policy=DirectionPolicy.FIXED):
     state between measurements: the exact oracle the vectorized
     ``generate_lists`` must agree with in distribution.
     """
+    source = FaultModel(source_state=pool.source_state).prepare_state()
     a_ones, b_bits, c_bits = [], [], []
     for _ in range(len(pool)):
         assignment = tuple(Assignment)[stream.integers(0, 2)]
         direction = choose_direction(stream, policy)
-        state = pool.source
+        state = source
         a_bits, state = measure_qubits(state, assignment.a_slots, direction, stream)
         (b_bit,), state = measure_qubits(state, [assignment.b_slot], direction, stream)
         (c_bit,), _ = measure_qubits(state, [4], direction, stream)
@@ -107,7 +104,7 @@ class TestPartyLists:
     def test_singlet_entries_obey_the_doubles_correlation(self):
         # exact: every one of the 24 columns the singlet draws from has a
         # (0,0) pair facing 1 at B and C, and a (1,1) pair facing 0
-        a_ones, b_bits, c_bits = _list_table(make_singlet(4))
+        a_ones, b_bits, c_bits = _list_table("singlet")
         doubles = a_ones != 1
         facing = 1 - a_ones[doubles] // 2
         assert set(a_ones[doubles]) == {0, 2}
@@ -143,7 +140,7 @@ class TestGenerateLists:
             assert fraction == pytest.approx(5 / 24, abs=0.005)
 
     def test_empty_pool_rejected(self):
-        empty = VerifiedPool(np.empty(0, np.int64), make_singlet(4))
+        empty = VerifiedPool(np.empty(0, np.int64), "singlet")
         with pytest.raises(ValueError):
             generate_lists(empty, rng(0))
 
@@ -152,7 +149,7 @@ class TestGenerateLists:
         # entries follow from its assignment alone: |0011> gives A no 1 and
         # B slot 3's 1 when she holds slots (1,2), and one 1 and slot 2's 0
         # when she holds (1,3); C's slot 4 reads 1 either way
-        pool = VerifiedPool(make_verified_pool(400).system_ids, basis_state("0011"))
+        pool = VerifiedPool(make_verified_pool(400).system_ids, "0011")
         by_code = [(0, 1, 1), (1, 0, 1)]
         fast = generate_lists(pool, rng(50))
         codes = rng(50).integers(0, 24, size=400, dtype=np.int8) // 12
@@ -186,56 +183,13 @@ class TestGenerateLists:
 
 ALL_BASIS_STATES = [format(i, "04b") for i in range(16)]
 
-# four-qubit laws in whole twelfths other than the singlet's and a basis
-# state's, as {outcome index: weight}
-TWELFTHS_LAWS = {
-    "ghz": {0b0000: 6, 0b1111: 6},
-    "quarters": {0b0000: 3, 0b0101: 3, 0b1010: 3, 0b1111: 3},
-    "thirds": {0b0011: 4, 0b0110: 4, 0b1100: 4},
-    "two-ten": {0b1001: 2, 0b0110: 10},
-    "five-seven": {0b0001: 5, 0b1110: 7},
-    "one-eleven": {0b0111: 1, 0b1000: 11},
-    "twelve-cells": {i: 1 for i in range(2, 14)},
-    "singlet-weights-moved": {0b0000: 4, 0b1111: 4, 0b0001: 1, 0b0010: 1, 0b0100: 1, 0b1000: 1},
-}
-
-
-def _source_of(weights, phase_seed=0):
-    """A four-qubit state whose law is ``weights`` in twelfths, with random phases."""
-    phases = np.exp(2j * np.pi * rng(phase_seed).random(16))
-    amps = np.sqrt([weights.get(i, 0) / 12 for i in range(16)]) * phases
-    return StateVector(4, amps)
-
-
-def _nudged_singlet(shift):
-    """The singlet with ``shift`` of probability moved from outcome 0011 to 1100."""
-    probs = make_singlet(4).probabilities().copy()
-    probs[0b0011] -= shift
-    probs[0b1100] += shift
-    return StateVector(4, np.sqrt(probs))
-
-
-OFF_TWELFTHS_SOURCES = [
-    ("singlet2", make_singlet(2)),
-    ("singlet6", make_singlet(6)),
-    ("nudged-1e-6", _nudged_singlet(1e-6)),
-    ("nudged-1e-9", _nudged_singlet(1e-9)),
-    ("half-twelfths", _source_of({0b0000: 6.5, 0b1111: 5.5})),
-    ("thirteenths", StateVector(4, np.sqrt(np.r_[np.full(13, 1 / 13), np.zeros(3)]))),
-] + [
-    (f"rotated{seed}",
-     apply_bilateral(basis_state(("0011", "0110")[seed % 2]), random_unitary(rng(200 + seed))))
-    for seed in range(4)
-]
-
-
 class TestListTable:
     """Every list position is one of 24 equally likely (code, cell) columns
-    of a table built from the source's law in twelfths."""
+    of a table built from the named source's law in twelfths."""
 
     @pytest.mark.parametrize("code, assignment", list(enumerate(Assignment)))
     def test_singlet_columns_are_the_exact_round_table(self, code, assignment):
-        a_ones, b_bits, c_bits = _list_table(make_singlet(4))[:, 12 * code : 12 * code + 12]
+        a_ones, b_bits, c_bits = _list_table("singlet")[:, 12 * code : 12 * code + 12]
         counts: dict = {}
         for a, b, c in zip(a_ones.tolist(), b_bits.tolist(), c_bits.tolist()):
             key = (((0, 0), (0, 1), (1, 1))[a], b, c)
@@ -247,11 +201,12 @@ class TestListTable:
         weights = [0] * 16
         for bits, weight in SINGLET_WEIGHTS.items():
             weights[int("".join(map(str, bits)), 2)] = weight
-        assert _twelfths(make_singlet(4)) == tuple(weights)
+        assert source_weights("singlet") == tuple(weights)
+        np.testing.assert_allclose(12 * make_singlet(4).probabilities(), weights, atol=1e-12)
 
     @pytest.mark.parametrize("bits", ALL_BASIS_STATES)
     def test_basis_state_columns_all_give_its_outcome(self, bits):
-        table = _list_table(basis_state(bits))
+        table = _list_table(bits)
         outcome = outcome_bits(4)[int(bits, 2)]
         for code, assignment in enumerate(Assignment):
             a_ones = outcome[np.subtract(assignment.a_slots, 1)].sum()
@@ -260,29 +215,23 @@ class TestListTable:
                 table[:, 12 * code : 12 * code + 12], np.repeat([entry], 12, axis=0).T
             )
 
-    def test_table_is_read_only_int8_and_built_once_per_law(self, monkeypatch):
+    def test_table_is_read_only_int8_and_built_once_per_source_name(self, monkeypatch):
         built = []
-        original = liar_protocol._table_for.__wrapped__
+        original = liar_protocol._list_table.__wrapped__
         monkeypatch.setattr(
-            liar_protocol, "_table_for",
-            functools.cache(lambda law: built.append(law) or original(law)),
+            liar_protocol, "_list_table",
+            functools.cache(lambda name: built.append(name) or original(name)),
         )
-        monkeypatch.setattr(liar_protocol, "_TABLES", weakref.WeakKeyDictionary())
-        first, second = basis_state("0110"), basis_state("0110")
-        table = _list_table(first)
+        first, second = "0110", "".join(("01", "10"))  # equal names, distinct objects
+        table = liar_protocol._list_table(first)
         assert table.dtype == np.int8 and table.shape == (3, 24)
         assert not table.flags.writeable
-        assert _list_table(first) is table and _list_table(second) is table
+        assert liar_protocol._list_table(second) is table
         for seed in range(3):
             generate_lists(VerifiedPool(np.arange(1, 9), second), rng(seed))
-        assert len(built) == 1
-        _list_table(make_singlet(4))
-        assert len(built) == 2
-
-    def test_law_not_in_twelfths_raises(self):
-        rotated = apply_bilateral(basis_state("0011"), random_unitary(rng(3)))
-        with pytest.raises(ValueError, match="twelfths"):
-            generate_lists(VerifiedPool(np.arange(1, 5), rotated), rng(0))
+        assert built == ["0110"]
+        liar_protocol._list_table("singlet")
+        assert built == ["0110", "singlet"]
 
     @pytest.mark.parametrize("L", [1, 64, 4096])
     def test_one_int8_draw_of_24_cells_per_list(self, L):
@@ -290,48 +239,33 @@ class TestListTable:
         lists = generate_lists(make_verified_pool(L), stream)
         assert stream.calls == [("integers", (0, 24, L, np.int8))]
         cells = rng(5).integers(0, 24, size=L, dtype=np.int8)
-        np.testing.assert_array_equal(lists, _list_table(make_singlet(4))[:, cells])
+        np.testing.assert_array_equal(lists, _list_table("singlet")[:, cells])
 
     def test_all_24_columns_give_the_mixed_round_table(self):
         # both codes' columns together, each 1/24, are C's half-and-half mixture
         counts: dict = {}
-        for a, b, c in _list_table(make_singlet(4)).T.tolist():
+        for a, b, c in _list_table("singlet").T.tolist():
             key = (((0, 0), (0, 1), (1, 1))[a], b, c)
             counts[key] = counts.get(key, 0) + 1
         assert {key: Fraction(n, 24) for key, n in counts.items()} == round_distribution().table
 
-    @pytest.mark.parametrize("law", list(TWELFTHS_LAWS), ids=list(TWELFTHS_LAWS))
-    def test_columns_repeat_each_outcome_by_its_weight(self, law):
-        # any four-qubit law in twelfths, whatever its phases: each code's 12
-        # columns list its outcomes in index order, each as often as its weight
-        weights = TWELFTHS_LAWS[law]
-        table = _list_table(_source_of(weights))
-        assert _twelfths(_source_of(weights)) == tuple(weights.get(i, 0) for i in range(16))
+    @pytest.mark.parametrize("name", ["singlet"] + ALL_BASIS_STATES)
+    def test_columns_repeat_each_outcome_by_its_weight(self, name):
+        # each code's 12 columns list the source's outcomes in index order,
+        # each as often as its weight
+        weights = source_weights(name)
+        table = _list_table(name)
         for code, assignment in enumerate(Assignment):
             expected = []
-            for index in sorted(weights):
+            for index, weight in enumerate(weights):
                 bits = [int(bit) for bit in format(index, "04b")]
                 entry = (
                     bits[assignment.a_slots[0] - 1] + bits[assignment.a_slots[1] - 1],
                     bits[assignment.b_slot - 1],
                     bits[assignment.c_slot - 1],
                 )
-                expected += [entry] * weights[index]
+                expected += [entry] * weight
             np.testing.assert_array_equal(table[:, 12 * code : 12 * code + 12], np.array(expected).T)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_rotated_singlet_keeps_the_singlet_table(self, seed):
-        # the singlet is unchanged by the same rotation of every qubit, so
-        # its rotated copy's rounded law reads back as the singlet's weights
-        rotated = apply_bilateral(make_singlet(4), random_unitary(rng(100 + seed)))
-        assert not np.array_equal(rotated.probabilities(), make_singlet(4).probabilities())
-        assert _list_table(rotated) is _list_table(make_singlet(4))
-
-    @pytest.mark.parametrize("label, source", OFF_TWELFTHS_SOURCES,
-                             ids=[label for label, _ in OFF_TWELFTHS_SOURCES])
-    def test_law_off_twelfths_or_four_qubits_raises(self, label, source):
-        with pytest.raises(ValueError, match="twelfths"):
-            _list_table(source)
 
     @pytest.mark.parametrize("bits", ALL_BASIS_STATES)
     def test_every_basis_source_matches_dense_engine(self, bits):
@@ -343,7 +277,7 @@ class TestListTable:
              outcome[a.b_slot - 1], outcome[a.c_slot - 1])
             for a in Assignment
         ]
-        pool = VerifiedPool(make_verified_pool(200).system_ids, basis_state(bits))
+        pool = VerifiedPool(make_verified_pool(200).system_ids, bits)
         fast = generate_lists(pool, rng(60))
         codes = rng(60).integers(0, 24, size=200, dtype=np.int8) // 12
         np.testing.assert_array_equal(fast, np.array(by_code, np.int8)[codes].T)
@@ -363,9 +297,7 @@ class TestProducerInvariants:
     )
     def test_generate_lists(self, assert_frozen, L, source, seed):
         stream = rng(seed)
-        pool = make_verified_pool(L)
-        if source != "singlet":
-            pool = VerifiedPool(pool.system_ids, basis_state(source))
+        pool = VerifiedPool(make_verified_pool(L).system_ids, source)
         lists = generate_lists(pool, stream)
         assert_frozen(lists.a_ones, np.int8, 0, 2, (L,))
         assert_frozen(lists.b_bits, np.int8, 0, 1, (L,))
@@ -873,10 +805,8 @@ def _lists_and_claim(draw):
     doubles of m, plus any other positions."""
     L = draw(st.integers(1, 80))
     stream = rng(draw(st.integers(0, 2**32)))
-    pool = make_verified_pool(L)
     source = draw(_SOURCES)
-    if source != "singlet":
-        pool = VerifiedPool(pool.system_ids, basis_state(source))
+    pool = VerifiedPool(make_verified_pool(L).system_ids, source)
     lists = generate_lists(pool, stream)
     m = draw(st.integers(0, 1))
     honest = (np.flatnonzero(lists.a_ones == 2 * m) + 1).tolist()
@@ -965,9 +895,7 @@ class TestIndexOnceChecksMatchReference:
     )
     def test_escape_counts(self, L, source, seed, text_a, text_b):
         stream = rng(seed)
-        pool = make_verified_pool(L)
-        if source != "singlet":
-            pool = VerifiedPool(pool.system_ids, basis_state(source))
+        pool = VerifiedPool(make_verified_pool(L).system_ids, source)
         lists = generate_lists(pool, stream)
         result = run_liar_protocol(
             lists, parse_strategy_A(text_a), parse_strategy_B(text_b), rng=stream

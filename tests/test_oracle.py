@@ -13,7 +13,9 @@ from liarsim.oracle import (
     escape_ratios,
     rejection_lower_bound,
     round_distribution,
+    source_weights,
 )
+from liarsim.channels import FaultModel
 from liarsim.qstate import COMPUTATIONAL, joint_distribution, make_singlet, outcome_bits
 from sampling import sample_along
 
@@ -63,6 +65,14 @@ class TestSingletWeights:
         weights = [SINGLET_WEIGHTS.get(tuple(bits), 0) for bits in outcome_bits(4).tolist()]
         np.testing.assert_allclose(np.array(weights) / 12, probs, rtol=0, atol=1e-15)
         assert sum(SINGLET_WEIGHTS.values()) == 12
+
+    @pytest.mark.parametrize("name", ["singlet"] + [format(i, "04b") for i in range(16)])
+    def test_every_source_law_is_its_dense_state_law(self, name):
+        # the weights the fast paths read, against the state the dense reference prepares
+        weights = source_weights(name)
+        assert len(weights) == 16 and sum(weights) == 12
+        probs = joint_distribution(FaultModel(source_state=name).prepare_state(), COMPUTATIONAL)
+        np.testing.assert_allclose(np.array(weights) / 12, probs, rtol=0, atol=1e-15)
 
 
 class TestRoundDistribution:

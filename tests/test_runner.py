@@ -735,13 +735,20 @@ class TestPinnedResultFiles:
                 ["run", "--trials", "200", "--seed", "1", "--L", "48"],
                 "a1272e5ddebe08db703bc30c9a474a45c8025aa7fba85970fcc17c385f01d9cc",
             ),
+            # 2,000 one-round subsets of a product source along random directions
+            (
+                ["run", "--trials", "2000", "--seed", "7", "--M", "12", "--N1", "1",
+                 "--N2", "1", "--L", "10", "--source-state", "0110"],
+                "2876b1b8b3b0d734f0e00f36f47f67c16e07e508a840b335bbb16d1c9fa657ae",
+            ),
         ],
         ids=["honest-honest", "split-honest", "forgefull-flipforge", "honest-flipforge",
              "distribute-loss", "distribute-product-source", "distribute-fixed-policy",
              "distribute-lossy", "distribute-M512", "honest-honest-L4096",
              "split-honest-L4096", "forgefull-flipforge-L4096", "honest-flipforge-L4096",
              "forgefull-flipforge-capped-L16", "split-capped-L16",
-             "honest-flipforge-odd-L17", "honest-too-short-L17", "honest-boundary-L48"],
+             "honest-flipforge-odd-L17", "honest-too-short-L17", "honest-boundary-L48",
+             "distribute-product-source-random"],
     )
     def test_result_file_digest(self, tmp_path, capsys, args, digest):
         out = tmp_path / "run.ndjson"
