@@ -6,6 +6,9 @@ state) and cheat only on the classical data they send. Fabricated
 claims are always placed on mixed-outcome positions - under unordered
 pair delivery that is the cheater's best option, since claiming a
 position contradicted by the cheater's own data is strictly worse.
+
+A strategy is one kind, an ``AKind``/``BKind`` member or its descriptor
+name, and one count, a cheating descriptor's one parameter (``split:n=3``).
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .distribute_test import _as_int
 from .oracle import EXPECTED_DOUBLE_FRACTION
 from .qstate import mark_readonly
 
@@ -31,29 +35,41 @@ class BKind(enum.Enum):
     FLIP_AND_FORGE = "flipforge"
 
 
+# each cheating kind's one descriptor parameter, which sets its count
+_PARAMETER = {AKind.SPLIT_MESSAGE: "n", AKind.FORGED_FULL_LIST: "k", BKind.FLIP_AND_FORGE: "k"}
+
+
+def _check(strategy: StrategyA | StrategyB, kinds: type[enum.Enum], unset: int | None) -> None:
+    """Store a strategy's kind as a member of ``kinds`` and its count as an int
+    or ``unset``: a bool, float or negative count, or an honest kind's, raises."""
+    kind, count = kinds(strategy.kind), strategy.count
+    if count is not None or unset is not None:
+        count = _as_int("strategy count", count)
+        if count < 0:
+            raise ValueError(f"strategy count must be nonnegative, got {count}")
+    if kind not in _PARAMETER and count != unset:  # an honest kind has no parameter
+        raise ValueError(f"an honest strategy takes no count, got {count}")
+    object.__setattr__(strategy, "kind", kind)
+    object.__setattr__(strategy, "count", count)
+
+
 @dataclass(frozen=True)
 class StrategyA:
     """A's behavior: honest, split messages, or forge the full list.
 
     A draws the bit she wants to deliver first in every run.
     SPLIT_MESSAGE sends B the opposite of what it sends C, padding B's
-    position list with ``fabrication_count`` fabricated entries.
-    FORGED_FULL_LIST keeps the messages honest but rewrites
-    ``altered_count`` mixed positions of the full list as doubles (a
-    calibration strategy for the per-entry detection rate).
+    position list with ``count`` fabricated entries. FORGED_FULL_LIST
+    keeps the messages honest but rewrites ``count`` mixed positions of
+    the full list as doubles (a calibration strategy for the per-entry
+    detection rate). An honest A's count is 0.
     """
 
     kind: AKind = AKind.HONEST
-    fabrication_count: int = 0
-    altered_count: int = 0
+    count: int = 0
 
     def __post_init__(self) -> None:
-        if self.fabrication_count < 0 or self.altered_count < 0:
-            raise ValueError("counts must be nonnegative")
-
-    @property
-    def is_honest(self) -> bool:
-        return self.kind is AKind.HONEST
+        _check(self, AKind, 0)
 
     @classmethod
     def honest(cls) -> "StrategyA":
@@ -61,28 +77,27 @@ class StrategyA:
 
     @classmethod
     def split_message(cls, n: int) -> "StrategyA":
-        return cls(AKind.SPLIT_MESSAGE, fabrication_count=n)
+        return cls(AKind.SPLIT_MESSAGE, n)
 
     @classmethod
     def forged_full_list(cls, k: int) -> "StrategyA":
-        return cls(AKind.FORGED_FULL_LIST, altered_count=k)
+        return cls(AKind.FORGED_FULL_LIST, k)
 
 
 @dataclass(frozen=True)
 class StrategyB:
     """B's behavior: honest forwarding, or flip the message and forge.
 
-    FLIP_AND_FORGE forwards ``fake_count`` positions B's own bits make
+    FLIP_AND_FORGE forwards ``count`` positions B's own bits make
     plausible for the flipped message; None targets the expected honest
-    claim length.
+    claim length. An honest B's count is None.
     """
 
     kind: BKind = BKind.HONEST
-    fake_count: int | None = None
+    count: int | None = None
 
     def __post_init__(self) -> None:
-        if self.fake_count is not None and self.fake_count < 0:
-            raise ValueError("fake_count must be nonnegative")
+        _check(self, BKind, None)
 
     @property
     def is_honest(self) -> bool:
@@ -94,7 +109,7 @@ class StrategyB:
 
     @classmethod
     def flip_and_forge(cls, k: int | None = None) -> "StrategyB":
-        return cls(BKind.FLIP_AND_FORGE, fake_count=k)
+        return cls(BKind.FLIP_AND_FORGE, k)
 
 
 # the default of every unset position field: read-only, so shared, never copied
@@ -155,38 +170,38 @@ def strategy_A_act(
     if strategy.kind is AKind.HONEST:
         return ActionA(m, honest_positions, m, arr)
 
-    # each array is marked read-only where it is made, in its final dtype
+    # each array is marked read-only where it is made, in its final dtype;
+    # both cheats draw their ``count`` positions from the mixed ones
     is_mixed = arr == 1
     mixed = mark_readonly(is_mixed.nonzero()[0] + 1)
+    n = min(strategy.count, mixed.size)
+    drawn = _draw_sorted(mixed, n, rng)
+    capped = n < strategy.count
     if strategy.kind is AKind.SPLIT_MESSAGE:
         m_AC = 1 - m
-        n = min(strategy.fabrication_count, mixed.size)
-        fabricated = _draw_sorted(mixed, n, rng)
-        claimed = np.concatenate((honest_positions, fabricated))
+        claimed = np.concatenate((honest_positions, drawn))
         claimed.sort()
         return ActionA(
             m_AB=m,
             positions_for_B=mark_readonly(claimed),
             m_AC=m_AC,
             l_AC=mark_readonly(np.where(is_mixed, 2 * m_AC, arr)),
-            fabricated_positions=fabricated,
+            fabricated_positions=drawn,
             altered_positions=mixed,
-            capped=n < strategy.fabrication_count,
+            capped=capped,
         )
 
-    # FORGED_FULL_LIST: honest messages, k mixed entries rewritten as
-    # doubles of the message in the list sent to C.
-    k = min(strategy.altered_count, mixed.size)
-    altered = _draw_sorted(mixed, k, rng)
+    # FORGED_FULL_LIST: honest messages, the drawn mixed entries rewritten
+    # as doubles of the message in the list sent to C.
     forged = arr.copy()
-    forged[altered - 1] = 2 * m
+    forged[drawn - 1] = 2 * m
     return ActionA(
         m_AB=m,
         positions_for_B=honest_positions,
         m_AC=m,
         l_AC=mark_readonly(forged),
-        altered_positions=altered,
-        capped=k < strategy.altered_count,
+        altered_positions=drawn,
+        capped=capped,
     )
 
 
@@ -199,7 +214,7 @@ def strategy_B_act(
     """Produce B's transmission to C from what he received and his list.
 
     An honest B forwards A's positions as they arrived; a forger's are
-    drawn from his own list. A forger with no ``fake_count`` targets the
+    drawn from his own list. A forger with no ``count`` targets the
     expected honest claim length: the integer nearest 5/24 of his list's
     length L, rounding up the tie that falls at L = 12 (mod 24).
     """
@@ -211,7 +226,7 @@ def strategy_B_act(
 
     m_BC = 1 - m_AB
     plausible = (bits == 1 - m_BC).nonzero()[0] + 1
-    target = strategy.fake_count
+    target = strategy.count
     if target is None:
         doubles, positions = EXPECTED_DOUBLE_FRACTION
         target = (2 * doubles * len(bits) + positions) // (2 * positions)
@@ -229,34 +244,37 @@ def strategy_B_act(
 @functools.lru_cache(maxsize=64)
 def parse_strategy_A(text: str) -> StrategyA:
     """Parse CLI strategy descriptors like "honest" or "split:n=3"."""
-    name, params = _split_descriptor(text)
-    if name == "honest":
-        _require_params(text, params, set())
-        return StrategyA.honest()
-    if name == "split":
-        _require_params(text, params, {"n"})
-        return StrategyA.split_message(params.get("n", 0))
-    if name == "forgefull":
-        _require_params(text, params, {"k"})
-        return StrategyA.forged_full_list(params.get("k", 0))
-    raise ValueError(
-        f"unknown strategy {text!r}: expected honest, split:n=N, or forgefull:k=K"
-    )
+    return _parse(StrategyA, AKind, text, "honest, split:n=N, or forgefull:k=K")
 
 
 @functools.lru_cache(maxsize=64)
 def parse_strategy_B(text: str) -> StrategyB:
     """Parse CLI strategy descriptors like "honest" or "flipforge:k=40"."""
-    name, params = _split_descriptor(text)
-    if name == "honest":
-        _require_params(text, params, set())
-        return StrategyB.honest()
-    if name == "flipforge":
-        _require_params(text, params, {"k"})
-        return StrategyB.flip_and_forge(params.get("k"))
-    raise ValueError(
-        f"unknown strategy {text!r}: expected honest or flipforge:k=K"
-    )
+    return _parse(StrategyB, BKind, text, "honest or flipforge:k=K")
+
+
+def _parse(record: type, kinds: type[enum.Enum], text: str, expected: str):
+    """The strategy a descriptor names: its kind's one parameter, if given, is the count."""
+    name, _, rest = text.strip().partition(":")
+    params: dict[str, int] = {}
+    for item in rest.split(",") if rest else ():
+        key, _, value = item.partition("=")  # no "=" leaves value empty
+        try:
+            number = integer(value)
+        except ValueError:
+            raise ValueError(f"malformed strategy parameter {item!r} in {text!r}") from None
+        if (key := key.strip()) in params:
+            raise ValueError(f"repeated strategy parameter {key!r} in {text!r}")
+        params[key] = number
+    try:
+        kind = kinds(name.strip().lower())
+    except ValueError:
+        raise ValueError(f"unknown strategy {text!r}: expected {expected}") from None
+    if extra := params.keys() - {_PARAMETER.get(kind)}:
+        raise ValueError(f"unexpected parameter(s) {sorted(extra)} in {text!r}")
+    if any(value < 0 for value in params.values()):
+        raise ValueError(f"strategy counts must be nonnegative in {text!r}")
+    return record(kind, *params.values())
 
 
 def integer(text: str) -> int:
@@ -266,27 +284,3 @@ def integer(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
-
-
-def _split_descriptor(text: str) -> tuple[str, dict[str, int]]:
-    name, _, rest = text.strip().partition(":")
-    params: dict[str, int] = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")  # no "=" leaves value empty
-            try:
-                number = integer(value)
-            except ValueError:
-                raise ValueError(f"malformed strategy parameter {item!r} in {text!r}") from None
-            if (key := key.strip()) in params:
-                raise ValueError(f"repeated strategy parameter {key!r} in {text!r}")
-            params[key] = number
-    return name.strip().lower(), params
-
-
-def _require_params(text: str, params: dict[str, int], allowed: set[str]) -> None:
-    extra = set(params) - allowed
-    if extra:
-        raise ValueError(f"unexpected parameter(s) {sorted(extra)} in {text!r}")
-    if any(value < 0 for value in params.values()):
-        raise ValueError(f"strategy counts must be nonnegative in {text!r}")

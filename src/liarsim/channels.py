@@ -21,11 +21,13 @@ in-range, read-only arrays of the record's dtypes: the
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from .oracle import source_weights
 from .qstate import (
     COMPUTATIONAL,
     MeasurementDirection,
@@ -178,16 +180,11 @@ class FaultModel:
     source_state: str = "singlet"
 
     def __post_init__(self) -> None:
+        # a bool is a Real that compares as 0 or 1, but the records would echo true/false
         value = self.qubit_loss_prob
-        if isinstance(value, (bool, np.bool_)) or not 0.0 <= value <= 1.0:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= 1:
             raise ValueError(f"qubit_loss_prob must be a number in [0, 1], got {value!r}")
-        if self.source_state != "singlet" and (
-            len(self.source_state) != 4 or any(b not in "01" for b in self.source_state)
-        ):
-            raise ValueError(
-                "source_state must be 'singlet' or a 4-bit string, got "
-                f"{self.source_state!r}"
-            )
+        source_weights(self.source_state)  # raises for a name no source has
 
     def prepare_state(self) -> StateVector:
         if self.source_state == "singlet":

@@ -367,8 +367,9 @@ def _as_int(name: str, value) -> int:
     return operator.index(value)
 
 
-# typed: True and 3.0 equal 1 and 3, and must reach the check, not their pools
-@lru_cache(maxsize=None, typed=True)
+# typed: True and 3.0 equal 1 and 3, and must reach the check, not their pools;
+# a few sizes only, so a sweep over L holds the pools of its last few sizes
+@lru_cache(maxsize=8, typed=True)
 def make_verified_pool(L: int) -> VerifiedPool:
     """Build a verified pool of L systems directly, skipping the testing phase.
 

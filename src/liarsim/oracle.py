@@ -21,11 +21,18 @@ SINGLET_WEIGHTS = {
 }
 
 
+# every four-bit string, by outcome index: each names a basis-state source
+_BASIS_NAMES = tuple(format(index, "04b") for index in range(16))
+
+
 def source_weights(source_state: str) -> tuple[int, ...]:
     """A source's computational law as 16 weights in twelfths, by outcome
-    index: ``SINGLET_WEIGHTS`` for ``"singlet"``, all 12 on a basis state's."""
+    index: ``SINGLET_WEIGHTS`` for ``"singlet"``, all 12 on a basis state's.
+    Any other name raises ValueError."""
+    if source_state != "singlet" and source_state not in _BASIS_NAMES:
+        raise ValueError(f"source_state must be 'singlet' or a 4-bit string, got {source_state!r}")
     law = SINGLET_WEIGHTS if source_state == "singlet" else {tuple(map(int, source_state)): 12}
-    return tuple(law.get(tuple(map(int, f"{index:04b}")), 0) for index in range(16))
+    return tuple(law.get(tuple(map(int, name)), 0) for name in _BASIS_NAMES)
 
 
 class Assignment(enum.Enum):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,12 @@ from liarsim.distribute_test import make_verified_pool
 from liarsim.liar_protocol import (
     EXPECTED_DOUBLE_FRACTION,
     PartyLists,
+    VerdictValue,
     generate_lists,
+    run_liar_protocol,
 )
 from liarsim.qstate import mark_readonly
+from liarsim.runner import trial_rng
 
 # A's pairs 00 01 00 11 11 00 01 11, as counts of 1s; like the lists
 # generate_lists makes, the rows are read-only int8 arrays
@@ -52,19 +57,94 @@ def big_lists(seed, length=40_000):
 
 class TestStrategyConstruction:
     def test_classmethods(self):
-        assert StrategyA.honest().is_honest
-        assert StrategyA.split_message(3) == StrategyA(AKind.SPLIT_MESSAGE, fabrication_count=3)
-        assert StrategyA.forged_full_list(2) == StrategyA(
-            AKind.FORGED_FULL_LIST, altered_count=2
-        )
+        assert StrategyA.split_message(3) == StrategyA(AKind.SPLIT_MESSAGE, count=3)
+        assert StrategyA.forged_full_list(2) == StrategyA(AKind.FORGED_FULL_LIST, count=2)
         assert StrategyB.honest().is_honest
-        assert StrategyB.flip_and_forge(7) == StrategyB(BKind.FLIP_AND_FORGE, fake_count=7)
+        assert StrategyB.flip_and_forge(7) == StrategyB(BKind.FLIP_AND_FORGE, count=7)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             StrategyA.split_message(-1)
         with pytest.raises(ValueError):
             StrategyB.flip_and_forge(-4)
+        # a count is an int: numpy would fail on these only inside a trial
+        for count in (True, 2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="strategy count must be an integer"):
+                StrategyA.split_message(count)
+        with pytest.raises(ValueError, match="strategy count must be an integer"):
+            StrategyB.flip_and_forge(False)
+
+
+class TestStrategyRecords:
+    """A strategy is one kind, read through its enum, and one count."""
+
+    @pytest.mark.parametrize(
+        "record, kind", [(StrategyA, k) for k in AKind] + [(StrategyB, k) for k in BKind]
+    )
+    def test_member_and_name_build_equal_records(self, record, kind):
+        by_name = record(kind.value)
+        assert by_name == record(kind)
+        assert by_name.kind is kind
+        assert [field.name for field in dataclasses.fields(record)] == ["kind", "count"]
+
+    @pytest.mark.parametrize(
+        "parse, record, descriptor, name, count",
+        [
+            (parse_strategy_A, StrategyA, "honest", "honest", 0),
+            (parse_strategy_A, StrategyA, "split", "split", 0),
+            (parse_strategy_A, StrategyA, "split:n=3", "split", 3),
+            (parse_strategy_A, StrategyA, "forgefull", "forgefull", 0),
+            (parse_strategy_A, StrategyA, "forgefull:k=8", "forgefull", 8),
+            (parse_strategy_B, StrategyB, "honest", "honest", None),
+            (parse_strategy_B, StrategyB, "flipforge", "flipforge", None),
+            (parse_strategy_B, StrategyB, "flipforge:k=4", "flipforge", 4),
+        ],
+    )
+    def test_descriptor_parses_to_kind_and_count(self, parse, record, descriptor, name, count):
+        assert parse(descriptor) == record(name, count)
+        assert parse(descriptor).count == count
+
+    def test_count_is_a_plain_int(self):
+        strategy = StrategyA("split", np.int64(3))
+        assert strategy.count == 3 and type(strategy.count) is int
+
+    def test_honest_b_by_name_checks_and_forwards(self):
+        lists = generate_lists(make_verified_pool(64), trial_rng(1, 0))
+        result = run_liar_protocol(
+            lists, StrategyA.honest(), StrategyB("honest"), rng=trial_rng(1, 1)
+        )
+        assert result.b_acceptance is not None and result.b_acceptance.accepted
+        assert result.b_action.m_BC == result.a_action.m_AB
+        assert result.b_action.forwarded is result.a_action.positions_for_B
+        assert result.b_action.fabricated_positions.size == 0
+        assert result.verdict.value is VerdictValue.CONSISTENT
+
+    def test_split_by_name_fabricates(self):
+        action = strategy_A_act(StrategyA("split", 3), big_lists(3, 64).a_ones, rng(5))
+        assert action.m_AC == 1 - action.m_AB
+        assert action.fabricated_positions.size == 3
+
+    @pytest.mark.parametrize(
+        "record, kind, count, message",
+        [
+            (StrategyA, "bogus", 0, "not a valid AKind"),
+            (StrategyA, "flipforge", 0, "not a valid AKind"),
+            (StrategyA, BKind.HONEST, 0, "not a valid AKind"),
+            (StrategyA, "Split", 0, "not a valid AKind"),
+            (StrategyB, "split", None, "not a valid BKind"),
+            (StrategyA, "split", True, "must be an integer"),
+            (StrategyA, "forgefull", 1.5, "must be an integer"),
+            (StrategyB, "flipforge", 4.0, "must be an integer"),
+            (StrategyA, "split", -1, "must be nonnegative"),
+            (StrategyB, "flipforge", -1, "must be nonnegative"),
+            (StrategyA, "honest", 3, "honest strategy takes no count"),
+            (StrategyB, "honest", 0, "honest strategy takes no count"),
+            (StrategyB, BKind.HONEST, 3, "honest strategy takes no count"),
+        ],
+    )
+    def test_invalid_record_raises(self, record, kind, count, message):
+        with pytest.raises(ValueError, match=message):
+            record(kind, count)
 
 
 class TestHonestA:

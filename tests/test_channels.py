@@ -118,6 +118,28 @@ class TestFaultModel:
         with pytest.raises(ValueError):
             FaultModel(source_state="0x11")
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(qubit_loss_prob="0.1"), "qubit_loss_prob must be a number in"),
+            (dict(qubit_loss_prob=None), "qubit_loss_prob must be a number in"),
+            (dict(qubit_loss_prob=float("nan")), "qubit_loss_prob must be a number in"),
+            (dict(qubit_loss_prob=np.True_), "qubit_loss_prob must be a number in"),
+            (dict(source_state=None), "source_state must be 'singlet' or a 4-bit string"),
+            (dict(source_state=1234), "source_state must be 'singlet' or a 4-bit string"),
+            (dict(source_state=["0011"]), "source_state must be 'singlet' or a 4-bit string"),
+            (dict(source_state="2011"), "source_state must be 'singlet' or a 4-bit string"),
+            (dict(source_state="Singlet"), "source_state must be 'singlet' or a 4-bit string"),
+        ],
+    )
+    def test_every_field_raises_value_error(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            FaultModel(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.float32(0.25), np.int64(0), 1])
+    def test_any_real_loss_prob_accepted(self, value):
+        assert FaultModel(qubit_loss_prob=value).qubit_loss_prob == value
+
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_loss_prob_rejected(self, flag):
         # a bool compares as 0 or 1, but the records would echo true/false

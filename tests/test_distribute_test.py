@@ -32,7 +32,7 @@ from liarsim.qstate import (
     COMPUTATIONAL, MeasurementDirection, _draw_rows, basis_state, joint_distribution, make_singlet,
     mark_readonly, outcome_bits,
 )
-from liarsim.runner import resolve_sizes
+from liarsim.runner import TrialConfig, resolve_sizes, run_trials
 from sampling import RecordingGenerator
 
 
@@ -479,6 +479,15 @@ class TestMakeVerifiedPool:
         make_verified_pool(3)
         with pytest.raises(ValueError, match="pool size must be an integer"):
             make_verified_pool(size)
+
+    def test_cache_holds_a_few_sizes(self):
+        # a sweep over L keeps the pools of its last few sizes, not of all of them
+        for L in range(16, 416, 10):
+            run_trials(TrialConfig.build(L=L, trials=1))
+        maxsize = make_verified_pool.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize <= 8
+        assert make_verified_pool.cache_info().currsize <= maxsize
+        assert make_verified_pool(64) is make_verified_pool(64)
 
     def test_numpy_integer_size_accepted(self):
         pool = make_verified_pool(np.int64(4))

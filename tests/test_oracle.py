@@ -74,6 +74,14 @@ class TestSingletWeights:
         probs = joint_distribution(FaultModel(source_state=name).prepare_state(), COMPUTATIONAL)
         np.testing.assert_allclose(np.array(weights) / 12, probs, rtol=0, atol=1e-15)
 
+    # only the singlet and the 16 four-bit strings name a source
+    @pytest.mark.parametrize(
+        "name", ["001", "2011", "00110", "", "Singlet", " 0011", None, 1234, ["0011"], b"0011"]
+    )
+    def test_other_names_raise(self, name):
+        with pytest.raises(ValueError, match="source_state must be 'singlet' or a 4-bit string"):
+            source_weights(name)
+
 
 class TestRoundDistribution:
     def test_values_are_exact_fractions(self):

@@ -102,6 +102,12 @@ class TestTrialConfig:
             # numpy's bools are no ints, but are rejected as bools are
             dict(min_fraction=np.True_),
             dict(qubit_loss_prob=np.False_),
+            # a loss probability that is no real number, and a source no name gives
+            dict(qubit_loss_prob="0.1"),
+            dict(qubit_loss_prob=None),
+            dict(source_state=None),
+            dict(source_state=1234),
+            dict(source_state="2011"),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
