@@ -165,10 +165,10 @@ def strategy_A_act(
     """
     arr = np.asarray(l_A)
     m = int(rng.integers(0, 2))
-    honest_positions = mark_readonly((arr == 2 * m).nonzero()[0] + 1)
+    doubles = arr == 2 * m  # a fresh mask of her doubles of m, which split extends
 
     if strategy.kind is AKind.HONEST:
-        return ActionA(m, honest_positions, m, arr)
+        return ActionA(m, mark_readonly(doubles.nonzero()[0] + 1), m, arr)
 
     # each array is marked read-only where it is made, in its final dtype;
     # both cheats draw their ``count`` positions from the mixed ones
@@ -178,14 +178,14 @@ def strategy_A_act(
     drawn = _draw_sorted(mixed, n, rng)
     capped = n < strategy.count
     if strategy.kind is AKind.SPLIT_MESSAGE:
-        m_AC = 1 - m
-        claimed = np.concatenate((honest_positions, drawn))
-        claimed.sort()
+        # B gets her doubles of m and the drawn positions; C gets every mixed
+        # count moved, in one int8 pass, onto the double of m_AC = 1 - m
+        doubles[drawn - 1] = True
         return ActionA(
             m_AB=m,
-            positions_for_B=mark_readonly(claimed),
-            m_AC=m_AC,
-            l_AC=mark_readonly(np.where(is_mixed, 2 * m_AC, arr)),
+            positions_for_B=mark_readonly(doubles.nonzero()[0] + 1),
+            m_AC=1 - m,
+            l_AC=mark_readonly(arr + is_mixed * np.int8(1 - 2 * m)),
             fabricated_positions=drawn,
             altered_positions=mixed,
             capped=capped,
@@ -197,7 +197,7 @@ def strategy_A_act(
     forged[drawn - 1] = 2 * m
     return ActionA(
         m_AB=m,
-        positions_for_B=honest_positions,
+        positions_for_B=mark_readonly(doubles.nonzero()[0] + 1),
         m_AC=m,
         l_AC=mark_readonly(forged),
         altered_positions=drawn,

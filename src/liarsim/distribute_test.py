@@ -246,6 +246,7 @@ def _test_rounds(played: list[tuple]) -> TestRounds:
 
 _NO_ROUNDS = (np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0), np.empty(0),
               np.empty((0, 4), np.int8))
+_EMPTY_ROUNDS = _test_rounds([_NO_ROUNDS])  # the record of a run that played no round
 
 
 def run_distribute_and_test(
@@ -268,7 +269,7 @@ def run_distribute_and_test(
     # (i)-(ii): per system, A's two transit draws then B's one.
     lost = (rng.random(3 * plan.M) < p_loss).nonzero()[0]
     if lost.size:
-        return _failure("ii", int(lost[0]) // 3 + 1, _test_rounds([_NO_ROUNDS]))
+        return _failure("ii", int(lost[0]) // 3 + 1, _EMPTY_ROUNDS)
 
     # (iii): only now does C draw the test subsets.
     tested, pool_ids = _draw_subsets(plan, rng)
@@ -324,7 +325,7 @@ def _dense_distribute_and_test(
         outcomes = transfer_qubits(registry, systems, PartyId.C, PartyId.A, a_refs, fault, rng)
         outcomes += transfer_qubits(registry, systems, PartyId.C, PartyId.B, b_refs, fault, rng)
         if any(rec.status is TransferStatus.LOST for rec in outcomes):
-            return _failure("ii", j, _test_rounds([_NO_ROUNDS]))
+            return _failure("ii", j, _EMPTY_ROUNDS)
 
     # (iii): only now does C draw the test subsets.
     tested, pool_ids = _draw_subsets(plan, rng)

@@ -97,7 +97,9 @@ def generate_lists(pool: VerifiedPool, rng: np.random.Generator) -> PartyLists:
 def _integer_prefix(values) -> tuple[np.ndarray, bool]:
     """The leading run of integer entries (bools are not integers here), and
     whether it is all of ``values``. A non-integer array has no such run,
-    and an array that is not 1-D is never all of it, even when empty."""
+    and an array that is not 1-D is never all of it, even when empty. A
+    sequence's run is read as exact ints: int64 even where it mixes uint64
+    with int64 (numpy would make that float64), object beyond int64."""
     if isinstance(values, np.ndarray):
         if values.ndim == 1 and values.dtype.kind in "iu":
             return values, True
@@ -106,10 +108,15 @@ def _integer_prefix(values) -> tuple[np.ndarray, bool]:
         items = list(values)
     except TypeError:
         return np.empty(0, np.int64), False
-    for i, item in enumerate(items):
+    ints = []
+    for item in items:
         if isinstance(item, bool) or not isinstance(item, (int, np.integer)):
-            return np.array(items[:i], dtype=np.int64 if i == 0 else None), False
-    return np.array(items, dtype=np.int64 if not items else None), True
+            break
+        ints.append(int(item))
+    try:
+        return np.array(ints, dtype=np.int64), len(ints) == len(items)
+    except OverflowError:
+        return np.array(ints, dtype=object), len(ints) == len(items)
 
 
 def _scan_positions(claimed, length: int) -> tuple[np.ndarray, int | None]:

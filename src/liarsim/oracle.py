@@ -10,6 +10,7 @@ list lengths, per-entry escape rates of fabricated claims). Exact
 from __future__ import annotations
 
 import enum
+import functools
 from typing import NamedTuple
 
 # The singlet (2|0011> + 2|1100> - |0101> - |0110> - |1001> - |1010>) / (2*sqrt(3))
@@ -29,8 +30,13 @@ def source_weights(source_state: str) -> tuple[int, ...]:
     """A source's computational law as 16 weights in twelfths, by outcome
     index: ``SINGLET_WEIGHTS`` for ``"singlet"``, all 12 on a basis state's.
     Any other name raises ValueError."""
-    if source_state != "singlet" and source_state not in _BASIS_NAMES:
+    if not isinstance(source_state, str) or source_state not in ("singlet", *_BASIS_NAMES):
         raise ValueError(f"source_state must be 'singlet' or a 4-bit string, got {source_state!r}")
+    return _weights(source_state)
+
+
+@functools.cache  # built once per valid name
+def _weights(source_state: str) -> tuple[int, ...]:
     law = SINGLET_WEIGHTS if source_state == "singlet" else {tuple(map(int, source_state)): 12}
     return tuple(law.get(tuple(map(int, name)), 0) for name in _BASIS_NAMES)
 

@@ -5,6 +5,8 @@ lists once with positions they have already validated. These helpers are
 the checks written out whole: each re-reads its inputs as arrays and
 drops out-of-range positions itself, so it takes any claim, valid or not.
 ``too_short_tail`` is the exact chance that an honest claim is too short.
+``strategy_A_act_reference`` builds A's action array by array, where
+``adversary.strategy_A_act`` makes each message in one pass.
 """
 from __future__ import annotations
 
@@ -13,6 +15,9 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+
+from liarsim.adversary import ActionA, AKind, StrategyA
+from liarsim.qstate import mark_readonly
 
 
 def incompatible_positions(
@@ -56,3 +61,33 @@ def too_short_tail(L: int, min_fraction: float = 0.5) -> float:
     p = Fraction(5, 24)
     required = math.ceil(Fraction(min_fraction) * p * L)
     return float(sum(math.comb(L, k) * p**k * (1 - p) ** (L - k) for k in range(required)))
+
+
+def strategy_A_act_reference(
+    strategy: StrategyA, l_A: np.ndarray, rng: np.random.Generator
+) -> ActionA:
+    """A's action from the same draws, m first and then one ``choice``: a split
+    claim joins her doubles of m to the drawn positions and sorts them, and a
+    split list for C is one ``np.where`` over the mixed positions."""
+    arr = np.asarray(l_A)
+    m = int(rng.integers(0, 2))
+    honest_positions = mark_readonly((arr == 2 * m).nonzero()[0] + 1)
+    if strategy.kind is AKind.HONEST:
+        return ActionA(m, honest_positions, m, arr)
+    is_mixed = arr == 1
+    mixed = mark_readonly(is_mixed.nonzero()[0] + 1)
+    n = min(strategy.count, mixed.size)
+    drawn = rng.choice(mixed, size=n, replace=False)
+    drawn.sort()
+    drawn = mark_readonly(drawn)
+    capped = n < strategy.count
+    if strategy.kind is AKind.SPLIT_MESSAGE:
+        m_AC = 1 - m
+        claimed = np.concatenate((honest_positions, drawn))
+        claimed.sort()
+        l_AC = mark_readonly(np.where(is_mixed, 2 * m_AC, arr))
+        return ActionA(m, mark_readonly(claimed), m_AC, l_AC, drawn, mixed, capped)
+    forged = arr.copy()
+    forged[drawn - 1] = 2 * m
+    return ActionA(m, honest_positions, m, mark_readonly(forged), altered_positions=drawn,
+                   capped=capped)

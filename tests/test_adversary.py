@@ -26,6 +26,7 @@ from liarsim.liar_protocol import (
 )
 from liarsim.qstate import mark_readonly
 from liarsim.runner import trial_rng
+from reference_checks import strategy_A_act_reference
 
 # A's pairs 00 01 00 11 11 00 01 11, as counts of 1s; like the lists
 # generate_lists makes, the rows are read-only int8 arrays
@@ -313,6 +314,45 @@ class TestProducerInvariants:
         assert_frozen(action.forwarded, np.int64, 1, L)
         assert_frozen(action.fabricated_positions, np.int64, 1, L)
         assert type(action.capped) is bool
+
+
+def _seed_drawing(m: int, start: int) -> int:
+    """The first seed from ``start`` whose stream draws A's message bit ``m``."""
+    while int(rng(start).integers(0, 2)) != m:
+        start += 1
+    return start
+
+
+class TestStrategyAMatchesReference:
+    """``strategy_A_act`` gives, field by field, what A's action built array
+    by array (``np.where``, then ``concatenate`` and ``sort``) gives from the
+    same draws, and leaves the stream where that one does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(AKind),
+        a_ones=st.lists(st.integers(0, 2), min_size=1, max_size=300),
+        m=st.integers(0, 1),
+        count=st.integers(0, 320),  # past the mixed positions of every list: capped
+        start=st.integers(0, 2**32),
+    )
+    def test_action_matches_reference(self, kind, a_ones, m, count, start):
+        strategy = StrategyA(kind, 0 if kind is AKind.HONEST else count)
+        l_A = mark_readonly(np.array(a_ones, np.int8))
+        seed = _seed_drawing(m, start)
+        stream, reference_stream = rng(seed), rng(seed)
+        action = strategy_A_act(strategy, l_A, stream)
+        expected = strategy_A_act_reference(strategy, l_A, reference_stream)
+        assert action.m_AB == m
+        for field, got, want in zip(action._fields, action, expected):
+            assert type(got) is type(want), field
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape, field
+                assert got.flags.writeable == want.flags.writeable, field
+                assert np.array_equal(got, want), field
+            else:
+                assert got == want, field
+        assert stream.bit_generator.state == reference_stream.bit_generator.state
 
 
 class TestParsers:

@@ -274,6 +274,21 @@ class TestLossyChannel:
         assert seen_steps <= {"ii", "v"}
         assert seen_steps  # at 2% per qubit, 20 runs of 48+ qubits must lose some
 
+    @pytest.mark.parametrize("producer", [run_distribute_and_test, _dense_distribute_and_test])
+    def test_step_ii_abort_records_no_round(self, producer, assert_frozen):
+        plan, fault = DistributionPlan.default(8), FaultModel(qubit_loss_prob=1.0)
+        records = producer(plan, fault, rng(0)).test_records
+        assert len(records) == 0
+        for column, dtype, shape in (
+            (records.system_ids, np.int64, None), (records.subsets, np.int8, None),
+            (records.theta, np.float64, None), (records.phi, np.float64, None),
+            (records.bits, np.int8, (0, 4)), (records.passed, np.bool_, None),
+        ):
+            assert_frozen(column, dtype, 0, 0, shape)
+        # both producers share one empty record, built once
+        assert producer(plan, fault, rng(1)).test_records is records
+        assert records is run_distribute_and_test(plan, fault, rng(2)).test_records
+
 
 class TestRoundRecord:
     def test_rounds_are_read_only_and_passed_is_derived(self):

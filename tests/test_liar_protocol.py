@@ -542,6 +542,49 @@ class TestCAdjudicate:
         result = b_accepts(m_BC, forwarded, lists.b_bits)
         assert isinstance(result, AcceptanceResult)
 
+    # numpy promotes uint64 with int64 to float64, but a sequence's entries
+    # are read as exact ints: each mix is judged as its plain ints are
+    @pytest.mark.parametrize(
+        "mixed",
+        [
+            [np.uint64(1), 2], [1, np.uint64(4)], [np.uint64(1), np.int64(3)],
+            [np.uint8(2), np.int8(3)], [np.uint64(3), np.uint64(2)], [np.uint64(0), 1],
+        ],
+    )
+    def test_mixed_integer_types_judged_as_ints(self, mixed):
+        plain = [int(item) for item in mixed]
+        l_B, l_AC = np.array([1, 1, 0, 1], np.int8), np.array([2, 0, 0, 2], np.int8)
+        l_C = np.array([0, 1, 1, 0], np.int8)
+        assert b_accepts(0, mixed, l_B) == b_accepts(0, plain, l_B)
+        for thresholds in (Thresholds(0.0), Thresholds()):
+            assert c_adjudicate(0, l_AC, 1, mixed, l_C, thresholds) == c_adjudicate(
+                0, l_AC, 1, plain, l_C, thresholds
+            )
+
+    @pytest.mark.parametrize(
+        "l_AC",
+        [
+            np.array([1, 1, -1, 1], np.int8), np.array([1, 1, -1, 1], np.int16),
+            np.array([1, 1, -1, 1], np.int64), np.array([1, 1, -1, 1], object),
+            np.array([np.uint64(1), 1, -1, 1]), [np.uint64(1), 1, -1, 1],
+            [np.uint64(0), -1, 1, 1],
+        ],
+    )
+    def test_negative_count_is_malformed_in_any_dtype(self, l_AC):
+        # a forward of [1] would convict B if the list got past stage 1
+        verdict = c_adjudicate(0, l_AC, 1, [1], np.array([0, 1, 1, 0], np.int8))
+        assert verdict == (VerdictValue.A_IS_LIAR, "stage1_malformed", None)
+
+    def test_entry_beyond_int64_named_exactly(self):
+        l_B = np.array([1, 1, 0, 1], np.int8)
+        for big in (2**63 + 1, 2**64 + 1):
+            assert b_accepts(0, [1, big], l_B) == (False, "step_iii_incompatible", big)
+            verdict = c_adjudicate(1, WORKED_A, 0, [1, big], WORKED_C)
+            assert verdict == (VerdictValue.B_IS_LIAR, "stage2_malformed", big)
+            assert c_adjudicate(0, [1, 1, 1, big], 1, [1], np.zeros(4, np.int8)) == (
+                VerdictValue.A_IS_LIAR, "stage1_malformed", None
+            )
+
     def test_both_stages_passing_convicts_a(self):
         # a full-length forwarded claim consistent with A's own full list
         # can only arise because A supported both conflicting messages

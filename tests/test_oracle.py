@@ -70,6 +70,7 @@ class TestSingletWeights:
     def test_every_source_law_is_its_dense_state_law(self, name):
         # the weights the fast paths read, against the state the dense reference prepares
         weights = source_weights(name)
+        assert source_weights("".join(name)) is weights  # built once per name
         assert len(weights) == 16 and sum(weights) == 12
         probs = joint_distribution(FaultModel(source_state=name).prepare_state(), COMPUTATIONAL)
         np.testing.assert_allclose(np.array(weights) / 12, probs, rtol=0, atol=1e-15)
