@@ -4,19 +4,19 @@
 distribute-and-test phase. ``FaultModel.prepare_state``, the custody
 ledger (``PartyId``, ``QubitRef``, ``QubitRegistry``), ``QuantumSystem``
 and ``transfer_qubits`` serve only the step-by-step reference of that
-phase; its array kernel carries the source by name.
+phase; its production path draws from the phase's exact abort law and
+carries the source by name.
 
 Only input from outside the program is checked where it enters:
 ``FaultModel`` here, the plan, thresholds, strategies and trial config in
 their own modules, and every payload by B's and C's checks. The records
-that carry arrays between phases (``VerifiedPool``, ``TestRounds``,
-``PartyLists``, ``ActionA``, ``ActionB``) check nothing when built. The
-function that makes each one casts and marks its arrays read-only, and
-one hypothesis test per producer holds it to 1-D, equally long,
-in-range, read-only arrays of the record's dtypes: the
-``TestProducerInvariants`` classes of ``tests/test_distribute_test.py``
-(pools and rounds), ``tests/test_liar_protocol.py`` (lists) and
-``tests/test_adversary.py`` (actions).
+that carry arrays between phases (``VerifiedPool``, ``PartyLists``,
+``ActionA``, ``ActionB``) check nothing when built. The function that
+makes each one casts and marks its arrays read-only, and one hypothesis
+test per producer holds it to 1-D, equally long, in-range, read-only
+arrays of the record's dtypes: the ``TestProducerInvariants`` classes of
+``tests/test_distribute_test.py`` (pools), ``tests/test_liar_protocol.py``
+(lists) and ``tests/test_adversary.py`` (actions).
 """
 from __future__ import annotations
 

@@ -15,11 +15,10 @@ Conventions fixed here and relied on everywhere else:
 This module alone turns a float probability law into a CDF. ``_cdf`` is
 the one rule: along the last axis, no edge above 1.0 and every edge from
 the last nonzero probability on exactly 1.0, so no uniform in [0, 1)
-draws an outcome of probability zero. Laws that change with every
-uniform are drawn by ``_draw_rows``, which equals
-``searchsorted(cum, u, side="right")`` exactly. This is the dense
-reference's engine: the array paths read each source's law as integer
-weights from ``oracle`` and build no state vector.
+draws an outcome of probability zero, and ``searchsorted(cum, u,
+side="right")`` draws from it. This is the dense reference's engine: the
+array paths read each source's law as integer weights from ``oracle``,
+or its exact test-round law, and build no state vector.
 """
 from __future__ import annotations
 
@@ -240,13 +239,6 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return mark_readonly(cum)
 
 
-def _draw_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``searchsorted(cum[i], u[i], side="right")`` for each row i, exactly:
-    the draw for laws that change with every uniform. ``cum`` is from ``_cdf``,
-    so sorted, and the count of its edges at or below u is the outcome."""
-    return np.count_nonzero(cum <= u[..., None], axis=-1)
-
-
 def measure_qubits(
     state: StateVector,
     targets: list[int] | tuple[int, ...],
@@ -279,7 +271,7 @@ def measure_qubits(
     if other_axes:
         marginal = marginal.sum(axis=other_axes)
     flat = marginal.reshape(-1)
-    drawn = int(_draw_rows(_cdf(flat / flat.sum()), np.asarray(rng.random())))
+    drawn = int(_cdf(flat / flat.sum()).searchsorted(rng.random(), side="right"))
     outcome_by_axis = dict(zip(sorted_axes, outcome_bits(len(sorted_axes))[drawn].tolist()))
 
     # project onto the drawn outcome and renormalize

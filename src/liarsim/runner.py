@@ -223,7 +223,9 @@ DISTRIBUTE_FAILURE = "DISTRIBUTE_FAILURE"
 
 # How a trial reads its stream. 2: each list position is one integers(0, 24)
 # draw of its assignment code and outcome cell, and no code is drawn before.
-STREAM_VERSION = 2
+# 3: distribute-and-test draws only its first failure, one geometric per
+# segment and one uniform to name its step (a fault-free run draws nothing).
+STREAM_VERSION = 3
 
 # the summary's field names, built once; timing never enters the result file
 _CONFIG_FIELDS = tuple(f.name for f in fields(TrialConfig))
@@ -428,8 +430,9 @@ def run_single_trial(config: TrialConfig, trial_index: int) -> TrialResult:
     fault = config.fault
 
     if fault is NO_FAULTS:
-        # a fault-free distribute run always succeeds with the pool
-        # untouched, so build the verified pool directly
+        # run_distribute_and_test draws nothing for a fault-free run and
+        # returns this pool (tests hold it so); calling the pool builder
+        # skips its call cost on every fault-free trial
         pool = make_verified_pool(config.L)
     else:
         outcome = run_distribute_and_test(

@@ -1,8 +1,9 @@
 """Sampling helpers kept only to test the program.
 
 The simulator draws list positions as integer cells of the source's law
-(``liar_protocol.generate_lists``) and singlet test rounds from one exact
-CDF, so it never samples a state along an arbitrary direction. The tests
+(``liar_protocol.generate_lists``) and a test phase's first failure from
+its exact abort law, so only the dense reference run samples a state
+along an arbitrary direction. The tests
 that check the singlet's outcome law along many directions sample it with
 ``sample_along``, through the dense engine's own rounding rule
 (``qstate._cdf``). ``RecordingGenerator`` records the draws a producer makes.

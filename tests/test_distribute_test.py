@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.stats import binomtest
 
 from liarsim import distribute_test
 from liarsim.channels import (
@@ -15,22 +18,17 @@ from liarsim.channels import (
 from liarsim.distribute_test import (
     DirectionPolicy,
     DistributionPlan,
-    TestRounds,
     VerifiedPool,
-    _SINGLET_C_ZERO,
-    _SINGLET_CUM,
+    _balanced_chance,
     _dense_distribute_and_test,
-    _play_rounds,
-    _product_probabilities,
-    _round_law,
+    _draw_subsets,
     choose_direction,
     make_verified_pool,
     run_distribute_and_test,
 )
-from liarsim.oracle import source_weights
 from liarsim.qstate import (
-    COMPUTATIONAL, MeasurementDirection, _draw_rows, basis_state, joint_distribution, make_singlet,
-    mark_readonly, outcome_bits,
+    COMPUTATIONAL, MeasurementDirection, basis_state, joint_distribution, make_singlet,
+    outcome_bits,
 )
 from liarsim.runner import TrialConfig, resolve_sizes, run_trials
 from sampling import RecordingGenerator
@@ -87,8 +85,7 @@ class TestHonestRun:
     def test_success_with_all_records_passing(self):
         outcome = run_distribute_and_test(DistributionPlan.default(64), NO_FAULTS, rng(11))
         assert outcome.failure is None
-        assert len(outcome.test_records) == 32
-        assert outcome.test_records.passed.all()
+        assert outcome.test_records == range(32)
         assert len(outcome.pool) == 32
 
     def test_pool_systems_untouched(self):
@@ -109,61 +106,20 @@ class TestHonestRun:
             _dense_distribute_and_test(DistributionPlan.default(16), NO_FAULTS, rng(5))
 
     def test_tested_and_pool_ids_partition_the_batch(self):
-        plan = DistributionPlan.default(40)
-        outcome = run_distribute_and_test(plan, NO_FAULTS, rng(7))
-        tested = set(outcome.test_records.system_ids.tolist())
-        pool = set(outcome.pool.system_ids.tolist())
-        assert len(tested) == plan.N1 + plan.N2
-        assert tested.isdisjoint(pool)
-        assert tested | pool == set(range(1, plan.M + 1))
+        # the dense reference's subsets: S1's and S2's ids, each sorted, then the pool's
+        plan = DistributionPlan(40, 9, 11, 20)
+        tested, pool = _draw_subsets(plan, rng(7))
+        s1, s2 = tested[: plan.N1].tolist(), tested[plan.N1 :].tolist()
+        assert (len(s1), len(s2)) == (plan.N1, plan.N2)
+        assert s1 == sorted(s1) and s2 == sorted(s2) and pool.tolist() == sorted(pool.tolist())
+        assert set(tested.tolist()).isdisjoint(pool.tolist())
+        assert set(tested.tolist()) | set(pool.tolist()) == set(range(1, plan.M + 1))
 
     def test_both_subsets_exercised(self):
-        outcome = run_distribute_and_test(DistributionPlan.default(16), NO_FAULTS, rng(9))
-        subsets = set(outcome.test_records.subsets.tolist())
-        assert subsets == {1, 2}
-
-    def test_subsets_drawn_after_distribution(self):
-        # the permutation that picks S1 and S2 comes after every transit
-        # draw of the distribution, so replaying all 3M transit uniforms and
-        # then one permutation gives the partition
-        plan = DistributionPlan.default(16)
-        outcome = run_distribute_and_test(plan, NO_FAULTS, rng(13))
-        replay = rng(13)
-        replay.random(3 * plan.M)
-        order = replay.permutation(plan.M) + 1
-        s1, s2 = order[: plan.N1], order[plan.N1 : plan.N1 + plan.N2]
-        np.testing.assert_array_equal(
-            outcome.test_records.system_ids, np.concatenate((np.sort(s1), np.sort(s2)))
-        )
-        np.testing.assert_array_equal(
-            outcome.pool.system_ids, np.sort(order[plan.N1 + plan.N2 :])
-        )
-
-    @pytest.mark.parametrize(
-        "policy, per_round", [(DirectionPolicy.RANDOM, 4), (DirectionPolicy.FIXED, 2)]
-    )
-    def test_successful_run_reads_three_blocks(self, policy, per_round):
-        # A's and B's transit uniforms, the permutation, then one block for
-        # every test round: each S1 round has two transit uniforms and each
-        # S2 round one, then two direction uniforms under the random policy
-        # and one uniform per measurement. No assignment is drawn: a pool
-        # system's is drawn with its list entry
+        # a successful run plays every round of S1 and of S2
         plan = DistributionPlan(20, 3, 5, 12)
-        stream = RecordingGenerator(rng(23))
-        outcome = run_distribute_and_test(plan, NO_FAULTS, stream, policy)
-        assert outcome.failure is None
-        assert stream.calls == [
-            ("random", (60,)),
-            ("permutation", (20,)),
-            ("random", (3 * (2 + per_round) + 5 * (1 + per_round),)),
-        ]
-
-    def test_rounds_and_pool_share_one_permutation(self):
-        # both records keep read-only views of the drawn permutation
-        outcome = run_distribute_and_test(DistributionPlan(20, 3, 5, 12), NO_FAULTS, rng(4))
-        tested, pool = outcome.test_records.system_ids, outcome.pool.system_ids
-        assert tested.base is not None and tested.base is pool.base
-        assert not tested.base.flags.writeable
+        for producer in (run_distribute_and_test, _dense_distribute_and_test):
+            assert producer(plan, NO_FAULTS, rng(9)).test_records == range(8)
 
     def test_fixed_direction_policy_also_succeeds(self):
         outcome = run_distribute_and_test(
@@ -174,14 +130,98 @@ class TestHonestRun:
         )
         assert outcome.failure is None
 
-    def test_reproducible_for_fixed_seed(self, records_equal):
-        results = [
-            run_distribute_and_test(DistributionPlan.default(24), NO_FAULTS, rng(21))
-            for _ in range(2)
+    def test_reproducible_for_fixed_seed(self):
+        fault = FaultModel(qubit_loss_prob=0.01, source_state="0011")
+        for seed in range(20):
+            first, second = (
+                run_distribute_and_test(DistributionPlan.default(24), fault, rng(seed))
+                for _ in range(2)
+            )
+            assert first.failure == second.failure
+            assert first.test_records == second.test_records
+
+
+class _ScriptedDraws:
+    """Stands in for a generator: each ``geometric`` or ``random`` call
+    returns the next scripted value."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def geometric(self, p):
+        return self.values.pop(0)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def _near(x):
+    return pytest.approx(x, rel=1e-12, abs=0)
+
+
+class TestDrawLayout:
+    """The run draws only its first failure: one ``geometric`` per segment
+    that can fail (the 3M transits, S1's rounds, S2's rounds) and one uniform
+    to tell (v) from (vii) when both can happen."""
+
+    @pytest.mark.parametrize("policy", list(DirectionPolicy))
+    def test_fault_free_singlet_run_draws_nothing(self, policy):
+        stream = RecordingGenerator(rng(23))
+        outcome = run_distribute_and_test(DistributionPlan(20, 3, 5, 12), NO_FAULTS, stream, policy)
+        assert outcome.failure is None and stream.calls == []
+
+    @pytest.mark.parametrize("p, s1_loss", [(1e-4, 2e-4 - 1e-8), (1e-17, 2e-17)])
+    def test_lossy_singlet_run_draws_one_geometric_per_segment(self, p, s1_loss):
+        # S1 forwards two qubits and S2 one; a tiny p must not round to 0 in S1
+        stream = RecordingGenerator(rng(0))
+        fault = FaultModel(qubit_loss_prob=p)
+        outcome = run_distribute_and_test(DistributionPlan(512, 128, 128, 256), fault, stream)
+        assert outcome.failure is None
+        assert stream.calls == [
+            ("geometric", (_near(p),)), ("geometric", (_near(s1_loss),)),
+            ("geometric", (_near(p),)),
         ]
-        assert records_equal(results[0].test_records, results[1].test_records)
-        ids = [r.pool.system_ids.tolist() for r in results]
-        assert ids[0] == ids[1]
+
+    def test_product_run_without_loss_draws_no_uniform(self):
+        # every failure of a lossless run is at (vii), so no uniform names it
+        stream = RecordingGenerator(rng(2))
+        fault = FaultModel(source_state="0011")
+        outcome = run_distribute_and_test(DistributionPlan.default(12), fault, stream)
+        assert outcome.failure == ("vii", None) and outcome.test_records == range(1)
+        assert stream.calls == [("geometric", (_near(7 / 15),))]
+
+    def test_lossy_product_run_draws_a_uniform_for_the_step(self):
+        stream = RecordingGenerator(rng(1))
+        fault = FaultModel(qubit_loss_prob=0.01, source_state="0011")
+        outcome = run_distribute_and_test(DistributionPlan.default(12), fault, stream)
+        assert outcome.failure == ("vii", None) and outcome.test_records == range(4)
+        assert stream.calls == [
+            ("geometric", (_near(0.01),)), ("geometric", (_near(1 - 0.99**2 * 8 / 15),)),
+            ("geometric", (_near(1 - 0.99 * 8 / 15),)), ("random", ()),
+        ]
+
+    @pytest.mark.parametrize(
+        "script, failure, played",
+        [
+            ((1,), ("ii", 1), 0),  # the first transit: A's first qubit of system 1
+            ((3,), ("ii", 1), 0),  # B's qubit of system 1
+            ((4,), ("ii", 2), 0),
+            ((60,), ("ii", 20), 0),  # the last of the 3M transits
+            ((61, 2, 0.0), ("v", None), 1),  # S1 round 2 loses a qubit: round 1 played
+            ((61, 2, 0.999), ("vii", None), 2),  # S1 round 2 measured unbalanced
+            ((61, 4, 5, 0.0), ("v", None), 7),  # S2 round 5, after S1's 3 rounds
+            ((61, 4, 5, 0.999), ("vii", None), 8),
+            ((61, 4, 6), None, 8),  # no failure within either subset
+        ],
+    )
+    def test_first_failure_names_step_system_and_rounds(self, script, failure, played):
+        fault = FaultModel(qubit_loss_prob=0.01, source_state="0011")
+        draws = _ScriptedDraws(*script)
+        outcome = run_distribute_and_test(DistributionPlan(20, 3, 5, 12), fault, draws)
+        assert draws.values == []
+        assert outcome.failure == failure
+        assert outcome.test_records == range(played)
+        assert (outcome.pool is None) is (failure is not None)
 
 
 class TestCorruptedSource:
@@ -195,8 +235,8 @@ class TestCorruptedSource:
         assert outcome.failure is not None
         assert outcome.failure.step == "vii"
         # the very first tested system already shows four equal bits
-        assert len(outcome.test_records) == 1
-        assert not outcome.test_records.passed[0]
+        assert outcome.test_records == range(1)
+        assert outcome.failure.system_id is None
 
     def test_all_zero_source_fails_with_random_directions(self):
         for seed in range(10):
@@ -275,36 +315,24 @@ class TestLossyChannel:
         assert seen_steps  # at 2% per qubit, 20 runs of 48+ qubits must lose some
 
     @pytest.mark.parametrize("producer", [run_distribute_and_test, _dense_distribute_and_test])
-    def test_step_ii_abort_records_no_round(self, producer, assert_frozen):
+    def test_step_ii_abort_records_no_round(self, producer):
         plan, fault = DistributionPlan.default(8), FaultModel(qubit_loss_prob=1.0)
-        records = producer(plan, fault, rng(0)).test_records
-        assert len(records) == 0
-        for column, dtype, shape in (
-            (records.system_ids, np.int64, None), (records.subsets, np.int8, None),
-            (records.theta, np.float64, None), (records.phi, np.float64, None),
-            (records.bits, np.int8, (0, 4)), (records.passed, np.bool_, None),
-        ):
-            assert_frozen(column, dtype, 0, 0, shape)
-        # both producers share one empty record, built once
-        assert producer(plan, fault, rng(1)).test_records is records
-        assert records is run_distribute_and_test(plan, fault, rng(2)).test_records
+        outcome = producer(plan, fault, rng(0))
+        assert outcome.failure == ("ii", 1)
+        assert outcome.test_records == range(0)
 
-
-class TestRoundRecord:
-    def test_rounds_are_read_only_and_passed_is_derived(self):
-        columns = (
-            np.array([4, 9]), np.array([1, 2], np.int8), np.array([0.0, 1.0]),
-            np.array([0.0, 2.0]), np.array([[0, 1, 1, 0], [0, 0, 0, 1]], np.int8),
-        )
-        rounds = TestRounds(*map(mark_readonly, columns))
-        np.testing.assert_array_equal(rounds.passed, [True, False])
-        row = (rounds.system_ids[1], rounds.subsets[1], rounds.theta[1], rounds.phi[1])
-        assert row == (9, 2, 1.0, 2.0)
-        assert rounds.bits[1].tolist() == [0, 0, 0, 1] and not rounds.passed[1]
-        with pytest.raises(ValueError):
-            rounds.bits[0, 0] = 1
-        with pytest.raises(ValueError):
-            rounds.passed[0] = False
+    def test_memory_grows_with_the_pool_not_the_batch(self):
+        # a million tested systems and a pool of 10: nothing is drawn or
+        # held per system, so the run's peak stays far below one MiB
+        plan = DistributionPlan(10**6 + 10, 500_000, 500_000, 10)
+        fault = FaultModel(qubit_loss_prob=1e-9)
+        tracemalloc.start()
+        try:
+            run_distribute_and_test(plan, fault, rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 FAULTS = {
@@ -313,6 +341,7 @@ FAULTS = {
     "0000": FaultModel(source_state="0000"),
     "loss-0.01": FaultModel(qubit_loss_prob=0.01),
     "loss-1": FaultModel(qubit_loss_prob=1.0),
+    "loss-0.01-0011": FaultModel(qubit_loss_prob=0.01, source_state="0011"),
 }
 
 ORACLE_CASES = [
@@ -324,142 +353,117 @@ ORACLE_CASES = [
     ("loss-0.01", DirectionPolicy.RANDOM),
     ("loss-1", DirectionPolicy.RANDOM),
 ]
+# loss and an unbalanced source together: both (v) and (vii) can end a round
+LAW_CASES = ORACLE_CASES + [("loss-0.01-0011", DirectionPolicy.RANDOM)]
+
+_BASIS_STATES = [format(i, "04b") for i in range(16)]
+_BALANCED_ROWS = outcome_bits(4).sum(axis=1) == 2
 
 
-class TestClosedFormMatchesDenseOracle:
-    """The array kernel against the step-by-step run through the dense engine."""
-
-    @pytest.mark.parametrize("fault, policy", ORACLE_CASES)
-    def test_identical_outcomes_for_each_seed(self, fault, policy):
-        self.assert_matches_dense(DistributionPlan.default(12), fault, policy)
-
-    @pytest.mark.parametrize("fault, policy", ORACLE_CASES)
-    def test_identical_outcomes_for_unequal_subsets(self, fault, policy):
-        self.assert_matches_dense(DistributionPlan(20, 3, 5, 12), fault, policy)
-
-    @staticmethod
-    def assert_matches_dense(plan, fault, policy):
-        for seed in range(100):
-            fast_rng, dense_rng = rng(seed), rng(seed)
-            fast = run_distribute_and_test(plan, FAULTS[fault], fast_rng, policy)
-            dense = _dense_distribute_and_test(plan, FAULTS[fault], dense_rng, policy)
-            assert (fast.failure is None) is (dense.failure is None)
-            if fast.failure is None:
-                assert dense.failure is None
-                np.testing.assert_array_equal(fast.pool.system_ids, dense.pool.system_ids)
-                # the same number of draws: both streams continue in step
-                assert fast_rng.random() == dense_rng.random()
-            else:
-                assert fast.pool is dense.pool is None
-                failed = (fast.failure.step, fast.failure.system_id)
-                assert failed == (dense.failure.step, dense.failure.system_id)
-            fast_rounds, dense_rounds = fast.test_records, dense.test_records
-            np.testing.assert_array_equal(fast_rounds.system_ids, dense_rounds.system_ids)
-            np.testing.assert_array_equal(fast_rounds.subsets, dense_rounds.subsets)
-            np.testing.assert_array_equal(fast_rounds.bits, dense_rounds.bits)
-            # numpy's and libm's arccos may differ in the last place
-            np.testing.assert_allclose(fast_rounds.theta, dense_rounds.theta, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(fast_rounds.phi, dense_rounds.phi, rtol=0, atol=1e-15)
-
-
-class _ConstantUniforms:
-    """Stands in for a generator whose every uniform is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, size):
-        return np.full(size, self.u)
-
-
-def _random_directions(seed, count):
-    u = rng(seed).random((count, 2))
-    return np.arccos(-1.0 + 2.0 * u[:, 0]), 2.0 * np.pi * u[:, 1]
-
-
-class TestSingletTable:
-    """Singlet rounds draw from one exact table in twelfths; a product source
-    draws each round from its closed-form law. Both are held to the dense
-    engine's ``joint_distribution``."""
-
-    def test_table_matches_rotated_source_along_random_directions(self):
-        # the singlet is unchanged by a common rotation, so its dense law along
-        # any direction is the table's, and so is that law's CDF
-        exact = np.reshape(source_weights("singlet"), (8, 2)) / 12
-        worst = 0.0
-        for theta, phi in zip(*_random_directions(31, 2000)):
-            rotated = joint_distribution(make_singlet(4), MeasurementDirection(theta, phi))
-            cum, _ = _round_law(rotated.reshape(8, 2))
-            worst = max(worst, np.abs(rotated.reshape(8, 2) - exact).max(),
-                        np.abs(cum - _SINGLET_CUM).max())
-        assert worst < 1e-14
-
-    def test_cdf_edges_are_exact_twelfths(self):
-        np.testing.assert_array_equal(_SINGLET_CUM, np.array([0, 4, 5, 6, 7, 8, 12, 12]) / 12)
-        # each balanced row has one nonzero cell, so C's bit follows from slots 1-3
-        np.testing.assert_array_equal(_SINGLET_C_ZERO, [0, 0, 0, 1, 0, 1, 1, 0])
-
-    def test_zero_probability_rows_are_unreachable(self):
-        # rows 000 and 111: no uniform in [0, 1) lands between equal edges
-        assert _SINGLET_CUM[0] == 0.0
-        assert _SINGLET_CUM[6] == _SINGLET_CUM[7] == 1.0
-        extremes = np.array([0.0, np.nextafter(1.0, 0.0)])
-        drawn = _SINGLET_CUM.searchsorted(extremes, side="right")
-        np.testing.assert_array_equal(drawn, [1, 6])  # 001 and 110
+class TestBalancedChanceMatchesDenseEngine:
+    """(a) The law's b, a round's chance of two 0s and two 1s, against the
+    dense engine's ``joint_distribution``: along the fixed axis, and averaged
+    over uniform directions (cos theta and phi uniform) by quadrature."""
 
     @pytest.mark.parametrize("policy", list(DirectionPolicy))
+    @pytest.mark.parametrize("state", ["singlet"] + _BASIS_STATES)
+    def test_law_is_the_dense_direction_average(self, state, policy):
+        source = make_singlet(4) if state == "singlet" else basis_state(state)
+
+        def balanced(theta, phi):
+            law = joint_distribution(source, MeasurementDirection(theta, phi))
+            return law[_BALANCED_ROWS].sum()
+
+        if policy is DirectionPolicy.FIXED:
+            dense = balanced(0.0, 0.0)
+        else:
+            total, _ = integrate.dblquad(
+                lambda u, phi: balanced(math.acos(u), phi), 0.0, 2.0 * math.pi, -1.0, 1.0,
+                epsabs=1e-13, epsrel=1e-13,
+            )
+            dense = total / (4.0 * math.pi)
+        assert abs(_balanced_chance(state, policy) - dense) < 1e-12
+
+    def test_named_values(self):
+        random = DirectionPolicy.RANDOM
+        fixed = DirectionPolicy.FIXED
+        assert _balanced_chance("singlet", random) == _balanced_chance("singlet", fixed) == 1
+        assert [_balanced_chance(s, random) for s in ("0011", "0001", "0111", "0000")] == [
+            8 / 15, 3 / 10, 3 / 10, 1 / 5,
+        ]
+        along_z = [_balanced_chance(s, fixed) for s in _BASIS_STATES]
+        assert along_z == [float(s.count("1") == 2) for s in _BASIS_STATES]
+
+
+_CATEGORIES = ("success", "ii", "S1-v", "S1-vii", "S2-v", "S2-vii")
+
+
+def _category(outcome, plan):
+    if outcome.failure is None:
+        return "success"
+    step = outcome.failure.step
+    if step == "ii":
+        return step
+    # the failing round: the one after the last played at (v), the last at (vii)
+    failed_round = len(outcome.test_records) + (step == "v")
+    return f"{'S1' if failed_round <= plan.N1 else 'S2'}-{step}"
+
+
+def _category_law(plan, fault, policy):
+    """Each category's exact chance, from the independent transits and rounds."""
+    p, b = fault.qubit_loss_prob, _balanced_chance(fault.source_state, policy)
+    reach = (1 - p) ** (3 * plan.M)
+    law = {"ii": 1 - reach}
+    for subset, rounds, kept in (("S1", plan.N1, (1 - p) ** 2), ("S2", plan.N2, 1 - p)):
+        passed = kept * b
+        # the chance of reaching some round of this subset, summed over its rounds
+        reached = reach * (rounds if passed == 1 else (1 - passed**rounds) / (1 - passed))
+        law[f"{subset}-v"] = reached * (1 - kept)
+        law[f"{subset}-vii"] = reached * kept * (1 - b)
+        reach *= passed**rounds
+    law["success"] = reach
+    return law
+
+
+_LAW_PLANS = {"N1=N2=3": DistributionPlan.default(12), "N1=3,N2=5": DistributionPlan(20, 3, 5, 12)}
+# (producer, plans, runs per case): the dense runs take about a millisecond each
+_LAW_PRODUCERS = {
+    "law": (run_distribute_and_test, sorted(_LAW_PLANS), 10_000),
+    "dense": (_dense_distribute_and_test, ["N1=N2=3"], 200),
+}
+_LAW_TESTS = [
+    (name, plan, fault, policy)
+    for name, (_, plans, _) in _LAW_PRODUCERS.items()
+    for plan in plans
+    for fault, policy in LAW_CASES
+]
+_LAW_TESTS = [case + (seed,) for seed, case in enumerate(_LAW_TESTS)]
+# Bonferroni: every category of every test below shares one family-wise level
+_LEVEL = 0.001 / (len(_LAW_TESTS) * len(_CATEGORIES))
+
+
+class TestProducersMatchLaw:
+    """(b) Both producers against the law: each run binned into success, a
+    step-(ii) abort, or a (v) or (vii) abort in S1 or S2, and each bin's count
+    held to its exact chance by a binomial test, Bonferroni-corrected to a
+    family-wise level of 0.001."""
+
     @pytest.mark.parametrize(
-        "u, expected", [(0.0, [0, 0, 1, 1]), (np.nextafter(1.0, 0.0), [1, 1, 0, 0])]
+        "producer, plan, fault, policy, seed", _LAW_TESTS,
+        ids=[f"{name}-{plan}-{fault}-{policy.value}" for name, plan, fault, policy, _ in _LAW_TESTS],
     )
-    def test_extreme_uniforms_give_balanced_bits(self, policy, u, expected):
-        # five rounds of each subset's width: S1 forwards two qubits, S2 one
-        lost, _, _, outcome = _play_rounds("singlet", 5, 5, 0.0, policy, _ConstantUniforms(u))
-        assert not lost.any()
-        np.testing.assert_array_equal(outcome_bits(4)[outcome], [expected] * 10)
-
-    @pytest.mark.parametrize("state", [format(i, "04b") for i in range(16)])
-    def test_product_law_matches_dense_engine(self, state):
-        # the closed form against the rotated state vector, along 200 random
-        # directions and the poles of the sphere
-        theta, phi = _random_directions(int(state, 2), 200)
-        theta, phi = np.r_[theta, 0.0, np.pi], np.r_[phi, 0.0, 1.0]
-        closed = _product_probabilities(state, theta)
-        assert closed.shape == (202, 8, 2)
-        for i, direction in enumerate(map(MeasurementDirection, theta, phi)):
-            dense = joint_distribution(basis_state(state), direction).reshape(8, 2)
-            np.testing.assert_allclose(closed[i], dense, rtol=0, atol=1e-14)
-
-    @pytest.mark.parametrize("state", ["0011", "0110"])
-    def test_product_round_draw_is_exact(self, state):
-        # each round's own law, drawn at u = 0, just below 1, every edge and
-        # its float neighbours, equals searchsorted on that round's CDF
-        theta, _ = _random_directions(41, 50)
-        probs = _product_probabilities(state, theta)
-        cum, c_zero = _round_law(probs)
-        assert np.all(np.diff(cum, axis=1) >= 0) and np.all(cum[:, -1] == 1.0)
-        np.testing.assert_array_equal(c_zero, probs[..., 0] / probs.sum(axis=2))
-        rows, x = [], []
-        for i, row in enumerate(cum):
-            edges = np.concatenate((row, np.nextafter(row, 0.0), np.nextafter(row, 2.0)))
-            edges = edges[(edges >= 0) & (edges < 1)]
-            x.append(np.concatenate(([0.0, np.nextafter(1.0, 0.0)], edges)))
-            rows.append(np.full(x[-1].size, i))
-        rows, x = np.concatenate(rows), np.concatenate(x)
-        expected = [np.searchsorted(cum[i], v, side="right") for i, v in zip(rows, x)]
-        np.testing.assert_array_equal(_draw_rows(cum[rows], x), expected)
-
-    def test_only_product_sources_read_a_law_per_round(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _product_probabilities(*args)
-
-        monkeypatch.setattr(distribute_test, "_product_probabilities", counted)
-        run_distribute_and_test(DistributionPlan.default(40), NO_FAULTS, rng(3))
-        assert not calls
-        run_distribute_and_test(DistributionPlan.default(40), FAULTS["0011"], rng(3))
-        assert calls
+    def test_category_counts_follow_the_law(self, producer, plan, fault, policy, seed):
+        run, _, runs = _LAW_PRODUCERS[producer]
+        plan, stream = _LAW_PLANS[plan], rng(seed)
+        counts = dict.fromkeys(_CATEGORIES, 0)
+        for _ in range(runs):
+            counts[_category(run(plan, FAULTS[fault], stream, policy), plan)] += 1
+        law = _category_law(plan, FAULTS[fault], policy)
+        assert math.isclose(sum(law.values()), 1.0, rel_tol=1e-12)
+        if FAULTS[fault].source_state == "singlet":
+            assert counts["S1-vii"] == counts["S2-vii"] == 0
+        for category, count in counts.items():
+            assert binomtest(count, runs, law[category]).pvalue >= _LEVEL, (category, counts, law)
 
 
 class TestMakeVerifiedPool:
@@ -470,6 +474,19 @@ class TestMakeVerifiedPool:
         assert pool.system_ids.tolist() == list(range(1, 33))
         with pytest.raises(ValueError):
             pool.system_ids[0] = 2
+
+    @pytest.mark.parametrize("policy", list(DirectionPolicy))
+    @pytest.mark.parametrize("sizes", [(3, 1, 1, 1), (12, 3, 3, 6), (20, 3, 5, 12), (600, 1, 87, 512)])
+    def test_fault_free_run_is_the_pool_builder(self, sizes, policy):
+        # what lets a fault-free trial call make_verified_pool in its place:
+        # the run draws nothing and hands on the same pool
+        plan = DistributionPlan(*sizes)
+        stream = RecordingGenerator(rng(3))
+        pool = run_distribute_and_test(plan, NO_FAULTS, stream, policy).pool
+        built = make_verified_pool(plan.L)
+        assert stream.calls == []
+        np.testing.assert_array_equal(pool.system_ids, built.system_ids)
+        assert pool.source_state == built.source_state == "singlet"
 
     def test_one_pool_per_size(self):
         # the pool draws nothing, so one read-only pool serves every call
@@ -515,8 +532,8 @@ _POLICIES = st.sampled_from(list(DirectionPolicy))
 
 
 class TestProducerInvariants:
-    """Records check nothing when built: each producer makes every array
-    1-D (the bits (n, 4)), equally long, in range, of its dtype and read-only."""
+    """Records check nothing when built: each producer makes the pool's ids
+    read-only 1-D int64 in range, and its rounds the range of those played."""
 
     @staticmethod
     def assert_pool(pool, M, L, check):
@@ -524,14 +541,16 @@ class TestProducerInvariants:
         assert len(pool) == L
 
     @staticmethod
-    def assert_rounds(rounds, M, check):
-        n = rounds.system_ids.size
-        check(rounds.system_ids, np.int64, 1, M, (n,))
-        check(rounds.subsets, np.int8, 1, 2, (n,))
-        check(rounds.theta, np.float64, 0.0, math.pi, (n,))
-        check(rounds.phi, np.float64, 0.0, 2 * math.pi, (n,))
-        check(rounds.bits, np.int8, 0, 1, (n, 4))
-        assert len(rounds) == n
+    def assert_outcome(outcome, plan):
+        rounds, failure = outcome.test_records, outcome.failure
+        assert type(rounds) is range and rounds.start == 0 and rounds.step == 1
+        if failure is None:
+            assert len(rounds) == plan.N1 + plan.N2
+        elif failure.step == "ii":
+            assert len(rounds) == 0 and 1 <= failure.system_id <= plan.M
+        else:
+            assert failure.step in ("v", "vii") and failure.system_id is None
+            assert len(rounds) <= plan.N1 + plan.N2 - (failure.step == "v")
 
     @settings(max_examples=100, deadline=None)
     @given(L=st.integers(1, 300))
@@ -540,7 +559,7 @@ class TestProducerInvariants:
 
     @pytest.mark.parametrize(
         "producer, most", [(run_distribute_and_test, 40), (_dense_distribute_and_test, 4)],
-        ids=["array", "dense"],
+        ids=["law", "dense"],
     )
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), fault=_FAULT_NAMES, policy=_POLICIES, seed=st.integers(0, 2**32))
@@ -548,6 +567,6 @@ class TestProducerInvariants:
         N1, N2, L = (data.draw(st.integers(1, most)) for _ in range(3))
         plan = DistributionPlan(N1 + N2 + L, N1, N2, L)
         outcome = producer(plan, FAULTS[fault], rng(seed), policy)
-        self.assert_rounds(outcome.test_records, plan.M, assert_frozen)
+        self.assert_outcome(outcome, plan)
         if outcome.pool is not None:
             self.assert_pool(outcome.pool, plan.M, L, assert_frozen)

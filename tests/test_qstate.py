@@ -339,13 +339,6 @@ def _exact_cdf(state, direction):
     return qstate._cdf(joint_distribution(state, direction))
 
 
-def _edge_uniforms(cum):
-    """u = 0, the largest u below 1, and every edge of ``cum`` and its float
-    neighbours that lies in [0, 1)."""
-    edges = np.concatenate((cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)))
-    return np.concatenate(([0.0, np.nextafter(1.0, 0.0)], edges[(edges >= 0) & (edges < 1)]))
-
-
 class TestCdf:
     @pytest.mark.parametrize("label, state, direction", SAMPLER_STATES,
                              ids=[case[0] for case in SAMPLER_STATES])
@@ -359,15 +352,7 @@ PRODUCT_STATES = [case for case in SAMPLER_STATES if not case[0].startswith(("si
 
 
 class TestRowDraw:
-    """The draw for laws that change per uniform, and for ``measure_qubits``."""
-
-    @pytest.mark.parametrize("label, state, direction", SAMPLER_STATES,
-                             ids=[case[0] for case in SAMPLER_STATES])
-    def test_draw_equals_searchsorted(self, label, state, direction):
-        cum = _exact_cdf(state, direction)
-        u = _edge_uniforms(cum)
-        drawn = qstate._draw_rows(np.broadcast_to(cum, (u.size, cum.size)), u)
-        np.testing.assert_array_equal(drawn, np.searchsorted(cum, u, side="right"))
+    """``_cdf`` of stacked laws, and ``measure_qubits``' draw from one law."""
 
     def test_cdf_of_stacked_laws_is_each_law_cdf(self):
         probs = np.array([joint_distribution(state, d) for _, state, d in PRODUCT_STATES])
@@ -379,8 +364,8 @@ class TestRowDraw:
         # it in both rows, and the first row sums to just under 1
         cum = qstate._cdf(np.array([[0.3, 0.7 - 2**-40, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
         np.testing.assert_array_equal(cum, [[0.3, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]])
-        top = np.full(2, np.nextafter(1.0, 0.0))
-        np.testing.assert_array_equal(qstate._draw_rows(cum, top), [1, 1])
+        top = np.nextafter(1.0, 0.0)
+        assert [row.searchsorted(top, side="right") for row in cum] == [1, 1]
 
 
 class TestSingletTailRegression:

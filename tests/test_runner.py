@@ -516,11 +516,11 @@ class TestResultFile:
         ids=["fast-path", "lossy-distribute", "product-source"],
     )
     def test_summary_declares_the_stream_version(self, kwargs):
-        # each list position reads one integers(0, 24) cell: stream version 2
+        # distribute-and-test draws only its first failure: stream version 3
         config = TrialConfig.build(seed=5, trials=2, **kwargs)
         results = [run_single_trial(config, i) for i in range(2)]
         summary = json.loads(format_records(config, results, aggregate(results)).splitlines()[-1])
-        assert summary["stream_version"] == runner.STREAM_VERSION == 2
+        assert summary["stream_version"] == runner.STREAM_VERSION == 3
 
 
 # one value per TrialResult field: ints past 64 bits, None, and any text
@@ -653,110 +653,140 @@ class TestPinnedResultFiles:
     Any change to how a trial consumes its random stream, or to the
     record format, changes these digests; such a change must be declared
     and the digests re-pinned deliberately.
+
+    ``STREAM_2`` keeps the stream-version-2 digests of the fault-free
+    files: version 3 changed only how distribute-and-test draws, which a
+    fault-free trial skips, so each differs from version 2 only in the
+    summary's ``stream_version``.
     """
+
+    STREAM_2 = {
+        "honest-honest": "772559b463593ccb01e9eb55a773e580391bd74a5f4c28bc3b6145a9b0aca1ee",
+        "split-honest": "1a5d5f6f276523287ea9e261af2449dd6bf825f9973835afefb42ed9c50e8120",
+        "forgefull-flipforge": "a79b615e5c4a27858de71c9456b2394c6e81407cbafaeb242078fdf43e88c10a",
+        "honest-flipforge": "2e1ea679228b88bfee6912fbf88a2375ece021f9b7541b7d01c7a3014fd86aa2",
+        "honest-honest-L4096": "3430301564aeb9a8b9feca21b6a26658b3ffdc4fa1a68a1d13e4b01095371e49",
+        "split-honest-L4096": "0b5d145c8dab054ec446f6fbc8203f422d85f876d9e2362e0e80faf71135e8a4",
+        "forgefull-flipforge-L4096": "0984a8a567be834ff1edc35d5ce5a3fcb1ca20174a59d1fb60809561aa37534e",
+        "honest-flipforge-L4096": "c4b7cd8264bb6d16d2217efcaf52186d1e30aa89c0537b78df88f766599c8e98",
+        "forgefull-flipforge-capped-L16": "c4fb664cf3bdaaf383699d024a323b3b370c0f198c9920188c854f60586d9a1e",
+        "split-capped-L16": "312cbd4ea27d1fcff9d5816fe5e52bac381f2cfdcec633d2ab8ee5fc653dd4db",
+        "honest-flipforge-odd-L17": "0b0196157e22a24dc1b10bc72d3b7d28a1d5b6540ad9412d1dc0c3fa53516f9f",
+        "honest-too-short-L17": "a69983dcb5e1fbeaa9d919b718316f1989e2a9e6e2aae5f7d9b44c6373dc36fe",
+        "honest-boundary-L48": "a1272e5ddebe08db703bc30c9a474a45c8025aa7fba85970fcc17c385f01d9cc",
+    }
 
     FAST = ["run", "--trials", "200", "--seed", "12345", "--L", "64"]
     LONG = ["run", "--trials", "12", "--seed", "12345", "--L", "4096"]
     SHORT = ["run", "--trials", "200", "--seed", "12345"]
 
-    @pytest.mark.parametrize(
-        "args, digest",
-        [
-            (
-                FAST + ["--strategy-a", "honest", "--strategy-b", "honest"],
-                "772559b463593ccb01e9eb55a773e580391bd74a5f4c28bc3b6145a9b0aca1ee",
-            ),
-            (
-                FAST + ["--strategy-a", "split:n=3", "--strategy-b", "honest"],
-                "1a5d5f6f276523287ea9e261af2449dd6bf825f9973835afefb42ed9c50e8120",
-            ),
-            (
-                FAST + ["--strategy-a", "forgefull:k=8", "--strategy-b", "flipforge"],
-                "a79b615e5c4a27858de71c9456b2394c6e81407cbafaeb242078fdf43e88c10a",
-            ),
-            (
-                FAST + ["--strategy-a", "honest", "--strategy-b", "flipforge"],
-                "2e1ea679228b88bfee6912fbf88a2375ece021f9b7541b7d01c7a3014fd86aa2",
-            ),
-            (
-                ["run", "--trials", "30", "--seed", "12345", "--M", "40",
-                 "--qubit-loss-prob", "1e-3"],
-                "a8aa3aa997a978237d086da2f68339369f1b8136d0b769a3e4e0066704b9b5a5",
-            ),
-            (
-                ["run", "--trials", "30", "--seed", "12345", "--M", "12", "--N1", "1",
-                 "--N2", "1", "--L", "10", "--source-state", "0011"],
-                "788b328370af9894460b978c74974673d5f9993553c823fdfaf9b65410ecd942",
-            ),
-            (
-                ["run", "--trials", "30", "--seed", "12345", "--M", "40",
-                 "--source-state", "0011", "--direction-policy", "fixed"],
-                "54d407ad6857194a9fb33a5c325bcea07f3051eddca2039a9d7e2cd986276f20",
-            ),
-            (
-                ["run", "--trials", "30", "--seed", "12345", "--M", "40",
-                 "--qubit-loss-prob", "0.003"],
-                "814ab014eb223898e89bed2b248d5198698957e029e6d0c4e62d34c44f63fcc3",
-            ),
-            (
-                ["run", "--trials", "20", "--seed", "12345", "--M", "512", "--N1", "128",
-                 "--N2", "128", "--L", "256", "--qubit-loss-prob", "1e-4"],
-                "ec4a8369487503d149ce7be5ecc7efd4fa48c1e17931c9d7fb5eff4e9f49e624",
-            ),
-            (
-                LONG + ["--strategy-a", "honest", "--strategy-b", "honest"],
-                "3430301564aeb9a8b9feca21b6a26658b3ffdc4fa1a68a1d13e4b01095371e49",
-            ),
-            (
-                LONG + ["--strategy-a", "split:n=3", "--strategy-b", "honest"],
-                "0b5d145c8dab054ec446f6fbc8203f422d85f876d9e2362e0e80faf71135e8a4",
-            ),
-            (
-                LONG + ["--strategy-a", "forgefull:k=8", "--strategy-b", "flipforge"],
-                "0984a8a567be834ff1edc35d5ce5a3fcb1ca20174a59d1fb60809561aa37534e",
-            ),
-            (
-                LONG + ["--strategy-a", "honest", "--strategy-b", "flipforge"],
-                "c4b7cd8264bb6d16d2217efcaf52186d1e30aa89c0537b78df88f766599c8e98",
-            ),
-            (
-                SHORT + ["--L", "16", "--strategy-a", "forgefull:k=50",
-                         "--strategy-b", "flipforge:k=50"],
-                "c4fb664cf3bdaaf383699d024a323b3b370c0f198c9920188c854f60586d9a1e",
-            ),
-            (
-                SHORT + ["--L", "16", "--strategy-a", "split:n=50"],
-                "312cbd4ea27d1fcff9d5816fe5e52bac381f2cfdcec633d2ab8ee5fc653dd4db",
-            ),
-            (
-                SHORT + ["--L", "17", "--min-fraction", "0", "--strategy-b", "flipforge"],
-                "0b0196157e22a24dc1b10bc72d3b7d28a1d5b6540ad9412d1dc0c3fa53516f9f",
-            ),
-            (
-                SHORT + ["--L", "17", "--min-fraction", "1"],
-                "a69983dcb5e1fbeaa9d919b718316f1989e2a9e6e2aae5f7d9b44c6373dc36fe",
-            ),
-            # 0.5 * 5/24 * 48 is 5 exactly: B must accept a claim of 5 entries
-            (
-                ["run", "--trials", "200", "--seed", "1", "--L", "48"],
-                "a1272e5ddebe08db703bc30c9a474a45c8025aa7fba85970fcc17c385f01d9cc",
-            ),
-            # 2,000 one-round subsets of a product source along random directions
-            (
-                ["run", "--trials", "2000", "--seed", "7", "--M", "12", "--N1", "1",
-                 "--N2", "1", "--L", "10", "--source-state", "0110"],
-                "2876b1b8b3b0d734f0e00f36f47f67c16e07e508a840b335bbb16d1c9fa657ae",
-            ),
-        ],
-        ids=["honest-honest", "split-honest", "forgefull-flipforge", "honest-flipforge",
-             "distribute-loss", "distribute-product-source", "distribute-fixed-policy",
-             "distribute-lossy", "distribute-M512", "honest-honest-L4096",
-             "split-honest-L4096", "forgefull-flipforge-L4096", "honest-flipforge-L4096",
-             "forgefull-flipforge-capped-L16", "split-capped-L16",
-             "honest-flipforge-odd-L17", "honest-too-short-L17", "honest-boundary-L48",
-             "distribute-product-source-random"],
-    )
+    CASES = [
+        (
+            FAST + ["--strategy-a", "honest", "--strategy-b", "honest"],
+            "44fcb72e187932af1d88b3004096c97ff1dadfd5a8692d085bafa64e83a7de60",
+        ),
+        (
+            FAST + ["--strategy-a", "split:n=3", "--strategy-b", "honest"],
+            "fedf15a8a2d676337b58131d5578db259e75a00cb0192e8eadd4359717d684c1",
+        ),
+        (
+            FAST + ["--strategy-a", "forgefull:k=8", "--strategy-b", "flipforge"],
+            "0fdb242966323fb0f5fea5b8a52557b2cce59b218ec11c43f570816f10a23d42",
+        ),
+        (
+            FAST + ["--strategy-a", "honest", "--strategy-b", "flipforge"],
+            "d48057763e92b97384ae77ba4fbcb64bd07417d33e3d7446c77862fc1bd40d18",
+        ),
+        (
+            ["run", "--trials", "30", "--seed", "12345", "--M", "40",
+             "--qubit-loss-prob", "1e-3"],
+            "36b060689af692baaaf1693a18e51e85ccdeb27dcb8ada7300b932697e0ecd7f",
+        ),
+        (
+            ["run", "--trials", "30", "--seed", "12345", "--M", "12", "--N1", "1",
+             "--N2", "1", "--L", "10", "--source-state", "0011"],
+            "5aa0b1746638a96f3649d00ec34137f37d3d9f592efe1dc0dcafcf4904df5b85",
+        ),
+        (
+            ["run", "--trials", "30", "--seed", "12345", "--M", "40",
+             "--source-state", "0011", "--direction-policy", "fixed"],
+            "ecc9ac9a1ac676f62638004d02901a725b67c671625b8706c6e5a8eecb339387",
+        ),
+        (
+            ["run", "--trials", "30", "--seed", "12345", "--M", "40",
+             "--qubit-loss-prob", "0.003"],
+            "68ac871e2b81ed55d38069f9b7fda57b20c4206afe9ede359f133e797b8a559f",
+        ),
+        (
+            ["run", "--trials", "20", "--seed", "12345", "--M", "512", "--N1", "128",
+             "--N2", "128", "--L", "256", "--qubit-loss-prob", "1e-4"],
+            "23642ab08e0ee3d3087f8da53354d81d4cda9821ba848bc14c94f44fc7335e49",
+        ),
+        (
+            LONG + ["--strategy-a", "honest", "--strategy-b", "honest"],
+            "87dc61777c7d72181d9228f76fe33795e01515a056c6e8bcb1a963abf9c73d75",
+        ),
+        (
+            LONG + ["--strategy-a", "split:n=3", "--strategy-b", "honest"],
+            "f4630180720a8ecc47b53b89a74f008b9a4dfbb80eff4fb8ccd066d9c4d47998",
+        ),
+        (
+            LONG + ["--strategy-a", "forgefull:k=8", "--strategy-b", "flipforge"],
+            "6e47b183f1bc8fcd6f6a24777750085238d8f95de7bae052bc81ae1b8736836e",
+        ),
+        (
+            LONG + ["--strategy-a", "honest", "--strategy-b", "flipforge"],
+            "974b7ad48784485884b03d010bb570c903829c1b829acadfc7c76030e34d523b",
+        ),
+        (
+            SHORT + ["--L", "16", "--strategy-a", "forgefull:k=50",
+                     "--strategy-b", "flipforge:k=50"],
+            "e46a2348a2eb1e78c256c5e4a5cf8dde2c9fb08d2b52e3fc0c9327fd588277cd",
+        ),
+        (
+            SHORT + ["--L", "16", "--strategy-a", "split:n=50"],
+            "42d3b895544657e0e519b92db7fc5e6c11965a12a698ab9b2ba9969442daba50",
+        ),
+        (
+            SHORT + ["--L", "17", "--min-fraction", "0", "--strategy-b", "flipforge"],
+            "766e68ea8c4441ae6e86eb8b2030aa2eb30f25f4e7111b0b7a78930f1372e756",
+        ),
+        (
+            SHORT + ["--L", "17", "--min-fraction", "1"],
+            "1ca9eae4e02b078af42980083ee505a46d33be0a82dff187a7065b367ade81e9",
+        ),
+        # 0.5 * 5/24 * 48 is 5 exactly: B must accept a claim of 5 entries
+        (
+            ["run", "--trials", "200", "--seed", "1", "--L", "48"],
+            "aae17e63910670ee9df2c03f3821e8661648ad4946a37c18b2c9779781e1cd5d",
+        ),
+        # 2,000 one-round subsets of a product source along random directions
+        (
+            ["run", "--trials", "2000", "--seed", "7", "--M", "12", "--N1", "1",
+             "--N2", "1", "--L", "10", "--source-state", "0110"],
+            "ee8bbd15f0a4528c0b5546047ae3f4fef066b4ec3b087007a467ac897d6f287d",
+        ),
+    ]
+    IDS = ["honest-honest", "split-honest", "forgefull-flipforge", "honest-flipforge",
+           "distribute-loss", "distribute-product-source", "distribute-fixed-policy",
+           "distribute-lossy", "distribute-M512", "honest-honest-L4096",
+           "split-honest-L4096", "forgefull-flipforge-L4096", "honest-flipforge-L4096",
+           "forgefull-flipforge-capped-L16", "split-capped-L16",
+           "honest-flipforge-odd-L17", "honest-too-short-L17", "honest-boundary-L48",
+           "distribute-product-source-random"]
+
+    @pytest.mark.parametrize("args, digest", CASES, ids=IDS)
     def test_result_file_digest(self, tmp_path, capsys, args, digest):
         out = tmp_path / "run.ndjson"
         assert cli_main(args + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case", sorted(STREAM_2))
+    def test_fault_free_file_moved_only_its_version(self, tmp_path, capsys, case):
+        args, _ = dict(zip(self.IDS, self.CASES))[case]
+        out = tmp_path / "run.ndjson"
+        assert cli_main(args + ["--out", str(out)]) == 0
+        text = out.read_bytes()
+        assert text.count(b'"stream_version": 3') == 1
+        stream_2 = text.replace(b'"stream_version": 3', b'"stream_version": 2')
+        assert hashlib.sha256(stream_2).hexdigest() == self.STREAM_2[case]
