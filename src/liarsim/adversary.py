@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,22 +38,20 @@ class BKind(enum.Enum):
 _PARAMETER = {AKind.SPLIT_MESSAGE: "n", AKind.FORGED_FULL_LIST: "k", BKind.FLIP_AND_FORGE: "k"}
 
 
-def _check(strategy: StrategyA | StrategyB, kinds: type[enum.Enum], unset: int | None) -> None:
-    """Store a strategy's kind as a member of ``kinds`` and its count as an int
-    or ``unset``: a bool, float or negative count, or an honest kind's, raises."""
-    kind, count = kinds(strategy.kind), strategy.count
+def _check(kinds: type[enum.Enum], kind, count, unset: int | None) -> tuple[enum.Enum, int | None]:
+    """A strategy's kind as a member of ``kinds`` and its count as an int or
+    ``unset``: a bool, float or negative count, or an honest kind's, raises."""
+    kind = kinds(kind)
     if count is not None or unset is not None:
         count = _as_int("strategy count", count)
         if count < 0:
             raise ValueError(f"strategy count must be nonnegative, got {count}")
     if kind not in _PARAMETER and count != unset:  # an honest kind has no parameter
         raise ValueError(f"an honest strategy takes no count, got {count}")
-    object.__setattr__(strategy, "kind", kind)
-    object.__setattr__(strategy, "count", count)
+    return kind, count
 
 
-@dataclass(frozen=True)
-class StrategyA:
+class StrategyA(NamedTuple("StrategyA", [("kind", AKind), ("count", int)])):
     """A's behavior: honest, split messages, or forge the full list.
 
     A draws the bit she wants to deliver first in every run.
@@ -65,11 +62,10 @@ class StrategyA:
     detection rate). An honest A's count is 0.
     """
 
-    kind: AKind = AKind.HONEST
-    count: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check(self, AKind, 0)
+    def __new__(cls, kind: AKind | str = AKind.HONEST, count: int = 0) -> StrategyA:
+        return super().__new__(cls, *_check(AKind, kind, count, 0))
 
     @classmethod
     def honest(cls) -> "StrategyA":
@@ -84,8 +80,7 @@ class StrategyA:
         return cls(AKind.FORGED_FULL_LIST, k)
 
 
-@dataclass(frozen=True)
-class StrategyB:
+class StrategyB(NamedTuple("StrategyB", [("kind", BKind), ("count", int | None)])):
     """B's behavior: honest forwarding, or flip the message and forge.
 
     FLIP_AND_FORGE forwards ``count`` positions B's own bits make
@@ -93,11 +88,10 @@ class StrategyB:
     claim length. An honest B's count is None.
     """
 
-    kind: BKind = BKind.HONEST
-    count: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check(self, BKind, None)
+    def __new__(cls, kind: BKind | str = BKind.HONEST, count: int | None = None) -> StrategyB:
+        return super().__new__(cls, *_check(BKind, kind, count, None))
 
     @property
     def is_honest(self) -> bool:

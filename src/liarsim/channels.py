@@ -9,12 +9,14 @@ carries the source by name.
 
 Only input from outside the program is checked where it enters:
 ``FaultModel`` here, the plan, thresholds, strategies and trial config in
-their own modules, and every payload by B's and C's checks. The records
-that carry arrays between phases (``VerifiedPool``, ``PartyLists``,
-``ActionA``, ``ActionB``) check nothing when built. The function that
-makes each one casts and marks its arrays read-only, and one hypothesis
-test per producer holds it to 1-D, equally long, in-range, read-only
-arrays of the record's dtypes: the ``TestProducerInvariants`` classes of
+their own modules, and every payload by B's and C's checks. Each of those
+records is a NamedTuple that checks once, in ``__new__``, and stores the
+values it normalized. The records that carry arrays between phases
+(``VerifiedPool``, ``PartyLists``, ``ActionA``, ``ActionB``) check nothing
+when built. The function that makes each one casts and marks its arrays
+read-only, and one hypothesis test per producer holds it to 1-D, equally
+long, in-range, read-only arrays of the record's dtypes: the
+``TestProducerInvariants`` classes of
 ``tests/test_distribute_test.py`` (pools), ``tests/test_liar_protocol.py``
 (lists) and ``tests/test_adversary.py`` (actions).
 """
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -48,18 +49,17 @@ class PartyId(enum.Enum):
     C = "C"
 
 
-@dataclass(frozen=True)
-class QubitRef:
+class QubitRef(NamedTuple("QubitRef", [("system_id", int), ("slot", int)])):
     """One qubit: slot ``slot`` (1..4) of four-qubit system ``system_id``."""
 
-    system_id: int
-    slot: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.system_id < 1:
-            raise ValueError(f"system_id must be >= 1, got {self.system_id}")
-        if self.slot not in (1, 2, 3, 4):
-            raise ValueError(f"slot must be in 1..4, got {self.slot}")
+    def __new__(cls, system_id: int, slot: int) -> QubitRef:
+        if system_id < 1:
+            raise ValueError(f"system_id must be >= 1, got {system_id}")
+        if slot not in (1, 2, 3, 4):
+            raise ValueError(f"slot must be in 1..4, got {slot}")
+        return super().__new__(cls, system_id, slot)
 
 
 class QuantumSystem:
@@ -167,8 +167,7 @@ class TransferRecord(NamedTuple):
     status: TransferStatus
 
 
-@dataclass(frozen=True)
-class FaultModel:
+class FaultModel(NamedTuple("FaultModel", [("qubit_loss_prob", float), ("source_state", str)])):
     """Injectable imperfections: transit loss and a corrupted source.
 
     ``source_state`` is either ``"singlet"`` (the honest four-qubit
@@ -176,15 +175,15 @@ class FaultModel:
     source secretly prepares instead.
     """
 
-    qubit_loss_prob: float = 0.0
-    source_state: str = "singlet"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, qubit_loss_prob: float = 0.0, source_state: str = "singlet") -> FaultModel:
         # a bool is a Real that compares as 0 or 1, but the records would echo true/false
-        value = self.qubit_loss_prob
+        value = qubit_loss_prob
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= 1:
             raise ValueError(f"qubit_loss_prob must be a number in [0, 1], got {value!r}")
-        source_weights(self.source_state)  # raises for a name no source has
+        source_weights(source_state)  # raises for a name no source has
+        return super().__new__(cls, qubit_loss_prob, source_state)
 
     def prepare_state(self) -> StateVector:
         if self.source_state == "singlet":

@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -63,26 +62,24 @@ def choose_direction(
     return MeasurementDirection(theta, phi)
 
 
-@dataclass(frozen=True)
-class DistributionPlan:
-    """Sizes for one distribute-and-test run: M = N1 + N2 + L.
+class DistributionPlan(NamedTuple("DistributionPlan", [(n, int) for n in ("M", "N1", "N2", "L")])):
+    """Sizes for one distribute-and-test run: M = N1 + N2 + L, each a plain int.
 
     Which two slots A receives for a pool system is drawn only when its
     list entry is made (``liar_protocol.generate_lists``), jointly with
     its outcome: no check before then reads it.
     """
 
-    M: int
-    N1: int
-    N2: int
-    L: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.N1, self.N2, self.L) < 1 or self.M != self.N1 + self.N2 + self.L:
+    def __new__(cls, M: int, N1: int, N2: int, L: int) -> DistributionPlan:
+        M, N1, N2, L = (_as_int(name, size) for name, size in zip(cls._fields, (M, N1, N2, L)))
+        if min(N1, N2, L) < 1 or M != N1 + N2 + L:
             raise ValueError(
-                f"inconsistent sizes: M={self.M}, N1={self.N1}, N2={self.N2}, L={self.L} "
+                f"inconsistent sizes: M={M}, N1={N1}, N2={N2}, L={L} "
                 "(require M = N1 + N2 + L with all parts >= 1)"
             )
+        return super().__new__(cls, M, N1, N2, L)
 
     @classmethod
     def default(cls, M: int) -> "DistributionPlan":
@@ -104,17 +101,25 @@ class FailureInfo(NamedTuple):
     system_id: int | None
 
 
-@dataclass(frozen=True, eq=False)
 class VerifiedPool:
     """Verified, untouched systems, each holding the ``source_state`` source.
 
     ``system_ids`` (read-only 1-D int64) names each system of the batch;
     the producers make it so and nothing here checks it. The messaging
-    protocol reads only the count (``len``) and the source's name.
+    protocol reads only the count (``len``) and the source's name. A plain
+    class, not a tuple, so that ``len`` is the count; pools compare by identity.
     """
 
-    system_ids: np.ndarray
-    source_state: str
+    __slots__ = ("system_ids", "source_state")
+
+    def __init__(self, system_ids: np.ndarray, source_state: str) -> None:
+        object.__setattr__(self, "system_ids", system_ids)
+        object.__setattr__(self, "source_state", source_state)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a pool is read-only")
+
+    __delattr__ = __setattr__
 
     def __len__(self) -> int:
         return self.system_ids.size

@@ -12,7 +12,6 @@ data fails its consistency check, and the verdict names that check.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Sequence
 
@@ -160,8 +159,7 @@ def _pair_counts(values) -> np.ndarray | None:
 # B's acceptance test
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple("Thresholds", [("min_fraction", float)])):
     """Acceptance parameters shared by B's test and C's adjudication.
 
     A claimed-positions list over L positions is rejected as too short
@@ -171,15 +169,16 @@ class Thresholds:
     (``EXPECTED_DOUBLE_FRACTION``). A list of exactly that length passes.
     """
 
-    min_fraction: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, min_fraction: float = 0.5) -> Thresholds:
         # required_length reads the value's exact ratio, which a numpy
         # integer or a string lacks; a bool has one but is no fraction
-        value = self.min_fraction
+        value = min_fraction
         exact = hasattr(value, "as_integer_ratio") and not isinstance(value, (bool, np.bool_))
         if not exact or not 0.0 <= value <= 1.0:
             raise ValueError(f"min_fraction must be a number in [0, 1], got {value!r}")
+        return super().__new__(cls, min_fraction)
 
     def required_length(self, length: int) -> int:
         """Fewest entries a list over ``length`` positions may hold, in

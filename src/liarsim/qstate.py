@@ -23,8 +23,8 @@ or its exact test-round law, and build no state vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,31 +54,30 @@ def mark_readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(NamedTuple("StateVector", [("num_qubits", int), ("amplitudes", np.ndarray)])):
     """Normalized pure state of ``num_qubits`` qubits.
 
     ``amplitudes`` has length ``2**num_qubits`` and unit norm within
     1e-12; the array is stored read-only so instances can be shared
-    freely between systems and threads.
+    freely between systems and threads. States compare by identity.
     """
 
-    num_qubits: int
-    amplitudes: np.ndarray
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be positive, got {self.num_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2**self.num_qubits,):
+    def __new__(cls, num_qubits: int, amplitudes) -> StateVector:
+        if num_qubits < 1:
+            raise ValueError(f"num_qubits must be positive, got {num_qubits}")
+        amps = np.asarray(amplitudes, dtype=np.complex128)
+        if amps.shape != (2**num_qubits,):
             raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes for "
-                f"{self.num_qubits} qubits, got shape {amps.shape}"
+                f"expected {2**num_qubits} amplitudes for "
+                f"{num_qubits} qubits, got shape {amps.shape}"
             )
         total = float(np.sum(np.abs(amps) ** 2))
         if not abs(total - 1.0) <= NORM_ATOL:  # NaN fails too
             raise ValueError(f"state is not normalized: sum |a|^2 = {total!r}")
-        object.__setattr__(self, "amplitudes", readonly_array(amps, np.complex128))
+        return super().__new__(cls, num_qubits, readonly_array(amps, np.complex128))
 
     def probabilities(self) -> np.ndarray:
         """Born probability of each computational basis outcome."""
@@ -88,41 +87,41 @@ class StateVector:
         return format(index, f"0{self.num_qubits}b")
 
 
-@dataclass(frozen=True, eq=False)
-class SingleQubitUnitary:
-    """A 2x2 unitary; validated to satisfy U^dag U = I within 1e-12."""
+class SingleQubitUnitary(NamedTuple("SingleQubitUnitary", [("matrix", np.ndarray)])):
+    """A 2x2 unitary; validated to satisfy U^dag U = I within 1e-12.
+    Unitaries compare by identity."""
 
-    matrix: np.ndarray
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
+    def __new__(cls, matrix) -> SingleQubitUnitary:
+        m = np.asarray(matrix, dtype=np.complex128)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
         dev = np.max(np.abs(m.conj().T @ m - np.eye(2)))
         if not dev <= NORM_ATOL:  # NaN fails too
             raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {dev!r}")
-        object.__setattr__(self, "matrix", readonly_array(m, np.complex128))
+        return super().__new__(cls, readonly_array(m, np.complex128))
 
     def dagger(self) -> "SingleQubitUnitary":
         return SingleQubitUnitary(self.matrix.conj().T)
 
 
-@dataclass(frozen=True)
-class MeasurementDirection:
+class MeasurementDirection(NamedTuple("MeasurementDirection", [("theta", float), ("phi", float)])):
     """Spin axis whose eigenbasis is measured.
 
     ``theta`` is the polar angle in [0, pi], ``phi`` the azimuthal angle
     in [0, 2*pi); theta = phi = 0 is the computational basis.
     """
 
-    theta: float = 0.0
-    phi: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi!r}")
+    def __new__(cls, theta: float = 0.0, phi: float = 0.0) -> MeasurementDirection:
+        if not 0.0 <= theta <= math.pi:
+            raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
+        if not 0.0 <= phi < 2.0 * math.pi:
+            raise ValueError(f"phi must lie in [0, 2*pi), got {phi!r}")
+        return super().__new__(cls, theta, phi)
 
     @property
     def is_computational(self) -> bool:

@@ -34,7 +34,6 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, TextIO
 
@@ -73,12 +72,13 @@ def resolve_sizes(
     N1: int | None = None,
     N2: int | None = None,
     L: int | None = None,
-) -> tuple[int, int, int, int]:
+) -> DistributionPlan:
     """Fill in unspecified batch sizes around the invariant M = N1 + N2 + L.
 
     Defaults mirror the distribution plan: the two test subsets each take
     a quarter of the batch. Fully unspecified configs get L = 256. The
-    given sizes are checked first, so an error names a size the caller set.
+    given sizes are checked first, so an error names a size the caller set;
+    the plan returned checks the rest.
     """
     given = zip(("M", "N1", "N2", "L"), (M, N1, N2, L))
     M, N1, N2, L = (value if value is None else _as_int(name, value) for name, value in given)
@@ -86,10 +86,9 @@ def resolve_sizes(
         L = 256
     if N1 is None and N2 is None:
         if L is None:  # M alone: the default plan split
-            plan = DistributionPlan.default(M)
-            N1, N2 = plan.N1, plan.N2
-        else:  # half the pool each, or half of what the pool leaves of M
-            N1 = math.ceil((L if M is None else M - L) / 2)
+            return DistributionPlan.default(M)
+        # half the pool each, or half of what the pool leaves of M
+        N1 = math.ceil((L if M is None else M - L) / 2)
     if N1 is None or N2 is None:  # mirror the given subset, or take the remainder
         known = N2 if N1 is None else N1
         other = known if M is None or L is None else M - L - known
@@ -98,63 +97,70 @@ def resolve_sizes(
         M = N1 + N2 + L
     if L is None:
         L = M - N1 - N2
-    DistributionPlan(M, N1, N2, L)  # raises unless M = N1 + N2 + L, all parts >= 1
-    return M, N1, N2, L
+    return DistributionPlan(M, N1, N2, L)  # raises unless M = N1 + N2 + L, all parts >= 1
 
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(
+    NamedTuple(
+        "TrialConfig",
+        [
+            ("seed", int), ("trials", int), ("M", int), ("N1", int), ("N2", int), ("L", int),
+            ("strategy_a", str), ("strategy_b", str), ("qubit_loss_prob", float),
+            ("source_state", str), ("min_fraction", float), ("direction_policy", str),
+        ],
+    )
+):
     """Complete, validated description of one Monte-Carlo experiment.
 
     Construction also sets the validated collaborators every trial
     reuses: ``plan``, ``fault``, ``thresholds``, ``strategies`` (A's,
-    B's) and the direction ``policy``.
+    B's) and the direction ``policy``. They are attributes, not fields,
+    so they stay out of the summary record, and no attribute can be set.
+    A size given as None is derived from the others, as ``build`` does.
     """
 
-    seed: int = 0
-    trials: int = 100
-    M: int = 512
-    N1: int = 128
-    N2: int = 128
-    L: int = 256
-    strategy_a: str = "honest"
-    strategy_b: str = "honest"
-    qubit_loss_prob: float = 0.0
-    source_state: str = "singlet"
-    min_fraction: float = 0.5
-    direction_policy: str = "random"
-
-    def __post_init__(self) -> None:
-        for name in ("seed", "trials", "M", "N1", "N2", "L"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+    def __new__(
+        cls, seed: int = 0, trials: int = 100, M: int = 512, N1: int = 128, N2: int = 128,
+        L: int = 256, strategy_a: str = "honest", strategy_b: str = "honest",
+        qubit_loss_prob: float = 0.0, source_state: str = "singlet", min_fraction: float = 0.5,
+        direction_policy: str = "random",
+    ) -> TrialConfig:
+        plan = resolve_sizes(M, N1, N2, L)
+        seed, trials = _as_int("seed", seed), _as_int("trials", trials)
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must fit in 64 bits, got {seed}")
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
         # a real that JSON cannot write (np.float32, a Fraction, or a Decimal,
         # which has an exact ratio but is no numbers.Real) is kept as a float;
         # the collaborators reject an np.bool_ as they reject a bool
-        for name in ("qubit_loss_prob", "min_fraction"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) and (
-                isinstance(value, numbers.Real) or hasattr(value, "as_integer_ratio")
-            ):
-                object.__setattr__(self, name, float(value))
-        # constructing the collaborators validates the remaining fields;
-        # trials reuse them, and as plain attributes rather than dataclass
-        # fields they stay out of the summary record. A fault-free model is
-        # NO_FAULTS itself, so a trial tells it by identity.
-        fault = FaultModel(self.qubit_loss_prob, self.source_state)
-        for name, value in (
-            ("plan", DistributionPlan(self.M, self.N1, self.N2, self.L)),
-            ("fault", NO_FAULTS if fault == NO_FAULTS else fault),
-            ("thresholds", Thresholds(self.min_fraction)),
-            ("strategies", (parse_strategy_A(self.strategy_a), parse_strategy_B(self.strategy_b))),
-            ("policy", DirectionPolicy(self.direction_policy)),
-        ):
-            object.__setattr__(self, name, value)
+        qubit_loss_prob, min_fraction = (
+            float(value)
+            if not isinstance(value, (int, float))
+            and (isinstance(value, numbers.Real) or hasattr(value, "as_integer_ratio"))
+            else value
+            for value in (qubit_loss_prob, min_fraction)
+        )
+        # a fault-free model is NO_FAULTS itself, so a trial tells it by identity
+        fault = FaultModel(qubit_loss_prob, source_state)
+        fault = NO_FAULTS if fault == NO_FAULTS else fault
+        thresholds = Thresholds(min_fraction)
+        strategies = (parse_strategy_A(strategy_a), parse_strategy_B(strategy_b))
+        policy = DirectionPolicy(direction_policy)
         # a DirectionPolicy member is kept as its string, as the CLI gives it
-        object.__setattr__(self, "direction_policy", self.policy.value)
+        self = super().__new__(
+            cls, seed, trials, *plan, strategy_a, strategy_b, qubit_loss_prob, source_state,
+            min_fraction, policy.value,
+        )
+        vars(self).update(
+            plan=plan, fault=fault, thresholds=thresholds, strategies=strategies, policy=policy
+        )
+        return self
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a config is read-only")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def build(
@@ -166,7 +172,6 @@ class TrialConfig:
         **kwargs,
     ) -> "TrialConfig":
         """Construct a config, deriving whichever sizes were omitted."""
-        M, N1, N2, L = resolve_sizes(M, N1, N2, L)
         return cls(M=M, N1=N1, N2=N2, L=L, **kwargs)
 
 
@@ -193,8 +198,7 @@ class TrialResult(NamedTuple):
     forged_passing_stage2: int = 0
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(NamedTuple):
     """Aggregate statistics over one experiment's trials.
 
     ``verdict_counts`` buckets every trial, including an entry for runs
@@ -216,7 +220,17 @@ class TrialStats:
     mean_claim_length: float | None
     mean_forwarded_length: float | None
     mean_list_length: float | None
-    mean_trial_seconds: float = field(compare=False, default=0.0)
+    mean_trial_seconds: float = 0.0
+
+    # two runs of one config compare equal whatever their timing read
+    def __eq__(self, other) -> bool:
+        return self[:-1] == other[:-1] if isinstance(other, TrialStats) else NotImplemented
+
+    def __ne__(self, other) -> bool:
+        return self[:-1] != other[:-1] if isinstance(other, TrialStats) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
 
 DISTRIBUTE_FAILURE = "DISTRIBUTE_FAILURE"
@@ -227,9 +241,8 @@ DISTRIBUTE_FAILURE = "DISTRIBUTE_FAILURE"
 # segment and one uniform to name its step (a fault-free run draws nothing).
 STREAM_VERSION = 3
 
-# the summary's field names, built once; timing never enters the result file
-_CONFIG_FIELDS = tuple(f.name for f in fields(TrialConfig))
-_STATS_FIELDS = tuple(f.name for f in fields(TrialStats) if f.name != "mean_trial_seconds")
+# the summary's statistics; timing, the last field, never enters the result file
+_STATS_FIELDS = TrialStats._fields[:-1]
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -513,10 +526,9 @@ def aggregate(
 
 def _summary_record(config: TrialConfig, stats: TrialStats) -> dict:
     # each field by name, its value shared: the encoder only reads it
-    config_fields = {name: getattr(config, name) for name in _CONFIG_FIELDS}
-    record = {name: getattr(stats, name) for name in _STATS_FIELDS}
+    record = dict(zip(_STATS_FIELDS, stats))
     return {
-        "record": "summary", "stream_version": STREAM_VERSION, "config": config_fields, **record
+        "record": "summary", "stream_version": STREAM_VERSION, "config": config._asdict(), **record
     }
 
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -22,13 +20,11 @@ def acceptance_report():
 @pytest.fixture(scope="session")
 def records_equal():
     """Field-by-field equality of two records that hold arrays: ``==`` raises
-    on a NamedTuple's arrays and is identity on an ``eq=False`` dataclass."""
+    on a NamedTuple's arrays."""
 
     def equal(first, second) -> bool:
         if type(first) is not type(second):
             return False
-        if dataclasses.is_dataclass(first):
-            first, second = (dataclasses.astuple(record) for record in (first, second))
         return all(np.array_equal(a, b) for a, b in zip(first, second))
 
     return equal

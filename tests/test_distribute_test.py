@@ -47,6 +47,25 @@ class TestDistributionPlan:
         with pytest.raises(ValueError):
             DistributionPlan(M=5, N1=0, N2=3, L=2)
 
+    # a float or bool size is refused as a config refuses it, even where the sums hold
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ((4.5, 1.5, 1, 2), "M must be an integer, got 4.5"),
+            ((4, 1, 1, 2.0), "L must be an integer, got 2.0"),
+            ((3, True, 1, 1), "N1 must be an integer, got True"),
+        ],
+    )
+    def test_non_integer_sizes_raise(self, sizes, message):
+        with pytest.raises(ValueError) as raised:
+            DistributionPlan(*sizes)
+        assert str(raised.value) == message
+
+    def test_numpy_integer_sizes_are_stored_as_ints(self):
+        plan = DistributionPlan(np.int64(4), np.int32(1), np.uint8(1), np.int64(2))
+        assert plan == (4, 1, 1, 2)
+        assert [type(size) for size in plan] == [int] * 4
+
     def test_default_split(self):
         plan = DistributionPlan.default(64)
         assert (plan.M, plan.N1, plan.N2, plan.L) == (64, 16, 16, 32)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import liarsim
-from liarsim import adversary, channels, distribute_test, liar_protocol, oracle, runner
+from liarsim import adversary, channels, distribute_test, liar_protocol, oracle, qstate, runner
 
 
 def test_every_public_name_resolves():
@@ -35,12 +35,10 @@ def test_public_names_are_the_entry_points():
     ]
 
 
-# in-process, the other tests' imports would hide a missing transitive import
-def test_fresh_import_loads_every_module_as_an_attribute():
+def _fresh_interpreter_output(code: str) -> str:
+    """What ``code`` prints in a new interpreter that imports this checkout's liarsim."""
     src = str(Path(liarsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    modules = "adversary channels distribute_test liar_protocol oracle qstate runner".split()
-    code = f"import liarsim\nprint(*(m for m in {modules!r} if not hasattr(liarsim, m)))\n"
     done = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -49,7 +47,24 @@ def test_fresh_import_loads_every_module_as_an_attribute():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []  # the modules a fresh import left out
+    return done.stdout
+
+
+# in-process, the other tests' imports would hide a missing transitive import
+def test_fresh_import_loads_every_module_as_an_attribute():
+    modules = "adversary channels distribute_test liar_protocol oracle qstate runner".split()
+    code = f"import liarsim\nprint(*(m for m in {modules!r} if not hasattr(liarsim, m)))\n"
+    assert _fresh_interpreter_output(code).split() == []  # the modules a fresh import left out
+
+
+# every record is a NamedTuple or a plain class: a CLI call generates no dataclass code
+def test_fresh_import_and_config_load_no_dataclasses():
+    code = (
+        "import sys, liarsim, liarsim.cli\n"
+        "liarsim.TrialConfig.build(L=16, qubit_loss_prob=0.1, strategy_b='flipforge')\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    assert _fresh_interpreter_output(code).split() == ["False"]
 
 
 # the message wrappers and the transcript envelope: the actions are the messages
@@ -120,6 +135,53 @@ def test_plain_records_reject_attribute_assignment(record):
         setattr(record, record._fields[0], None)
     with pytest.raises(AttributeError):
         record.unknown_field = None
+
+
+# checked records, and the records with their own rules: a field, a collaborator
+# and a new name are refused alike, as a frozen record's are
+_IDS = np.arange(1, 3)
+CHECKED_RECORDS = [
+    (adversary.StrategyA(), "kind"),
+    (adversary.StrategyB(), "count"),
+    (channels.FaultModel(), "qubit_loss_prob"),
+    (distribute_test.DistributionPlan(4, 1, 1, 2), "L"),
+    (liar_protocol.Thresholds(), "min_fraction"),
+    (runner.TrialConfig(), "seed"),
+    (runner.TrialConfig(), "plan"),
+    (runner.aggregate([runner.TrialResult(0, "SUCCESS")]), "mean_trial_seconds"),
+    (distribute_test.VerifiedPool(_IDS, "singlet"), "system_ids"),
+    (channels.QubitRef(1, 1), "slot"),
+    (qstate.MeasurementDirection(), "theta"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, name", CHECKED_RECORDS, ids=[f"{type(r).__name__}.{n}" for r, n in CHECKED_RECORDS]
+)
+def test_checked_records_reject_attribute_assignment(record, name):
+    before = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.unknown_field = None
+    assert getattr(record, name) is before
+
+
+# records of arrays compare by identity: equal contents make no equal records
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: distribute_test.VerifiedPool(_IDS, "singlet"),
+        lambda: qstate.StateVector(1, [1, 0]),
+        lambda: qstate.SingleQubitUnitary(np.eye(2)),
+    ],
+    ids=["VerifiedPool", "StateVector", "SingleQubitUnitary"],
+)
+def test_array_records_compare_by_identity(build):
+    first, second = build(), build()
+    assert first == first and not first != first
+    assert first != second and not first == second
+    assert len({first, second}) == 2
 
 
 def test_trial_result_fields_are_the_trial_record_keys(tmp_path):

@@ -78,6 +78,23 @@ class TestTrialConfig:
         assert (config.M, config.N1, config.N2, config.L) == (128, 32, 32, 64)
         assert config.seed == 3 and config.trials == 7
 
+    # the sizes are checked once, by the one plan a config keeps
+    @pytest.mark.parametrize("sizes", [dict(L=64), dict(M=100), dict(M=20, N1=3, N2=5, L=12)])
+    def test_build_makes_one_plan(self, sizes, monkeypatch):
+        plans = []
+
+        class CountedPlan(distribute_test.DistributionPlan):
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                plans.append(super().__new__(cls, *args, **kwargs))
+                return plans[-1]
+
+        monkeypatch.setattr(runner, "DistributionPlan", CountedPlan)
+        config = TrialConfig.build(**sizes)
+        assert len(plans) == 1 and config.plan is plans[0]
+        assert config.plan == (config.M, config.N1, config.N2, config.L)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
