@@ -141,9 +141,15 @@ class ActionB(NamedTuple):
 def _draw_sorted(
     candidates: np.ndarray, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    drawn = rng.choice(candidates, size=count, replace=False)
-    drawn.sort()
-    return mark_readonly(drawn)
+    """``count`` of the sorted int64 ``candidates``, each subset equally likely,
+    sorted and read-only: those at the ``count`` smallest of n random keys,
+    ``rng.random(n)``. Taking all or none of them draws nothing."""
+    n = candidates.size
+    if count == 0 or count == n:
+        return mark_readonly(candidates[:count])
+    picked = np.argpartition(rng.random(n), count - 1)[:count]
+    picked.sort()
+    return mark_readonly(candidates[picked])
 
 
 def strategy_A_act(

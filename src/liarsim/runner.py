@@ -35,7 +35,7 @@ import sys
 import time
 from collections import Counter
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -162,6 +162,10 @@ class TrialConfig(
 
     __delattr__ = __setattr__
 
+    # a copy or an unpickled config is rebuilt from its fields, collaborators and all
+    def __reduce__(self):
+        return TrialConfig, tuple(self)
+
     @classmethod
     def build(
         cls,
@@ -239,7 +243,9 @@ DISTRIBUTE_FAILURE = "DISTRIBUTE_FAILURE"
 # draw of its assignment code and outcome cell, and no code is drawn before.
 # 3: distribute-and-test draws only its first failure, one geometric per
 # segment and one uniform to name its step (a fault-free run draws nothing).
-STREAM_VERSION = 3
+# 4: a cheater draws its positions by random keys, not ``choice``
+# (``adversary._draw_sorted``), and draws nothing to take all or none.
+STREAM_VERSION = 4
 
 # the summary's statistics; timing, the last field, never enters the result file
 _STATS_FIELDS = TrialStats._fields[:-1]
@@ -582,13 +588,13 @@ def run_trials(config: TrialConfig, out_path: str | None = None) -> TrialStats:
         elapsed = time.perf_counter() - started
         stats = aggregate(results, mean_trial_seconds=elapsed / config.trials)
         if handle is not None:
-            handle.write(format_records(config, results, stats))
+            handle.write(format_records(config, results, stats).encode("utf-8"))
     return stats
 
 
 @contextlib.contextmanager
-def _whole_file(path: str | None) -> Iterator[TextIO | None]:
-    """A temporary file beside ``path`` that replaces it in one rename.
+def _whole_file(path: str | None) -> Iterator[BinaryIO | None]:
+    """A binary temporary file beside ``path`` that replaces it in one rename.
 
     The rename happens only when the block completes; otherwise the
     temporary file is deleted and ``path`` is left as it was. Yields
@@ -599,7 +605,7 @@ def _whole_file(path: str | None) -> Iterator[TextIO | None]:
         return
     directory, name = os.path.split(os.path.abspath(path))
     temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    handle = open(temporary, "w", encoding="utf-8")
+    handle = open(temporary, "wb")
     try:
         with handle:
             yield handle

@@ -6,7 +6,10 @@ the checks written out whole: each re-reads its inputs as arrays and
 drops out-of-range positions itself, so it takes any claim, valid or not.
 ``too_short_tail`` is the exact chance that an honest claim is too short.
 ``strategy_A_act_reference`` builds A's action array by array, where
-``adversary.strategy_A_act`` makes each message in one pass.
+``adversary.strategy_A_act`` makes each message in one pass;
+``strategy_B_act_reference`` is B's forgery written out, and both draw
+their positions through ``subset_reference``, the program's subset rule
+written without ``argpartition``.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from liarsim.adversary import ActionA, AKind, StrategyA
+from liarsim.adversary import ActionA, ActionB, AKind, BKind, StrategyA, StrategyB
 from liarsim.qstate import mark_readonly
 
 
@@ -63,12 +66,24 @@ def too_short_tail(L: int, min_fraction: float = 0.5) -> float:
     return float(sum(math.comb(L, k) * p**k * (1 - p) ** (L - k) for k in range(required)))
 
 
+def subset_reference(candidates: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k of the sorted ``candidates`` by the program's rule: all or none of them
+    with no draw, otherwise those at the k smallest of n uniform keys, found by
+    a full ``argsort``."""
+    n = len(candidates)
+    if k in (0, n):
+        drawn = np.array(candidates[:k])
+    else:
+        drawn = candidates[np.sort(np.argsort(rng.random(n))[:k])]
+    return mark_readonly(drawn)
+
+
 def strategy_A_act_reference(
     strategy: StrategyA, l_A: np.ndarray, rng: np.random.Generator
 ) -> ActionA:
-    """A's action from the same draws, m first and then one ``choice``: a split
-    claim joins her doubles of m to the drawn positions and sorts them, and a
-    split list for C is one ``np.where`` over the mixed positions."""
+    """A's action from the same draws, m first and then one subset draw: a
+    split claim joins her doubles of m to the drawn positions and sorts them,
+    and a split list for C is one ``np.where`` over the mixed positions."""
     arr = np.asarray(l_A)
     m = int(rng.integers(0, 2))
     honest_positions = mark_readonly((arr == 2 * m).nonzero()[0] + 1)
@@ -77,9 +92,7 @@ def strategy_A_act_reference(
     is_mixed = arr == 1
     mixed = mark_readonly(is_mixed.nonzero()[0] + 1)
     n = min(strategy.count, mixed.size)
-    drawn = rng.choice(mixed, size=n, replace=False)
-    drawn.sort()
-    drawn = mark_readonly(drawn)
+    drawn = subset_reference(mixed, n, rng)
     capped = n < strategy.count
     if strategy.kind is AKind.SPLIT_MESSAGE:
         m_AC = 1 - m
@@ -91,3 +104,23 @@ def strategy_A_act_reference(
     forged[drawn - 1] = 2 * m
     return ActionA(m, honest_positions, m, mark_readonly(forged), altered_positions=drawn,
                    capped=capped)
+
+
+def strategy_B_act_reference(
+    strategy: StrategyB, received: tuple, l_B: np.ndarray, rng: np.random.Generator
+) -> ActionB:
+    """B's action from the same draws: an honest B forwards what arrived; a
+    forger sends the flipped message and draws his count, by default the
+    integer nearest 5L/24 with a tie rounding up, from the positions where
+    his own bit is the message he received."""
+    m_AB, positions = received
+    if strategy.kind is BKind.HONEST:
+        return ActionB(m_AB, positions)
+    bits = np.asarray(l_B)
+    target = strategy.count
+    if target is None:
+        target = math.floor(Fraction(5 * len(bits), 24) + Fraction(1, 2))
+    plausible = np.flatnonzero(bits == m_AB) + 1
+    k = min(target, plausible.size)
+    forwarded = subset_reference(plausible, k, rng)
+    return ActionB(1 - m_AB, forwarded, forwarded, k < target)

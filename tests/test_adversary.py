@@ -1,13 +1,18 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from liarsim.adversary import (
     AKind,
     BKind,
     StrategyA,
     StrategyB,
+    _draw_sorted,
     integer,
     parse_strategy_A,
     parse_strategy_B,
@@ -24,7 +29,8 @@ from liarsim.liar_protocol import (
 )
 from liarsim.qstate import mark_readonly
 from liarsim.runner import trial_rng
-from reference_checks import strategy_A_act_reference
+from reference_checks import strategy_A_act_reference, strategy_B_act_reference
+from sampling import RecordingGenerator
 
 # A's pairs 00 01 00 11 11 00 01 11, as counts of 1s; like the lists
 # generate_lists makes, the rows are read-only int8 arrays
@@ -321,6 +327,18 @@ def _seed_drawing(m: int, start: int) -> int:
     return start
 
 
+def _assert_same_action(action, expected) -> None:
+    """Field by field: the same values, types, dtypes, shapes and flags."""
+    for field, got, want in zip(action._fields, action, expected):
+        assert type(got) is type(want), field
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, field
+            assert got.flags.writeable == want.flags.writeable, field
+            assert np.array_equal(got, want), field
+        else:
+            assert got == want, field
+
+
 class TestStrategyAMatchesReference:
     """``strategy_A_act`` gives, field by field, what A's action built array
     by array (``np.where``, then ``concatenate`` and ``sort``) gives from the
@@ -342,15 +360,118 @@ class TestStrategyAMatchesReference:
         action = strategy_A_act(strategy, l_A, stream)
         expected = strategy_A_act_reference(strategy, l_A, reference_stream)
         assert action.m_AB == m
-        for field, got, want in zip(action._fields, action, expected):
-            assert type(got) is type(want), field
-            if isinstance(want, np.ndarray):
-                assert got.dtype == want.dtype and got.shape == want.shape, field
-                assert got.flags.writeable == want.flags.writeable, field
-                assert np.array_equal(got, want), field
-            else:
-                assert got == want, field
+        _assert_same_action(action, expected)
         assert stream.bit_generator.state == reference_stream.bit_generator.state
+
+
+class TestStrategyBMatchesReference:
+    """``strategy_B_act`` gives, field by field, B's forgery written out, from
+    the same draws, and leaves the stream where that one does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        bits=st.lists(st.integers(0, 1), min_size=1, max_size=300),
+        m_AB=st.integers(0, 1),
+        count=st.one_of(st.none(), st.integers(0, 320)),
+        honest=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    def test_action_matches_reference(self, bits, m_AB, count, honest, seed):
+        strategy = StrategyB.honest() if honest else StrategyB.flip_and_forge(count)
+        l_B = mark_readonly(np.array(bits, np.int8))
+        received = (m_AB, mark_readonly(np.array([1], np.int64)))
+        stream, reference_stream = rng(seed), rng(seed)
+        action = strategy_B_act(strategy, received, l_B, stream)
+        expected = strategy_B_act_reference(strategy, received, l_B, reference_stream)
+        _assert_same_action(action, expected)
+        assert stream.bit_generator.state == reference_stream.bit_generator.state
+
+    # at L=4096 A picks 3 or 8 of about 2,400 mixed positions and B 3 or 853
+    # of about 2,048 plausible ones
+    @pytest.mark.parametrize(
+        "text_a, text_b", [("split:n=3", "flipforge:k=3"), ("forgefull:k=8", "flipforge")]
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_long_lists_match_reference(self, text_a, text_b, seed):
+        lists = big_lists(seed, 4096)
+        stream, reference_stream = rng(seed), rng(seed)
+        strategy_a, strategy_b = parse_strategy_A(text_a), parse_strategy_B(text_b)
+        a_action = strategy_A_act(strategy_a, lists.a_ones, stream)
+        _assert_same_action(
+            a_action, strategy_A_act_reference(strategy_a, lists.a_ones, reference_stream)
+        )
+        received = (a_action.m_AB, a_action.positions_for_B)
+        b_action = strategy_B_act(strategy_b, received, lists.b_bits, stream)
+        _assert_same_action(
+            b_action,
+            strategy_B_act_reference(strategy_b, received, lists.b_bits, reference_stream),
+        )
+        assert stream.bit_generator.state == reference_stream.bit_generator.state
+
+
+class TestDrawSorted:
+    """Each subset is equally likely; all or none of the candidates draw
+    nothing; and the draw is a sorted, read-only int64 array of distinct
+    candidates."""
+
+    # the five subset laws below, at a family-wise level of 0.001
+    LEVEL = 0.001 / 5
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_keys_draw_every_subset_equally(self, k):
+        candidates = mark_readonly(np.arange(1, 7, dtype=np.int64))
+        stream = rng(2900 + k)
+        counts = Counter(
+            tuple(_draw_sorted(candidates, k, stream).tolist()) for _ in range(20_000)
+        )
+        assert counts.keys() == set(itertools.combinations(range(1, 7), k))
+        assert scipy_stats.chisquare(list(counts.values())).pvalue >= self.LEVEL
+
+    # a few of many candidates, as A picks at L=4096
+    def test_keys_include_each_position_at_rate_k_over_n(self):
+        n, k = 2048, 3
+        candidates = mark_readonly(np.arange(1, n + 1, dtype=np.int64))
+        stream = rng(2910)
+        drawn = np.concatenate([_draw_sorted(candidates, k, stream) for _ in range(20_000)])
+        # each draw's positions are distinct, so the counts spread a little
+        # less than a multinomial's: the test is conservative
+        inclusions = np.bincount(drawn, minlength=n + 1)[1:]
+        assert scipy_stats.chisquare(inclusions).pvalue >= 0.001
+
+    @pytest.mark.parametrize("n", [1, 6, 600, 2100])
+    def test_all_or_none_draws_nothing(self, n):
+        candidates = np.arange(2, 2 * n + 2, 2, dtype=np.int64)  # writable, as B's are
+        for count in (0, n):
+            stream = RecordingGenerator(rng(n))
+            drawn = _draw_sorted(candidates, count, stream)
+            assert stream.calls == []
+            assert drawn.tolist() == candidates[:count].tolist()
+            assert drawn.dtype == np.int64 and not drawn.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 2100), data=st.data(), seed=st.integers(0, 2**32))
+    def test_draw_is_a_sorted_read_only_subset(self, n, data, seed):
+        count = data.draw(st.integers(0, n))
+        stream = rng(seed)
+        candidates = np.sort(stream.choice(np.arange(1, 5000, dtype=np.int64), n, replace=False))
+        drawn = _draw_sorted(candidates, count, stream)
+        assert type(drawn) is np.ndarray and drawn.dtype == np.int64
+        assert not drawn.flags.writeable and drawn.shape == (count,)
+        assert np.count_nonzero(np.diff(drawn) <= 0) == 0  # sorted, no repeats
+        assert np.isin(drawn, candidates).all()
+
+    # each cheater's one draw is n keys, n its count of candidates
+    @pytest.mark.parametrize("L", [64, 4096])
+    def test_each_strategy_draws_one_key_per_candidate(self, L):
+        lists = big_lists(L, L)
+        for text in ("split:n=3", "forgefull:k=8"):
+            stream = RecordingGenerator(rng(L))
+            strategy_A_act(parse_strategy_A(text), lists.a_ones, stream)
+            assert [name for name, _ in stream.calls] == ["integers", "random"], text
+            assert stream.calls[1][1] == (np.count_nonzero(lists.a_ones == 1),)
+        stream = RecordingGenerator(rng(L))
+        strategy_B_act(parse_strategy_B("flipforge"), (0, ()), lists.b_bits, stream)
+        assert stream.calls == [("random", (np.count_nonzero(lists.b_bits == 0),))]
 
 
 class TestParsers:

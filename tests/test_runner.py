@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from scipy import stats as scipy_stats
 
 import liarsim
 from liarsim import adversary, distribute_test, liar_protocol, qstate, runner
+from liarsim.channels import NO_FAULTS
 from liarsim.cli import main as cli_main
 from liarsim.runner import (
     DISTRIBUTE_FAILURE,
@@ -205,6 +208,33 @@ class TestTrialConfig:
         config = TrialConfig.build(L=16, min_fraction=1, qubit_loss_prob=np.float64(0.0))
         assert type(config.min_fraction) is int
         assert type(config.qubit_loss_prob) is np.float64
+
+    # a copy is rebuilt from its fields, so a fault-free copy's fault is
+    # NO_FAULTS itself and its trials take the fault-free shortcut
+    @pytest.mark.parametrize(
+        "copy_config", [copy.deepcopy, lambda config: pickle.loads(pickle.dumps(config))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copy_keeps_the_fault_free_shortcut(self, copy_config, monkeypatch):
+        config = TrialConfig.build(L=64, seed=3, trials=6, strategy_a="split:n=3")
+        copied = copy_config(config)
+        assert copied == config and type(copied) is TrialConfig
+        assert copied.fault is NO_FAULTS
+        assert (copied.plan, copied.thresholds, copied.strategies, copied.policy) == (
+            config.plan, config.thresholds, config.strategies, config.policy
+        )
+        expected = run_trials(config)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a fault-free trial ran distribute-and-test")
+
+        monkeypatch.setattr(runner, "run_distribute_and_test", fail)
+        assert run_trials(copied) == expected
+
+    def test_copy_of_a_faulty_config_keeps_its_fault(self):
+        config = TrialConfig.build(M=64, qubit_loss_prob=1e-3, source_state="0011")
+        copied = copy.deepcopy(config)
+        assert copied == config and copied.fault == config.fault != NO_FAULTS
 
 
 _RANDOM_64 =[int(x) for x in np.random.default_rng(2026).integers(0, 2**64, 6, dtype=np.uint64)]
@@ -533,11 +563,11 @@ class TestResultFile:
         ids=["fast-path", "lossy-distribute", "product-source"],
     )
     def test_summary_declares_the_stream_version(self, kwargs):
-        # distribute-and-test draws only its first failure: stream version 3
+        # a cheater draws its positions by random keys where they cost less: version 4
         config = TrialConfig.build(seed=5, trials=2, **kwargs)
         results = [run_single_trial(config, i) for i in range(2)]
         summary = json.loads(format_records(config, results, aggregate(results)).splitlines()[-1])
-        assert summary["stream_version"] == runner.STREAM_VERSION == 3
+        assert summary["stream_version"] == runner.STREAM_VERSION == 4
 
 
 # one value per TrialResult field: ints past 64 bits, None, and any text
@@ -671,26 +701,37 @@ class TestPinnedResultFiles:
     record format, changes these digests; such a change must be declared
     and the digests re-pinned deliberately.
 
-    ``STREAM_2`` keeps the stream-version-2 digests of the fault-free
-    files: version 3 changed only how distribute-and-test draws, which a
-    fault-free trial skips, so each differs from version 2 only in the
-    summary's ``stream_version``.
+    ``EARLIER`` keeps, for the files that moved only their summary's
+    ``stream_version`` since, the digest each had at an earlier version.
+    Version 4 changed only how a cheater draws its positions: a file whose
+    trials make no such draw (every honest and distribute-and-test file,
+    and the capped runs at L=16, which take every candidate and draw
+    nothing) differs from version 3's only there. Version 3 changed only how
+    distribute-and-test draws, which a fault-free trial skips, so the
+    fault-free ones among them also differ from version 2's only there.
     """
 
-    STREAM_2 = {
-        "honest-honest": "772559b463593ccb01e9eb55a773e580391bd74a5f4c28bc3b6145a9b0aca1ee",
-        "split-honest": "1a5d5f6f276523287ea9e261af2449dd6bf825f9973835afefb42ed9c50e8120",
-        "forgefull-flipforge": "a79b615e5c4a27858de71c9456b2394c6e81407cbafaeb242078fdf43e88c10a",
-        "honest-flipforge": "2e1ea679228b88bfee6912fbf88a2375ece021f9b7541b7d01c7a3014fd86aa2",
-        "honest-honest-L4096": "3430301564aeb9a8b9feca21b6a26658b3ffdc4fa1a68a1d13e4b01095371e49",
-        "split-honest-L4096": "0b5d145c8dab054ec446f6fbc8203f422d85f876d9e2362e0e80faf71135e8a4",
-        "forgefull-flipforge-L4096": "0984a8a567be834ff1edc35d5ce5a3fcb1ca20174a59d1fb60809561aa37534e",
-        "honest-flipforge-L4096": "c4b7cd8264bb6d16d2217efcaf52186d1e30aa89c0537b78df88f766599c8e98",
-        "forgefull-flipforge-capped-L16": "c4fb664cf3bdaaf383699d024a323b3b370c0f198c9920188c854f60586d9a1e",
-        "split-capped-L16": "312cbd4ea27d1fcff9d5816fe5e52bac381f2cfdcec633d2ab8ee5fc653dd4db",
-        "honest-flipforge-odd-L17": "0b0196157e22a24dc1b10bc72d3b7d28a1d5b6540ad9412d1dc0c3fa53516f9f",
-        "honest-too-short-L17": "a69983dcb5e1fbeaa9d919b718316f1989e2a9e6e2aae5f7d9b44c6373dc36fe",
-        "honest-boundary-L48": "a1272e5ddebe08db703bc30c9a474a45c8025aa7fba85970fcc17c385f01d9cc",
+    EARLIER = {
+        (3, "honest-honest"): "44fcb72e187932af1d88b3004096c97ff1dadfd5a8692d085bafa64e83a7de60",
+        (3, "distribute-loss"): "36b060689af692baaaf1693a18e51e85ccdeb27dcb8ada7300b932697e0ecd7f",
+        (3, "distribute-product-source"): "5aa0b1746638a96f3649d00ec34137f37d3d9f592efe1dc0dcafcf4904df5b85",
+        (3, "distribute-fixed-policy"): "ecc9ac9a1ac676f62638004d02901a725b67c671625b8706c6e5a8eecb339387",
+        (3, "distribute-lossy"): "68ac871e2b81ed55d38069f9b7fda57b20c4206afe9ede359f133e797b8a559f",
+        (3, "distribute-M512"): "23642ab08e0ee3d3087f8da53354d81d4cda9821ba848bc14c94f44fc7335e49",
+        (3, "honest-honest-L4096"): "87dc61777c7d72181d9228f76fe33795e01515a056c6e8bcb1a963abf9c73d75",
+        (3, "forgefull-flipforge-capped-L16"): "e46a2348a2eb1e78c256c5e4a5cf8dde2c9fb08d2b52e3fc0c9327fd588277cd",
+        (3, "split-capped-L16"): "42d3b895544657e0e519b92db7fc5e6c11965a12a698ab9b2ba9969442daba50",
+        (3, "honest-too-short-L17"): "1ca9eae4e02b078af42980083ee505a46d33be0a82dff187a7065b367ade81e9",
+        (3, "honest-boundary-L48"): "aae17e63910670ee9df2c03f3821e8661648ad4946a37c18b2c9779781e1cd5d",
+        (3, "distribute-product-source-random"):
+            "ee8bbd15f0a4528c0b5546047ae3f4fef066b4ec3b087007a467ac897d6f287d",
+        (2, "honest-honest"): "772559b463593ccb01e9eb55a773e580391bd74a5f4c28bc3b6145a9b0aca1ee",
+        (2, "honest-honest-L4096"): "3430301564aeb9a8b9feca21b6a26658b3ffdc4fa1a68a1d13e4b01095371e49",
+        (2, "forgefull-flipforge-capped-L16"):
+            "c4fb664cf3bdaaf383699d024a323b3b370c0f198c9920188c854f60586d9a1e",
+        (2, "split-capped-L16"): "312cbd4ea27d1fcff9d5816fe5e52bac381f2cfdcec633d2ab8ee5fc653dd4db",
+        (2, "honest-too-short-L17"): "a69983dcb5e1fbeaa9d919b718316f1989e2a9e6e2aae5f7d9b44c6373dc36fe",
+        (2, "honest-boundary-L48"): "a1272e5ddebe08db703bc30c9a474a45c8025aa7fba85970fcc17c385f01d9cc",
     }
 
     FAST = ["run", "--trials", "200", "--seed", "12345", "--L", "64"]
@@ -700,88 +741,88 @@ class TestPinnedResultFiles:
     CASES = [
         (
             FAST + ["--strategy-a", "honest", "--strategy-b", "honest"],
-            "44fcb72e187932af1d88b3004096c97ff1dadfd5a8692d085bafa64e83a7de60",
+            "b43d899b491fabfac9f63845a3e71c2baf6de089b1b0f814e0982e84a68769ee",
         ),
         (
             FAST + ["--strategy-a", "split:n=3", "--strategy-b", "honest"],
-            "fedf15a8a2d676337b58131d5578db259e75a00cb0192e8eadd4359717d684c1",
+            "634d740a8e06c6bf215dbf8e9f90ba2908c01d4b2ba8fe2fe7f96a27feebb450",
         ),
         (
             FAST + ["--strategy-a", "forgefull:k=8", "--strategy-b", "flipforge"],
-            "0fdb242966323fb0f5fea5b8a52557b2cce59b218ec11c43f570816f10a23d42",
+            "08fe6eed294481ec81554ee03f5525fad9ae58a8286d43b14e28a52220b89ff6",
         ),
         (
             FAST + ["--strategy-a", "honest", "--strategy-b", "flipforge"],
-            "d48057763e92b97384ae77ba4fbcb64bd07417d33e3d7446c77862fc1bd40d18",
+            "a16ff7b1d956247c64d321a2e0d1f29315366bfd7e89685078b72a8538fe2870",
         ),
         (
             ["run", "--trials", "30", "--seed", "12345", "--M", "40",
              "--qubit-loss-prob", "1e-3"],
-            "36b060689af692baaaf1693a18e51e85ccdeb27dcb8ada7300b932697e0ecd7f",
+            "530031a5dafd792d6da53bcd86a0c6a06178e58f79f7d3cc778cd95a46a612b0",
         ),
         (
             ["run", "--trials", "30", "--seed", "12345", "--M", "12", "--N1", "1",
              "--N2", "1", "--L", "10", "--source-state", "0011"],
-            "5aa0b1746638a96f3649d00ec34137f37d3d9f592efe1dc0dcafcf4904df5b85",
+            "ec9b80ac01ea29f04193e81cd20d95da19d780eae52468550df2f480212e103d",
         ),
         (
             ["run", "--trials", "30", "--seed", "12345", "--M", "40",
              "--source-state", "0011", "--direction-policy", "fixed"],
-            "ecc9ac9a1ac676f62638004d02901a725b67c671625b8706c6e5a8eecb339387",
+            "bea64cdbf59c8683bc31039a9883b0ee7e1167ace83368dd12f3b18ba4169845",
         ),
         (
             ["run", "--trials", "30", "--seed", "12345", "--M", "40",
              "--qubit-loss-prob", "0.003"],
-            "68ac871e2b81ed55d38069f9b7fda57b20c4206afe9ede359f133e797b8a559f",
+            "477d4b8b06ab8cc4d0ba170d0dd811316eac419b7b1cd1650d5b53188c8b668c",
         ),
         (
             ["run", "--trials", "20", "--seed", "12345", "--M", "512", "--N1", "128",
              "--N2", "128", "--L", "256", "--qubit-loss-prob", "1e-4"],
-            "23642ab08e0ee3d3087f8da53354d81d4cda9821ba848bc14c94f44fc7335e49",
+            "2e31307b9246e63b415f71fee52cde9cfbf577a1f25ca72fd430a94736148b7f",
         ),
         (
             LONG + ["--strategy-a", "honest", "--strategy-b", "honest"],
-            "87dc61777c7d72181d9228f76fe33795e01515a056c6e8bcb1a963abf9c73d75",
+            "805fc151de25c5ce863300c5d967a4cc73c1e79362c1b2d5aba40b8f0bbb5e39",
         ),
         (
             LONG + ["--strategy-a", "split:n=3", "--strategy-b", "honest"],
-            "f4630180720a8ecc47b53b89a74f008b9a4dfbb80eff4fb8ccd066d9c4d47998",
+            "e1028124a3076cb9bf05429087470a9b5dc779f1f1286023519ab26bea6bda44",
         ),
         (
             LONG + ["--strategy-a", "forgefull:k=8", "--strategy-b", "flipforge"],
-            "6e47b183f1bc8fcd6f6a24777750085238d8f95de7bae052bc81ae1b8736836e",
+            "8d6041b62bce58dcb0105d7e60129faea115ccb191350df56c5509f9ae012f24",
         ),
         (
             LONG + ["--strategy-a", "honest", "--strategy-b", "flipforge"],
-            "974b7ad48784485884b03d010bb570c903829c1b829acadfc7c76030e34d523b",
+            "5020b8a200eed4a933a5a15a1f9088f1f5ec888e0140c2b399b22b8fc4787851",
         ),
         (
             SHORT + ["--L", "16", "--strategy-a", "forgefull:k=50",
                      "--strategy-b", "flipforge:k=50"],
-            "e46a2348a2eb1e78c256c5e4a5cf8dde2c9fb08d2b52e3fc0c9327fd588277cd",
+            "97f7d06385b6a5e68e1aa3b10431a691808624ee0c64e1d7ea064d226b6d7dda",
         ),
         (
             SHORT + ["--L", "16", "--strategy-a", "split:n=50"],
-            "42d3b895544657e0e519b92db7fc5e6c11965a12a698ab9b2ba9969442daba50",
+            "51d4362e9ad1e6790c2d756b44fc3a6756f4901a8d1d2e03a6b334019206cec3",
         ),
         (
             SHORT + ["--L", "17", "--min-fraction", "0", "--strategy-b", "flipforge"],
-            "766e68ea8c4441ae6e86eb8b2030aa2eb30f25f4e7111b0b7a78930f1372e756",
+            "b9c8bd606f32d08258741554196afa0227d0a005ed8b4eb169200bc282cdf9a1",
         ),
         (
             SHORT + ["--L", "17", "--min-fraction", "1"],
-            "1ca9eae4e02b078af42980083ee505a46d33be0a82dff187a7065b367ade81e9",
+            "c39ddf2aec4b6c0177903ae106446ecd9658755a6b67452c19bf26ccf32cbb85",
         ),
         # 0.5 * 5/24 * 48 is 5 exactly: B must accept a claim of 5 entries
         (
             ["run", "--trials", "200", "--seed", "1", "--L", "48"],
-            "aae17e63910670ee9df2c03f3821e8661648ad4946a37c18b2c9779781e1cd5d",
+            "0edf6ee04e18cfe02e87273348e0dd460edcc94edd7627e7663e2f8a9aa3cdd1",
         ),
         # 2,000 one-round subsets of a product source along random directions
         (
             ["run", "--trials", "2000", "--seed", "7", "--M", "12", "--N1", "1",
              "--N2", "1", "--L", "10", "--source-state", "0110"],
-            "ee8bbd15f0a4528c0b5546047ae3f4fef066b4ec3b087007a467ac897d6f287d",
+            "b3392d12bed13d31f2ce5ea125760d3933e840f34779dcabaa581a60aabe068b",
         ),
     ]
     IDS = ["honest-honest", "split-honest", "forgefull-flipforge", "honest-flipforge",
@@ -798,12 +839,12 @@ class TestPinnedResultFiles:
         assert cli_main(args + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("case", sorted(STREAM_2))
-    def test_fault_free_file_moved_only_its_version(self, tmp_path, capsys, case):
+    @pytest.mark.parametrize("version, case", sorted(EARLIER))
+    def test_file_moved_only_its_version(self, tmp_path, capsys, version, case):
         args, _ = dict(zip(self.IDS, self.CASES))[case]
         out = tmp_path / "run.ndjson"
         assert cli_main(args + ["--out", str(out)]) == 0
         text = out.read_bytes()
-        assert text.count(b'"stream_version": 3') == 1
-        stream_2 = text.replace(b'"stream_version": 3', b'"stream_version": 2')
-        assert hashlib.sha256(stream_2).hexdigest() == self.STREAM_2[case]
+        assert text.count(b'"stream_version": 4') == 1
+        earlier = text.replace(b'"stream_version": 4', b'"stream_version": %d' % version)
+        assert hashlib.sha256(earlier).hexdigest() == self.EARLIER[version, case]
