@@ -142,12 +142,13 @@ def _draw_sorted(
     candidates: np.ndarray, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """``count`` of the sorted int64 ``candidates``, each subset equally likely,
-    sorted and read-only: those at the ``count`` smallest of n random keys,
-    ``rng.random(n)``. Taking all or none of them draws nothing."""
+    sorted and read-only: those at the ``count`` smallest of n raw PCG64
+    words, ``rng.bit_generator.random_raw(n)`` (two tie with a chance below
+    n**2 / 2**65). Taking all or none of them draws nothing."""
     n = candidates.size
     if count == 0 or count == n:
         return mark_readonly(candidates[:count])
-    picked = np.argpartition(rng.random(n), count - 1)[:count]
+    picked = rng.bit_generator.random_raw(n).argpartition(count - 1)[:count]
     picked.sort()
     return mark_readonly(candidates[picked])
 
@@ -160,11 +161,12 @@ def strategy_A_act(
     Reads nothing but A's own list ``l_A`` (her pairs' counts of 1s, the
     read-only int8 array ``generate_lists`` makes, which an honest A sends
     C as it is) and the strategy parameters. Her first draw is the message
-    bit m. When a cheating strategy asks for more fabrications than there
-    are mixed positions, the count is capped and flagged.
+    bit m, the top bit of one raw PCG64 word. When a cheating strategy asks
+    for more fabrications than there are mixed positions, the count is
+    capped and flagged.
     """
     arr = np.asarray(l_A)
-    m = int(rng.integers(0, 2))
+    m = rng.bit_generator.random_raw() >> 63
     doubles = arr == 2 * m  # a fresh mask of her doubles of m, which split extends
 
     if strategy.kind is AKind.HONEST:

@@ -44,12 +44,31 @@ def _list_table(source_state: str) -> np.ndarray:
     ).reshape(3, 24))
 
 
+@cache
+def _cell_table(source_state: str) -> np.ndarray:
+    """Read-only (3, 240) int8 table: column v is ``_list_table``'s column v % 24."""
+    return mark_readonly(np.tile(_list_table(source_state), 10))
+
+
 # the one list draw, under the name ``bench/tracer.py`` times
 def sample_outcomes(size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` independent list positions as ``12 * code + cell`` in 0..23,
-    int8: the assignment code is 50/50 and each of the law's 12 cells 1/12,
-    so every one of the 24 values is equally likely."""
-    return rng.integers(0, 24, size=size, dtype=np.int8)
+    """``size`` independent list positions as uint8 cells in 0..239, each
+    equally likely: v % 24 is ``12 * code + cell``, a 50/50 assignment
+    code and one of the law's 12 cells, 1/12 each.
+
+    The cells are the bytes below 240, in order, of PCG64's raw words read
+    little-endian: W(L) = ceil((L + ceil(L/8) + 16) / 8) words, then two
+    more at a time while fewer than L bytes survive (at W(L) a chance below
+    2e-9 at every L, the most at L = 192). W(L) is part of the stream.
+    """
+    raw = rng.bit_generator.random_raw
+    words = -(-(size + -(-size // 8) + 16) // 8)
+    drawn = raw(words).astype("<u8", copy=False).view(np.uint8)
+    cells = drawn[drawn < 240]
+    while cells.size < size:
+        drawn = raw(2).astype("<u8", copy=False).view(np.uint8)
+        cells = np.concatenate((cells, drawn[drawn < 240]))
+    return cells[:size]
 
 
 class PartyLists(NamedTuple):
@@ -80,13 +99,14 @@ def generate_lists(pool: VerifiedPool, rng: np.random.Generator) -> PartyLists:
     Every pool system holds the untouched source the pool names, and which
     two of its slots A holds is first read here, so each position is one
     uniform draw of its assignment code and a cell of the source's law in
-    twelfths; every party's entry is read off the source's table in one pass.
+    twelfths, one byte of ``sample_outcomes``; every party's entry is read
+    off the source's (3, 240) table in one pass.
     """
     size = pool.system_ids.size
     if size == 0:
         raise ValueError("cannot generate lists from an empty pool")
     cells = sample_outcomes(size, rng)
-    return PartyLists(*mark_readonly(_list_table(pool.source_state).take(cells, axis=1)))
+    return PartyLists(*mark_readonly(_cell_table(pool.source_state).take(cells, axis=1)))
 
 
 # --------------------------------------------------------------------------

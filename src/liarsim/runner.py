@@ -245,7 +245,9 @@ DISTRIBUTE_FAILURE = "DISTRIBUTE_FAILURE"
 # segment and one uniform to name its step (a fault-free run draws nothing).
 # 4: a cheater draws its positions by random keys, not ``choice``
 # (``adversary._draw_sorted``), and draws nothing to take all or none.
-STREAM_VERSION = 4
+# 5: a fault-free trial reads only PCG64's raw words: its list cells (bytes
+# below 240, ``liar_protocol.sample_outcomes``), A's bit and a cheater's keys.
+STREAM_VERSION = 5
 
 # the summary's statistics; timing, the last field, never enters the result file
 _STATS_FIELDS = TrialStats._fields[:-1]

@@ -9,7 +9,7 @@ drops out-of-range positions itself, so it takes any claim, valid or not.
 ``adversary.strategy_A_act`` makes each message in one pass;
 ``strategy_B_act_reference`` is B's forgery written out, and both draw
 their positions through ``subset_reference``, the program's subset rule
-written without ``argpartition``.
+written without ``argpartition``; A's bit is whether a raw word is at least 2**63.
 """
 from __future__ import annotations
 
@@ -68,24 +68,25 @@ def too_short_tail(L: int, min_fraction: float = 0.5) -> float:
 
 def subset_reference(candidates: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k of the sorted ``candidates`` by the program's rule: all or none of them
-    with no draw, otherwise those at the k smallest of n uniform keys, found by
-    a full ``argsort``."""
+    with no draw, otherwise those at the k smallest of n raw 64-bit keys, found
+    by a full ``argsort``."""
     n = len(candidates)
     if k in (0, n):
         drawn = np.array(candidates[:k])
     else:
-        drawn = candidates[np.sort(np.argsort(rng.random(n))[:k])]
+        drawn = candidates[np.sort(np.argsort(rng.bit_generator.random_raw(n))[:k])]
     return mark_readonly(drawn)
 
 
 def strategy_A_act_reference(
     strategy: StrategyA, l_A: np.ndarray, rng: np.random.Generator
 ) -> ActionA:
-    """A's action from the same draws, m first and then one subset draw: a
-    split claim joins her doubles of m to the drawn positions and sorts them,
-    and a split list for C is one ``np.where`` over the mixed positions."""
+    """A's action from the same draws, m first (1 when a raw word is at least
+    2**63) and then one subset draw: a split claim joins her doubles of m to
+    the drawn positions and sorts them, and a split list for C is one
+    ``np.where`` over the mixed positions."""
     arr = np.asarray(l_A)
-    m = int(rng.integers(0, 2))
+    m = int(rng.bit_generator.random_raw() >= 2**63)
     honest_positions = mark_readonly((arr == 2 * m).nonzero()[0] + 1)
     if strategy.kind is AKind.HONEST:
         return ActionA(m, honest_positions, m, arr)

@@ -6,9 +6,12 @@ its exact abort law, so only the dense reference run samples a state
 along an arbitrary direction. The tests
 that check the singlet's outcome law along many directions sample it with
 ``sample_along``, through the dense engine's own rounding rule
-(``qstate._cdf``). ``RecordingGenerator`` records the draws a producer makes.
+(``qstate._cdf``). ``RecordingGenerator`` records the draws a producer
+makes, and ``raw_cells`` recomputes a list draw from PCG64's raw words.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,19 +31,46 @@ def sample_along(
     return cum.searchsorted(rng.random(shots), side="right")
 
 
-class RecordingGenerator:
-    """Passes each call on to ``rng`` and records its name and arguments,
-    keyword values last."""
+class _Recording:
+    """Passes each call on to ``target`` and appends its name and arguments,
+    keyword values last, to ``calls``; an attribute that is not callable is
+    read as it is."""
 
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-        self.calls: list[tuple] = []
+    def __init__(self, target, calls: list) -> None:
+        self.target = target
+        self.calls = calls
 
     def __getattr__(self, name):
-        method = getattr(self.rng, name)
+        attribute = getattr(self.target, name)
+        if not callable(attribute):
+            return attribute
 
         def recorded(*args, **kwargs):
             self.calls.append((name, args + tuple(kwargs.values())))
-            return method(*args, **kwargs)
+            return attribute(*args, **kwargs)
 
         return recorded
+
+
+class RecordingGenerator(_Recording):
+    """Passes each call on to ``rng`` and records its name and arguments,
+    keyword values last: a ``Generator`` method's and its
+    ``bit_generator.random_raw``'s alike, in one list."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        super().__init__(rng, [])
+        self.bit_generator = _Recording(rng.bit_generator, self.calls)
+
+
+def raw_cells(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The ``size`` list cells a list draw reads off ``rng``, recomputed with
+    Python int shifts: each raw word's eight bytes, lowest first, keeping
+    those below 240; ceil((size + ceil(size / 8) + 16) / 8) words, then two
+    more at a time until ``size`` bytes are kept."""
+    words, cells = math.ceil((size + math.ceil(size / 8) + 16) / 8), []
+    while len(cells) < size:
+        for word in rng.bit_generator.random_raw(words).tolist():
+            cells += [byte for byte in (word >> shift & 0xFF for shift in range(0, 64, 8))
+                      if byte < 240]
+        words = 2
+    return np.array(cells[:size], np.uint8)

@@ -154,7 +154,7 @@ class TestStrategyRecords:
 
 class TestHonestA:
     def test_worked_table(self):
-        action = strategy_A_act(StrategyA.honest(), worked_a(), rng(1))
+        action = strategy_A_act(StrategyA.honest(), worked_a(), rng(_seed_drawing(0, 1)))
         assert action.m_AB == 0 and action.m_AC == 0
         assert action.positions_for_B.tolist() == [1, 3, 6]
         assert action.l_AC.tolist() == [0, 1, 0, 2, 2, 0, 1, 2]
@@ -163,7 +163,7 @@ class TestHonestA:
         assert not action.capped
 
     def test_opposite_message(self):
-        action = strategy_A_act(StrategyA.honest(), worked_a(), rng(0))
+        action = strategy_A_act(StrategyA.honest(), worked_a(), rng(_seed_drawing(1, 0)))
         assert action.m_AB == 1
         assert action.positions_for_B.tolist() == [4, 5, 8]
 
@@ -171,21 +171,22 @@ class TestHonestA:
         bits = set()
         for s in range(8):
             action = strategy_A_act(StrategyA.honest(), worked_a(), rng(s))
-            assert action.m_AB == int(rng(s).integers(0, 2))
+            # A's bit is the top bit of the stream's first raw word
+            assert action.m_AB == rng(s).bit_generator.random_raw() // 2**63
             bits.add(action.m_AB)
         assert bits == {0, 1}
 
 
 class TestSplitMessage:
     def test_messages_differ_and_list_is_forged(self):
-        action = strategy_A_act(StrategyA.split_message(1), worked_a(), rng(1))
+        action = strategy_A_act(StrategyA.split_message(1), worked_a(), rng(_seed_drawing(0, 1)))
         assert action.m_AB == 0 and action.m_AC == 1
         # every mixed entry (2 and 7) is rewritten as a double of m_AC
         assert action.l_AC.tolist() == [0, 2, 0, 2, 2, 0, 2, 2]
         assert action.altered_positions.tolist() == [2, 7]
 
     def test_fabrications_come_from_mixed_positions(self):
-        action = strategy_A_act(StrategyA.split_message(2), worked_a(), rng(6))
+        action = strategy_A_act(StrategyA.split_message(2), worked_a(), rng(_seed_drawing(0, 6)))
         assert action.m_AB == 0
         assert set(action.fabricated_positions.tolist()) <= {2, 7}
         assert action.positions_for_B.tolist() == sorted(
@@ -194,13 +195,13 @@ class TestSplitMessage:
         assert not action.capped
 
     def test_fabrication_count_capped_at_mixed_supply(self):
-        action = strategy_A_act(StrategyA.split_message(5), worked_a(), rng(9))
+        action = strategy_A_act(StrategyA.split_message(5), worked_a(), rng(_seed_drawing(0, 9)))
         assert action.m_AB == 0
         assert action.fabricated_positions.tolist() == [2, 7]
         assert action.capped
 
     def test_zero_fabrications_sends_true_claim(self):
-        action = strategy_A_act(StrategyA.split_message(0), worked_a(), rng(4))
+        action = strategy_A_act(StrategyA.split_message(0), worked_a(), rng(_seed_drawing(1, 4)))
         assert action.m_AB == 1
         assert action.positions_for_B.tolist() == [4, 5, 8]
         assert action.fabricated_positions.tolist() == []
@@ -209,13 +210,17 @@ class TestSplitMessage:
 
 class TestForgedFullList:
     def test_messages_stay_consistent(self):
-        action = strategy_A_act(StrategyA.forged_full_list(1), worked_a(), rng(11))
+        action = strategy_A_act(
+            StrategyA.forged_full_list(1), worked_a(), rng(_seed_drawing(0, 11))
+        )
         assert action.m_AB == action.m_AC == 0
         assert action.positions_for_B.tolist() == [1, 3, 6]
 
     def test_alterations_rewrite_chosen_mixed_entries(self):
         true_list = (0, 1, 0, 2, 2, 0, 1, 2)
-        action = strategy_A_act(StrategyA.forged_full_list(1), worked_a(), rng(6))
+        action = strategy_A_act(
+            StrategyA.forged_full_list(1), worked_a(), rng(_seed_drawing(0, 6))
+        )
         assert action.m_AB == 0
         assert len(action.altered_positions) == 1
         j = action.altered_positions[0]
@@ -225,7 +230,9 @@ class TestForgedFullList:
         assert action.l_AC.tolist() == expected
 
     def test_cap_and_flag(self):
-        action = strategy_A_act(StrategyA.forged_full_list(9), worked_a(), rng(7))
+        action = strategy_A_act(
+            StrategyA.forged_full_list(9), worked_a(), rng(_seed_drawing(1, 7))
+        )
         assert action.m_AB == 1
         assert action.altered_positions.tolist() == [2, 7]
         assert action.capped
@@ -321,8 +328,9 @@ class TestProducerInvariants:
 
 
 def _seed_drawing(m: int, start: int) -> int:
-    """The first seed from ``start`` whose stream draws A's message bit ``m``."""
-    while int(rng(start).integers(0, 2)) != m:
+    """The first seed from ``start`` whose stream draws A's message bit ``m``:
+    whose first raw word's top bit is ``m``."""
+    while rng(start).bit_generator.random_raw() >> 63 != m:
         start += 1
     return start
 
@@ -460,18 +468,32 @@ class TestDrawSorted:
         assert np.count_nonzero(np.diff(drawn) <= 0) == 0  # sorted, no repeats
         assert np.isin(drawn, candidates).all()
 
-    # each cheater's one draw is n keys, n its count of candidates
+    # A's bit is one raw word; each cheater's one draw is n raw keys, n its
+    # count of candidates
     @pytest.mark.parametrize("L", [64, 4096])
     def test_each_strategy_draws_one_key_per_candidate(self, L):
         lists = big_lists(L, L)
         for text in ("split:n=3", "forgefull:k=8"):
             stream = RecordingGenerator(rng(L))
             strategy_A_act(parse_strategy_A(text), lists.a_ones, stream)
-            assert [name for name, _ in stream.calls] == ["integers", "random"], text
-            assert stream.calls[1][1] == (np.count_nonzero(lists.a_ones == 1),)
+            mixed = np.count_nonzero(lists.a_ones == 1)
+            assert stream.calls == [("random_raw", ()), ("random_raw", (mixed,))], text
         stream = RecordingGenerator(rng(L))
         strategy_B_act(parse_strategy_B("flipforge"), (0, ()), lists.b_bits, stream)
-        assert stream.calls == [("random", (np.count_nonzero(lists.b_bits == 0),))]
+        assert stream.calls == [("random_raw", (np.count_nonzero(lists.b_bits == 0),))]
+
+    def test_keys_are_raw_words(self):
+        # the picked candidates sit at the k smallest of n raw words, and the
+        # draw consumes exactly those n words
+        candidates = mark_readonly(np.arange(10, 110, dtype=np.int64))
+        stream = rng(2920)
+        drawn = _draw_sorted(candidates, 7, stream)
+        keys = rng(2920).bit_generator.random_raw(100).tolist()
+        smallest = sorted(range(100), key=keys.__getitem__)[:7]
+        assert drawn.tolist() == sorted(10 + j for j in smallest)
+        follower = rng(2920)
+        follower.bit_generator.random_raw(100)
+        assert stream.bit_generator.state == follower.bit_generator.state
 
 
 class TestParsers:

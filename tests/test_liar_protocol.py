@@ -1,12 +1,14 @@
 import functools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import stats as scipy_stats
 
 from liarsim import liar_protocol
 from liarsim.adversary import StrategyA, StrategyB, parse_strategy_A, parse_strategy_B
@@ -24,6 +26,7 @@ from liarsim.liar_protocol import (
     Thresholds,
     Verdict,
     VerdictValue,
+    _cell_table,
     _is_bit,
     _list_table,
     _pair_counts,
@@ -32,12 +35,13 @@ from liarsim.liar_protocol import (
     c_adjudicate,
     generate_lists,
     run_liar_protocol,
+    sample_outcomes,
 )
 from liarsim.oracle import SINGLET_WEIGHTS, Assignment, round_distribution, source_weights
 from liarsim.qstate import make_singlet, mark_readonly, measure_qubits, outcome_bits
 from liarsim.runner import _escape_counts
 from reference_checks import incompatible_positions, stage1_violations, stage2_mismatches
-from sampling import RecordingGenerator
+from sampling import RecordingGenerator, raw_cells
 
 # Worked eight-row example used throughout: a valid joint outcome whose
 # doubles sit at 1,3,6 (for 0) and 4,5,8 (for 1). A's pairs
@@ -152,7 +156,7 @@ class TestGenerateLists:
         pool = VerifiedPool(make_verified_pool(400).system_ids, "0011")
         by_code = [(0, 1, 1), (1, 0, 1)]
         fast = generate_lists(pool, rng(50))
-        codes = rng(50).integers(0, 24, size=400, dtype=np.int8) // 12
+        codes = raw_cells(rng(50), 400) % 24 // 12
         np.testing.assert_array_equal(fast, np.array(by_code, np.int8)[codes].T)
         dense = dense_engine_lists(pool, rng(51))
         assert set(zip(*(row.tolist() for row in dense))) == set(by_code)
@@ -233,13 +237,24 @@ class TestListTable:
         liar_protocol._list_table("singlet")
         assert built == ["0110", "singlet"]
 
-    @pytest.mark.parametrize("L", [1, 64, 4096])
-    def test_one_int8_draw_of_24_cells_per_list(self, L):
+    @pytest.mark.parametrize("name", ["singlet", "0110"])
+    def test_cell_table_repeats_the_24_columns_ten_times(self, name):
+        # each of the 240 cells a byte can name is column v % 24, so each of
+        # the 24 columns has exactly 10 of them
+        wide = _cell_table(name)
+        assert wide.dtype == np.int8 and wide.shape == (3, 240)
+        assert not wide.flags.writeable
+        assert _cell_table("".join(name)) is wide
+        for v in range(240):
+            np.testing.assert_array_equal(wide[:, v], _list_table(name)[:, v % 24])
+
+    @pytest.mark.parametrize("L", [1, 64, 192, 4096])
+    def test_one_raw_draw_of_240_cells_per_list(self, L):
         stream = RecordingGenerator(rng(5))
         lists = generate_lists(make_verified_pool(L), stream)
-        assert stream.calls == [("integers", (0, 24, L, np.int8))]
-        cells = rng(5).integers(0, 24, size=L, dtype=np.int8)
-        np.testing.assert_array_equal(lists, _list_table("singlet")[:, cells])
+        assert stream.calls == [("random_raw", (math.ceil((L + math.ceil(L / 8) + 16) / 8),))]
+        cells = raw_cells(rng(5), L)
+        np.testing.assert_array_equal(lists, _list_table("singlet")[:, cells % 24])
 
     def test_all_24_columns_give_the_mixed_round_table(self):
         # both codes' columns together, each 1/24, are C's half-and-half mixture
@@ -279,10 +294,78 @@ class TestListTable:
         ]
         pool = VerifiedPool(make_verified_pool(200).system_ids, bits)
         fast = generate_lists(pool, rng(60))
-        codes = rng(60).integers(0, 24, size=200, dtype=np.int8) // 12
+        codes = raw_cells(rng(60), 200) % 24 // 12
         np.testing.assert_array_equal(fast, np.array(by_code, np.int8)[codes].T)
         dense = dense_engine_lists(pool, rng(61))
         assert set(zip(*(row.tolist() for row in dense))) == set(by_code)
+
+
+class _ScriptedBits:
+    """A bit generator that serves ``random_raw`` from a fixed list of
+    words, recording each call's size."""
+
+    def __init__(self, words) -> None:
+        self.words = list(words)
+        self.sizes: list = []
+
+    def random_raw(self, size=None):
+        self.sizes.append(size)
+        served, self.words = self.words[:size], self.words[size:]
+        return np.array(served, np.uint64)
+
+
+class TestSampleOutcomes:
+    """A list draw is the bytes below 240, in order, of PCG64's raw words
+    read little-endian, topped up two words at a time; its cells mod 24
+    are the 24 equally likely (code, cell) columns."""
+
+    @pytest.mark.parametrize("L", [1, 7, 8, 9, 64, 192, 1000, 4096])
+    @pytest.mark.parametrize("seed", [0, 31])
+    def test_cells_are_the_little_endian_bytes_below_240(self, L, seed):
+        cells = sample_outcomes(L, rng(seed))
+        assert cells.dtype == np.uint8 and cells.shape == (L,)
+        np.testing.assert_array_equal(cells, raw_cells(rng(seed), L))
+
+    @pytest.mark.parametrize("L", [10, 64, 300])
+    def test_top_up_keeps_the_first_accepted_bytes_in_order(self, L):
+        # each byte is kept with chance 1/8, so the first W(L) words fall
+        # short and the draw tops up; a kept byte is 0..239, a dropped one
+        # 240..255
+        script = np.random.default_rng(L)
+        raw = np.where(
+            script.random((4 * L + 64, 8)) < 1 / 8,
+            script.integers(0, 240, (4 * L + 64, 8)),
+            script.integers(240, 256, (4 * L + 64, 8)),
+        )
+        words = [sum(int(byte) << 8 * i for i, byte in enumerate(row)) for row in raw]
+        bits = _ScriptedBits(words)
+        cells = sample_outcomes(L, SimpleNamespace(bit_generator=bits))
+        kept = raw[raw < 240]  # row by row, lowest byte first
+        np.testing.assert_array_equal(cells, kept[:L])
+        first = math.ceil((L + math.ceil(L / 8) + 16) / 8)
+        assert bits.sizes[0] == first and set(bits.sizes[1:]) == {2}
+        # two words at a time until enough bytes are kept, and no further
+        assert np.count_nonzero(raw[: sum(bits.sizes)] < 240) >= L
+        assert np.count_nonzero(raw[: sum(bits.sizes) - 2] < 240) < L
+
+    def test_24_cells_equally_likely(self):
+        # 64,000 cells from one draw and 64,000 from 1,000 draws of L=64,
+        # each tested at 0.0005: a family-wise level of 0.001
+        long = sample_outcomes(64_000, rng(70))
+        stream = rng(71)
+        short = np.concatenate([sample_outcomes(64, stream) for _ in range(1000)])
+        for cells in (long, short):
+            assert cells.max() < 240
+            counts = np.bincount(cells % 24, minlength=24)
+            assert scipy_stats.chisquare(counts).pvalue >= 0.0005
+
+    def test_first_draw_falls_short_with_chance_below_2e_9(self):
+        # W(L) words hold 8 W(L) bytes, each kept with chance 15/16: the
+        # exact binomial tail of keeping fewer than L, largest at L = 192
+        L = np.arange(1, 20_001)
+        words = -(-(L + -(-L // 8) + 16) // 8)
+        short = scipy_stats.binom.cdf(L - 1, 8 * words, 15 / 16)
+        assert short.max() < 2e-9 and L[short.argmax()] == 192
 
 
 class TestProducerInvariants:

@@ -36,6 +36,7 @@ from liarsim.runner import (
     wilson_interval,
 )
 from reference_checks import too_short_tail
+from sampling import RecordingGenerator
 
 
 class TestResolveSizes:
@@ -368,6 +369,18 @@ class TestWilsonInterval:
             assert low <= k / n <= high
 
 
+_STRATEGY_CONFIGS = [
+    {"strategy_a": a, "strategy_b": b}
+    for a, b in (
+        ("honest", "honest"),
+        ("split:n=3", "honest"),
+        ("forgefull:k=8", "flipforge"),
+        ("honest", "flipforge"),
+        ("split:n=50", "flipforge:k=50"),
+    )
+]
+
+
 class TestRunSingleTrial:
     def test_honest_trial_record(self):
         config = TrialConfig.build(L=256, seed=5, trials=1)
@@ -399,6 +412,28 @@ class TestRunSingleTrial:
         record = run_single_trial(config, 0)
         assert record.distribute_status == "FAILURE"
         assert record.failure_step == "ii"
+
+    # every strategy kind, and L=16, where the capped cheaters take all or none
+    @pytest.mark.parametrize("L", [16, 64, 4096])
+    @pytest.mark.parametrize(
+        "strategies", _STRATEGY_CONFIGS, ids=lambda s: f"{s['strategy_a']}/{s['strategy_b']}"
+    )
+    def test_fault_free_trial_reads_only_raw_words(self, monkeypatch, L, strategies):
+        # its list cells, A's bit and a cheater's keys are all raw PCG64
+        # words: no Generator sampling method is called
+        config = TrialConfig.build(L=L, seed=L, trials=8, **strategies)
+        expected = [run_single_trial(config, i) for i in range(config.trials)]
+        streams = []
+
+        def recording(seed, trial_index):
+            streams.append(RecordingGenerator(trial_rng(seed, trial_index)))
+            return streams[-1]
+
+        monkeypatch.setattr(runner, "trial_rng", recording)
+        assert [run_single_trial(config, i) for i in range(config.trials)] == expected
+        assert len(streams) == config.trials
+        for stream in streams:
+            assert stream.calls and {name for name, _ in stream.calls} == {"random_raw"}
 
 
 class TestExactFiniteTail:
@@ -563,11 +598,11 @@ class TestResultFile:
         ids=["fast-path", "lossy-distribute", "product-source"],
     )
     def test_summary_declares_the_stream_version(self, kwargs):
-        # a cheater draws its positions by random keys where they cost less: version 4
+        # a fault-free trial reads only PCG64's raw words: version 5
         config = TrialConfig.build(seed=5, trials=2, **kwargs)
         results = [run_single_trial(config, i) for i in range(2)]
         summary = json.loads(format_records(config, results, aggregate(results)).splitlines()[-1])
-        assert summary["stream_version"] == runner.STREAM_VERSION == 4
+        assert summary["stream_version"] == runner.STREAM_VERSION == 5
 
 
 # one value per TrialResult field: ints past 64 bits, None, and any text
@@ -600,25 +635,13 @@ class TestTrialLine:
             format_records(TrialConfig.build(L=16, trials=1), [r], aggregate([r]))
 
 
-_NO_COPY_CONFIGS = [
-    {"strategy_a": a, "strategy_b": b}
-    for a, b in (
-        ("honest", "honest"),
-        ("split:n=3", "honest"),
-        ("forgefull:k=8", "flipforge"),
-        ("honest", "flipforge"),
-        ("split:n=50", "flipforge:k=50"),
-    )
-]
-
-
 class TestTrialPathCopiesNothing:
     """Records take the arrays they are given, and C's checks take A's list as
     it is: each array is read-only and of its final dtype where it is made."""
 
     @pytest.mark.parametrize("L", [16, 64])
     @pytest.mark.parametrize(
-        "strategies", _NO_COPY_CONFIGS, ids=lambda s: f"{s['strategy_a']}/{s['strategy_b']}"
+        "strategies", _STRATEGY_CONFIGS, ids=lambda s: f"{s['strategy_a']}/{s['strategy_b']}"
     )
     def test_readonly_array_returns_its_input(self, monkeypatch, L, strategies):
         calls = []
@@ -701,37 +724,20 @@ class TestPinnedResultFiles:
     record format, changes these digests; such a change must be declared
     and the digests re-pinned deliberately.
 
-    ``EARLIER`` keeps, for the files that moved only their summary's
-    ``stream_version`` since, the digest each had at an earlier version.
-    Version 4 changed only how a cheater draws its positions: a file whose
-    trials make no such draw (every honest and distribute-and-test file,
-    and the capped runs at L=16, which take every candidate and draw
-    nothing) differs from version 3's only there. Version 3 changed only how
-    distribute-and-test draws, which a fault-free trial skips, so the
-    fault-free ones among them also differ from version 2's only there.
+    ``FAILURES`` keeps, for each distribute-and-test file with a failed
+    trial, the sha256 of its ``FAILURE`` records, one per line: version 5
+    moved only the draws after distribute-and-test (the list cells, A's bit
+    and a cheater's keys), so those records are the ones version 4 wrote.
     """
 
-    EARLIER = {
-        (3, "honest-honest"): "44fcb72e187932af1d88b3004096c97ff1dadfd5a8692d085bafa64e83a7de60",
-        (3, "distribute-loss"): "36b060689af692baaaf1693a18e51e85ccdeb27dcb8ada7300b932697e0ecd7f",
-        (3, "distribute-product-source"): "5aa0b1746638a96f3649d00ec34137f37d3d9f592efe1dc0dcafcf4904df5b85",
-        (3, "distribute-fixed-policy"): "ecc9ac9a1ac676f62638004d02901a725b67c671625b8706c6e5a8eecb339387",
-        (3, "distribute-lossy"): "68ac871e2b81ed55d38069f9b7fda57b20c4206afe9ede359f133e797b8a559f",
-        (3, "distribute-M512"): "23642ab08e0ee3d3087f8da53354d81d4cda9821ba848bc14c94f44fc7335e49",
-        (3, "honest-honest-L4096"): "87dc61777c7d72181d9228f76fe33795e01515a056c6e8bcb1a963abf9c73d75",
-        (3, "forgefull-flipforge-capped-L16"): "e46a2348a2eb1e78c256c5e4a5cf8dde2c9fb08d2b52e3fc0c9327fd588277cd",
-        (3, "split-capped-L16"): "42d3b895544657e0e519b92db7fc5e6c11965a12a698ab9b2ba9969442daba50",
-        (3, "honest-too-short-L17"): "1ca9eae4e02b078af42980083ee505a46d33be0a82dff187a7065b367ade81e9",
-        (3, "honest-boundary-L48"): "aae17e63910670ee9df2c03f3821e8661648ad4946a37c18b2c9779781e1cd5d",
-        (3, "distribute-product-source-random"):
-            "ee8bbd15f0a4528c0b5546047ae3f4fef066b4ec3b087007a467ac897d6f287d",
-        (2, "honest-honest"): "772559b463593ccb01e9eb55a773e580391bd74a5f4c28bc3b6145a9b0aca1ee",
-        (2, "honest-honest-L4096"): "3430301564aeb9a8b9feca21b6a26658b3ffdc4fa1a68a1d13e4b01095371e49",
-        (2, "forgefull-flipforge-capped-L16"):
-            "c4fb664cf3bdaaf383699d024a323b3b370c0f198c9920188c854f60586d9a1e",
-        (2, "split-capped-L16"): "312cbd4ea27d1fcff9d5816fe5e52bac381f2cfdcec633d2ab8ee5fc653dd4db",
-        (2, "honest-too-short-L17"): "a69983dcb5e1fbeaa9d919b718316f1989e2a9e6e2aae5f7d9b44c6373dc36fe",
-        (2, "honest-boundary-L48"): "a1272e5ddebe08db703bc30c9a474a45c8025aa7fba85970fcc17c385f01d9cc",
+    FAILURES = {
+        "distribute-loss": "ec90eb15bde15d5171150d9e35bc91a686070435769346a03cc5bdb69174d8dd",
+        "distribute-product-source":
+            "fc2f480a9c6b60a2fc5b556eb3df24badb5c98b187808b29eda5c466588b079b",
+        "distribute-lossy": "affd01570e4175c4a9b6c3a7cff1c40c700e376d0aa817e4c465353fce2ec1c1",
+        "distribute-M512": "1cc330dda54ae1631e277130ced0e6f2e0b121120b7c44f2242d5b7751af8900",
+        "distribute-product-source-random":
+            "2723b37a26ba9443f76a6369c161df41071b815b6ed806146435573cc0b652f9",
     }
 
     FAST = ["run", "--trials", "200", "--seed", "12345", "--L", "64"]
@@ -741,88 +747,88 @@ class TestPinnedResultFiles:
     CASES = [
         (
             FAST + ["--strategy-a", "honest", "--strategy-b", "honest"],
-            "b43d899b491fabfac9f63845a3e71c2baf6de089b1b0f814e0982e84a68769ee",
+            "65002fa73ff73a39c0aaac0886d539bc325a2113600ae9d337575f04aa985481",
         ),
         (
             FAST + ["--strategy-a", "split:n=3", "--strategy-b", "honest"],
-            "634d740a8e06c6bf215dbf8e9f90ba2908c01d4b2ba8fe2fe7f96a27feebb450",
+            "218712c842c1fe8b246ee27836554a6d7f26cae1aec703f69debb3fb9caf9082",
         ),
         (
             FAST + ["--strategy-a", "forgefull:k=8", "--strategy-b", "flipforge"],
-            "08fe6eed294481ec81554ee03f5525fad9ae58a8286d43b14e28a52220b89ff6",
+            "e71a8fb6766c5d113dee9eef84029b6a006b51ab6dc782ee4b53388a1cf23360",
         ),
         (
             FAST + ["--strategy-a", "honest", "--strategy-b", "flipforge"],
-            "a16ff7b1d956247c64d321a2e0d1f29315366bfd7e89685078b72a8538fe2870",
+            "01197c89ffedb5c7d949432590f910522546e27b58c63cf1c6eecd1c71d38c8e",
         ),
         (
             ["run", "--trials", "30", "--seed", "12345", "--M", "40",
              "--qubit-loss-prob", "1e-3"],
-            "530031a5dafd792d6da53bcd86a0c6a06178e58f79f7d3cc778cd95a46a612b0",
+            "e0ebfd92f4948585b405ae5d2400df3569220697a8d29505c9a83484bbc519b5",
         ),
         (
             ["run", "--trials", "30", "--seed", "12345", "--M", "12", "--N1", "1",
              "--N2", "1", "--L", "10", "--source-state", "0011"],
-            "ec9b80ac01ea29f04193e81cd20d95da19d780eae52468550df2f480212e103d",
+            "fdbf7a90b0eee50be1efabf10d2189c92dab4d58ea21059190577054249df2df",
         ),
         (
             ["run", "--trials", "30", "--seed", "12345", "--M", "40",
              "--source-state", "0011", "--direction-policy", "fixed"],
-            "bea64cdbf59c8683bc31039a9883b0ee7e1167ace83368dd12f3b18ba4169845",
+            "2eb4ce4220f7cc2fe7546d155309920c7816198a2da8da18864170145a4b64eb",
         ),
         (
             ["run", "--trials", "30", "--seed", "12345", "--M", "40",
              "--qubit-loss-prob", "0.003"],
-            "477d4b8b06ab8cc4d0ba170d0dd811316eac419b7b1cd1650d5b53188c8b668c",
+            "cc40ba726aa331d63981ecae5db3028c389a35d4b1b935b40091aa9d49e56cbe",
         ),
         (
             ["run", "--trials", "20", "--seed", "12345", "--M", "512", "--N1", "128",
              "--N2", "128", "--L", "256", "--qubit-loss-prob", "1e-4"],
-            "2e31307b9246e63b415f71fee52cde9cfbf577a1f25ca72fd430a94736148b7f",
+            "880cfd62c7cbddaa6d8098cda83731137b9c5c3d0d5ec1d6934c403adad27c0c",
         ),
         (
             LONG + ["--strategy-a", "honest", "--strategy-b", "honest"],
-            "805fc151de25c5ce863300c5d967a4cc73c1e79362c1b2d5aba40b8f0bbb5e39",
+            "0c3f55695dcea66c37f146723577aafc4330d638b8ca1b0f1eae2cd5899c9a6c",
         ),
         (
             LONG + ["--strategy-a", "split:n=3", "--strategy-b", "honest"],
-            "e1028124a3076cb9bf05429087470a9b5dc779f1f1286023519ab26bea6bda44",
+            "6643cf365fe4ecda9c87c2c29765156171e3344e8cae933fa1d7573f92959cda",
         ),
         (
             LONG + ["--strategy-a", "forgefull:k=8", "--strategy-b", "flipforge"],
-            "8d6041b62bce58dcb0105d7e60129faea115ccb191350df56c5509f9ae012f24",
+            "a6bb5a234c4c985d2d3cee292a80058f2e4c288db9c834f06898dfcd7ecb41d2",
         ),
         (
             LONG + ["--strategy-a", "honest", "--strategy-b", "flipforge"],
-            "5020b8a200eed4a933a5a15a1f9088f1f5ec888e0140c2b399b22b8fc4787851",
+            "c637a89769f0201eb361ffcb3ed3b45527a76821e049654247b76d57304fb891",
         ),
         (
             SHORT + ["--L", "16", "--strategy-a", "forgefull:k=50",
                      "--strategy-b", "flipforge:k=50"],
-            "97f7d06385b6a5e68e1aa3b10431a691808624ee0c64e1d7ea064d226b6d7dda",
+            "2cd7669d0efde1fc0c7c16ab607d3efd51cf2d821c50fb866559a36662d55810",
         ),
         (
             SHORT + ["--L", "16", "--strategy-a", "split:n=50"],
-            "51d4362e9ad1e6790c2d756b44fc3a6756f4901a8d1d2e03a6b334019206cec3",
+            "1e36765c5049a3f574106213a0f76d985118ebec0615236a93efb0eaa897b5fd",
         ),
         (
             SHORT + ["--L", "17", "--min-fraction", "0", "--strategy-b", "flipforge"],
-            "b9c8bd606f32d08258741554196afa0227d0a005ed8b4eb169200bc282cdf9a1",
+            "be43f1ebe514d9871a7955c238af4fd2b42483ba5a4c0e4d12eda7078ce88542",
         ),
         (
             SHORT + ["--L", "17", "--min-fraction", "1"],
-            "c39ddf2aec4b6c0177903ae106446ecd9658755a6b67452c19bf26ccf32cbb85",
+            "64ef23d3c91c3a11b96c282fcb79a6626bce741960599faf0c3cc7aa225340d2",
         ),
         # 0.5 * 5/24 * 48 is 5 exactly: B must accept a claim of 5 entries
         (
             ["run", "--trials", "200", "--seed", "1", "--L", "48"],
-            "0edf6ee04e18cfe02e87273348e0dd460edcc94edd7627e7663e2f8a9aa3cdd1",
+            "412caf68923b15b4b8181f386b4631c09fdfb522767cc9213f466404afb3805b",
         ),
         # 2,000 one-round subsets of a product source along random directions
         (
             ["run", "--trials", "2000", "--seed", "7", "--M", "12", "--N1", "1",
              "--N2", "1", "--L", "10", "--source-state", "0110"],
-            "b3392d12bed13d31f2ce5ea125760d3933e840f34779dcabaa581a60aabe068b",
+            "340df2391cefc9710679c1a9b9e12d00c326a845bcf4947d67086497d106d62a",
         ),
     ]
     IDS = ["honest-honest", "split-honest", "forgefull-flipforge", "honest-flipforge",
@@ -839,12 +845,11 @@ class TestPinnedResultFiles:
         assert cli_main(args + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("version, case", sorted(EARLIER))
-    def test_file_moved_only_its_version(self, tmp_path, capsys, version, case):
+    @pytest.mark.parametrize("case", sorted(FAILURES))
+    def test_failure_records_did_not_move(self, tmp_path, capsys, case):
         args, _ = dict(zip(self.IDS, self.CASES))[case]
         out = tmp_path / "run.ndjson"
         assert cli_main(args + ["--out", str(out)]) == 0
-        text = out.read_bytes()
-        assert text.count(b'"stream_version": 4') == 1
-        earlier = text.replace(b'"stream_version": 4', b'"stream_version": %d' % version)
-        assert hashlib.sha256(earlier).hexdigest() == self.EARLIER[version, case]
+        failures = [line for line in out.read_bytes().splitlines() if b'"FAILURE"' in line]
+        assert failures
+        assert hashlib.sha256(b"\n".join(failures)).hexdigest() == self.FAILURES[case]
