@@ -20,7 +20,7 @@ import numpy as np
 
 from .distribute_test import _as_int
 from .oracle import EXPECTED_DOUBLE_FRACTION
-from .qstate import mark_readonly
+from .qstate import checked_record, mark_readonly
 
 
 class AKind(enum.Enum):
@@ -51,7 +51,7 @@ def _check(kinds: type[enum.Enum], kind, count, unset: int | None) -> tuple[enum
     return kind, count
 
 
-class StrategyA(NamedTuple("StrategyA", [("kind", AKind), ("count", int)])):
+class StrategyA(checked_record("StrategyA", kind=AKind, count=int)):
     """A's behavior: honest, split messages, or forge the full list.
 
     A draws the bit she wants to deliver first in every run.
@@ -80,7 +80,7 @@ class StrategyA(NamedTuple("StrategyA", [("kind", AKind), ("count", int)])):
         return cls(AKind.FORGED_FULL_LIST, k)
 
 
-class StrategyB(NamedTuple("StrategyB", [("kind", BKind), ("count", int | None)])):
+class StrategyB(checked_record("StrategyB", kind=BKind, count=int | None)):
     """B's behavior: honest forwarding, or flip the message and forge.
 
     FLIP_AND_FORGE forwards ``count`` positions B's own bits make

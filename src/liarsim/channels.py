@@ -10,15 +10,16 @@ carries the source by name.
 Only input from outside the program is checked where it enters:
 ``FaultModel`` here, the plan, thresholds, strategies and trial config in
 their own modules, and every payload by B's and C's checks. Each of those
-records is a NamedTuple that checks once, in ``__new__``, and stores the
-values it normalized. The records that carry arrays between phases
-(``VerifiedPool``, ``PartyLists``, ``ActionA``, ``ActionB``) check nothing
-when built. The function that makes each one casts and marks its arrays
-read-only, and one hypothesis test per producer holds it to 1-D, equally
-long, in-range, read-only arrays of the record's dtypes: the
-``TestProducerInvariants`` classes of
-``tests/test_distribute_test.py`` (pools), ``tests/test_liar_protocol.py``
-(lists) and ``tests/test_adversary.py`` (actions).
+records is a NamedTuple that checks once, in ``__new__``, through which
+``_make`` and ``_replace`` build too (``qstate.checked_record``), and stores
+the values it normalized. The records that carry arrays between phases
+(``PartyLists``, ``ActionA``, ``ActionB``) check nothing when built. The
+function that makes each one casts and marks its arrays read-only, and one
+hypothesis test per producer holds it to 1-D, equally long, in-range,
+read-only arrays of the record's dtypes: the ``TestProducerInvariants``
+classes of ``tests/test_liar_protocol.py`` (lists) and
+``tests/test_adversary.py`` (actions). A ``VerifiedPool`` is its size and
+its source's name, and ``tests/test_distribute_test.py`` holds its producers.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from .qstate import (
     MeasurementDirection,
     StateVector,
     basis_state,
+    checked_record,
     make_singlet,
     measure_qubits,
 )
@@ -49,7 +51,7 @@ class PartyId(enum.Enum):
     C = "C"
 
 
-class QubitRef(NamedTuple("QubitRef", [("system_id", int), ("slot", int)])):
+class QubitRef(checked_record("QubitRef", system_id=int, slot=int)):
     """One qubit: slot ``slot`` (1..4) of four-qubit system ``system_id``."""
 
     __slots__ = ()
@@ -167,7 +169,7 @@ class TransferRecord(NamedTuple):
     status: TransferStatus
 
 
-class FaultModel(NamedTuple("FaultModel", [("qubit_loss_prob", float), ("source_state", str)])):
+class FaultModel(checked_record("FaultModel", qubit_loss_prob=float, source_state=str)):
     """Injectable imperfections: transit loss and a corrupted source.
 
     ``source_state`` is either ``"singlet"`` (the honest four-qubit

@@ -72,10 +72,6 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
 @functools.cache  # one parser per process, and its {subcommand: parser} map: main() reuses both
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(

@@ -19,35 +19,15 @@ import numpy as np
 
 from . import adversary
 from .distribute_test import VerifiedPool
-from .oracle import EXPECTED_DOUBLE_FRACTION, Assignment, source_weights
-from .qstate import mark_readonly, outcome_bits, readonly_array
-
-
-@cache
-def _list_table(source_state: str) -> np.ndarray:
-    """Read-only (3, 24) int8 list entries of the named source, built once per name.
-
-    The source's 12 cells (``oracle.source_weights``) list its outcomes in
-    index order, each as often as its weight. Column ``12 * code + cell``
-    holds A's count of 1s, B's bit and C's bit for a system of assignment
-    code ``code`` (an index into ``tuple(Assignment)``) whose outcome is
-    that cell's, read off the slots the assignment gives each party.
-    """
-    bits = outcome_bits(4)[np.repeat(np.arange(16), source_weights(source_state))]
-    return mark_readonly(np.array(
-        [
-            [bits[:, np.subtract(a.a_slots, 1)].sum(axis=1) for a in Assignment],  # A's 1s
-            [bits[:, a.b_slot - 1] for a in Assignment],  # B's bit
-            [bits[:, a.c_slot - 1] for a in Assignment],  # C's bit
-        ],
-        dtype=np.int8,
-    ).reshape(3, 24))
+from .oracle import EXPECTED_DOUBLE_FRACTION, list_cells
+from .qstate import checked_record, mark_readonly, readonly_array
 
 
 @cache
 def _cell_table(source_state: str) -> np.ndarray:
-    """Read-only (3, 240) int8 table: column v is ``_list_table``'s column v % 24."""
-    return mark_readonly(np.tile(_list_table(source_state), 10))
+    """Read-only (3, 240) int8 table of the named source, built once per
+    name: column v holds ``oracle.list_cells``' entry v % 24."""
+    return mark_readonly(np.tile(np.array(list_cells(source_state), np.int8).T, 10))
 
 
 # the one list draw, under the name ``bench/tracer.py`` times
@@ -102,7 +82,7 @@ def generate_lists(pool: VerifiedPool, rng: np.random.Generator) -> PartyLists:
     twelfths, one byte of ``sample_outcomes``; every party's entry is read
     off the source's (3, 240) table in one pass.
     """
-    size = pool.system_ids.size
+    size = len(pool)
     if size == 0:
         raise ValueError("cannot generate lists from an empty pool")
     cells = sample_outcomes(size, rng)
@@ -179,7 +159,7 @@ def _pair_counts(values) -> np.ndarray | None:
 # B's acceptance test
 
 
-class Thresholds(NamedTuple("Thresholds", [("min_fraction", float)])):
+class Thresholds(checked_record("Thresholds", min_fraction=float)):
     """Acceptance parameters shared by B's test and C's adjudication.
 
     A claimed-positions list over L positions is rejected as too short
@@ -344,7 +324,6 @@ class ProtocolResult(NamedTuple):
     verdict: Verdict
     a_action: adversary.ActionA
     b_action: adversary.ActionB | None
-    b_acceptance: AcceptanceResult | None
     delivered_message: int | None
 
 
@@ -366,16 +345,13 @@ def run_liar_protocol(
     ``step_iii_incompatible`` or ``step_iii_too_short``.
     """
     a_action = adversary.strategy_A_act(strategy_A, lists.a_ones, rng)
-    b_acceptance = None
     if strategy_B.is_honest:
-        b_acceptance = b_accepts(
-            a_action.m_AB, a_action.positions_for_B, lists.b_bits, thresholds
-        )
-        if not b_acceptance.accepted:
+        acceptance = b_accepts(a_action.m_AB, a_action.positions_for_B, lists.b_bits, thresholds)
+        if not acceptance.accepted:
             verdict = Verdict(
-                VerdictValue.B_REJECTED_AT_STEP_III, b_acceptance.check, b_acceptance.position
+                VerdictValue.B_REJECTED_AT_STEP_III, acceptance.check, acceptance.position
             )
-            return ProtocolResult(verdict, a_action, None, b_acceptance, None)
+            return ProtocolResult(verdict, a_action, None, None)
     b_action = adversary.strategy_B_act(
         strategy_B, (a_action.m_AB, a_action.positions_for_B), lists.b_bits, rng
     )
@@ -383,4 +359,4 @@ def run_liar_protocol(
         a_action.m_AC, a_action.l_AC, b_action.m_BC, b_action.forwarded, lists.c_bits, thresholds
     )
     delivered = b_action.m_BC if verdict.value is VerdictValue.CONSISTENT else None
-    return ProtocolResult(verdict, a_action, b_action, b_acceptance, delivered)
+    return ProtocolResult(verdict, a_action, b_action, delivered)

@@ -1,16 +1,17 @@
 """Exact probability tables behind the three-party protocol.
 
-Every table is read off the four-qubit singlet's six integer outcome
-weights (``SINGLET_WEIGHTS``), marginalized onto the slots each party
-holds; ``source_weights`` gives any named source's law in twelfths, which
-the samplers draw from. The tables fix the protocol thresholds (expected
-list lengths, per-entry escape rates of fabricated claims). Exact
-``Fraction``s are built only on use.
+``source_weights`` gives any named source's law in twelfths, and
+``list_cells`` reads it onto the slots each party holds: the 24 equally
+likely entries of one list position. Every table counts the singlet's
+cells, read off its six integer outcome weights (``SINGLET_WEIGHTS``),
+and fixes the protocol thresholds (expected list lengths, per-entry escape
+rates of fabricated claims). Exact ``Fraction``s are built only on use.
 """
 from __future__ import annotations
 
 import enum
 import functools
+from collections import Counter
 from typing import NamedTuple
 
 # The singlet (2|0011> + 2|1100> - |0101> - |0110> - |1001> - |1010>) / (2*sqrt(3))
@@ -65,6 +66,20 @@ class Assignment(enum.Enum):
         return "A_holds_" + "".join(map(str, self.a_slots))
 
 
+@functools.cache  # built once per valid name
+def list_cells(source_state: str) -> tuple[tuple[int, int, int], ...]:
+    """One list position's 24 equally likely entries under the named source,
+    each (A's count of 1s, B's bit, C's bit): 12 per assignment code, in
+    ``tuple(Assignment)`` order, each code's listing the source's outcomes
+    in index order, each as often as its weight in twelfths."""
+    return tuple(
+        (bits[a.a_slots[0] - 1] + bits[a.a_slots[1] - 1], bits[a.b_slot - 1], bits[a.c_slot - 1])
+        for a in Assignment
+        for name, weight in zip(_BASIS_NAMES, source_weights(source_state))
+        for bits in [tuple(map(int, name))] * weight
+    )
+
+
 class RoundDistribution(NamedTuple):
     """Exact joint law of one round's outcomes (A's pair, B's bit, C's bit).
 
@@ -85,16 +100,15 @@ class RoundDistribution(NamedTuple):
 
 
 def _round_weights(assignment: Assignment | None) -> tuple[dict, int]:
-    """Integer weight of each round outcome, and the weights' total: 12
-    for one assignment, 24 for the half-and-half mixture of both."""
-    members = tuple(Assignment) if assignment is None else (assignment,)
-    weights: dict = {}
-    for member in members:
-        for bits, weight in SINGLET_WEIGHTS.items():
-            pair = tuple(sorted(bits[s - 1] for s in member.a_slots))
-            key = (pair, bits[member.b_slot - 1], bits[member.c_slot - 1])
-            weights[key] = weights.get(key, 0) + weight
-    return weights, 12 * len(members)
+    """Integer weight of each round outcome, and the weights' total: the
+    singlet's list cells of one assignment (12) or of both (24, the
+    half-and-half mixture) that read that outcome."""
+    cells = list_cells("singlet")
+    if assignment is not None:
+        code = tuple(Assignment).index(assignment)
+        cells = cells[12 * code : 12 * code + 12]
+    pairs = ((0, 0), (0, 1), (1, 1))  # A's unordered pair, by its count of 1s
+    return Counter((pairs[ones], b, c) for ones, b, c in cells), len(cells)
 
 
 def round_distribution(assignment: Assignment | None = None) -> RoundDistribution:

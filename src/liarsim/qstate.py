@@ -54,7 +54,16 @@ def mark_readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class StateVector(NamedTuple("StateVector", [("num_qubits", int), ("amplitudes", np.ndarray)])):
+def checked_record(name: str, /, **fields: type) -> type:
+    """The NamedTuple base, of the given fields in order, of a record that
+    checks them in ``__new__``: its ``_make``, and so ``_replace``, builds
+    through ``cls(*fields)``, so the check runs however the record is built."""
+    base = NamedTuple(name, list(fields.items()))
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class StateVector(checked_record("StateVector", num_qubits=int, amplitudes=np.ndarray)):
     """Normalized pure state of ``num_qubits`` qubits.
 
     ``amplitudes`` has length ``2**num_qubits`` and unit norm within
@@ -87,7 +96,7 @@ class StateVector(NamedTuple("StateVector", [("num_qubits", int), ("amplitudes",
         return format(index, f"0{self.num_qubits}b")
 
 
-class SingleQubitUnitary(NamedTuple("SingleQubitUnitary", [("matrix", np.ndarray)])):
+class SingleQubitUnitary(checked_record("SingleQubitUnitary", matrix=np.ndarray)):
     """A 2x2 unitary; validated to satisfy U^dag U = I within 1e-12.
     Unitaries compare by identity."""
 
@@ -107,7 +116,7 @@ class SingleQubitUnitary(NamedTuple("SingleQubitUnitary", [("matrix", np.ndarray
         return SingleQubitUnitary(self.matrix.conj().T)
 
 
-class MeasurementDirection(NamedTuple("MeasurementDirection", [("theta", float), ("phi", float)])):
+class MeasurementDirection(checked_record("MeasurementDirection", theta=float, phi=float)):
     """Spin axis whose eigenbasis is measured.
 
     ``theta`` is the polar angle in [0, pi], ``phi`` the azimuthal angle

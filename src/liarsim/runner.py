@@ -54,6 +54,7 @@ from .liar_protocol import (
     generate_lists,
     run_liar_protocol,
 )
+from .qstate import checked_record
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -101,13 +102,10 @@ def resolve_sizes(
 
 
 class TrialConfig(
-    NamedTuple(
-        "TrialConfig",
-        [
-            ("seed", int), ("trials", int), ("M", int), ("N1", int), ("N2", int), ("L", int),
-            ("strategy_a", str), ("strategy_b", str), ("qubit_loss_prob", float),
-            ("source_state", str), ("min_fraction", float), ("direction_policy", str),
-        ],
+    checked_record(
+        "TrialConfig", seed=int, trials=int, M=int, N1=int, N2=int, L=int, strategy_a=str,
+        strategy_b=str, qubit_loss_prob=float, source_state=str, min_fraction=float,
+        direction_policy=str,
     )
 ):
     """Complete, validated description of one Monte-Carlo experiment.
@@ -132,7 +130,7 @@ class TrialConfig(
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {trials}")
         # a real that JSON cannot write (np.float32, a Fraction, or a Decimal,
-        # which has an exact ratio but is no numbers.Real) is kept as a float;
+        # which has an exact ratio but is no numbers.Real) is read as its float;
         # the collaborators reject an np.bool_ as they reject a bool
         qubit_loss_prob, min_fraction = (
             float(value)
@@ -141,16 +139,16 @@ class TrialConfig(
             else value
             for value in (qubit_loss_prob, min_fraction)
         )
-        # a fault-free model is NO_FAULTS itself, so a trial tells it by identity
         fault = FaultModel(qubit_loss_prob, source_state)
-        fault = NO_FAULTS if fault == NO_FAULTS else fault
         thresholds = Thresholds(min_fraction)
         strategies = (parse_strategy_A(strategy_a), parse_strategy_B(strategy_b))
         policy = DirectionPolicy(direction_policy)
-        # a DirectionPolicy member is kept as its string, as the CLI gives it
+        # a DirectionPolicy member is kept as its string, as the CLI gives it, and
+        # each checked probability as its float (an int in [0, 1] is one exactly,
+        # and -0.0 becomes 0.0), so equal configs write equal files
         self = super().__new__(
-            cls, seed, trials, *plan, strategy_a, strategy_b, qubit_loss_prob, source_state,
-            min_fraction, policy.value,
+            cls, seed, trials, *plan, strategy_a, strategy_b, float(qubit_loss_prob) + 0.0,
+            source_state, float(min_fraction) + 0.0, policy.value,
         )
         vars(self).update(
             plan=plan, fault=fault, thresholds=thresholds, strategies=strategies, policy=policy
@@ -161,10 +159,6 @@ class TrialConfig(
         raise AttributeError(f"cannot set or delete {name!r}: a config is read-only")
 
     __delattr__ = __setattr__
-
-    # a copy or an unpickled config is rebuilt from its fields, collaborators and all
-    def __reduce__(self):
-        return TrialConfig, tuple(self)
 
     @classmethod
     def build(
@@ -310,17 +304,11 @@ def _hash_constants(hc: int, count: int, mult: int) -> tuple[np.ndarray, np.ndar
     return np.array(xors, np.uint32), np.array(mults, np.uint32), hc
 
 
-@functools.lru_cache(maxsize=8)
-def _word_constants(hc: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The hash constants of one word mixed in past the pool, from ``hc``."""
-    return _hash_constants(hc, _POOL_SIZE, _MULT_A)
-
-
 def _mix_word(pool: np.ndarray, word, hc: int) -> tuple[np.ndarray, int]:
     """Mix one entropy word past the pool into every pool word, as
     SeedSequence's ``mix_entropy`` does: (new pool, hash constant after).
     A column of words gives a row of pool words per word."""
-    xors, mults, hc = _word_constants(hc)
+    xors, mults, hc = _hash_constants(hc, _POOL_SIZE, _MULT_A)
     hashed = (word ^ xors) * mults
     mixed = _MIX_MULT_L * pool - _MIX_MULT_R * (hashed ^ hashed >> 16)
     return mixed ^ mixed >> 16, hc
@@ -450,10 +438,10 @@ def run_single_trial(config: TrialConfig, trial_index: int) -> TrialResult:
     rng = trial_rng(config.seed, trial_index)
     fault = config.fault
 
-    if fault is NO_FAULTS:
+    if fault == NO_FAULTS:
         # run_distribute_and_test draws nothing for a fault-free run and
-        # returns this pool (tests hold it so); calling the pool builder
-        # skips its call cost on every fault-free trial
+        # returns a pool of this size and source (tests hold it so); calling
+        # the pool builder skips its call cost on every fault-free trial
         pool = make_verified_pool(config.L)
     else:
         outcome = run_distribute_and_test(

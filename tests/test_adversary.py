@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from liarsim import liar_protocol
 from liarsim.adversary import (
     AKind,
     BKind,
@@ -113,12 +114,20 @@ class TestStrategyRecords:
         strategy = StrategyA("split", np.int64(3))
         assert strategy.count == 3 and type(strategy.count) is int
 
-    def test_honest_b_by_name_checks_and_forwards(self):
+    def test_honest_b_by_name_checks_and_forwards(self, monkeypatch):
+        checks = []  # what each call of B's step-(III) check returned
+        original = liar_protocol.b_accepts
+
+        def counted(*args):
+            checks.append(original(*args))
+            return checks[-1]
+
+        monkeypatch.setattr(liar_protocol, "b_accepts", counted)
         lists = generate_lists(make_verified_pool(64), trial_rng(1, 0))
         result = run_liar_protocol(
             lists, StrategyA.honest(), StrategyB("honest"), rng=trial_rng(1, 1)
         )
-        assert result.b_acceptance is not None and result.b_acceptance.accepted
+        assert checks == [(True, None, None)]
         assert result.b_action.m_BC == result.a_action.m_AB
         assert result.b_action.forwarded is result.a_action.positions_for_B
         assert result.b_action.fabricated_positions.size == 0

@@ -17,7 +17,6 @@ from liarsim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
-    build_parser,
     cmd_run,
     main,
     oracle_dump,
@@ -218,7 +217,7 @@ class TestExitCodes:
 
 class TestOneParserPerProcess:
     def test_parser_is_built_once(self):
-        assert build_parser() is build_parser()
+        assert cli._parsers() is cli._parsers()
 
     def test_repeated_calls_write_the_file_of_a_fresh_process(self, tmp_path, capsys):
         args = ["run", "--trials", "6", "--L", "16", "--seed", "9", "--strategy-a", "split:n=2"]
@@ -290,7 +289,7 @@ class TestRunFlagsParsedOnce:
             with contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
                 try:
-                    expected = build_parser().parse_args(argv)
+                    expected = cli._parsers()[0].parse_args(argv)
                 except SystemExit as exc:
                     expected = exc.code
         finally:
@@ -299,7 +298,7 @@ class TestRunFlagsParsedOnce:
             assert (code, seen) == (expected, []) and expected == EXIT_USAGE
         else:
             assert [vars(args) for args in seen] == [vars(expected)]
-            assert build_parser().parse_args(argv).func is cmd_run
+            assert cli._parsers()[0].parse_args(argv).func is cmd_run
 
     def test_unknown_run_flag_prints_the_run_usage(self, capsys):
         assert main(["run", "--no-such-flag"]) == EXIT_USAGE

@@ -28,7 +28,6 @@ from liarsim.liar_protocol import (
     VerdictValue,
     _cell_table,
     _is_bit,
-    _list_table,
     _pair_counts,
     _scan_positions,
     b_accepts,
@@ -37,7 +36,9 @@ from liarsim.liar_protocol import (
     run_liar_protocol,
     sample_outcomes,
 )
-from liarsim.oracle import SINGLET_WEIGHTS, Assignment, round_distribution, source_weights
+from liarsim.oracle import (
+    SINGLET_WEIGHTS, Assignment, list_cells, round_distribution, source_weights,
+)
 from liarsim.qstate import make_singlet, mark_readonly, measure_qubits, outcome_bits
 from liarsim.runner import _escape_counts
 from reference_checks import incompatible_positions, stage1_violations, stage2_mismatches
@@ -108,7 +109,7 @@ class TestPartyLists:
     def test_singlet_entries_obey_the_doubles_correlation(self):
         # exact: every one of the 24 columns the singlet draws from has a
         # (0,0) pair facing 1 at B and C, and a (1,1) pair facing 0
-        a_ones, b_bits, c_bits = _list_table("singlet")
+        a_ones, b_bits, c_bits = list_table("singlet")
         doubles = a_ones != 1
         facing = 1 - a_ones[doubles] // 2
         assert set(a_ones[doubles]) == {0, 2}
@@ -144,7 +145,7 @@ class TestGenerateLists:
             assert fraction == pytest.approx(5 / 24, abs=0.005)
 
     def test_empty_pool_rejected(self):
-        empty = VerifiedPool(np.empty(0, np.int64), "singlet")
+        empty = VerifiedPool(0, "singlet")
         with pytest.raises(ValueError):
             generate_lists(empty, rng(0))
 
@@ -153,7 +154,7 @@ class TestGenerateLists:
         # entries follow from its assignment alone: |0011> gives A no 1 and
         # B slot 3's 1 when she holds slots (1,2), and one 1 and slot 2's 0
         # when she holds (1,3); C's slot 4 reads 1 either way
-        pool = VerifiedPool(make_verified_pool(400).system_ids, "0011")
+        pool = VerifiedPool(400, "0011")
         by_code = [(0, 1, 1), (1, 0, 1)]
         fast = generate_lists(pool, rng(50))
         codes = raw_cells(rng(50), 400) % 24 // 12
@@ -187,13 +188,20 @@ class TestGenerateLists:
 
 ALL_BASIS_STATES = [format(i, "04b") for i in range(16)]
 
+
+def list_table(name):
+    """The named source's (3, 24) list entries: the first 24 of the 240
+    columns ``generate_lists`` reads."""
+    return _cell_table(name)[:, :24]
+
+
 class TestListTable:
     """Every list position is one of 24 equally likely (code, cell) columns
     of a table built from the named source's law in twelfths."""
 
     @pytest.mark.parametrize("code, assignment", list(enumerate(Assignment)))
     def test_singlet_columns_are_the_exact_round_table(self, code, assignment):
-        a_ones, b_bits, c_bits = _list_table("singlet")[:, 12 * code : 12 * code + 12]
+        a_ones, b_bits, c_bits = list_table("singlet")[:, 12 * code : 12 * code + 12]
         counts: dict = {}
         for a, b, c in zip(a_ones.tolist(), b_bits.tolist(), c_bits.tolist()):
             key = (((0, 0), (0, 1), (1, 1))[a], b, c)
@@ -210,7 +218,7 @@ class TestListTable:
 
     @pytest.mark.parametrize("bits", ALL_BASIS_STATES)
     def test_basis_state_columns_all_give_its_outcome(self, bits):
-        table = _list_table(bits)
+        table = list_table(bits)
         outcome = outcome_bits(4)[int(bits, 2)]
         for code, assignment in enumerate(Assignment):
             a_ones = outcome[np.subtract(assignment.a_slots, 1)].sum()
@@ -221,21 +229,22 @@ class TestListTable:
 
     def test_table_is_read_only_int8_and_built_once_per_source_name(self, monkeypatch):
         built = []
-        original = liar_protocol._list_table.__wrapped__
+        original = liar_protocol._cell_table.__wrapped__
         monkeypatch.setattr(
-            liar_protocol, "_list_table",
+            liar_protocol, "_cell_table",
             functools.cache(lambda name: built.append(name) or original(name)),
         )
         first, second = "0110", "".join(("01", "10"))  # equal names, distinct objects
-        table = liar_protocol._list_table(first)
-        assert table.dtype == np.int8 and table.shape == (3, 24)
+        table = liar_protocol._cell_table(first)
+        assert table.dtype == np.int8 and table.shape == (3, 240)
         assert not table.flags.writeable
-        assert liar_protocol._list_table(second) is table
+        assert liar_protocol._cell_table(second) is table
         for seed in range(3):
-            generate_lists(VerifiedPool(np.arange(1, 9), second), rng(seed))
+            generate_lists(VerifiedPool(8, second), rng(seed))
         assert built == ["0110"]
-        liar_protocol._list_table("singlet")
+        liar_protocol._cell_table("singlet")
         assert built == ["0110", "singlet"]
+        assert list_cells(second) is list_cells(first)
 
     @pytest.mark.parametrize("name", ["singlet", "0110"])
     def test_cell_table_repeats_the_24_columns_ten_times(self, name):
@@ -246,7 +255,7 @@ class TestListTable:
         assert not wide.flags.writeable
         assert _cell_table("".join(name)) is wide
         for v in range(240):
-            np.testing.assert_array_equal(wide[:, v], _list_table(name)[:, v % 24])
+            np.testing.assert_array_equal(wide[:, v], list_cells(name)[v % 24])
 
     @pytest.mark.parametrize("L", [1, 64, 192, 4096])
     def test_one_raw_draw_of_240_cells_per_list(self, L):
@@ -254,12 +263,12 @@ class TestListTable:
         lists = generate_lists(make_verified_pool(L), stream)
         assert stream.calls == [("random_raw", (math.ceil((L + math.ceil(L / 8) + 16) / 8),))]
         cells = raw_cells(rng(5), L)
-        np.testing.assert_array_equal(lists, _list_table("singlet")[:, cells % 24])
+        np.testing.assert_array_equal(lists, list_table("singlet")[:, cells % 24])
 
     def test_all_24_columns_give_the_mixed_round_table(self):
         # both codes' columns together, each 1/24, are C's half-and-half mixture
         counts: dict = {}
-        for a, b, c in _list_table("singlet").T.tolist():
+        for a, b, c in list_table("singlet").T.tolist():
             key = (((0, 0), (0, 1), (1, 1))[a], b, c)
             counts[key] = counts.get(key, 0) + 1
         assert {key: Fraction(n, 24) for key, n in counts.items()} == round_distribution().table
@@ -269,7 +278,7 @@ class TestListTable:
         # each code's 12 columns list the source's outcomes in index order,
         # each as often as its weight
         weights = source_weights(name)
-        table = _list_table(name)
+        table = np.array(list_cells(name)).T
         for code, assignment in enumerate(Assignment):
             expected = []
             for index, weight in enumerate(weights):
@@ -292,7 +301,7 @@ class TestListTable:
              outcome[a.b_slot - 1], outcome[a.c_slot - 1])
             for a in Assignment
         ]
-        pool = VerifiedPool(make_verified_pool(200).system_ids, bits)
+        pool = VerifiedPool(200, bits)
         fast = generate_lists(pool, rng(60))
         codes = raw_cells(rng(60), 200) % 24 // 12
         np.testing.assert_array_equal(fast, np.array(by_code, np.int8)[codes].T)
@@ -380,7 +389,7 @@ class TestProducerInvariants:
     )
     def test_generate_lists(self, assert_frozen, L, source, seed):
         stream = rng(seed)
-        pool = VerifiedPool(make_verified_pool(L).system_ids, source)
+        pool = VerifiedPool(L, source)
         lists = generate_lists(pool, stream)
         assert_frozen(lists.a_ones, np.int8, 0, 2, (L,))
         assert_frozen(lists.b_bits, np.int8, 0, 1, (L,))
@@ -788,7 +797,8 @@ class TestRunLiarProtocol:
             lists, StrategyA.split_message(10), StrategyB.honest(), rng=stream
         )
         assert result.verdict.value is VerdictValue.B_REJECTED_AT_STEP_III
-        acceptance = result.b_acceptance
+        a_action = result.a_action
+        acceptance = b_accepts(a_action.m_AB, a_action.positions_for_B, lists.b_bits)
         assert result.verdict[1:] == ("step_iii_incompatible", acceptance.position)
         assert (acceptance.accepted, acceptance.check) == (False, "step_iii_incompatible")
         # the rejected position is one of A's fabrications, and B sent no forward
@@ -828,18 +838,28 @@ class TestRunLiarProtocol:
                 break
         assert result.verdict.value is VerdictValue.B_REJECTED_AT_STEP_III
         assert result.verdict[1:] == ("step_iii_too_short", None)
-        assert result.b_acceptance.check == "step_iii_too_short"
+        a_action = result.a_action
+        assert b_accepts(a_action.m_AB, a_action.positions_for_B, lists.b_bits) == (
+            False, "step_iii_too_short", None
+        )
         assert result.b_action is None and result.delivered_message is None
 
-    def test_acceptance_audit_fields(self):
+    def test_only_an_honest_b_runs_his_check(self, monkeypatch):
+        checks = []  # what each call of B's step-(III) check returned
+        original = liar_protocol.b_accepts
+
+        def counted(*args):
+            checks.append(original(*args))
+            return checks[-1]
+
+        monkeypatch.setattr(liar_protocol, "b_accepts", counted)
         stream = rng(37)
         lists = generate_lists(make_verified_pool(64), stream)
         honest = run_liar_protocol(lists, StrategyA.honest(), StrategyB.honest(), rng=stream)
-        assert honest.b_acceptance is not None and honest.b_acceptance.accepted
-        forged = run_liar_protocol(
-            lists, StrategyA.honest(), StrategyB.flip_and_forge(), rng=stream
-        )
-        assert forged.b_acceptance is None  # dishonest B bypasses his own test
+        assert checks == [AcceptanceResult(True)] and honest.b_action is not None
+        for strategy_a in (StrategyA.honest(), StrategyA.split_message(3)):
+            run_liar_protocol(lists, strategy_a, StrategyB.flip_and_forge(), rng=stream)
+        assert len(checks) == 1  # a dishonest B bypasses his own test
 
     def test_deterministic_for_fixed_seed(self, records_equal):
         def one(seed):
@@ -932,7 +952,7 @@ def _lists_and_claim(draw):
     L = draw(st.integers(1, 80))
     stream = rng(draw(st.integers(0, 2**32)))
     source = draw(_SOURCES)
-    pool = VerifiedPool(make_verified_pool(L).system_ids, source)
+    pool = VerifiedPool(L, source)
     lists = generate_lists(pool, stream)
     m = draw(st.integers(0, 1))
     honest = (np.flatnonzero(lists.a_ones == 2 * m) + 1).tolist()
@@ -1021,7 +1041,7 @@ class TestIndexOnceChecksMatchReference:
     )
     def test_escape_counts(self, L, source, seed, text_a, text_b):
         stream = rng(seed)
-        pool = VerifiedPool(make_verified_pool(L).system_ids, source)
+        pool = VerifiedPool(L, source)
         lists = generate_lists(pool, stream)
         result = run_liar_protocol(
             lists, parse_strategy_A(text_a), parse_strategy_B(text_b), rng=stream

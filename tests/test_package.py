@@ -81,12 +81,24 @@ def test_fresh_import_and_config_load_no_dataclasses():
         # a failure and a check name already say what these restated
         (distribute_test, "DistributeStatus"),
         (liar_protocol, "RejectReason"),
+        # second copies: the list law is oracle.list_cells, a pool its size
+        (liar_protocol, "_list_table"),
+        (runner, "_word_constants"),
     ],
 )
 def test_deleted_names_are_gone(module, name):
     assert not hasattr(module, name)
     assert not hasattr(liarsim, name)
     assert name not in liarsim.__all__
+
+
+# a parser's second name, a copy rule and a pool's ids restated what one name holds
+def test_second_copies_are_gone():
+    from liarsim import cli
+
+    assert not hasattr(cli, "build_parser")
+    assert "__reduce__" not in vars(runner.TrialConfig)
+    assert not hasattr(distribute_test.VerifiedPool(2, "singlet"), "system_ids")
 
 
 def test_party_ids_stay_with_the_custody_ledger():
@@ -102,7 +114,7 @@ def test_unchecked_records_are_not_exported():
 
 def test_protocol_result_has_no_transcript():
     names = list(liar_protocol.ProtocolResult._fields)
-    assert names == ["verdict", "a_action", "b_action", "b_acceptance", "delivered_message"]
+    assert names == ["verdict", "a_action", "b_action", "delivered_message"]
 
 
 # a verdict names its deciding check and position; an abort, its step and system
@@ -120,7 +132,7 @@ PLAIN_RECORDS = [
     adversary.ActionB(0, np.ones(1, np.int64)),
     liar_protocol.AcceptanceResult(True),
     _VERDICT,
-    liar_protocol.ProtocolResult(_VERDICT, None, None, None, 0),
+    liar_protocol.ProtocolResult(_VERDICT, None, None, 0),
     distribute_test.FailureInfo("ii", 1),
     distribute_test.DistributeOutcome(None, None, None),
     channels.TransferRecord(channels.QubitRef(1, 1), channels.TransferStatus.LOST),
@@ -139,7 +151,6 @@ def test_plain_records_reject_attribute_assignment(record):
 
 # checked records, and the records with their own rules: a field, a collaborator
 # and a new name are refused alike, as a frozen record's are
-_IDS = np.arange(1, 3)
 CHECKED_RECORDS = [
     (adversary.StrategyA(), "kind"),
     (adversary.StrategyB(), "count"),
@@ -149,7 +160,7 @@ CHECKED_RECORDS = [
     (runner.TrialConfig(), "seed"),
     (runner.TrialConfig(), "plan"),
     (runner.aggregate([runner.TrialResult(0, "SUCCESS")]), "mean_trial_seconds"),
-    (distribute_test.VerifiedPool(_IDS, "singlet"), "system_ids"),
+    (distribute_test.VerifiedPool(2, "singlet"), "size"),
     (channels.QubitRef(1, 1), "slot"),
     (qstate.MeasurementDirection(), "theta"),
 ]
@@ -167,11 +178,38 @@ def test_checked_records_reject_attribute_assignment(record, name):
     assert getattr(record, name) is before
 
 
-# records of arrays compare by identity: equal contents make no equal records
+# every record that checks its fields checks them however it is built: _replace
+# rebuilds through _make, and _make through the record's own __new__
+REPLACEABLE_RECORDS = [
+    (runner.TrialConfig.build(L=64, trials=3), "L", 32),
+    (liar_protocol.Thresholds(), "min_fraction", -3),
+    (channels.FaultModel(), "qubit_loss_prob", 7.0),
+    (distribute_test.DistributionPlan(4, 1, 1, 2), "L", 3),
+    (adversary.StrategyA(), "count", -5),
+    (adversary.StrategyB(), "kind", "split"),
+    (channels.QubitRef(1, 1), "slot", 5),
+    (qstate.StateVector(1, [1, 0]), "num_qubits", 2),
+    (qstate.SingleQubitUnitary(np.eye(2)), "matrix", np.ones((2, 2))),
+    (qstate.MeasurementDirection(), "theta", 4.0),
+]
+
+
+@pytest.mark.parametrize(
+    "record, name, invalid", REPLACEABLE_RECORDS,
+    ids=[type(record).__name__ for record, *_ in REPLACEABLE_RECORDS],
+)
+def test_replace_runs_the_record_check(record, name, invalid, records_equal):
+    same = record._replace(**{name: getattr(record, name)})
+    assert records_equal(same, record)
+    with pytest.raises(ValueError):
+        record._replace(**{name: invalid})
+
+
+# pools and records of arrays compare by identity: equal contents make no equal records
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: distribute_test.VerifiedPool(_IDS, "singlet"),
+        lambda: distribute_test.VerifiedPool(2, "singlet"),
         lambda: qstate.StateVector(1, [1, 0]),
         lambda: qstate.SingleQubitUnitary(np.eye(2)),
     ],

@@ -123,6 +123,9 @@ class TestTrialConfig:
             # numpy's bools are no ints, but are rejected as bools are
             dict(min_fraction=np.True_),
             dict(qubit_loss_prob=np.False_),
+            # an int beyond a float's range is out of range, not an overflow
+            dict(min_fraction=10**400),
+            dict(qubit_loss_prob=-(10**400)),
             # a loss probability that is no real number, and a source no name gives
             dict(qubit_loss_prob="0.1"),
             dict(qubit_loss_prob=None),
@@ -205,13 +208,63 @@ class TestTrialConfig:
             files.append(out.read_bytes())
         assert files[0] == files[1]
 
-    def test_int_and_float_fields_are_kept_as_given(self):
+    def test_probabilities_are_stored_as_plain_floats(self):
         config = TrialConfig.build(L=16, min_fraction=1, qubit_loss_prob=np.float64(0.0))
-        assert type(config.min_fraction) is int
-        assert type(config.qubit_loss_prob) is np.float64
+        assert (config.min_fraction, config.qubit_loss_prob) == (1.0, 0.0)
+        assert type(config.min_fraction) is type(config.qubit_loss_prob) is float
+        assert math.copysign(1.0, TrialConfig(qubit_loss_prob=-0.0).qubit_loss_prob) == 1.0
 
-    # a copy is rebuilt from its fields, so a fault-free copy's fault is
-    # NO_FAULTS itself and its trials take the fault-free shortcut
+    # the summary writes each probability as its float, so equal configs write equal files
+    @pytest.mark.parametrize(
+        "name, values",
+        [
+            ("qubit_loss_prob", [0, 0.0, -0.0, np.float64(0.0), Fraction(0)]),
+            ("min_fraction", [1, 1.0, np.float64(1.0), Fraction(1)]),
+            ("min_fraction", [Fraction(1, 4), 0.25, np.float64(0.25)]),
+        ],
+        ids=["loss-0", "fraction-1", "fraction-quarter"],
+    )
+    def test_equal_configs_write_equal_files(self, name, values, tmp_path):
+        configs, files = [], []
+        for value in values:
+            configs.append(TrialConfig.build(L=16, trials=3, seed=1, **{name: value}))
+            out = tmp_path / f"{len(files)}.ndjson"
+            run_trials(configs[-1], out_path=str(out))
+            files.append(out.read_bytes())
+        assert all(config == configs[0] for config in configs)
+        assert len({hash(config) for config in configs}) == 1
+        assert all(file == files[0] for file in files)
+
+    # each way of building a config takes the shortcut: it is told by value
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TrialConfig.build(L=64, seed=3, trials=6),
+            lambda: copy.deepcopy(TrialConfig.build(L=64, seed=3, trials=6)),
+            lambda: pickle.loads(pickle.dumps(TrialConfig.build(L=64, seed=3, trials=6))),
+            lambda: TrialConfig.build(L=64, seed=5, trials=6)._replace(seed=3),
+            lambda: TrialConfig.build(L=64, seed=3, trials=6, qubit_loss_prob=0),
+        ],
+        ids=["direct", "deepcopy", "pickle", "replace", "int-zero-loss"],
+    )
+    def test_fault_free_configs_take_the_shortcut(self, build, monkeypatch):
+        expected = run_trials(TrialConfig.build(L=64, seed=3, trials=6))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a fault-free trial ran distribute-and-test")
+
+        monkeypatch.setattr(runner, "run_distribute_and_test", fail)
+        assert run_trials(build()) == expected
+
+    def test_replaced_config_is_rebuilt_and_runs(self):
+        config = TrialConfig.build(L=64, trials=3)
+        replaced = config._replace(seed=5)
+        assert replaced == TrialConfig.build(L=64, trials=3, seed=5)
+        assert replaced.plan == config.plan and replaced.fault == config.fault
+        assert run_trials(replaced) == run_trials(TrialConfig.build(L=64, trials=3, seed=5))
+
+    # a copy is rebuilt from its fields, so a fault-free copy's fault equals
+    # NO_FAULTS and its trials take the fault-free shortcut
     @pytest.mark.parametrize(
         "copy_config", [copy.deepcopy, lambda config: pickle.loads(pickle.dumps(config))],
         ids=["deepcopy", "pickle"],
@@ -220,7 +273,7 @@ class TestTrialConfig:
         config = TrialConfig.build(L=64, seed=3, trials=6, strategy_a="split:n=3")
         copied = copy_config(config)
         assert copied == config and type(copied) is TrialConfig
-        assert copied.fault is NO_FAULTS
+        assert copied.fault == NO_FAULTS
         assert (copied.plan, copied.thresholds, copied.strategies, copied.policy) == (
             config.plan, config.thresholds, config.strategies, config.policy
         )
