@@ -20,21 +20,23 @@ import numpy as np
 from . import adversary
 from .distribute_test import VerifiedPool
 from .oracle import EXPECTED_DOUBLE_FRACTION, list_cells
-from .qstate import checked_record, mark_readonly, readonly_array
+from .qstate import checked_record, in_unit_interval, readonly_array
+
+_WORDS, _IDENTITY, _HIGH = np.dtype("<u8"), bytes(range(256)), bytes(range(240, 256))
 
 
 @cache
-def _cell_table(source_state: str) -> np.ndarray:
-    """Read-only (3, 240) int8 table of the named source, built once per
-    name: column v holds ``oracle.list_cells``' entry v % 24."""
-    return mark_readonly(np.tile(np.array(list_cells(source_state), np.int8).T, 10))
+def _party_tables(source_state: str) -> tuple[bytes, bytes, bytes]:
+    """The named source's three 256-byte tables, A's, B's and C's, built
+    once per name: byte v reads ``oracle.list_cells``' entry v % 24."""
+    return tuple(bytes(column[:256]) for column in zip(*(list_cells(source_state) * 11)))
 
 
 # the one list draw, under the name ``bench/tracer.py`` times
-def sample_outcomes(size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` independent list positions as uint8 cells in 0..239, each
-    equally likely: v % 24 is ``12 * code + cell``, a 50/50 assignment
-    code and one of the law's 12 cells, 1/12 each.
+def sample_outcomes(size: int, rng: np.random.Generator) -> bytes:
+    """``size`` independent list positions as bytes in 0..239, each equally
+    likely: v % 24 is ``12 * code + cell``, a 50/50 assignment code and one
+    of the law's 12 cells, 1/12 each.
 
     The cells are the bytes below 240, in order, of PCG64's raw words read
     little-endian: W(L) = ceil((L + ceil(L/8) + 16) / 8) words, then two
@@ -42,12 +44,10 @@ def sample_outcomes(size: int, rng: np.random.Generator) -> np.ndarray:
     2e-9 at every L, the most at L = 192). W(L) is part of the stream.
     """
     raw = rng.bit_generator.random_raw
-    words = -(-(size + -(-size // 8) + 16) // 8)
-    drawn = raw(words).astype("<u8", copy=False).view(np.uint8)
-    cells = drawn[drawn < 240]
-    while cells.size < size:
-        drawn = raw(2).astype("<u8", copy=False).view(np.uint8)
-        cells = np.concatenate((cells, drawn[drawn < 240]))
+    words, cells = -(-(size + -(-size // 8) + 16) // 8), b""
+    while len(cells) < size:
+        cells += raw(words).astype(_WORDS, copy=False).tobytes().translate(_IDENTITY, _HIGH)
+        words = 2
     return cells[:size]
 
 
@@ -57,7 +57,7 @@ class PartyLists(NamedTuple):
     A's unordered pairs are stored as their count of 1s (0, 1, or 2);
     positions are 1-based everywhere. The lists are nonempty, equally
     long, read-only 1-D int8 arrays of 0..2 (A's) and 0..1 (B's and C's):
-    ``generate_lists`` reads every entry off one read-only int8 table, and
+    ``generate_lists`` reads each off its party's 256-byte table, and
     ``TestProducerInvariants`` in ``tests/test_liar_protocol.py`` holds it
     to that; nothing here checks it. The doubles correlation (a (0,0) pair
     faces 1 at B and C, a (1,1) pair faces 0) is a law of the singlet
@@ -79,14 +79,14 @@ def generate_lists(pool: VerifiedPool, rng: np.random.Generator) -> PartyLists:
     Every pool system holds the untouched source the pool names, and which
     two of its slots A holds is first read here, so each position is one
     uniform draw of its assignment code and a cell of the source's law in
-    twelfths, one byte of ``sample_outcomes``; every party's entry is read
-    off the source's (3, 240) table in one pass.
+    twelfths, one byte of ``sample_outcomes``. Each party's list is those
+    bytes translated through its 256-byte table in one pass, read in place.
     """
     size = len(pool)
     if size == 0:
         raise ValueError("cannot generate lists from an empty pool")
-    cells = sample_outcomes(size, rng)
-    return PartyLists(*mark_readonly(_cell_table(pool.source_state).take(cells, axis=1)))
+    cells, tables = sample_outcomes(size, rng), _party_tables(pool.source_state)
+    return PartyLists(*[np.frombuffer(cells.translate(table), np.int8) for table in tables])
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +176,7 @@ class Thresholds(checked_record("Thresholds", min_fraction=float)):
         # integer or a string lacks; a bool has one but is no fraction
         value = min_fraction
         exact = hasattr(value, "as_integer_ratio") and not isinstance(value, (bool, np.bool_))
-        if not exact or not 0.0 <= value <= 1.0:
+        if not exact or not in_unit_interval(value):
             raise ValueError(f"min_fraction must be a number in [0, 1], got {value!r}")
         return super().__new__(cls, min_fraction)
 

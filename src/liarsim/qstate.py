@@ -54,6 +54,14 @@ def mark_readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def in_unit_interval(value) -> bool:
+    """Whether ``value`` orders within [0, 1]; a NaN, a Decimal one included, does not."""
+    try:
+        return 0 <= value <= 1
+    except ArithmeticError:
+        return False
+
+
 def checked_record(name: str, /, **fields: type) -> type:
     """The NamedTuple base, of the given fields in order, of a record that
     checks them in ``__new__``: its ``_make``, and so ``_replace``, builds

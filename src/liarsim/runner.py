@@ -54,7 +54,7 @@ from .liar_protocol import (
     generate_lists,
     run_liar_protocol,
 )
-from .qstate import checked_record
+from .qstate import checked_record, in_unit_interval
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -129,13 +129,14 @@ class TrialConfig(
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {trials}")
-        # a real that JSON cannot write (np.float32, a Fraction, or a Decimal,
-        # which has an exact ratio but is no numbers.Real) is read as its float;
-        # the collaborators reject an np.bool_ as they reject a bool
+        # a real in [0, 1] that JSON cannot write (np.float32, a Fraction, or a
+        # Decimal, which has an exact ratio but is no numbers.Real) is read as its
+        # float; the collaborators reject any other value, np.bool_ too, by name
         qubit_loss_prob, min_fraction = (
             float(value)
             if not isinstance(value, (int, float))
             and (isinstance(value, numbers.Real) or hasattr(value, "as_integer_ratio"))
+            and in_unit_interval(value)
             else value
             for value in (qubit_loss_prob, min_fraction)
         )

@@ -7,7 +7,8 @@ along an arbitrary direction. The tests
 that check the singlet's outcome law along many directions sample it with
 ``sample_along``, through the dense engine's own rounding rule
 (``qstate._cdf``). ``RecordingGenerator`` records the draws a producer
-makes, and ``raw_cells`` recomputes a list draw from PCG64's raw words.
+makes, ``raw_cells`` recomputes a list draw from PCG64's raw words, and
+``reference_lists`` reads the party lists off those cells by a second route.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 
+from liarsim.oracle import list_cells
 from liarsim.qstate import MeasurementDirection, StateVector, _cdf, joint_distribution
 
 
@@ -74,3 +76,11 @@ def raw_cells(rng: np.random.Generator, size: int) -> np.ndarray:
                       if byte < 240]
         words = 2
     return np.array(cells[:size], np.uint8)
+
+
+def reference_lists(source_state: str, cells) -> np.ndarray:
+    """The (3, size) int8 party lists that list cells ``cells`` (bytes or an
+    integer array of 0..239) give under the named source: one ``take`` from a
+    (3, 240) table that repeats ``oracle.list_cells``' 24 entries ten times."""
+    table = np.tile(np.array(list_cells(source_state), np.int8).T, 10)
+    return table.take(np.frombuffer(cells, np.uint8) if isinstance(cells, bytes) else cells, axis=1)

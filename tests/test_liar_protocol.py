@@ -1,5 +1,6 @@
 import functools
 import math
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -26,9 +27,9 @@ from liarsim.liar_protocol import (
     Thresholds,
     Verdict,
     VerdictValue,
-    _cell_table,
     _is_bit,
     _pair_counts,
+    _party_tables,
     _scan_positions,
     b_accepts,
     c_adjudicate,
@@ -42,7 +43,7 @@ from liarsim.oracle import (
 from liarsim.qstate import make_singlet, mark_readonly, measure_qubits, outcome_bits
 from liarsim.runner import _escape_counts
 from reference_checks import incompatible_positions, stage1_violations, stage2_mismatches
-from sampling import RecordingGenerator, raw_cells
+from sampling import RecordingGenerator, raw_cells, reference_lists
 
 # Worked eight-row example used throughout: a valid joint outcome whose
 # doubles sit at 1,3,6 (for 0) and 4,5,8 (for 1). A's pairs
@@ -190,9 +191,9 @@ ALL_BASIS_STATES = [format(i, "04b") for i in range(16)]
 
 
 def list_table(name):
-    """The named source's (3, 24) list entries: the first 24 of the 240
-    columns ``generate_lists`` reads."""
-    return _cell_table(name)[:, :24]
+    """The named source's (3, 24) list entries as the lists read them: the
+    first 24 bytes of each party's table."""
+    return np.array([np.frombuffer(table[:24], np.int8) for table in _party_tables(name)])
 
 
 class TestListTable:
@@ -227,43 +228,41 @@ class TestListTable:
                 table[:, 12 * code : 12 * code + 12], np.repeat([entry], 12, axis=0).T
             )
 
-    def test_table_is_read_only_int8_and_built_once_per_source_name(self, monkeypatch):
+    def test_tables_are_three_256_bytes_built_once_per_source_name(self, monkeypatch):
         built = []
-        original = liar_protocol._cell_table.__wrapped__
+        original = liar_protocol._party_tables.__wrapped__
         monkeypatch.setattr(
-            liar_protocol, "_cell_table",
+            liar_protocol, "_party_tables",
             functools.cache(lambda name: built.append(name) or original(name)),
         )
         first, second = "0110", "".join(("01", "10"))  # equal names, distinct objects
-        table = liar_protocol._cell_table(first)
-        assert table.dtype == np.int8 and table.shape == (3, 240)
-        assert not table.flags.writeable
-        assert liar_protocol._cell_table(second) is table
+        tables = liar_protocol._party_tables(first)
+        assert [(type(table), len(table)) for table in tables] == [(bytes, 256)] * 3
+        assert liar_protocol._party_tables(second) is tables
         for seed in range(3):
             generate_lists(VerifiedPool(8, second), rng(seed))
         assert built == ["0110"]
-        liar_protocol._cell_table("singlet")
+        liar_protocol._party_tables("singlet")
         assert built == ["0110", "singlet"]
         assert list_cells(second) is list_cells(first)
 
     @pytest.mark.parametrize("name", ["singlet", "0110"])
-    def test_cell_table_repeats_the_24_columns_ten_times(self, name):
-        # each of the 240 cells a byte can name is column v % 24, so each of
-        # the 24 columns has exactly 10 of them
-        wide = _cell_table(name)
-        assert wide.dtype == np.int8 and wide.shape == (3, 240)
-        assert not wide.flags.writeable
-        assert _cell_table("".join(name)) is wide
-        for v in range(240):
-            np.testing.assert_array_equal(wide[:, v], list_cells(name)[v % 24])
+    def test_byte_v_reads_entry_v_mod_24(self, name):
+        # each of the 240 cells a byte can name reads entry v % 24, so each
+        # of the 24 entries has exactly 10 of them
+        tables = _party_tables(name)
+        assert _party_tables("".join(name)) is tables
+        for v in range(256):
+            assert tuple(table[v] for table in tables) == list_cells(name)[v % 24]
 
-    @pytest.mark.parametrize("L", [1, 64, 192, 4096])
-    def test_one_raw_draw_of_240_cells_per_list(self, L):
+    @pytest.mark.parametrize("L", [1, 7, 8, 64, 192, 4096])
+    @pytest.mark.parametrize("name", ["singlet"] + ALL_BASIS_STATES)
+    def test_one_raw_draw_of_240_cells_per_list(self, name, L):
+        # the lists are the reference's one (3, 240) take at the draw's cells
         stream = RecordingGenerator(rng(5))
-        lists = generate_lists(make_verified_pool(L), stream)
+        lists = generate_lists(VerifiedPool(L, name), stream)
         assert stream.calls == [("random_raw", (math.ceil((L + math.ceil(L / 8) + 16) / 8),))]
-        cells = raw_cells(rng(5), L)
-        np.testing.assert_array_equal(lists, list_table("singlet")[:, cells % 24])
+        np.testing.assert_array_equal(lists, reference_lists(name, raw_cells(rng(5), L)))
 
     def test_all_24_columns_give_the_mixed_round_table(self):
         # both codes' columns together, each 1/24, are C's half-and-half mixture
@@ -323,34 +322,39 @@ class _ScriptedBits:
         return np.array(served, np.uint64)
 
 
+def scripted_short_stream(L):
+    """A stream whose raw words keep each byte with chance 1/8, so the
+    first W(L) words fall short and a list draw tops up: its bit generator,
+    the raw bytes row by row (a kept byte 0..239, a dropped one 240..255)."""
+    script = np.random.default_rng(L)
+    raw = np.where(
+        script.random((4 * L + 64, 8)) < 1 / 8,
+        script.integers(0, 240, (4 * L + 64, 8)),
+        script.integers(240, 256, (4 * L + 64, 8)),
+    )
+    words = [sum(int(byte) << 8 * i for i, byte in enumerate(row)) for row in raw]
+    return _ScriptedBits(words), raw
+
+
 class TestSampleOutcomes:
     """A list draw is the bytes below 240, in order, of PCG64's raw words
-    read little-endian, topped up two words at a time; its cells mod 24
-    are the 24 equally likely (code, cell) columns."""
+    read little-endian, topped up two words at a time, returned as
+    ``bytes``; its cells mod 24 are the 24 equally likely (code, cell)
+    entries."""
 
     @pytest.mark.parametrize("L", [1, 7, 8, 9, 64, 192, 1000, 4096])
     @pytest.mark.parametrize("seed", [0, 31])
     def test_cells_are_the_little_endian_bytes_below_240(self, L, seed):
         cells = sample_outcomes(L, rng(seed))
-        assert cells.dtype == np.uint8 and cells.shape == (L,)
-        np.testing.assert_array_equal(cells, raw_cells(rng(seed), L))
+        assert type(cells) is bytes and len(cells) == L
+        assert cells == raw_cells(rng(seed), L).tobytes()
 
     @pytest.mark.parametrize("L", [10, 64, 300])
     def test_top_up_keeps_the_first_accepted_bytes_in_order(self, L):
-        # each byte is kept with chance 1/8, so the first W(L) words fall
-        # short and the draw tops up; a kept byte is 0..239, a dropped one
-        # 240..255
-        script = np.random.default_rng(L)
-        raw = np.where(
-            script.random((4 * L + 64, 8)) < 1 / 8,
-            script.integers(0, 240, (4 * L + 64, 8)),
-            script.integers(240, 256, (4 * L + 64, 8)),
-        )
-        words = [sum(int(byte) << 8 * i for i, byte in enumerate(row)) for row in raw]
-        bits = _ScriptedBits(words)
+        bits, raw = scripted_short_stream(L)
         cells = sample_outcomes(L, SimpleNamespace(bit_generator=bits))
         kept = raw[raw < 240]  # row by row, lowest byte first
-        np.testing.assert_array_equal(cells, kept[:L])
+        assert cells == kept[:L].astype(np.uint8).tobytes()
         first = math.ceil((L + math.ceil(L / 8) + 16) / 8)
         assert bits.sizes[0] == first and set(bits.sizes[1:]) == {2}
         # two words at a time until enough bytes are kept, and no further
@@ -362,8 +366,9 @@ class TestSampleOutcomes:
         # each tested at 0.0005: a family-wise level of 0.001
         long = sample_outcomes(64_000, rng(70))
         stream = rng(71)
-        short = np.concatenate([sample_outcomes(64, stream) for _ in range(1000)])
+        short = b"".join(sample_outcomes(64, stream) for _ in range(1000))
         for cells in (long, short):
+            cells = np.frombuffer(cells, np.uint8)
             assert cells.max() < 240
             counts = np.bincount(cells % 24, minlength=24)
             assert scipy_stats.chisquare(counts).pvalue >= 0.0005
@@ -377,9 +382,22 @@ class TestSampleOutcomes:
         assert short.max() < 2e-9 and L[short.argmax()] == 192
 
 
+class TestListsMatchTheReference:
+    """A list draw that tops up reads the same lists as one ``take`` from
+    the (3, 240) table of ``oracle.list_cells`` at its cells."""
+
+    @pytest.mark.parametrize("name", ["singlet", "0110"])
+    def test_scripted_top_up(self, name):
+        bits, raw = scripted_short_stream(64)
+        lists = generate_lists(VerifiedPool(64, name), SimpleNamespace(bit_generator=bits))
+        assert len(bits.sizes) > 1
+        np.testing.assert_array_equal(lists, reference_lists(name, raw[raw < 240][:64]))
+
+
 class TestProducerInvariants:
     """``PartyLists`` checks nothing when built: ``generate_lists`` makes its
-    rows nonempty, 1-D, equally long, in range, int8 and read-only."""
+    rows nonempty, 1-D, equally long, in range, int8 and read-only, over
+    bytes that cannot be made writable again."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -395,6 +413,9 @@ class TestProducerInvariants:
         assert_frozen(lists.b_bits, np.int8, 0, 1, (L,))
         assert_frozen(lists.c_bits, np.int8, 0, 1, (L,))
         assert lists.length == L
+        for row in lists:
+            with pytest.raises(ValueError):
+                row.setflags(write=True)
 
 
 class TestBAccepts:
@@ -722,6 +743,12 @@ class TestThresholds:
         for value in (np.int64(1), "0.5"):
             with pytest.raises(ValueError):
                 Thresholds(min_fraction=value)
+
+    # a Decimal NaN raises decimal.InvalidOperation when ordered against a number
+    @pytest.mark.parametrize("value", [Decimal("NaN"), Decimal("sNaN"), float("nan")])
+    def test_nan_fraction_rejected(self, value):
+        with pytest.raises(ValueError, match="min_fraction must be a number"):
+            Thresholds(min_fraction=value)
 
     @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
     def test_bool_fraction_rejected(self, flag):

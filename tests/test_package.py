@@ -83,6 +83,7 @@ def test_fresh_import_and_config_load_no_dataclasses():
         (liar_protocol, "RejectReason"),
         # second copies: the list law is oracle.list_cells, a pool its size
         (liar_protocol, "_list_table"),
+        (liar_protocol, "_cell_table"),
         (runner, "_word_constants"),
     ],
 )

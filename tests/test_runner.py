@@ -123,9 +123,11 @@ class TestTrialConfig:
             # numpy's bools are no ints, but are rejected as bools are
             dict(min_fraction=np.True_),
             dict(qubit_loss_prob=np.False_),
-            # an int beyond a float's range is out of range, not an overflow
+            # an int or a Fraction beyond a float's range is out of range, not an overflow
             dict(min_fraction=10**400),
             dict(qubit_loss_prob=-(10**400)),
+            dict(min_fraction=Fraction(10**400)),
+            dict(qubit_loss_prob=Fraction(-(10**400))),
             # a loss probability that is no real number, and a source no name gives
             dict(qubit_loss_prob="0.1"),
             dict(qubit_loss_prob=None),
@@ -139,6 +141,21 @@ class TestTrialConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             TrialConfig(**base)
+
+    # a value no float can hold, or a NaN that raises when ordered, is rejected by its
+    # field's name before any conversion to float
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_fraction", Fraction(10**400)),
+            ("qubit_loss_prob", Fraction(-(10**400))),
+            ("min_fraction", Decimal("NaN")),
+            ("qubit_loss_prob", Decimal("sNaN")),
+        ],
+    )
+    def test_out_of_range_probability_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a number in \\[0, 1\\]"):
+            TrialConfig.build(L=16, **{field: value})
 
     def test_policy_member_builds_the_config_and_file_of_its_string(self, tmp_path):
         configs, files = [], []
