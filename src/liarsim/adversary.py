@@ -18,9 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribute_test import _as_int
 from .oracle import EXPECTED_DOUBLE_FRACTION
-from .qstate import checked_record, mark_readonly
+from .qstate import as_int, checked_record, mark_readonly
 
 
 class AKind(enum.Enum):
@@ -43,7 +42,7 @@ def _check(kinds: type[enum.Enum], kind, count, unset: int | None) -> tuple[enum
     ``unset``: a bool, float or negative count, or an honest kind's, raises."""
     kind = kinds(kind)
     if count is not None or unset is not None:
-        count = _as_int("strategy count", count)
+        count = as_int("strategy count", count)
         if count < 0:
             raise ValueError(f"strategy count must be nonnegative, got {count}")
     if kind not in _PARAMETER and count != unset:  # an honest kind has no parameter

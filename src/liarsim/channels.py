@@ -9,22 +9,23 @@ carries the source by name.
 
 Only input from outside the program is checked where it enters:
 ``FaultModel`` here, the plan, thresholds, strategies and trial config in
-their own modules, and every payload by B's and C's checks. Each of those
-records is a NamedTuple that checks once, in ``__new__``, through which
-``_make`` and ``_replace`` build too (``qstate.checked_record``), and stores
-the values it normalized. The records that carry arrays between phases
-(``PartyLists``, ``ActionA``, ``ActionB``) check nothing when built. The
-function that makes each one casts and marks its arrays read-only, and one
-hypothesis test per producer holds it to 1-D, equally long, in-range,
-read-only arrays of the record's dtypes: the ``TestProducerInvariants``
-classes of ``tests/test_liar_protocol.py`` (lists) and
-``tests/test_adversary.py`` (actions). A ``VerifiedPool`` is its size and
-its source's name, and ``tests/test_distribute_test.py`` holds its producers.
+their own modules, and every payload by B's and C's checks; an integer by
+``qstate.as_int`` and a probability by ``qstate.probability`` wherever it
+is given. Each of those records is a NamedTuple that checks once, in
+``__new__``, through which ``_make`` and ``_replace`` build too
+(``qstate.checked_record``), and stores the values it normalized. The
+records that carry arrays between phases (``PartyLists``, ``ActionA``,
+``ActionB``) check nothing when built. The function that makes each one
+casts and marks its arrays read-only, and one hypothesis test per producer
+holds it to 1-D, equally long, in-range, read-only arrays of the record's
+dtypes: the ``TestProducerInvariants`` classes of
+``tests/test_liar_protocol.py`` (lists) and ``tests/test_adversary.py``
+(actions). A ``VerifiedPool`` is its size and its source's name, and
+``tests/test_distribute_test.py`` holds its producers.
 """
 from __future__ import annotations
 
 import enum
-import numbers
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -38,6 +39,7 @@ from .qstate import (
     checked_record,
     make_singlet,
     measure_qubits,
+    probability,
 )
 
 
@@ -180,10 +182,7 @@ class FaultModel(checked_record("FaultModel", qubit_loss_prob=float, source_stat
     __slots__ = ()
 
     def __new__(cls, qubit_loss_prob: float = 0.0, source_state: str = "singlet") -> FaultModel:
-        # a bool is a Real that compares as 0 or 1, but the records would echo true/false
-        value = qubit_loss_prob
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= 1:
-            raise ValueError(f"qubit_loss_prob must be a number in [0, 1], got {value!r}")
+        qubit_loss_prob = probability("qubit_loss_prob", qubit_loss_prob)
         source_weights(source_state)  # raises for a name no source has
         return super().__new__(cls, qubit_loss_prob, source_state)
 

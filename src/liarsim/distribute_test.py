@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -37,7 +36,7 @@ from .channels import (
     transfer_qubits,
 )
 from .oracle import Assignment
-from .qstate import COMPUTATIONAL, MeasurementDirection, checked_record, mark_readonly
+from .qstate import COMPUTATIONAL, MeasurementDirection, as_int, checked_record, mark_readonly
 
 class DirectionPolicy(enum.Enum):
     """How C picks the common measurement direction for each system."""
@@ -73,7 +72,7 @@ class DistributionPlan(checked_record("DistributionPlan", M=int, N1=int, N2=int,
     __slots__ = ()
 
     def __new__(cls, M: int, N1: int, N2: int, L: int) -> DistributionPlan:
-        M, N1, N2, L = (_as_int(name, size) for name, size in zip(cls._fields, (M, N1, N2, L)))
+        M, N1, N2, L = (as_int(name, size) for name, size in zip(cls._fields, (M, N1, N2, L)))
         if min(N1, N2, L) < 1 or M != N1 + N2 + L:
             raise ValueError(
                 f"inconsistent sizes: M={M}, N1={N1}, N2={N2}, L={L} "
@@ -183,7 +182,7 @@ def run_distribute_and_test(
     one uniform to tell (v) from (vii) when both can happen. A fault-free
     singlet run draws nothing.
     """
-    p = float(fault.qubit_loss_prob)
+    p = fault.qubit_loss_prob
 
     # (i)-(ii): per system, A's two transits then B's one, each lost with chance p
     if p and (lost := rng.geometric(p)) <= 3 * plan.M:
@@ -264,13 +263,6 @@ def _dense_distribute_and_test(
     return DistributeOutcome(VerifiedPool(pool_ids.size, fault.source_state), None, range(played))
 
 
-def _as_int(name: str, value) -> int:
-    """``value`` as a plain int; a bool or non-integer raises."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
 # typed: True and 3.0 equal 1 and 3, and must reach the check, not their pools;
 # a few sizes only, so a sweep over L holds the pools of its last few sizes. A
 # cached call takes a quarter of a build's time (0.13 against 0.54 us by
@@ -285,7 +277,7 @@ def make_verified_pool(L: int) -> VerifiedPool:
     pool per L serves every call. Intended for experiments that study
     only the messaging protocol.
     """
-    L = _as_int("pool size", L)
+    L = as_int("pool size", L)
     if L < 1:
         raise ValueError(f"pool size must be positive, got {L}")
     return VerifiedPool(L, "singlet")

@@ -20,7 +20,7 @@ import numpy as np
 from . import adversary
 from .distribute_test import VerifiedPool
 from .oracle import EXPECTED_DOUBLE_FRACTION, list_cells
-from .qstate import checked_record, in_unit_interval, readonly_array
+from .qstate import checked_record, probability, readonly_array
 
 _WORDS, _IDENTITY, _HIGH = np.dtype("<u8"), bytes(range(256)), bytes(range(240, 256))
 
@@ -172,13 +172,7 @@ class Thresholds(checked_record("Thresholds", min_fraction=float)):
     __slots__ = ()
 
     def __new__(cls, min_fraction: float = 0.5) -> Thresholds:
-        # required_length reads the value's exact ratio, which a numpy
-        # integer or a string lacks; a bool has one but is no fraction
-        value = min_fraction
-        exact = hasattr(value, "as_integer_ratio") and not isinstance(value, (bool, np.bool_))
-        if not exact or not in_unit_interval(value):
-            raise ValueError(f"min_fraction must be a number in [0, 1], got {value!r}")
-        return super().__new__(cls, min_fraction)
+        return super().__new__(cls, probability("min_fraction", min_fraction))
 
     def required_length(self, length: int) -> int:
         """Fewest entries a list over ``length`` positions may hold, in

@@ -1,7 +1,10 @@
 """Dense state-vector engine for small qubit registers.
 
 Builds the even-N singlet family, applies single-qubit unitaries, and
-performs Born-rule projective measurements with collapse.
+performs Born-rule projective measurements with collapse. It also holds
+what every checked record shares: ``checked_record``, the read-only array
+helpers, and the one rule per input kind, ``as_int`` for every integer
+field and ``probability`` for both probabilities.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -23,6 +26,8 @@ or its exact test-round law, and build no state vector.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from functools import cache
 from typing import NamedTuple
 
@@ -54,12 +59,26 @@ def mark_readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def in_unit_interval(value) -> bool:
-    """Whether ``value`` orders within [0, 1]; a NaN, a Decimal one included, does not."""
+def as_int(name: str, value) -> int:
+    """``value`` as a plain int; a bool or non-integer raises."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def probability(name: str, value) -> float:
+    """``value``, a real in [0, 1] (a Decimal too), as a plain float (-0.0 as 0.0).
+    A bool, which records would echo as true/false, raises by ``name``, as does
+    a value out of range or NaN: the range is read first, so no float overflows."""
+    real = not isinstance(value, (bool, np.bool_)) and (
+        isinstance(value, numbers.Real) or hasattr(value, "as_integer_ratio")
+    )
     try:
-        return 0 <= value <= 1
+        if real and 0 <= value <= 1:
+            return float(value) + 0.0
     except ArithmeticError:
-        return False
+        pass
+    raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 def checked_record(name: str, /, **fields: type) -> type:

@@ -28,7 +28,6 @@ import contextlib
 import functools
 import json
 import math
-import numbers
 import operator
 import os
 import sys
@@ -44,7 +43,6 @@ from .channels import NO_FAULTS, FaultModel
 from .distribute_test import (
     DirectionPolicy,
     DistributionPlan,
-    _as_int,
     make_verified_pool,
     run_distribute_and_test,
 )
@@ -54,7 +52,7 @@ from .liar_protocol import (
     generate_lists,
     run_liar_protocol,
 )
-from .qstate import checked_record, in_unit_interval
+from .qstate import as_int, checked_record
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -82,7 +80,7 @@ def resolve_sizes(
     the plan returned checks the rest.
     """
     given = zip(("M", "N1", "N2", "L"), (M, N1, N2, L))
-    M, N1, N2, L = (value if value is None else _as_int(name, value) for name, value in given)
+    M, N1, N2, L = (value if value is None else as_int(name, value) for name, value in given)
     if M is None and L is None:
         L = 256
     if N1 is None and N2 is None:
@@ -114,42 +112,31 @@ class TrialConfig(
     reuses: ``plan``, ``fault``, ``thresholds``, ``strategies`` (A's,
     B's) and the direction ``policy``. They are attributes, not fields,
     so they stay out of the summary record, and no attribute can be set.
-    A size given as None is derived from the others, as ``build`` does.
+    A size left as None, the default, is derived by ``resolve_sizes``, and
+    each probability is stored as the plain float its collaborator checked
+    (``qstate.probability``), so equal configs write equal files.
     """
 
     def __new__(
-        cls, seed: int = 0, trials: int = 100, M: int = 512, N1: int = 128, N2: int = 128,
-        L: int = 256, strategy_a: str = "honest", strategy_b: str = "honest",
-        qubit_loss_prob: float = 0.0, source_state: str = "singlet", min_fraction: float = 0.5,
-        direction_policy: str = "random",
+        cls, seed: int = 0, trials: int = 100, M: int | None = None, N1: int | None = None,
+        N2: int | None = None, L: int | None = None, strategy_a: str = "honest",
+        strategy_b: str = "honest", qubit_loss_prob: float = 0.0, source_state: str = "singlet",
+        min_fraction: float = 0.5, direction_policy: str = "random",
     ) -> TrialConfig:
         plan = resolve_sizes(M, N1, N2, L)
-        seed, trials = _as_int("seed", seed), _as_int("trials", trials)
+        seed, trials = as_int("seed", seed), as_int("trials", trials)
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {trials}")
-        # a real in [0, 1] that JSON cannot write (np.float32, a Fraction, or a
-        # Decimal, which has an exact ratio but is no numbers.Real) is read as its
-        # float; the collaborators reject any other value, np.bool_ too, by name
-        qubit_loss_prob, min_fraction = (
-            float(value)
-            if not isinstance(value, (int, float))
-            and (isinstance(value, numbers.Real) or hasattr(value, "as_integer_ratio"))
-            and in_unit_interval(value)
-            else value
-            for value in (qubit_loss_prob, min_fraction)
-        )
         fault = FaultModel(qubit_loss_prob, source_state)
         thresholds = Thresholds(min_fraction)
         strategies = (parse_strategy_A(strategy_a), parse_strategy_B(strategy_b))
         policy = DirectionPolicy(direction_policy)
-        # a DirectionPolicy member is kept as its string, as the CLI gives it, and
-        # each checked probability as its float (an int in [0, 1] is one exactly,
-        # and -0.0 becomes 0.0), so equal configs write equal files
+        # a DirectionPolicy member is kept as its string, as the CLI gives it
         self = super().__new__(
-            cls, seed, trials, *plan, strategy_a, strategy_b, float(qubit_loss_prob) + 0.0,
-            source_state, float(min_fraction) + 0.0, policy.value,
+            cls, seed, trials, *plan, strategy_a, strategy_b, fault.qubit_loss_prob,
+            source_state, thresholds.min_fraction, policy.value,
         )
         vars(self).update(
             plan=plan, fault=fault, thresholds=thresholds, strategies=strategies, policy=policy
@@ -161,17 +148,7 @@ class TrialConfig(
 
     __delattr__ = __setattr__
 
-    @classmethod
-    def build(
-        cls,
-        M: int | None = None,
-        N1: int | None = None,
-        N2: int | None = None,
-        L: int | None = None,
-        **kwargs,
-    ) -> "TrialConfig":
-        """Construct a config, deriving whichever sizes were omitted."""
-        return cls(M=M, N1=N1, N2=N2, L=L, **kwargs)
+    build = classmethod(lambda cls, **kwargs: cls(**kwargs))  # the constructor's older name
 
 
 class TrialResult(NamedTuple):

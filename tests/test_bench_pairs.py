@@ -82,3 +82,36 @@ def test_workloads_length_and_directions_come_from_the_benchmark():
     assert bench["workloads"] == [workload["name"] for workload in spec["workloads"]]
     assert bench["better"] == {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     assert set(bench["better"].values()) <= {"higher", "lower"}
+
+
+# the last lines of a recorded Tier-1 run with one failure, as pytest -q prints them
+RECORDED_TAIL = """\
+criterion 11: PASS  runner files identical: True, cli files identical: True
+=========================== short test summary info ============================
+FAILED tests/test_liar_protocol.py::TestThresholds::test_validation - Failed: DID NOT RAISE
+1 failed, 996 passed in 31.20s
+"""
+
+
+@pytest.mark.parametrize(
+    "tail, summary",
+    [
+        (RECORDED_TAIL, "1 failed, 996 passed in 31.20s"),
+        ("997 passed in 30.49s\n", "997 passed in 30.49s"),
+        ("== 3 failed, 994 passed, 2 warnings in 75.21s (0:01:15) ==\n",
+         "3 failed, 994 passed, 2 warnings in 75.21s (0:01:15)"),
+        ("ERROR: file or directory not found: tests\nno tests ran in 0.01s\n", None),
+    ],
+    ids=["failures", "all-passed", "in-rule", "none"],
+)
+def test_the_tier1_summary_line_is_read_from_pytest_output(tail, summary):
+    assert PAIRS.summary_line(tail) == summary
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_fewer_than_one_pair_is_refused_when_parsed(pairs, capsys):
+    with pytest.raises(SystemExit) as exited:
+        PAIRS.parse_args(["--parent", "p", "--change", "c", "--out", "o", "--pairs", pairs])
+    assert exited.value.code == 2
+    assert f"must be at least 1, got {int(pairs)}" in capsys.readouterr().err
+    assert PAIRS.parse_args(["--parent", "p", "--change", "c", "--out", "o", "--pairs", "1"]).pairs == 1

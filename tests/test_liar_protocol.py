@@ -739,10 +739,11 @@ class TestThresholds:
             Thresholds(min_fraction=1.5)
         with pytest.raises(ValueError):
             Thresholds(min_fraction=-0.1)
-        # no exact ratio to read the threshold off
-        for value in (np.int64(1), "0.5"):
-            with pytest.raises(ValueError):
-                Thresholds(min_fraction=value)
+        with pytest.raises(ValueError, match="min_fraction must be a number"):
+            Thresholds(min_fraction="0.5")
+        # a numpy integer is a real, stored as its float, as a config stores it
+        assert type(Thresholds(np.int64(1)).min_fraction) is float
+        assert Thresholds(np.int64(1)) == Thresholds(1.0)
 
     # a Decimal NaN raises decimal.InvalidOperation when ordered against a number
     @pytest.mark.parametrize("value", [Decimal("NaN"), Decimal("sNaN"), float("nan")])

@@ -85,6 +85,9 @@ def test_fresh_import_and_config_load_no_dataclasses():
         (liar_protocol, "_list_table"),
         (liar_protocol, "_cell_table"),
         (runner, "_word_constants"),
+        # one probability rule and one integer rule, both in qstate
+        (qstate, "in_unit_interval"),
+        (distribute_test, "_as_int"),
     ],
 )
 def test_deleted_names_are_gone(module, name):

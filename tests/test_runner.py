@@ -19,7 +19,7 @@ from scipy import stats as scipy_stats
 
 import liarsim
 from liarsim import adversary, distribute_test, liar_protocol, qstate, runner
-from liarsim.channels import NO_FAULTS
+from liarsim.channels import NO_FAULTS, FaultModel
 from liarsim.cli import main as cli_main
 from liarsim.runner import (
     DISTRIBUTE_FAILURE,
@@ -98,6 +98,7 @@ class TestTrialConfig:
         config = TrialConfig.build(**sizes)
         assert len(plans) == 1 and config.plan is plans[0]
         assert config.plan == (config.M, config.N1, config.N2, config.L)
+        assert TrialConfig(**sizes) == config  # the constructor derives sizes as build does
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -156,6 +157,36 @@ class TestTrialConfig:
     def test_out_of_range_probability_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be a number in \\[0, 1\\]"):
             TrialConfig.build(L=16, **{field: value})
+
+    # both probabilities keep one rule wherever they are given: each record that
+    # takes one stores a real in [0, 1] as the same plain float (-0.0 as 0.0),
+    # and refuses anything else by the field's name
+    @pytest.mark.parametrize(
+        "value, stored",
+        [
+            (0, 0.0), (1, 1.0), (0.5, 0.5), (-0.0, 0.0), (np.float32(0.5), 0.5),
+            (np.int64(1), 1.0), (Fraction(1, 2), 0.5), (Decimal("0.5"), 0.5),
+            (True, None), (np.True_, None), ("0.5", None), (None, None), (float("nan"), None),
+            (Decimal("sNaN"), None), (1.5, None), (10**400, None), (Fraction(-(10**400)), None),
+        ],
+        ids=[
+            "0", "1", "0.5", "-0.0", "float32", "int64", "Fraction", "Decimal", "True", "np.True_",
+            "str", "None", "nan", "Decimal-sNaN", "1.5", "10**400", "Fraction-10**400",
+        ],
+    )
+    def test_fault_model_thresholds_and_config_share_one_probability_rule(self, value, stored):
+        records = [
+            ("qubit_loss_prob", FaultModel), ("min_fraction", liar_protocol.Thresholds),
+            ("qubit_loss_prob", lambda v: TrialConfig.build(L=16, qubit_loss_prob=v)),
+            ("min_fraction", lambda v: TrialConfig.build(L=16, min_fraction=v)),
+        ]
+        for field, make in records:
+            if stored is None:
+                with pytest.raises(ValueError, match=f"^{field} must be a number in \\[0, 1\\]"):
+                    make(value)
+            else:
+                kept = getattr(make(value), field)
+                assert (type(kept), repr(kept)) == (float, repr(stored)), field
 
     def test_policy_member_builds_the_config_and_file_of_its_string(self, tmp_path):
         configs, files = [], []

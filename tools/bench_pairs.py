@@ -17,23 +17,31 @@ The file holds, per workload, every run's metrics, ``correct``, ``failed``
 and ``stream_digest``, and per metric both trees' medians and quartiles,
 the change's wins out of k and the parent's IQR; plus, per tree, the run
 metadata of its first report (git SHA, source digest, Python and numpy
-versions, CPU model) and whether its files differ from its git commit.
-It only measures: it sets no bound and decides nothing.
+versions, CPU model), whether its files differ from its git commit, and
+one run of its Tier-1 verify command after all pairs (exit code, wall
+seconds and pytest's summary line). It only measures: it sets no bound
+and decides nothing.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
 # the fields of a report's meta that identify a tree and the machine
 TREE_META = ("git_sha", "source_sha256", "python", "numpy", "cpu_model", "nproc")
+# the Tier-1 verify command, run in a tree with its src/ first on PYTHONPATH
+TIER1 = (sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors")
+# pytest's closing tally, "1 failed, 996 passed in 31.20s (0:00:31)", inside its = rule
+SUMMARY_LINE = re.compile(r"=* ?((?:\d+ \w+, )*\d+ \w+ in [\d.]+s(?: \([\d:]+\))?) ?=*")
 
 
 def load_benchmark(path: Path = ROOT / "BENCHMARK.json") -> dict:
@@ -120,6 +128,26 @@ def git_dirty(tree: Path) -> bool | None:
     return bool(done.stdout.strip()) if done.returncode == 0 else None
 
 
+def summary_line(output: str) -> str | None:
+    """The last pytest summary line in ``output``, without its ``=`` rule, or None."""
+    for line in reversed(output.splitlines()):
+        if match := SUMMARY_LINE.fullmatch(line.strip()):
+            return match.group(1)
+    return None
+
+
+def run_tier1(tree: Path) -> dict:
+    """One run of the tree's Tier-1 verify command: its exit code, wall
+    seconds and summary line."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        TIER1, cwd=tree, env=os.environ | {"PYTHONPATH": path}, capture_output=True, text=True
+    )
+    wall_s = round(time.perf_counter() - start, 2)
+    return {"exit_code": done.returncode, "wall_s": wall_s, "summary": summary_line(done.stdout)}
+
+
 def measure(trees: dict[str, Path], workload: str, bench: dict, pairs: int, meta: dict) -> dict:
     """The warm-up run and ``pairs`` alternating pairs of one workload, and
     each end-to-end metric's summary over the pairs; the meta of each
@@ -150,11 +178,19 @@ def measure(trees: dict[str, Path], workload: str, bench: dict, pairs: int, meta
     return {"warm_up": warm_up, "pairs": recorded, "summary": summary}
 
 
+def at_least_one(text: str) -> int:
+    """``--pairs``: a count of pairs, so 0 or fewer would summarize nothing."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=at_least_one, default=10)
     parser.add_argument("--out", type=Path, required=True)
     return parser.parse_args(argv)
 
@@ -178,6 +214,10 @@ def main(argv: list[str] | None = None) -> int:
         result["workloads"][workload] = measure(trees, workload, bench, args.pairs, meta)
         # written after each workload, so an interrupted run keeps the workloads it finished
         args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    for name, tree in trees.items():
+        meta[name]["tier1"] = run_tier1(tree)
+        print(name, "tier1", meta[name]["tier1"], file=sys.stderr, flush=True)
+    args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
