@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .oracle import EXPECTED_DOUBLE_FRACTION
-from .qstate import as_int, checked_record, mark_readonly
+from .records import as_int, checked_record, mark_readonly
 
 
 class AKind(enum.Enum):

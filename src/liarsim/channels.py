@@ -1,46 +1,31 @@
-"""Parties, the fault model and the qubit custody ledger.
+"""The dense reference of the distribute-and-test phase: parties and the
+qubit custody ledger.
 
-``FaultModel`` injects transit loss and a corrupted source into the
-distribute-and-test phase. ``FaultModel.prepare_state``, the custody
-ledger (``PartyId``, ``QubitRef``, ``QubitRegistry``), ``QuantumSystem``
-and ``transfer_qubits`` serve only the step-by-step reference of that
-phase; its production path draws from the phase's exact abort law and
-carries the source by name.
-
-Only input from outside the program is checked where it enters:
-``FaultModel`` here, the plan, thresholds, strategies and trial config in
-their own modules, and every payload by B's and C's checks; an integer by
-``qstate.as_int`` and a probability by ``qstate.probability`` wherever it
-is given. Each of those records is a NamedTuple that checks once, in
-``__new__``, through which ``_make`` and ``_replace`` build too
-(``qstate.checked_record``), and stores the values it normalized. The
-records that carry arrays between phases (``PartyLists``, ``ActionA``,
-``ActionB``) check nothing when built. The function that makes each one
-casts and marks its arrays read-only, and one hypothesis test per producer
-holds it to 1-D, equally long, in-range, read-only arrays of the record's
-dtypes: the ``TestProducerInvariants`` classes of
-``tests/test_liar_protocol.py`` (lists) and ``tests/test_adversary.py``
-(actions). A ``VerifiedPool`` is its size and its source's name, and
-``tests/test_distribute_test.py`` holds its producers.
+``_dense_distribute_and_test`` plays the phase qubit by qubit: the ledger
+(``PartyId``, ``QubitRef``, ``QubitRegistry``), ``QuantumSystem`` and
+``transfer_qubits`` carry every qubit, ``prepare_state`` builds each
+system's source state, ``choose_direction`` draws each test round's axis
+and ``_draw_subsets`` the tested systems. No production run loads this
+module: ``distribute_test.run_distribute_and_test`` draws from the phase's
+exact abort law and carries the source by name, and the tests hold that
+law to this reference.
 """
 from __future__ import annotations
 
 import enum
+import math
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .oracle import source_weights
-from .qstate import (
-    COMPUTATIONAL,
-    MeasurementDirection,
-    StateVector,
-    basis_state,
-    checked_record,
-    make_singlet,
-    measure_qubits,
-    probability,
+from .distribute_test import (
+    DirectionPolicy, DistributeOutcome, DistributionPlan, FaultModel, VerifiedPool, _failure,
 )
+from .oracle import Assignment
+from .qstate import (
+    COMPUTATIONAL, MeasurementDirection, StateVector, basis_state, make_singlet, measure_qubits,
+)
+from .records import checked_record, mark_readonly
 
 
 class ProtocolViolationError(Exception):
@@ -171,28 +156,11 @@ class TransferRecord(NamedTuple):
     status: TransferStatus
 
 
-class FaultModel(checked_record("FaultModel", qubit_loss_prob=float, source_state=str)):
-    """Injectable imperfections: transit loss and a corrupted source.
-
-    ``source_state`` is either ``"singlet"`` (the honest four-qubit
-    state) or a four-character bit string naming a product state the
-    source secretly prepares instead.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, qubit_loss_prob: float = 0.0, source_state: str = "singlet") -> FaultModel:
-        qubit_loss_prob = probability("qubit_loss_prob", qubit_loss_prob)
-        source_weights(source_state)  # raises for a name no source has
-        return super().__new__(cls, qubit_loss_prob, source_state)
-
-    def prepare_state(self) -> StateVector:
-        if self.source_state == "singlet":
-            return make_singlet(4)
-        return basis_state(self.source_state)
-
-
-NO_FAULTS = FaultModel()
+def prepare_state(source_state: str) -> StateVector:
+    """The state a source of this name prepares: the singlet, or a product state."""
+    if source_state == "singlet":
+        return make_singlet(4)
+    return basis_state(source_state)
 
 
 def transfer_qubits(
@@ -229,3 +197,94 @@ def transfer_qubits(
             registry.reassign(ref, receiver)
             records.append(TransferRecord(ref, TransferStatus.DELIVERED))
     return records
+
+
+def choose_direction(
+    rng: np.random.Generator, policy: DirectionPolicy = DirectionPolicy.RANDOM
+) -> MeasurementDirection:
+    """Pick a measurement direction: uniform on the sphere, or the fixed basis.
+
+    The pattern check's statistics do not depend on this choice for the
+    honest source (the state is invariant under common rotations), but a
+    corrupted source cannot anticipate a random direction.
+    """
+    if policy is DirectionPolicy.FIXED:
+        return COMPUTATIONAL
+    theta = math.acos(rng.uniform(-1.0, 1.0))
+    phi = rng.uniform(0.0, 2.0 * math.pi) % (2.0 * math.pi)
+    return MeasurementDirection(theta, phi)
+
+
+def _draw_subsets(
+    plan: DistributionPlan, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tested ids (S1's, then S2's) and pool ids: read-only views of one
+    permutation, each part sorted in place."""
+    order = rng.permutation(plan.M) + 1
+    cut = plan.N1 + plan.N2
+    for part in (order[: plan.N1], order[plan.N1 : cut], order[cut:]):
+        part.sort()
+    mark_readonly(order)
+    return order[:cut], order[cut:]
+
+
+def _dense_distribute_and_test(
+    plan: DistributionPlan,
+    fault: FaultModel,
+    rng: np.random.Generator,
+    direction_policy: DirectionPolicy = DirectionPolicy.RANDOM,
+) -> DistributeOutcome:
+    """Step-by-step reference for ``run_distribute_and_test``: the exact oracle.
+
+    Plays every qubit through the custody ledger and the dense engine,
+    one transfer and one measurement at a time, and raises
+    ``ProtocolViolationError`` if testing touched a pool system. No
+    option selects it; tests hold the law's verdicts to its own.
+
+    No assignment is drawn: a test round gathers slots 1-3 at its measurer
+    whichever two A holds, and a pool system's assignment is drawn with its
+    list entry. So system j is routed by a fixed rule, j's parity.
+    """
+    registry = QubitRegistry()
+    systems: dict[int, QuantumSystem] = {}
+    source = prepare_state(fault.source_state)
+
+    # (i)-(ii): prepare, distribute, and immediately verify receipt counts.
+    for j in range(1, plan.M + 1):
+        assignment = tuple(Assignment)[j % 2]
+        registry.create_system(j)
+        systems[j] = QuantumSystem(j, source)
+        a_refs = [QubitRef(j, slot) for slot in assignment.a_slots]
+        b_refs = [QubitRef(j, assignment.b_slot)]
+        outcomes = transfer_qubits(registry, systems, PartyId.C, PartyId.A, a_refs, fault, rng)
+        outcomes += transfer_qubits(registry, systems, PartyId.C, PartyId.B, b_refs, fault, rng)
+        if any(rec.status is TransferStatus.LOST for rec in outcomes):
+            return _failure("ii", j, 0)
+
+    # (iii): only now does C draw the test subsets.
+    tested, pool_ids = _draw_subsets(plan, rng)
+
+    # (iv)-(viii): sacrifice each tested system; roles swap between subsets.
+    played = 0
+    for tested_ids, sender, measurer in (
+        (tested[: plan.N1], PartyId.A, PartyId.B),
+        (tested[plan.N1 :], PartyId.B, PartyId.A),
+    ):
+        for j in tested_ids.tolist():
+            refs = registry.holdings(sender, j)
+            outcomes = transfer_qubits(registry, systems, sender, measurer, refs, fault, rng)
+            if any(rec.status is TransferStatus.LOST for rec in outcomes):
+                return _failure("v", None, played)
+            direction = choose_direction(rng, direction_policy)
+            slots = [ref.slot for ref in registry.holdings(measurer, j)]
+            reported = systems[j].measure_slots(slots, direction, rng)
+            (c_bit,) = systems[j].measure_slots([4], direction, rng)
+            played += 1
+            if sorted(tuple(reported) + (c_bit,)) != [0, 0, 1, 1]:
+                return _failure("vii", None, played)
+
+    # testing must never touch the pool: each system still holds the source
+    touched = [j for j in pool_ids.tolist() if not systems[j].is_pristine]
+    if touched:
+        raise ProtocolViolationError(f"pool system {touched[0]} was touched during testing")
+    return DistributeOutcome(VerifiedPool(pool_ids.size, fault.source_state), None, range(played))

@@ -30,7 +30,6 @@ from .adversary import integer
 from .oracle import (
     Assignment, EscapeProbabilities, escape_ratios, rejection_lower_bound, round_distribution,
 )
-from .qstate import make_singlet
 from .runner import TrialConfig, run_trials, summarize_to_text
 
 EXIT_OK = 0
@@ -124,6 +123,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _amplitude_table() -> list[str]:
+    from .qstate import make_singlet  # loaded on use: only the dump builds a state vector
+
     state = make_singlet(4)
     unit = 1.0 / (2.0 * math.sqrt(3.0))
     lines = ["Four-qubit state amplitudes (qubit 1 is the leftmost bit):"]

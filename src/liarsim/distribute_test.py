@@ -12,9 +12,10 @@ A run's verdict reads only whether, and at which step, the phase aborted,
 so ``run_distribute_and_test`` draws just the first failure of the
 phase's exact law: every transit and every round is independent, and a
 round is balanced with a chance ``_balanced_chance`` that depends only on
-the source and the direction policy. ``_dense_distribute_and_test`` plays
-the same protocol qubit by qubit through the custody ledger and the dense
-engine; it is the reference the tests hold the law to.
+the source and the direction policy. ``channels._dense_distribute_and_test``
+plays the same protocol qubit by qubit through the custody ledger and the
+dense engine; it is the reference the tests hold the law to, and this
+module never loads it.
 """
 from __future__ import annotations
 
@@ -25,18 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import (
-    FaultModel,
-    PartyId,
-    ProtocolViolationError,
-    QuantumSystem,
-    QubitRef,
-    QubitRegistry,
-    TransferStatus,
-    transfer_qubits,
-)
-from .oracle import Assignment
-from .qstate import COMPUTATIONAL, MeasurementDirection, as_int, checked_record, mark_readonly
+from .oracle import source_weights
+from .records import as_int, checked_record, probability
+
 
 class DirectionPolicy(enum.Enum):
     """How C picks the common measurement direction for each system."""
@@ -45,20 +37,23 @@ class DirectionPolicy(enum.Enum):
     FIXED = "fixed"
 
 
-def choose_direction(
-    rng: np.random.Generator, policy: DirectionPolicy = DirectionPolicy.RANDOM
-) -> MeasurementDirection:
-    """Pick a measurement direction: uniform on the sphere, or the fixed basis.
+class FaultModel(checked_record("FaultModel", qubit_loss_prob=float, source_state=str)):
+    """Injectable imperfections: transit loss and a corrupted source.
 
-    The pattern check's statistics do not depend on this choice for the
-    honest source (the state is invariant under common rotations), but a
-    corrupted source cannot anticipate a random direction.
+    ``source_state`` is either ``"singlet"`` (the honest four-qubit
+    state) or a four-character bit string naming a product state the
+    source secretly prepares instead.
     """
-    if policy is DirectionPolicy.FIXED:
-        return COMPUTATIONAL
-    theta = math.acos(rng.uniform(-1.0, 1.0))
-    phi = rng.uniform(0.0, 2.0 * math.pi) % (2.0 * math.pi)
-    return MeasurementDirection(theta, phi)
+
+    __slots__ = ()
+
+    def __new__(cls, qubit_loss_prob: float = 0.0, source_state: str = "singlet") -> FaultModel:
+        qubit_loss_prob = probability("qubit_loss_prob", qubit_loss_prob)
+        source_weights(source_state)  # raises for a name no source has
+        return super().__new__(cls, qubit_loss_prob, source_state)
+
+
+NO_FAULTS = FaultModel()
 
 
 class DistributionPlan(checked_record("DistributionPlan", M=int, N1=int, N2=int, L=int)):
@@ -135,19 +130,6 @@ def _failure(step: str, system_id: int | None, played: int) -> DistributeOutcome
     return DistributeOutcome(None, FailureInfo(step, system_id), range(played))
 
 
-def _draw_subsets(
-    plan: DistributionPlan, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tested ids (S1's, then S2's) and pool ids: read-only views of one
-    permutation, each part sorted in place."""
-    order = rng.permutation(plan.M) + 1
-    cut = plan.N1 + plan.N2
-    for part in (order[: plan.N1], order[plan.N1 : cut], order[cut:]):
-        part.sort()
-    mark_readonly(order)
-    return order[:cut], order[cut:]
-
-
 def _balanced_chance(source_state: str, policy: DirectionPolicy) -> float:
     """b, the chance that a tested round reads two 0s and two 1s, exactly.
 
@@ -201,68 +183,6 @@ def run_distribute_and_test(
     return DistributeOutcome(VerifiedPool(plan.L, fault.source_state), None, range(played))
 
 
-def _dense_distribute_and_test(
-    plan: DistributionPlan,
-    fault: FaultModel,
-    rng: np.random.Generator,
-    direction_policy: DirectionPolicy = DirectionPolicy.RANDOM,
-) -> DistributeOutcome:
-    """Step-by-step reference for ``run_distribute_and_test``: the exact oracle.
-
-    Plays every qubit through the custody ledger and the dense engine,
-    one transfer and one measurement at a time, and raises
-    ``ProtocolViolationError`` if testing touched a pool system. No
-    option selects it; tests hold the law's verdicts to its own.
-
-    No assignment is drawn: a test round gathers slots 1-3 at its measurer
-    whichever two A holds, and a pool system's assignment is drawn with its
-    list entry. So system j is routed by a fixed rule, j's parity.
-    """
-    registry = QubitRegistry()
-    systems: dict[int, QuantumSystem] = {}
-    source = fault.prepare_state()
-
-    # (i)-(ii): prepare, distribute, and immediately verify receipt counts.
-    for j in range(1, plan.M + 1):
-        assignment = tuple(Assignment)[j % 2]
-        registry.create_system(j)
-        systems[j] = QuantumSystem(j, source)
-        a_refs = [QubitRef(j, slot) for slot in assignment.a_slots]
-        b_refs = [QubitRef(j, assignment.b_slot)]
-        outcomes = transfer_qubits(registry, systems, PartyId.C, PartyId.A, a_refs, fault, rng)
-        outcomes += transfer_qubits(registry, systems, PartyId.C, PartyId.B, b_refs, fault, rng)
-        if any(rec.status is TransferStatus.LOST for rec in outcomes):
-            return _failure("ii", j, 0)
-
-    # (iii): only now does C draw the test subsets.
-    tested, pool_ids = _draw_subsets(plan, rng)
-
-    # (iv)-(viii): sacrifice each tested system; roles swap between subsets.
-    played = 0
-    for tested_ids, sender, measurer in (
-        (tested[: plan.N1], PartyId.A, PartyId.B),
-        (tested[plan.N1 :], PartyId.B, PartyId.A),
-    ):
-        for j in tested_ids.tolist():
-            refs = registry.holdings(sender, j)
-            outcomes = transfer_qubits(registry, systems, sender, measurer, refs, fault, rng)
-            if any(rec.status is TransferStatus.LOST for rec in outcomes):
-                return _failure("v", None, played)
-            direction = choose_direction(rng, direction_policy)
-            slots = [ref.slot for ref in registry.holdings(measurer, j)]
-            reported = systems[j].measure_slots(slots, direction, rng)
-            (c_bit,) = systems[j].measure_slots([4], direction, rng)
-            played += 1
-            if sorted(tuple(reported) + (c_bit,)) != [0, 0, 1, 1]:
-                return _failure("vii", None, played)
-
-    # testing must never touch the pool: each system still holds the source
-    touched = [j for j in pool_ids.tolist() if not systems[j].is_pristine]
-    if touched:
-        raise ProtocolViolationError(f"pool system {touched[0]} was touched during testing")
-    return DistributeOutcome(VerifiedPool(pool_ids.size, fault.source_state), None, range(played))
-
-
 # typed: True and 3.0 equal 1 and 3, and must reach the check, not their pools;
 # a few sizes only, so a sweep over L holds the pools of its last few sizes. A
 # cached call takes a quarter of a build's time (0.13 against 0.54 us by
@@ -281,3 +201,13 @@ def make_verified_pool(L: int) -> VerifiedPool:
     if L < 1:
         raise ValueError(f"pool size must be positive, got {L}")
     return VerifiedPool(L, "singlet")
+
+
+# bench/tracer.py looks transfer_qubits up here; it loads the custody ledger
+# on first use only. Both this hook and the package's go with ROADMAP item 15.
+def __getattr__(name: str):
+    if name == "transfer_qubits":
+        from .channels import transfer_qubits
+
+        return transfer_qubits
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,7 @@ import numpy as np
 from . import adversary
 from .distribute_test import VerifiedPool
 from .oracle import EXPECTED_DOUBLE_FRACTION, list_cells
-from .qstate import checked_record, probability, readonly_array
+from .records import checked_record, probability, readonly_array
 
 _WORDS, _IDENTITY, _HIGH = np.dtype("<u8"), bytes(range(256)), bytes(range(240, 256))
 

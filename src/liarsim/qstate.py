@@ -1,10 +1,7 @@
 """Dense state-vector engine for small qubit registers.
 
 Builds the even-N singlet family, applies single-qubit unitaries, and
-performs Born-rule projective measurements with collapse. It also holds
-what every checked record shares: ``checked_record``, the read-only array
-helpers, and the one rule per input kind, ``as_int`` for every integer
-field and ``probability`` for both probabilities.
+performs Born-rule projective measurements with collapse.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -19,19 +16,18 @@ This module alone turns a float probability law into a CDF. ``_cdf`` is
 the one rule: along the last axis, no edge above 1.0 and every edge from
 the last nonzero probability on exactly 1.0, so no uniform in [0, 1)
 draws an outcome of probability zero, and ``searchsorted(cum, u,
-side="right")`` draws from it. This is the dense reference's engine: the
-array paths read each source's law as integer weights from ``oracle``,
-or its exact test-round law, and build no state vector.
+side="right")`` draws from it. This is the dense reference's engine, which
+no production run loads: the array paths read each source's law as
+integer weights from ``oracle``, or its exact test-round law.
 """
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
+
+from .records import checked_record, mark_readonly, readonly_array
 
 DEFAULT_MAX_QUBITS = 10
 
@@ -41,53 +37,6 @@ NORM_ATOL = 1e-12
 
 class ResourceLimitError(Exception):
     """Requested register size exceeds the configured maximum."""
-
-
-def readonly_array(values, dtype) -> np.ndarray:
-    """``values`` as a read-only ``dtype`` array, copied unless it is one already."""
-    exact = isinstance(values, np.ndarray) and values.dtype == dtype
-    if exact and not values.flags.writeable:
-        return values
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
-def mark_readonly(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself, marked read-only in place: for fresh arrays nothing else holds."""
-    arr.setflags(write=False)
-    return arr
-
-
-def as_int(name: str, value) -> int:
-    """``value`` as a plain int; a bool or non-integer raises."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
-def probability(name: str, value) -> float:
-    """``value``, a real in [0, 1] (a Decimal too), as a plain float (-0.0 as 0.0).
-    A bool, which records would echo as true/false, raises by ``name``, as does
-    a value out of range or NaN: the range is read first, so no float overflows."""
-    real = not isinstance(value, (bool, np.bool_)) and (
-        isinstance(value, numbers.Real) or hasattr(value, "as_integer_ratio")
-    )
-    try:
-        if real and 0 <= value <= 1:
-            return float(value) + 0.0
-    except ArithmeticError:
-        pass
-    raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
-
-
-def checked_record(name: str, /, **fields: type) -> type:
-    """The NamedTuple base, of the given fields in order, of a record that
-    checks them in ``__new__``: its ``_make``, and so ``_replace``, builds
-    through ``cls(*fields)``, so the check runs however the record is built."""
-    base = NamedTuple(name, list(fields.items()))
-    base._make = classmethod(lambda cls, iterable: cls(*iterable))
-    return base
 
 
 class StateVector(checked_record("StateVector", num_qubits=int, amplitudes=np.ndarray)):

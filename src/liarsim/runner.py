@@ -39,11 +39,8 @@ from typing import BinaryIO, Iterator, NamedTuple
 import numpy as np
 
 from .adversary import parse_strategy_A, parse_strategy_B
-from .channels import NO_FAULTS, FaultModel
 from .distribute_test import (
-    DirectionPolicy,
-    DistributionPlan,
-    make_verified_pool,
+    NO_FAULTS, DirectionPolicy, DistributionPlan, FaultModel, make_verified_pool,
     run_distribute_and_test,
 )
 from .liar_protocol import (
@@ -52,7 +49,7 @@ from .liar_protocol import (
     generate_lists,
     run_liar_protocol,
 )
-from .qstate import as_int, checked_record
+from .records import as_int, checked_record
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -114,7 +111,7 @@ class TrialConfig(
     so they stay out of the summary record, and no attribute can be set.
     A size left as None, the default, is derived by ``resolve_sizes``, and
     each probability is stored as the plain float its collaborator checked
-    (``qstate.probability``), so equal configs write equal files.
+    (``records.probability``), so equal configs write equal files.
     """
 
     def __new__(
@@ -205,8 +202,7 @@ class TrialStats(NamedTuple):
     def __ne__(self, other) -> bool:
         return self[:-1] != other[:-1] if isinstance(other, TrialStats) else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self[:-1])
+    __hash__ = None  # verdict_counts is a dict, so no hash could be consistent
 
 
 DISTRIBUTE_FAILURE = "DISTRIBUTE_FAILURE"

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from liarsim.adversary import ActionA, ActionB, AKind, BKind, StrategyA, StrategyB
-from liarsim.qstate import mark_readonly
+from liarsim.records import mark_readonly
 
 
 def incompatible_positions(

@@ -16,11 +16,12 @@ from scipy import integrate
 from scipy import stats as scipy_stats
 
 from liarsim.adversary import StrategyA, StrategyB
-from liarsim.channels import NO_FAULTS, FaultModel
 from liarsim.cli import main as cli_main
 from liarsim.distribute_test import (
+    NO_FAULTS,
     DirectionPolicy,
     DistributionPlan,
+    FaultModel,
     make_verified_pool,
     run_distribute_and_test,
 )

@@ -28,7 +28,7 @@ from liarsim.liar_protocol import (
     generate_lists,
     run_liar_protocol,
 )
-from liarsim.qstate import mark_readonly
+from liarsim.records import mark_readonly
 from liarsim.runner import trial_rng
 from reference_checks import strategy_A_act_reference, strategy_B_act_reference
 from sampling import RecordingGenerator

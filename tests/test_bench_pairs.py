@@ -75,6 +75,21 @@ def test_a_run_is_read_from_its_report_file():
     }
 
 
+# twenty recorded cold-import seconds of one tree, in run order
+RECORDED_IMPORTS = [
+    0.0262, 0.0241, 0.0249, 0.0301, 0.0238, 0.0244, 0.0251, 0.0247, 0.0236, 0.0259,
+    0.0243, 0.0240, 0.0366, 0.0245, 0.0248, 0.0239, 0.0242, 0.0250, 0.0246, 0.0237,
+]
+
+
+def test_cold_import_summary_is_median_min_and_max():
+    summary = PAIRS.import_summary(RECORDED_IMPORTS)
+    # sorted, the tenth and eleventh values are 0.0245 and 0.0246
+    assert summary["median_s"] == pytest.approx(0.02455)
+    assert (summary["min_s"], summary["max_s"]) == (0.0236, 0.0366)
+    assert summary["runs"] == 20 and summary["samples_s"] == RECORDED_IMPORTS
+
+
 def test_workloads_length_and_directions_come_from_the_benchmark():
     spec = json.loads((PAIRS.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     bench = PAIRS.load_benchmark()

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from liarsim.channels import (
-    FaultModel,
     PartyId,
     ProtocolViolationError,
     QuantumSystem,
     QubitRef,
     QubitRegistry,
     TransferStatus,
+    prepare_state,
     transfer_qubits,
 )
+from liarsim.distribute_test import FaultModel
 from liarsim.qstate import COMPUTATIONAL, make_singlet
 
 
@@ -103,11 +104,11 @@ class TestFaultModel:
     def test_defaults_are_honest(self):
         fault = FaultModel()
         assert fault.qubit_loss_prob == 0.0
-        state = fault.prepare_state()
+        state = prepare_state(fault.source_state)
         np.testing.assert_allclose(state.amplitudes, make_singlet(4).amplitudes)
 
     def test_product_state_preparation(self):
-        state = FaultModel(source_state="0011").prepare_state()
+        state = prepare_state(FaultModel(source_state="0011").source_state)
         assert state.amplitudes[3] == pytest.approx(1.0)
 
     def test_validation(self):

@@ -8,21 +8,21 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import binomtest
 
-from liarsim import distribute_test
+from liarsim import channels
 from liarsim.channels import (
-    NO_FAULTS,
-    FaultModel,
     ProtocolViolationError,
     QuantumSystem,
-)
-from liarsim.distribute_test import (
-    DirectionPolicy,
-    DistributionPlan,
-    VerifiedPool,
-    _balanced_chance,
     _dense_distribute_and_test,
     _draw_subsets,
     choose_direction,
+)
+from liarsim.distribute_test import (
+    NO_FAULTS,
+    DirectionPolicy,
+    DistributionPlan,
+    FaultModel,
+    VerifiedPool,
+    _balanced_chance,
     make_verified_pool,
     run_distribute_and_test,
 )
@@ -120,7 +120,7 @@ class TestHonestRun:
                 super().__init__(system_id, state)
                 self.touch_log.append("measured before the protocol")
 
-        monkeypatch.setattr(distribute_test, "QuantumSystem", TamperedSystem)
+        monkeypatch.setattr(channels, "QuantumSystem", TamperedSystem)
         with pytest.raises(ProtocolViolationError, match="touched during testing"):
             _dense_distribute_and_test(DistributionPlan.default(16), NO_FAULTS, rng(5))
 

@@ -13,11 +13,10 @@ from scipy import stats as scipy_stats
 
 from liarsim import liar_protocol
 from liarsim.adversary import StrategyA, StrategyB, parse_strategy_A, parse_strategy_B
-from liarsim.channels import FaultModel
+from liarsim.channels import choose_direction, prepare_state
 from liarsim.distribute_test import (
     DirectionPolicy,
     VerifiedPool,
-    choose_direction,
     make_verified_pool,
 )
 from liarsim.liar_protocol import (
@@ -40,7 +39,8 @@ from liarsim.liar_protocol import (
 from liarsim.oracle import (
     SINGLET_WEIGHTS, Assignment, list_cells, round_distribution, source_weights,
 )
-from liarsim.qstate import make_singlet, mark_readonly, measure_qubits, outcome_bits
+from liarsim.qstate import make_singlet, measure_qubits, outcome_bits
+from liarsim.records import mark_readonly
 from liarsim.runner import _escape_counts
 from reference_checks import incompatible_positions, stage1_violations, stage2_mismatches
 from sampling import RecordingGenerator, raw_cells, reference_lists
@@ -70,7 +70,7 @@ def dense_engine_lists(pool, stream, policy=DirectionPolicy.FIXED):
     state between measurements: the exact oracle the vectorized
     ``generate_lists`` must agree with in distribution.
     """
-    source = FaultModel(source_state=pool.source_state).prepare_state()
+    source = prepare_state(pool.source_state)
     a_ones, b_bits, c_bits = [], [], []
     for _ in range(len(pool)):
         assignment = tuple(Assignment)[stream.integers(0, 2)]

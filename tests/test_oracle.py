@@ -15,7 +15,7 @@ from liarsim.oracle import (
     round_distribution,
     source_weights,
 )
-from liarsim.channels import FaultModel
+from liarsim.channels import prepare_state
 from liarsim.qstate import COMPUTATIONAL, joint_distribution, make_singlet, outcome_bits
 from sampling import sample_along
 
@@ -72,7 +72,7 @@ class TestSingletWeights:
         weights = source_weights(name)
         assert source_weights("".join(name)) is weights  # built once per name
         assert len(weights) == 16 and sum(weights) == 12
-        probs = joint_distribution(FaultModel(source_state=name).prepare_state(), COMPUTATIONAL)
+        probs = joint_distribution(prepare_state(name), COMPUTATIONAL)
         np.testing.assert_allclose(np.array(weights) / 12, probs, rtol=0, atol=1e-15)
 
     # only the singlet and the 16 four-bit strings name a source

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import liarsim
-from liarsim import adversary, channels, distribute_test, liar_protocol, oracle, qstate, runner
+from liarsim import adversary, channels, distribute_test, liar_protocol, oracle, qstate, records, runner
 
 
 def test_every_public_name_resolves():
@@ -52,7 +52,7 @@ def _fresh_interpreter_output(code: str) -> str:
 
 # in-process, the other tests' imports would hide a missing transitive import
 def test_fresh_import_loads_every_module_as_an_attribute():
-    modules = "adversary channels distribute_test liar_protocol oracle qstate runner".split()
+    modules = "adversary channels distribute_test liar_protocol oracle qstate records runner".split()
     code = f"import liarsim\nprint(*(m for m in {modules!r} if not hasattr(liarsim, m)))\n"
     assert _fresh_interpreter_output(code).split() == []  # the modules a fresh import left out
 
@@ -65,6 +65,26 @@ def test_fresh_import_and_config_load_no_dataclasses():
         "print('dataclasses' in sys.modules)\n"
     )
     assert _fresh_interpreter_output(code).split() == ["False"]
+
+
+# the dense reference is loaded on first use only: no production run compiles it
+def test_production_path_leaves_the_dense_reference_unloaded():
+    code = (
+        "import os, sys, tempfile, liarsim, liarsim.cli\n"
+        "from liarsim import distribute_test\n"
+        "configs = [liarsim.TrialConfig.build(trials=2, **params) for params in (\n"
+        "    dict(L=64, strategy_a='split:n=3'), dict(L=4096, strategy_b='flipforge'),\n"
+        "    dict(M=512, N1=128, N2=128, L=256, qubit_loss_prob=1e-4),\n"
+        ")]\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    for config in (configs[0], configs[2]):\n"
+        "        liarsim.run_trials(config, out_path=os.path.join(out, 'r.ndjson'))\n"
+        "print(*(m in sys.modules for m in ('liarsim.qstate', 'liarsim.channels')))\n"
+        "print(callable(liarsim.channels.measure_qubits))\n"
+        "print(callable(distribute_test.transfer_qubits))\n"
+        "print(hasattr(distribute_test, 'DistributeStatus'))\n"
+    )
+    assert _fresh_interpreter_output(code).split() == ["False", "False", "True", "True", "False"]
 
 
 # the message wrappers and the transcript envelope: the actions are the messages
@@ -85,7 +105,7 @@ def test_fresh_import_and_config_load_no_dataclasses():
         (liar_protocol, "_list_table"),
         (liar_protocol, "_cell_table"),
         (runner, "_word_constants"),
-        # one probability rule and one integer rule, both in qstate
+        # one probability rule and one integer rule, both in records
         (qstate, "in_unit_interval"),
         (distribute_test, "_as_int"),
     ],
@@ -158,7 +178,7 @@ def test_plain_records_reject_attribute_assignment(record):
 CHECKED_RECORDS = [
     (adversary.StrategyA(), "kind"),
     (adversary.StrategyB(), "count"),
-    (channels.FaultModel(), "qubit_loss_prob"),
+    (distribute_test.FaultModel(), "qubit_loss_prob"),
     (distribute_test.DistributionPlan(4, 1, 1, 2), "L"),
     (liar_protocol.Thresholds(), "min_fraction"),
     (runner.TrialConfig(), "seed"),
@@ -187,7 +207,7 @@ def test_checked_records_reject_attribute_assignment(record, name):
 REPLACEABLE_RECORDS = [
     (runner.TrialConfig.build(L=64, trials=3), "L", 32),
     (liar_protocol.Thresholds(), "min_fraction", -3),
-    (channels.FaultModel(), "qubit_loss_prob", 7.0),
+    (distribute_test.FaultModel(), "qubit_loss_prob", 7.0),
     (distribute_test.DistributionPlan(4, 1, 1, 2), "L", 3),
     (adversary.StrategyA(), "count", -5),
     (adversary.StrategyB(), "kind", "split"),

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 import liarsim
-from liarsim import adversary, distribute_test, liar_protocol, qstate, runner
-from liarsim.channels import NO_FAULTS, FaultModel
+from liarsim import adversary, distribute_test, liar_protocol, records, runner
+from liarsim.distribute_test import NO_FAULTS, FaultModel
 from liarsim.cli import main as cli_main
 from liarsim.runner import (
     DISTRIBUTE_FAILURE,
@@ -748,7 +748,7 @@ class TestTrialPathCopiesNothing:
         calls = []
 
         def recording(values, dtype):
-            out = qstate.readonly_array(values, dtype)
+            out = records.readonly_array(values, dtype)
             calls.append((sys._getframe(1).f_code.co_name, out is values))
             return out
 
@@ -771,6 +771,14 @@ class TestRunTrials:
         stats2 = run_trials(config, out_path=str(second))
         assert first.read_bytes() == second.read_bytes()
         assert stats1 == stats2  # timing is excluded from equality
+
+    def test_stats_are_unhashable_as_their_counts_are(self):
+        # equal stats must hash alike, and verdict_counts, a dict, has no hash
+        stats = aggregate([TrialResult(0, "SUCCESS")])
+        with pytest.raises(TypeError, match="unhashable type: 'TrialStats'"):
+            hash(stats)
+        assert stats == stats._replace(mean_trial_seconds=1.0)
+        assert not stats != stats._replace(mean_trial_seconds=1.0)
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         out = tmp_path / "r.ndjson"

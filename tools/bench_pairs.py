@@ -17,10 +17,19 @@ The file holds, per workload, every run's metrics, ``correct``, ``failed``
 and ``stream_digest``, and per metric both trees' medians and quartiles,
 the change's wins out of k and the parent's IQR; plus, per tree, the run
 metadata of its first report (git SHA, source digest, Python and numpy
-versions, CPU model), whether its files differ from its git commit, and
+versions, CPU model), whether its files differ from its git commit, the
+median, minimum and maximum of 20 cold ``import liarsim`` wall times, and
 one run of its Tier-1 verify command after all pairs (exit code, wall
 seconds and pytest's summary line). It only measures: it sets no bound
 and decides nothing.
+
+A cold import is one fresh interpreter, started after the last one ended,
+that reads and writes no bytecode (``PYTHONDONTWRITEBYTECODE=1`` and an
+empty ``PYTHONPYCACHEPREFIX`` directory), so it compiles every module it
+loads, as the benchmark's set-up does with liarsim's. The trees take
+turns. Only ``import liarsim`` is timed: numpy, which every tree imports
+alike and which an empty cache would make take some 0.4 s, is imported
+first.
 """
 from __future__ import annotations
 
@@ -31,6 +40,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -42,6 +52,19 @@ TREE_META = ("git_sha", "source_sha256", "python", "numpy", "cpu_model", "nproc"
 TIER1 = (sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors")
 # pytest's closing tally, "1 failed, 996 passed in 31.20s (0:00:31)", inside its = rule
 SUMMARY_LINE = re.compile(r"=* ?((?:\d+ \w+, )*\d+ \w+ in [\d.]+s(?: \([\d:]+\))?) ?=*")
+IMPORT_RUNS = 20
+# run in a tree: its src/ first on sys.path, numpy untimed, then one timed import
+IMPORT_PROGRAM = """
+import os, sys, time
+sys.path.insert(0, os.path.abspath("src"))
+import numpy
+started = time.perf_counter()
+import liarsim
+elapsed = time.perf_counter() - started
+if not liarsim.__file__.startswith(sys.path[0] + os.sep):
+    raise ImportError(f"liarsim imported from {liarsim.__file__}")
+print(elapsed)
+"""
 
 
 def load_benchmark(path: Path = ROOT / "BENCHMARK.json") -> dict:
@@ -148,6 +171,35 @@ def run_tier1(tree: Path) -> dict:
     return {"exit_code": done.returncode, "wall_s": wall_s, "summary": summary_line(done.stdout)}
 
 
+def cold_import_seconds(tree: Path) -> float:
+    """One cold ``import liarsim`` from ``tree``'s ``src/``, in seconds."""
+    with tempfile.TemporaryDirectory() as prefix:
+        env = os.environ | {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": prefix}
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROGRAM], cwd=tree, env=env,
+            capture_output=True, text=True, check=True,
+        )
+    return float(done.stdout)
+
+
+def import_summary(samples: list[float]) -> dict:
+    """The median, minimum and maximum of one tree's cold-import seconds."""
+    return {
+        "runs": len(samples), "median_s": statistics.median(samples),
+        "min_s": min(samples), "max_s": max(samples), "samples_s": samples,
+    }
+
+
+def cold_imports(trees: dict[str, Path], runs: int = IMPORT_RUNS) -> dict[str, dict]:
+    """``runs`` cold imports of each tree, one interpreter at a time, the
+    trees taking turns, summarized per tree."""
+    samples = {name: [] for name in trees}
+    for _ in range(runs):
+        for name, tree in trees.items():
+            samples[name].append(cold_import_seconds(tree))
+    return {name: import_summary(values) for name, values in samples.items()}
+
+
 def measure(trees: dict[str, Path], workload: str, bench: dict, pairs: int, meta: dict) -> dict:
     """The warm-up run and ``pairs`` alternating pairs of one workload, and
     each end-to-end metric's summary over the pairs; the meta of each
@@ -210,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
         },
         "workloads": {},
     }
+    for name, summary in cold_imports(trees).items():
+        meta[name]["cold_import"] = summary
+        print(name, "cold import median", summary["median_s"], file=sys.stderr, flush=True)
     for workload in bench["workloads"]:
         result["workloads"][workload] = measure(trees, workload, bench, args.pairs, meta)
         # written after each workload, so an interrupted run keeps the workloads it finished
